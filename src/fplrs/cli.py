@@ -9,10 +9,10 @@
 Exit codes: 0 success, 1 verification failure, 2 usage error,
 3 resource limit (size above the default cap without --allow-large).
 
-Results are cached when a cache directory is configured (--cache-dir or
-FPLRS_CACHE_DIR); entries are keyed by command, parameters and package
-version, payloads are checksummed, and writes go through a temp file
-and rename so concurrent runs cannot corrupt each other.
+Tables and ground states are cached when a cache directory is set
+(--cache-dir or FPLRS_CACHE_DIR); entries are keyed by command,
+parameters and package version, payloads are checksummed, and writes go
+through a unique temp file and rename so concurrent runs cannot clash.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import json
 import os
 import random
 import sys
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -63,7 +64,6 @@ from .linkpat import (
 from .sampling import random_glueable
 
 DEFAULT_MAX_N = 7
-SUITES = ("rs", "wieland", "orbits", "identities", "tl", "gyration-general")
 
 
 # ---------------------------------------------------------------------------
@@ -92,8 +92,11 @@ class Cache:
         payload_path, meta_path = self._paths(key)
         if not payload_path.exists() or not meta_path.exists():
             return None
-        meta = json.loads(meta_path.read_text())
-        entry = CacheEntry(meta["key"], payload_path, meta["checksum"])
+        try:
+            meta = json.loads(meta_path.read_text())
+            entry = CacheEntry(meta["key"], payload_path, meta["checksum"])
+        except (ValueError, KeyError, TypeError):  # corrupt or incomplete meta
+            return None
         if entry.key != key:
             return None
         text = payload_path.read_text()
@@ -104,32 +107,41 @@ class Cache:
     def put(self, key: str, text: str) -> CacheEntry:
         payload_path, meta_path = self._paths(key)
         checksum = hashlib.sha256(text.encode()).hexdigest()
-        for path, body in (
-            (payload_path, text),
-            (meta_path, json.dumps({"key": key, "checksum": checksum})),
-        ):
-            tmp = path.with_suffix(path.suffix + ".tmp")
-            tmp.write_text(body)
-            os.replace(tmp, path)
+        _write_atomic(payload_path, text)
+        _write_atomic(meta_path, json.dumps({"key": key, "checksum": checksum}))
         return CacheEntry(key, payload_path, checksum)
 
 
-def _cache_from(args) -> Cache | None:
+def _cached(args, command: str, compute, **params) -> str:
+    """A command's JSON payload: from the cache when one is configured and
+    holds a valid entry, else computed (and then stored)."""
     root = args.cache_dir or os.environ.get("FPLRS_CACHE_DIR")
-    return Cache(Path(root)) if root else None
+    cache = Cache(Path(root)) if root else None
+    key = f"{command}:{__version__}:{json.dumps(params, sort_keys=True)}"
+    text = cache.get(key) if cache else None
+    if text is None:
+        text = json.dumps(compute(), indent=0, sort_keys=True)
+        if cache:
+            cache.put(key, text)
+    return text
 
 
-def _cache_key(command: str, **params) -> str:
-    body = json.dumps(params, sort_keys=True)
-    return f"{command}:{__version__}:{body}"
+def _write_atomic(path: Path, text: str) -> None:
+    """Write through a temp file of its own in the target directory and
+    rename it into place, so concurrent writers never share a temp path."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        path = Path(out)
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text(text)
-        os.replace(tmp, path)
+        _write_atomic(Path(out), text)
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
@@ -446,43 +458,38 @@ def _threads(args) -> int:
     if args.threads is not None:
         return max(1, args.threads)
     env = os.environ.get("FPLRS_THREADS")
-    return max(1, int(env)) if env else 1
+    if not env:
+        return 1
+    try:
+        return max(1, int(env))
+    except ValueError:
+        raise FplrsError(f"FPLRS_THREADS must be an integer, got {env!r}") from None
+
+
+class _AboveCap(FplrsError):
+    """A size above the soft cap: exit code 3, not a usage error."""
+
+
+def _check_size(args) -> None:
+    if args.n < 1:
+        raise FplrsError(f"--n must be positive, got {args.n}")
+    if args.n > args.max_n and not args.allow_large:
+        raise _AboveCap(
+            f"n={args.n} exceeds the default cap {args.max_n}; pass --allow-large"
+        )
 
 
 def cmd_enumerate(args) -> int:
-    if args.n > args.max_n and not args.allow_large:
-        print(
-            f"n={args.n} exceeds the default cap {args.max_n}; pass --allow-large",
-            file=sys.stderr,
-        )
-        return 3
-    cache = _cache_from(args)
-    key = _cache_key("enumerate", n=args.n, sign=args.sign)
-    text = cache.get(key) if cache else None
-    if text is None:
-        table = refined_counts(args.n, args.sign, jobs=_threads(args))
-        text = json.dumps(table.to_json(), indent=0, sort_keys=True)
-        if cache:
-            cache.put(key, text)
-    _emit(text, args.out)
+    _check_size(args)
+    table = lambda: refined_counts(args.n, args.sign, jobs=_threads(args)).to_json()
+    _emit(_cached(args, "enumerate", table, n=args.n, sign=args.sign), args.out)
     return 0
 
 
 def cmd_groundstate(args) -> int:
-    if args.n > args.max_n and not args.allow_large:
-        print(
-            f"n={args.n} exceeds the default cap {args.max_n}; pass --allow-large",
-            file=sys.stderr,
-        )
-        return 3
-    cache = _cache_from(args)
-    key = _cache_key("groundstate", n=args.n)
-    text = cache.get(key) if cache else None
-    if text is None:
-        vec = stationary_vector(args.n)
-        text = json.dumps(lp_vector_to_json(vec), indent=0, sort_keys=True)
-        if cache:
-            cache.put(key, text)
+    _check_size(args)
+    vector = lambda: lp_vector_to_json(stationary_vector(args.n))
+    text = _cached(args, "groundstate", vector, n=args.n)
     _emit(text, args.out)
     data = json.loads(text)
     values = [int(v.split("/")[0]) for v in data["entries"].values()]
@@ -494,29 +501,24 @@ def cmd_groundstate(args) -> int:
     return 0
 
 
+SUITES = {
+    "rs": lambda args: _suite_rs(args.n_max),
+    "wieland": lambda args: _suite_wieland(args.n_max),
+    "orbits": lambda args: _suite_orbits(args.n_max),
+    "identities": lambda args: _suite_identities(args.n_max),
+    "tl": lambda args: _suite_tl(args.n_max, args.seed),
+    "gyration-general": lambda args: _suite_gyration_general(args.n_max, args.seed),
+}
+
+
 def cmd_verify(args) -> int:
-    n_max = args.n_max
-    if args.suite == "rs":
-        lines = _suite_rs(n_max)
-    elif args.suite == "wieland":
-        lines = _suite_wieland(n_max)
-    elif args.suite == "orbits":
-        lines = _suite_orbits(n_max)
-    elif args.suite == "identities":
-        lines = _suite_identities(n_max)
-    elif args.suite == "tl":
-        lines = _suite_tl(n_max, args.seed)
-    elif args.suite == "gyration-general":
-        lines = _suite_gyration_general(n_max, args.seed)
-    else:  # pragma: no cover - argparse restricts choices
-        return 2
-    return _report(lines, args.format, args.out)
+    if args.n_max < 1:
+        raise FplrsError(f"--n-max must be positive, got {args.n_max}")
+    return _report(SUITES[args.suite](args), args.format, args.out)
 
 
 def cmd_orbit_report(args) -> int:
-    if args.n > args.max_n and not args.allow_large:
-        print(f"n={args.n} exceeds the default cap; pass --allow-large", file=sys.stderr)
-        return 3
+    _check_size(args)
     d, _t = build_square(args.n, args.sign)
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -539,13 +541,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"fplrs {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_sign=True):
+    def sized(p):
         p.add_argument("--n", type=int, required=True, help="system size")
-        if needs_sign:
-            p.add_argument("--sign", choices=["+", "-"], default="+")
         p.add_argument("--out", help="output path (stdout when omitted)")
-        p.add_argument("--threads", type=int, help="worker count (FPLRS_THREADS)")
-        p.add_argument("--cache-dir", help="cache directory (FPLRS_CACHE_DIR)")
         p.add_argument("--allow-large", action="store_true")
         p.add_argument(
             "--max-n",
@@ -555,11 +553,15 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     p_enum = sub.add_parser("enumerate", help="write a per-pattern count table")
-    common(p_enum)
+    sized(p_enum)
+    p_enum.add_argument("--sign", choices=["+", "-"], default="+")
+    p_enum.add_argument("--threads", type=int, help="worker count (FPLRS_THREADS)")
+    p_enum.add_argument("--cache-dir", help="cache directory (FPLRS_CACHE_DIR)")
     p_enum.set_defaults(func=cmd_enumerate)
 
     p_gs = sub.add_parser("groundstate", help="write the exact stationary vector")
-    common(p_gs, needs_sign=False)
+    sized(p_gs)
+    p_gs.add_argument("--cache-dir", help="cache directory (FPLRS_CACHE_DIR)")
     p_gs.set_defaults(func=cmd_groundstate)
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
@@ -571,7 +573,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.set_defaults(func=cmd_verify)
 
     p_orb = sub.add_parser("orbit-report", help="CSV of orbit/plaquette sums")
-    common(p_orb)
+    sized(p_orb)
+    p_orb.add_argument("--sign", choices=["+", "-"], default="+")
     p_orb.set_defaults(func=cmd_orbit_report)
 
     return parser
@@ -584,7 +587,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except FplrsError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, _AboveCap) else 2
 
 
 if __name__ == "__main__":  # pragma: no cover

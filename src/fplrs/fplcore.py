@@ -7,8 +7,9 @@ each; it is stored as a bitmask over the domain's canonical edge order
 the first undecided edge in canonical order, white before black, with
 constraint propagation: once a vertex has two edges of one colour its
 remaining edges are forced.  The emitted stream is therefore the
-lexicographic order of canonical bitstrings, and counting walks the
-same tree, so stream and count cannot disagree.
+lexicographic order of canonical bitstrings.  Every count, serial or
+pooled, walks the same tree through one engine, ``_tally``, which
+counts the leaves by a key, so stream and counts cannot disagree.
 
 Open monochromatic paths end at terminations; the black ones, labelled
 cyclically from the anchor, give the configuration's link pattern.
@@ -25,7 +26,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -226,11 +227,45 @@ def split_prefixes(
     return done, prefixes
 
 
-def _count_task(args) -> int:
-    cells, anchor, colours, prefix = args
-    d = Domain(frozenset(tuple(c) for c in cells), anchor)
-    t = BoundaryCondition(colours)
-    return sum(1 for _ in _search(d, t, prefix))
+def _tally(
+    d: Domain,
+    t: BoundaryCondition,
+    key: Callable,
+    jobs: int = 1,
+    prefix: Sequence[tuple[int, int]] = (),
+) -> dict:
+    """Count the leaves below ``prefix`` by ``key(domain, bits)``; a
+    ``None`` key drops the leaf.
+
+    With jobs > 1 the tree is split on its earliest decisions and each
+    open subtree is tallied by this function in a process pool (so
+    ``key`` must be picklable); leaves completed above the split go
+    through the same key.  The split changes no count.
+    """
+    parts: list[dict] = []
+    if jobs > 1:
+        depth = max(1, (jobs * 4 - 1).bit_length())
+        leaves, prefixes = split_prefixes(d, t, depth)
+        if prefixes:
+            import multiprocessing as mp
+
+            with mp.Pool(jobs) as pool:
+                parts = pool.starmap(_tally, [(d, t, key, 1, p) for p in prefixes])
+    else:
+        leaves = _search(d, t, prefix)
+    counts: dict = {}
+    for bits in leaves:
+        k = key(d, bits)
+        if k is not None:
+            counts[k] = counts.get(k, 0) + 1
+    for part in parts:
+        for k, v in part.items():
+            counts[k] = counts.get(k, 0) + v
+    return counts
+
+
+def _any_leaf(d: Domain, bits: int) -> bool:
+    return True
 
 
 def count_configs(d: Domain, t: BoundaryCondition, jobs: int = 1) -> int:
@@ -240,19 +275,7 @@ def count_configs(d: Domain, t: BoundaryCondition, jobs: int = 1) -> int:
     subtree counts are added; the split changes nothing about which
     leaves exist.
     """
-    if jobs <= 1:
-        return sum(1 for _ in _search(d, t))
-    depth = max(1, (jobs * 4 - 1).bit_length())
-    done, prefixes = split_prefixes(d, t, depth)
-    if not prefixes:
-        return len(done)
-    import multiprocessing as mp
-
-    cells = tuple(sorted(d.cells))
-    payload = [(cells, d.anchor, t.colours, p) for p in prefixes]
-    with mp.Pool(jobs) as pool:
-        counts = pool.map(_count_task, payload)
-    return len(done) + sum(counts)
+    return sum(_tally(d, t, _any_leaf, jobs).values())
 
 
 def asm_count_formula(n: int) -> int:
@@ -477,35 +500,27 @@ class PsiTable:
         return json.dumps(self.to_json(), indent=0, sort_keys=True)
 
 
+def _bottom_type_is(constraint: tuple[int, str], phi: FplConfig) -> bool:
+    col, letter = constraint
+    return vertex_type(phi, (col, 1)) == letter
+
+
+def _black_pattern(
+    predicate: Callable[[FplConfig], bool] | None, d: Domain, bits: int
+) -> LinkPattern | None:
+    phi = FplConfig(d, bits)
+    if predicate is not None and not predicate(phi):
+        return None
+    return _trace_colour(phi, 1)[0]
+
+
 def psi_counts(
     d: Domain,
     t: BoundaryCondition,
     predicate: Callable[[FplConfig], bool] | None = None,
 ) -> dict[LinkPattern, int]:
     """Black-pattern counts over an arbitrary ensemble, optionally filtered."""
-    out: dict[LinkPattern, int] = {}
-    for phi in enumerate_configs(d, t):
-        if predicate is not None and not predicate(phi):
-            continue
-        p = link_data(phi).black
-        out[p] = out.get(p, 0) + 1
-    return out
-
-
-def _psi_task(args) -> dict[str, int]:
-    cells, anchor, colours, prefix, constraint = args
-    d = Domain(frozenset(tuple(c) for c in cells), anchor)
-    t = BoundaryCondition(colours)
-    out: dict[str, int] = {}
-    for bits in _search(d, t, prefix):
-        phi = FplConfig(d, bits)
-        if constraint is not None:
-            col, letter = constraint
-            if vertex_type(phi, (col, 1)) != letter:
-                continue
-        w = link_data(phi).black.word
-        out[w] = out.get(w, 0) + 1
-    return out
+    return _tally(d, t, partial(_black_pattern, predicate))
 
 
 def refined_counts(
@@ -523,37 +538,14 @@ def refined_counts(
     merged; merging is commutative so the result is identical.
     """
     d, t = build_square(n, sign)
+    predicate = None
     if constraint is not None:
         col, letter = constraint
         if not 1 <= col <= n or letter not in ("a", "b", "c"):
             raise ValueError(f"bad constraint {constraint!r}")
-    table = PsiTable(n=n, sign=sign, anchor=d.anchor)
-    if jobs <= 1:
-        predicate = None
-        if constraint is not None:
-            col, letter = constraint
-            predicate = lambda phi: vertex_type(phi, (col, 1)) == letter
-        for p, v in psi_counts(d, t, predicate).items():
-            table.add(p.word, v)
-        return table
-    if constraint is not None:
         vertex_type_table()  # pin the calibration before forking
-    depth = max(1, (jobs * 4 - 1).bit_length())
-    done, prefixes = split_prefixes(d, t, depth)
-    cells = tuple(sorted(d.cells))
-    payload = [(cells, d.anchor, t.colours, p, constraint) for p in prefixes]
-    import multiprocessing as mp
-
-    with mp.Pool(jobs) as pool:
-        partials = pool.map(_psi_task, payload)
-    for part in partials:
-        for w, v in part.items():
-            table.add(w, v)
-    for bits in done:
-        phi = FplConfig(d, bits)
-        if constraint is not None:
-            col, letter = constraint
-            if vertex_type(phi, (col, 1)) != letter:
-                continue
-        table.add(link_data(phi).black.word)
+        predicate = partial(_bottom_type_is, constraint)
+    table = PsiTable(n=n, sign=sign, anchor=d.anchor)
+    for p, v in _tally(d, t, partial(_black_pattern, predicate), jobs).items():
+        table.add(p.word, v)
     return table

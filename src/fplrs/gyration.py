@@ -133,10 +133,8 @@ class Orbit:
         return len(self.hashes)
 
     def configs(self) -> Iterator[FplConfig]:
-        phi = self.seed
-        for _ in range(self.period):
-            yield phi
-            phi = gyrate(phi)
+        for bits in self.hashes:
+            yield FplConfig(self.seed.domain, bits)
 
 
 def orbit(phi: FplConfig) -> Orbit:

@@ -3,10 +3,12 @@
 import csv
 import io
 import json
+import sys
+import threading
 
 import pytest
 
-from fplrs.cli import main
+from fplrs.cli import Cache, main
 
 
 def run(capsys, *argv):
@@ -63,6 +65,42 @@ class TestEnumerate:
             p.write_text(p.read_text() + " ")
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
+
+    def test_garbage_meta_is_recomputed(self, capsys, tmp_path):
+        args = ("enumerate", "--n", "3", "--cache-dir", str(tmp_path))
+        _, out1, _ = run(capsys, *args)
+        for p in tmp_path.glob("*.meta"):
+            p.write_text('{"key": ')
+        code, out2, _ = run(capsys, *args)
+        assert code == 0 and out1 == out2
+
+
+class TestCache:
+    def test_concurrent_puts_to_one_key(self, tmp_path):
+        cache = Cache(tmp_path)
+        errors = []
+
+        def writer():
+            try:
+                for _ in range(50):
+                    cache.put("k", "payload")
+            except Exception as exc:  # reported through the list below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer) for _ in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert cache.get("k") == "payload"
+        assert not list(tmp_path.glob("*.tmp"))
 
 
 class TestGroundstate:
@@ -121,6 +159,37 @@ class TestUsage:
     def test_missing_required_n(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["enumerate"])
+        assert info.value.code == 2
+
+    @pytest.mark.parametrize("command", ["enumerate", "groundstate", "orbit-report"])
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_nonpositive_size_is_usage_error(self, capsys, command, n):
+        code, out, err = run(capsys, command, "--n", n)
+        assert code == 2 and out == ""
+        assert len(err.strip().splitlines()) == 1
+
+    def test_empty_verify_range_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "rs", "--n-max", "0")
+        assert code == 2 and "OK" not in out
+        assert len(err.strip().splitlines()) == 1
+
+    def test_non_integer_threads_env_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("FPLRS_THREADS", "abc")
+        code, out, err = run(capsys, "enumerate", "--n", "2")
+        assert code == 2 and out == ""
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("groundstate", "--n", "2", "--threads", "2"),
+            ("orbit-report", "--n", "2", "--threads", "2"),
+            ("orbit-report", "--n", "2", "--cache-dir", "unused"),
+        ],
+    )
+    def test_flags_a_command_ignores_are_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(list(argv))
         assert info.value.code == 2
 
     def test_version(self, capsys):

@@ -234,6 +234,12 @@ class TestRefinedCounts:
     def test_parallel_table_agrees(self):
         assert refined_counts(4, "+", jobs=2).counts == refined_counts(4).counts
 
+    @pytest.mark.parametrize("col", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("letter", "abc")
+    def test_parallel_constrained_table_agrees(self, col, letter):
+        serial = refined_counts(5, "+", (col, letter))
+        assert refined_counts(5, "+", (col, letter), jobs=2).counts == serial.counts
+
     def test_json_round_trip(self):
         table = refined_counts(3)
         again = PsiTable.from_json(json.loads(table.dumps()))

@@ -118,6 +118,15 @@ class TestGyrate:
                 assert phi.bits != o.seed.bits
             assert gyrate(phi).bits == o.seed.bits
 
+    def test_replayed_orbit_is_a_gyration_cycle(self):
+        # configs() rebuilds the orbit from its stored hashes; each one
+        # must still be the gyration image of the one before it
+        for o in orbit_partition(4):
+            c = list(o.configs())
+            assert c[0] == o.seed
+            for i in range(o.period):
+                assert gyrate(c[i]).bits == c[(i + 1) % o.period].bits
+
     def test_rotation_direction_is_pinned(self):
         # derived at sizes 2 and 3, not assumed; under this package's
         # anchor conventions the full turn lowers indices by one step
