@@ -25,7 +25,6 @@ import json
 import os
 import random
 import sys
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -128,8 +127,10 @@ def _cached(args, command: str, compute, **params) -> str:
 
 def _write_atomic(path: Path, text: str) -> None:
     """Write through a temp file of its own in the target directory and
-    rename it into place, so concurrent writers never share a temp path."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    rename it into place, so concurrent writers never share a temp path.
+    The temp file is created with the mode a plain ``open`` would give."""
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as f:
             f.write(text)

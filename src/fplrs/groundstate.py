@@ -3,12 +3,13 @@ stationary vector.
 
 The matrix is assembled column by column from the capping generators in
 the lexicographic word basis; each column sums to twice the system
-size, so that value is always an eigenvalue of the transpose.  The
-stationary vector is the kernel of the shifted matrix, computed by
-fraction-free (Bareiss) elimination over the integers: no floating
-point, no tolerance.  The kernel must be one-dimensional; the vector is
-rescaled to coprime positive integers, and its entries are the refined
-configuration counts by the identity this package certifies.
+size, so that value is always an eigenvalue of the transpose.  One
+routine, the row echelon form of the shifted matrix modulo a 31-bit
+prime, serves both the kernel-dimension certificate and the stationary
+vector, whose entries are the refined configuration counts by the
+identity this package certifies.  No floating point, no tolerance: a
+vector built from residues is accepted only after an exact integer
+residual check.
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ __all__ = [
     "RsReport",
     "kernel_dimension_certificate",
 ]
+
+# 31-bit, so every product of two residues fits in an int64
+_PRIMES = (2_147_483_629, 2_147_483_587, 2_147_483_579, 2_147_483_563, 2_147_483_549)
 
 
 @dataclass(frozen=True)
@@ -66,86 +70,100 @@ def build_h_matrix(n: int) -> HamiltonianMatrix:
     return HamiltonianMatrix(n, basis, tuple(tuple(r) for r in rows))
 
 
-def _bareiss_kernel(matrix: list[list[int]]) -> list[list[Fraction]]:
-    """Kernel basis of an integer matrix via fraction-free elimination.
+def _echelon_mod(h: HamiltonianMatrix, prime: int):
+    """Row echelon form of (H - 2n) modulo ``prime``.
 
-    Entries stay integral through the elimination (every division is a
-    previous pivot and exact); back substitution runs over rationals.
+    Returns the pivot rows, each scaled so its pivot is 1, as an int64
+    array, and the increasing tuple of their pivot columns.
     """
-    a = [row[:] for row in matrix]
-    m = len(a)
-    ncols = len(a[0]) if m else 0
-    prev = 1
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(ncols):
-        if r == m:
-            break
-        p = next((i for i in range(r, m) if a[i][c]), None)
-        if p is None:
+    import numpy as np
+
+    size = len(h.basis)
+    a = np.array(h.rows, dtype=np.int64)
+    a[np.diag_indices(size)] -= 2 * h.n
+    a %= prime
+    cols: list[int] = []
+    for col in range(size):
+        row = len(cols)
+        nz = row + np.nonzero(a[row:, col])[0]
+        if nz.size == 0:
             continue
-        if p != r:
-            a[r], a[p] = a[p], a[r]
-        arc = a[r][c]
-        for i in range(r + 1, m):
-            aic = a[i][c]
-            rowi = a[i]
-            rowr = a[r]
-            for j in range(c + 1, ncols):
-                rowi[j] = (rowi[j] * arc - aic * rowr[j]) // prev
-            rowi[c] = 0
-        prev = arc
-        pivots.append((r, c))
-        r += 1
-    pivot_cols = {c for _, c in pivots}
-    basis: list[list[Fraction]] = []
-    for fc in (c for c in range(ncols) if c not in pivot_cols):
-        x = [Fraction(0)] * ncols
-        x[fc] = Fraction(1)
-        for rr, cc in reversed(pivots):
-            acc = Fraction(0)
-            row = a[rr]
-            for j in range(cc + 1, ncols):
-                if x[j]:
-                    acc += row[j] * x[j]
-            x[cc] = -acc / row[cc]
-        basis.append(x)
-    return basis
+        p = int(nz[0])
+        if p != row:
+            a[[row, p]] = a[[p, row]]
+        inv = pow(int(a[row, col]), prime - 2, prime)
+        a[row] = (a[row] * inv) % prime
+        # H is sparse: only the rows below with a nonzero in this column
+        # change, and after the swap those are exactly nz[1:]
+        below = nz[1:]
+        a[below] = (a[below] - np.outer(a[below, col], a[row])) % prime
+        cols.append(col)
+    return a[:len(cols)], tuple(cols)
+
+
+def _rational(u: int, m: int) -> Fraction | None:
+    """The fraction r/s with |r|, s <= sqrt(m/2) congruent to u mod m,
+    or None when there is none (rational reconstruction by the extended
+    Euclidean algorithm)."""
+    bound = math.isqrt(m // 2)
+    r0, r1, t0, t1 = m, u % m, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > bound or math.gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
 
 
 def stationary_vector(n: int) -> LpVector:
     """Exact kernel vector of (H - 2n), as coprime positive integers.
 
-    Raises :class:`KernelDimensionError` unless the kernel is exactly
-    one-dimensional (it always is; a violation means a bug upstream).
+    For each prime of ``_PRIMES`` whose echelon has rank size - 1,
+    the kernel vector mod p with its free coordinate set to 1 is
+    CRT-combined with those of the earlier primes that had the same
+    free column, and every coordinate is rationally reconstructed.  A
+    candidate is returned only when it is strictly positive and killed
+    exactly by the integer matrix, so no modular step needs trusting.
+    Raises :class:`KernelDimensionError` when the primes run out (the
+    kernel is always a line; a failure means a bug upstream).
     """
     h = build_h_matrix(n)
     size = len(h.basis)
-    shifted = [
-        [h.rows[i][j] - (2 * n if i == j else 0) for j in range(size)]
-        for i in range(size)
-    ]
-    kernel = _bareiss_kernel(shifted)
-    if len(kernel) != 1:
-        raise KernelDimensionError(
-            f"kernel of the shifted matrix has dimension {len(kernel)} at n={n}"
-        )
-    (x,) = kernel
-    scale = math.lcm(*(f.denominator for f in x))
-    ints = [int(f * scale) for f in x]
-    g = math.gcd(*ints)
-    ints = [v // g for v in ints]
-    negatives = sum(1 for v in ints if v < 0)
-    if negatives == len([v for v in ints if v]):
-        ints = [-v for v in ints]
-    if any(v <= 0 for v in ints):
-        raise KernelDimensionError("stationary vector is not strictly positive")
-    # guard the elimination itself: the integer vector must be killed
-    # by the shifted matrix, exactly
-    for row in shifted:
-        if sum(a * v for a, v in zip(row, ints)):
-            raise AssertionError("kernel candidate fails the residual check")
-    return LpVector(n, {p: Fraction(v) for p, v in zip(h.basis, ints)})
+    combined: dict[int, tuple[list[int], int]] = {}
+    for prime in _PRIMES:
+        rows, cols = _echelon_mod(h, prime)
+        if len(cols) != size - 1:
+            continue
+        free = min(set(range(size)).difference(cols))
+        # back substitution, one pivot column at a time: acc[i] holds
+        # row i of the echelon applied to the coordinates fixed so far
+        x = [0] * size
+        x[free] = 1
+        acc = rows[:, free].copy()
+        for i in reversed(range(len(cols))):
+            x[cols[i]] = -int(acc[i]) % prime
+            acc[:i] = (acc[:i] + rows[:i, cols[i]] * x[cols[i]]) % prime
+        residues, m = combined.get(free, ([0] * size, 1))
+        # CRT: lift each residue mod m to the one mod m*prime agreeing with x
+        minv = pow(m, -1, prime)
+        residues = [r + m * ((xi - r) * minv % prime) for r, xi in zip(residues, x)]
+        m *= prime
+        combined[free] = residues, m
+        fracs = [_rational(r, m) for r in residues]
+        if None in fracs:
+            continue
+        # the free coordinate is 1, so clearing the denominators leaves
+        # coprime integers, positive there
+        scale = math.lcm(*(f.denominator for f in fracs))
+        ints = [int(f * scale) for f in fracs]
+        if all(v > 0 for v in ints) and all(
+            sum(a * v for a, v in zip(row, ints)) == 2 * n * ints[i]
+            for i, row in enumerate(h.rows)
+        ):
+            return LpVector(n, {p: Fraction(v) for p, v in zip(h.basis, ints)})
+    raise KernelDimensionError(
+        f"no exact kernel vector of the shifted matrix at n={n} from {len(_PRIMES)} primes"
+    )
 
 
 @dataclass(frozen=True)
@@ -198,38 +216,13 @@ def verify_rs(n: int) -> RsReport:
     )
 
 
-def kernel_dimension_certificate(n: int, prime: int = 2_147_483_629) -> bool:
-    """Certify kernel dimension exactly one without big-integer work.
+def kernel_dimension_certificate(n: int) -> bool:
+    """Certify kernel dimension exactly one, on one modular echelon.
 
     The column sums force singularity over the rationals, so the kernel
     has dimension at least one; a modular rank of size-1 forces the
     rational rank that high as well (a nonzero minor mod p is nonzero
-    over the integers).  Together the dimension is exactly one.  Used
-    for sizes where Bareiss elimination would be slow.
+    over the integers).  Together the dimension is exactly one.
     """
-    import numpy as np
-
     h = build_h_matrix(n)
-    size = len(h.basis)
-    a = np.array(h.rows, dtype=np.int64)
-    a[np.diag_indices(size)] -= 2 * n
-    a %= prime
-    rank = 0
-    row = 0
-    for col in range(size):
-        nz = np.nonzero(a[row:, col])[0]
-        if nz.size == 0:
-            continue
-        p = row + int(nz[0])
-        if p != row:
-            a[[row, p]] = a[[p, row]]
-        inv = pow(int(a[row, col]), prime - 2, prime)
-        a[row] = (a[row] * inv) % prime
-        below = a[row + 1:, col].copy()
-        if below.size:
-            a[row + 1:] = (a[row + 1:] - np.outer(below, a[row])) % prime
-        rank += 1
-        row += 1
-        if row == size:
-            break
-    return rank == size - 1
+    return len(_echelon_mod(h, _PRIMES[0])[1]) == len(h.basis) - 1

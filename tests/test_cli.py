@@ -3,6 +3,8 @@
 import csv
 import io
 import json
+import os
+import stat
 import sys
 import threading
 
@@ -57,6 +59,21 @@ class TestEnumerate:
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["counts"] == {"(())": "1", "()()": "1"}
         assert not list(tmp_path.glob("*.tmp"))
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_out_and_cache_files_get_plain_open_mode(self, capsys, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            with open(tmp_path / "plain", "w"):
+                pass
+            run(capsys, "enumerate", "--n", "3", "--out", str(tmp_path / "t.json"),
+                "--cache-dir", str(tmp_path / "cache"))
+        finally:
+            os.umask(old)
+        plain = stat.S_IMODE((tmp_path / "plain").stat().st_mode)
+        written = [tmp_path / "t.json", *(tmp_path / "cache").iterdir()]
+        assert len(written) == 3
+        assert {stat.S_IMODE(p.stat().st_mode) for p in written} == {plain}
 
     def test_corrupted_cache_is_recomputed(self, capsys, tmp_path):
         args = ("enumerate", "--n", "2", "--cache-dir", str(tmp_path))

@@ -16,6 +16,7 @@ from fplrs.fplcore import (
     vertex_type,
     vertex_type_table,
 )
+from fplrs.groundstate import stationary_vector
 from fplrs.lattice import BoundaryCondition, build_square
 from fplrs.linkpat import LinkPattern, rotate
 
@@ -265,6 +266,8 @@ class TestLargeCounts:
         for word, v in table.counts.items():
             assert table.value(rotate(LinkPattern.from_word(word), 1)) == v
         assert table.value(LinkPattern.serial_arcs(7)) == asm_count_formula(6)
+        # the Razumov-Stroganov identity at n=7, on the same table
+        assert stationary_vector(7) == table.as_vector()
 
     def test_n6_psi_rotation_and_signs(self):
         plus = refined_counts(6, "+")

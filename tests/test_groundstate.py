@@ -6,6 +6,7 @@ import pytest
 
 from fplrs.fplcore import asm_count_formula, refined_counts
 from fplrs.groundstate import (
+    _rational,
     build_h_matrix,
     kernel_dimension_certificate,
     stationary_vector,
@@ -61,16 +62,16 @@ class TestStationaryVector:
             "()()()": 2,
         }
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
     def test_sum_rule(self, n):
         assert stationary_vector(n).total() == asm_count_formula(n)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7])
     def test_rotation_invariance(self, n):
         vec = stationary_vector(n)
         assert apply_rotation(vec, 1) == vec
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 7])
     def test_normalization(self, n):
         import math
 
@@ -78,6 +79,31 @@ class TestStationaryVector:
         assert all(v > 0 for v in values)
         assert math.gcd(*values) == 1
         assert len(values) == catalan(n)
+
+    @pytest.mark.slow
+    def test_n8(self):
+        # the smallest size where one prime's modulus is too small to
+        # reconstruct the vector, so the only run through the CRT lift
+        vec = stationary_vector(8)
+        assert len(vec.entries) == catalan(8) == 1430
+        assert vec.total() == asm_count_formula(8) == 10850216
+        assert vec.coeff(LinkPattern.serial_arcs(8)) == asm_count_formula(7)
+        assert vec.coeff(LinkPattern.from_word("(" * 8 + ")" * 8)) == 1
+        assert apply_rotation(vec, 1) == vec
+
+
+class TestRationalReconstruction:
+    @pytest.mark.parametrize(
+        "f", [Fraction(0), Fraction(1), Fraction(218348), Fraction(3, 7), Fraction(-5, 12)]
+    )
+    def test_round_trip(self, f):
+        m = 2_147_483_629 * 2_147_483_587
+        u = f.numerator * pow(f.denominator, -1, m) % m
+        assert _rational(u, m) == f
+
+    def test_past_the_bound(self):
+        # mod 101 the bound is 7, and no r/s with |r|, s <= 7 is 8
+        assert _rational(8, 101) is None
 
 
 class TestVerifyRs:
