@@ -30,16 +30,11 @@ from pathlib import Path
 
 from . import __version__
 from .errors import FplrsError
-from .fplcore import (
-    asm_count_formula,
-    enumerate_configs,
-    link_data,
-    plaquette_indicator,
-    refined_counts,
-)
+from .fplcore import asm_count_formula, enumerate_configs, refined_counts
 from .gyration import (
     apply_h,
     generalized_gyration_check,
+    orbit_faces,
     orbit_partition,
     pair_link_data,
     square_rotation_direction,
@@ -57,7 +52,6 @@ from .linkpat import (
     close_c,
     lp_vector_to_json,
     rotate,
-    rotation_class_of,
     tl_e,
 )
 from .sampling import random_glueable
@@ -81,7 +75,10 @@ class Cache:
 
     def __init__(self, root: Path):
         self.root = root
-        root.mkdir(parents=True, exist_ok=True)
+        try:
+            root.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise FplrsError(f"cannot create cache directory {root}: {exc.strerror}") from None
 
     def _paths(self, key: str) -> tuple[Path, Path]:
         digest = hashlib.sha256(key.encode()).hexdigest()[:24]
@@ -128,16 +125,20 @@ def _cached(args, command: str, compute, **params) -> str:
 def _write_atomic(path: Path, text: str) -> None:
     """Write through a temp file of its own in the target directory and
     rename it into place, so concurrent writers never share a temp path.
-    The temp file is created with the mode a plain ``open`` would give."""
+    The temp file is created with the mode a plain ``open`` would give.
+    An unwritable target is a usage error, not a traceback."""
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "w") as f:
+                f.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise FplrsError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -237,7 +238,6 @@ def _suite_wieland(n_max: int) -> list[CheckLine]:
 def _suite_orbits(n_max: int) -> list[CheckLine]:
     lines = []
     for n in range(1, n_max + 1):
-        d, _t = build_square(n, "+")
         orbits = orbit_partition(n)
         total = sum(o.period for o in orbits)
         lines.append(
@@ -249,30 +249,17 @@ def _suite_orbits(n_max: int) -> list[CheckLine]:
             )
         )
         bad_sum = 0
-        class_sums: dict[tuple[str, tuple[int, int]], int] = {}
         class_pm: dict[tuple[str, tuple[int, int]], list[int]] = {}
         coherent = True
         for o in orbits:
-            configs = list(o.configs())
-            reps = {rotation_class_of(link_data(phi).black).word for phi in configs}
-            if len(reps) != 1:
-                coherent = False
-            cls = min(reps)
-            for alpha in d.faces:
-                total = 0
-                pm = class_pm.setdefault((cls, alpha), [0, 0])
-                for phi in configs:
-                    v = plaquette_indicator(phi, alpha)
-                    total += v
-                    if v == 1:
-                        pm[0] += 1
-                    elif v == -1:
-                        pm[1] += 1
-                if total != 0:
-                    bad_sum += 1
-                key = (cls, alpha)
-                class_sums[key] = class_sums.get(key, 0) + total
-        bad_class = sum(1 for v in class_sums.values() if v != 0)
+            classes, faces = orbit_faces(o)
+            coherent &= len(classes) == 1
+            for alpha, (plus, minus) in faces.items():
+                bad_sum += plus != minus
+                pm = class_pm.setdefault((classes[0], alpha), [0, 0])
+                pm[0] += plus
+                pm[1] += minus
+        bad_class = sum(1 for pm in class_pm.values() if pm[0] != pm[1])
         lines.append(
             CheckLine("orbits", f"orbit face sums vanish, n={n}", bad_sum == 0)
         )
@@ -520,16 +507,13 @@ def cmd_verify(args) -> int:
 
 def cmd_orbit_report(args) -> int:
     _check_size(args)
-    d, _t = build_square(args.n, args.sign)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["orbit_id", "period", "link_class", "plaquette", "sum"])
     for oid, o in enumerate(orbit_partition(args.n, args.sign)):
-        configs = list(o.configs())
-        link_class = rotation_class_of(link_data(configs[0]).black).word
-        for alpha in d.faces:
-            total = sum(plaquette_indicator(phi, alpha) for phi in configs)
-            writer.writerow([oid, o.period, link_class, f"{alpha[0]},{alpha[1]}", total])
+        classes, faces = orbit_faces(o)
+        for (x, y), (plus, minus) in faces.items():
+            writer.writerow([oid, o.period, classes[0], f"{x},{y}", plus - minus])
     _emit(buf.getvalue(), args.out)
     return 0
 

@@ -500,11 +500,6 @@ class PsiTable:
         return json.dumps(self.to_json(), indent=0, sort_keys=True)
 
 
-def _bottom_type_is(constraint: tuple[int, str], phi: FplConfig) -> bool:
-    col, letter = constraint
-    return vertex_type(phi, (col, 1)) == letter
-
-
 def _black_pattern(
     predicate: Callable[[FplConfig], bool] | None, d: Domain, bits: int
 ) -> LinkPattern | None:
@@ -523,29 +518,14 @@ def psi_counts(
     return _tally(d, t, partial(_black_pattern, predicate))
 
 
-def refined_counts(
-    n: int,
-    sign: str = "+",
-    constraint: tuple[int, str] | None = None,
-    jobs: int = 1,
-) -> PsiTable:
+def refined_counts(n: int, sign: str = "+", jobs: int = 1) -> PsiTable:
     """Per-link-pattern counts over the square ensemble.
 
-    ``constraint`` optionally names a bottom-row column (1-based) and a
-    vertex type letter; only configurations whose vertex there has that
-    type are counted.  An all-zero table is a valid outcome.  With
-    jobs > 1 the search tree is partitioned and the per-subtree tables
-    merged; merging is commutative so the result is identical.
+    With jobs > 1 the search tree is partitioned and the per-subtree
+    counts merged; merging is commutative so the result is identical.
     """
     d, t = build_square(n, sign)
-    predicate = None
-    if constraint is not None:
-        col, letter = constraint
-        if not 1 <= col <= n or letter not in ("a", "b", "c"):
-            raise ValueError(f"bad constraint {constraint!r}")
-        vertex_type_table()  # pin the calibration before forking
-        predicate = partial(_bottom_type_is, constraint)
     table = PsiTable(n=n, sign=sign, anchor=d.anchor)
-    for p, v in _tally(d, t, partial(_black_pattern, predicate), jobs).items():
+    for p, v in _tally(d, t, partial(_black_pattern, None), jobs).items():
         table.add(p.word, v)
     return table

@@ -101,6 +101,27 @@ def _echelon_mod(h: HamiltonianMatrix, prime: int):
     return a[:len(cols)], tuple(cols)
 
 
+def _kernel_mod(h: HamiltonianMatrix, prime: int) -> tuple[int, list[int]] | None:
+    """The kernel vector of (H - 2n) mod ``prime`` with its free
+    coordinate set to 1, as (free column, residues); None unless the
+    rank is size - 1.  The echelon dies with this call, so a caller
+    looping over primes never holds two."""
+    rows, cols = _echelon_mod(h, prime)
+    size = len(h.basis)
+    if len(cols) != size - 1:
+        return None
+    free = min(set(range(size)).difference(cols))
+    # back substitution, one pivot column at a time: acc[i] holds
+    # row i of the echelon applied to the coordinates fixed so far
+    x = [0] * size
+    x[free] = 1
+    acc = rows[:, free].copy()
+    for i in reversed(range(len(cols))):
+        x[cols[i]] = -int(acc[i]) % prime
+        acc[:i] = (acc[:i] + rows[:i, cols[i]] * x[cols[i]]) % prime
+    return free, x
+
+
 def _rational(u: int, m: int) -> Fraction | None:
     """The fraction r/s with |r|, s <= sqrt(m/2) congruent to u mod m,
     or None when there is none (rational reconstruction by the extended
@@ -131,18 +152,10 @@ def stationary_vector(n: int) -> LpVector:
     size = len(h.basis)
     combined: dict[int, tuple[list[int], int]] = {}
     for prime in _PRIMES:
-        rows, cols = _echelon_mod(h, prime)
-        if len(cols) != size - 1:
+        solved = _kernel_mod(h, prime)
+        if solved is None:
             continue
-        free = min(set(range(size)).difference(cols))
-        # back substitution, one pivot column at a time: acc[i] holds
-        # row i of the echelon applied to the coordinates fixed so far
-        x = [0] * size
-        x[free] = 1
-        acc = rows[:, free].copy()
-        for i in reversed(range(len(cols))):
-            x[cols[i]] = -int(acc[i]) % prime
-            acc[:i] = (acc[:i] + rows[:i, cols[i]] * x[cols[i]]) % prime
+        free, x = solved
         residues, m = combined.get(free, ([0] * size, 1))
         # CRT: lift each residue mod m to the one mod m*prime agreeing with x
         minv = pow(m, -1, prime)

@@ -30,8 +30,8 @@ from typing import Iterator
 from .errors import InvalidTriplet
 from .fplcore import (
     FplConfig,
+    _trace_colour,
     enumerate_configs,
-    link_data,
     plaquette_indicator,
     psi_counts,
 )
@@ -42,7 +42,14 @@ from .lattice import (
     build_square,
     glue_and_gamma,
 )
-from .linkpat import LinkPattern, LpVector, apply_c, rotate
+from .linkpat import (
+    LinkPattern,
+    LpVector,
+    apply_c,
+    first_difference,
+    rotate,
+    rotation_class_of,
+)
 
 __all__ = [
     "Orbit",
@@ -52,6 +59,7 @@ __all__ = [
     "gyrate",
     "orbit",
     "orbit_partition",
+    "orbit_faces",
     "orbit_plaquette_sum",
     "pair_link_data",
     "square_rotation_direction",
@@ -160,6 +168,20 @@ def orbit_partition(n: int, sign: str = "+") -> list[Orbit]:
     return orbits
 
 
+def orbit_faces(o: Orbit) -> tuple[tuple[str, ...], dict[tuple[int, int], tuple[int, int]]]:
+    """The rotation classes of the black patterns met along an orbit,
+    sorted (one class, by Wieland's theorem), and for every face how
+    many of the orbit's configurations score +1 and -1 on it."""
+    configs = list(o.configs())
+    patterns = {_trace_colour(phi, 1)[0] for phi in configs}
+    classes = tuple(sorted({rotation_class_of(p).word for p in patterns}))
+    faces = {}
+    for alpha in o.seed.domain.faces:
+        values = [plaquette_indicator(phi, alpha) for phi in configs]
+        faces[alpha] = (values.count(1), values.count(-1))
+    return classes, faces
+
+
 def orbit_plaquette_sum(phi: FplConfig, alpha: tuple[int, int]) -> int:
     """Sum of the plaquette indicator along the orbit of phi."""
     return sum(plaquette_indicator(psi, alpha) for psi in orbit(phi).configs())
@@ -176,8 +198,8 @@ def square_rotation_direction() -> int:
     for n in (2, 3):
         d, t = build_square(n, "+")
         for phi in enumerate_configs(d, t):
-            before = link_data(phi).black
-            after = link_data(gyrate(phi)).black
+            before = _trace_colour(phi, 1)[0]
+            after = _trace_colour(gyrate(phi), 1)[0]
             candidates = {
                 k for k in candidates if rotate(before, k) == after
             }
@@ -356,16 +378,6 @@ def generalized_gyration_check(
     lhs = _capped_vector(d, t1, j1)
     rhs = _capped_vector(d, t2, j2)
     passed = lhs == rhs
-    detail = "" if passed else _first_difference(lhs, rhs)
+    detail = "" if passed else first_difference(lhs, rhs)
     return GyrationReport("plus", j1, j2, g.swaps, passed, detail)
 
-
-def _first_difference(lhs: LpVector, rhs: LpVector) -> str:
-    words = sorted(
-        {p.word for p in lhs.entries} | {p.word for p in rhs.entries}
-    )
-    for w in words:
-        p = LinkPattern.from_word(w)
-        if lhs.coeff(p) != rhs.coeff(p):
-            return f"{w}: {lhs.coeff(p)} != {rhs.coeff(p)}"
-    return "sizes differ"

@@ -5,8 +5,11 @@ in its bottom row, with b's to the left and a's to the right.  The
 auxiliary states refine the count vector by the type letter at one
 bottom-row site: odd-column sites (positions 2j-1) and even-column
 sites (positions 2j) get separate families.  Each identity in the
-registry is an exact vector equation between such states, checked by
-a single cached enumeration pass per size.
+registry is an exact vector equation between such states.  All of them
+read one cached census per size: the counting engine tallies the
+configurations by black pattern, the type words of the two bottom rows
+and the bottom-face indicators, and every state is a weighted sum over
+those keys.
 
 All states are computed on the full square with type filters; the
 frozen-region reductions the proofs use become cross-checks (the
@@ -22,13 +25,15 @@ pins them by brute force at sizes 3 and 4 and exposes the result via
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Iterable
+from functools import lru_cache, partial
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping
 
 from .errors import GeometryMismatch, IndexOutOfRange, UnknownIdentity
 from .fplcore import (
-    enumerate_configs,
-    link_data,
+    FplConfig,
+    _tally,
+    _trace_colour,
     plaquette_indicator,
     psi_counts,
     vertex_type,
@@ -43,6 +48,7 @@ from .linkpat import (
     apply_hamiltonian,
     apply_rotation,
     apply_sym,
+    first_difference,
 )
 
 __all__ = [
@@ -72,45 +78,38 @@ def n_even_sites(n: int) -> int:
     return n // 2
 
 
-@dataclass(frozen=True)
-class _CensusEntry:
-    pattern: LinkPattern
-    bottom: str
-    row2: str
-    alphas: tuple[int, ...]
+def _census_key(n: int, d: Domain, bits: int):
+    """What the identity suite reads of one configuration: its black
+    pattern, the type letters of the two bottom rows and the
+    bottom-face indicators."""
+    phi = FplConfig(d, bits)
+    row = lambda y: "".join(vertex_type(phi, (x, y)) for x in range(1, n + 1))
+    alphas = tuple(plaquette_indicator(phi, (2 * j - 1, 1)) for j in range(1, n // 2 + 1))
+    return _trace_colour(phi, 1)[0], row(1), row(2) if n >= 2 else "", alphas
 
 
 @lru_cache(maxsize=None)
-def _census(n: int) -> tuple[_CensusEntry, ...]:
-    """One pass over the plus ensemble collecting everything the
-    identity suite reads: the link pattern, the type letters of the two
-    bottom rows, and the bottom-face indicators."""
+def _census(n: int) -> Mapping:
+    """The plus ensemble tallied by :func:`_census_key`, read-only since
+    every caller shares it."""
     d, t = build_square(n, "+")
-    faces = [(2 * j - 1, 1) for j in range(1, n // 2 + 1)]
-    out = []
-    for phi in enumerate_configs(d, t):
-        bottom = "".join(vertex_type(phi, (x, 1)) for x in range(1, n + 1))
-        row2 = (
-            "".join(vertex_type(phi, (x, 2)) for x in range(1, n + 1))
-            if n >= 2
-            else ""
-        )
-        alphas = tuple(plaquette_indicator(phi, f) for f in faces)
-        out.append(_CensusEntry(link_data(phi).black, bottom, row2, alphas))
-    return tuple(out)
+    return MappingProxyType(_tally(d, t, partial(_census_key, n)))
 
 
-def _vector(n: int, pick: Callable[[_CensusEntry], bool]) -> LpVector:
+def _vector(n: int, weight: Callable[[str, str, tuple[int, ...]], int]) -> LpVector:
+    """Census counts summed per pattern, each key weighted by
+    ``weight(bottom, row2, alphas)``."""
     counts: dict[LinkPattern, int] = {}
-    for entry in _census(n):
-        if pick(entry):
-            counts[entry.pattern] = counts.get(entry.pattern, 0) + 1
+    for (pattern, bottom, row2, alphas), v in _census(n).items():
+        w = weight(bottom, row2, alphas)
+        if w:
+            counts[pattern] = counts.get(pattern, 0) + w * v
     return LpVector.from_counts(n, counts)
 
 
 def s_vector(n: int) -> LpVector:
     """The full refined-count vector of the plus ensemble."""
-    return _vector(n, lambda entry: True)
+    return _vector(n, lambda bottom, row2, alphas: 1)
 
 
 @dataclass(frozen=True)
@@ -137,7 +136,7 @@ def aux_state(n: int, parity: str, j: int, vtype: str) -> AuxState:
         raise IndexOutOfRange(f"j={j} outside [1, {limit}] for parity {parity}")
     col = 2 * j - 1 if parity == "odd" else 2 * j
     if vtype in ("a", "b", "c"):
-        value = _vector(n, lambda e: e.bottom[col - 1] == vtype)
+        value = _vector(n, lambda bottom, row2, alphas: bottom[col - 1] == vtype)
     elif vtype in ("cb", "cx"):
         if parity != "odd":
             raise IndexOutOfRange("the c-state split refines odd sites only")
@@ -146,7 +145,7 @@ def aux_state(n: int, parity: str, j: int, vtype: str) -> AuxState:
         above = "b" if vtype == "cb" else "ac"
         value = _vector(
             n,
-            lambda e: e.bottom[col - 1] == "c" and e.row2[col - 1] in above,
+            lambda bottom, row2, alphas: bottom[col - 1] == "c" and row2[col - 1] in above,
         )
     else:
         raise ValueError(f"unknown vertex type {vtype!r}")
@@ -161,12 +160,7 @@ def nalpha_vector(n: int, j: int) -> LpVector:
     """
     if not 1 <= j <= n // 2:
         raise IndexOutOfRange(f"no bottom face at column {2 * j - 1} for n={n}")
-    counts: dict[LinkPattern, int] = {}
-    for entry in _census(n):
-        v = entry.alphas[j - 1]
-        if v:
-            counts[entry.pattern] = counts.get(entry.pattern, 0) + v
-    return LpVector.from_counts(n, counts)
+    return _vector(n, lambda bottom, row2, alphas: alphas[j - 1])
 
 
 def rs_vector(n: int) -> LpVector:
@@ -323,18 +317,9 @@ class IdentityResult:
     witness: str = ""
 
 
-def _diff_witness(lhs: LpVector, rhs: LpVector) -> str:
-    words = sorted({p.word for p in lhs.entries} | {p.word for p in rhs.entries})
-    for w in words:
-        p = LinkPattern.from_word(w)
-        if lhs.coeff(p) != rhs.coeff(p):
-            return f"{w}: {lhs.coeff(p)} != {rhs.coeff(p)}"
-    return ""
-
-
 def _pair(lhs: LpVector, rhs: LpVector) -> tuple[bool, str]:
     ok = lhs == rhs
-    return ok, "" if ok else _diff_witness(lhs, rhs)
+    return ok, "" if ok else first_difference(lhs, rhs)
 
 
 def _check_ose(n: int, j: int) -> tuple[bool, str]:

@@ -56,6 +56,7 @@ __all__ = [
     "apply_sym",
     "apply_hamiltonian",
     "vec_apply",
+    "first_difference",
     "lp_vector_to_json",
     "lp_vector_from_json",
 ]
@@ -369,6 +370,17 @@ class LpVector:
     @classmethod
     def zero(cls, n: int) -> "LpVector":
         return cls(n, {})
+
+
+def first_difference(lhs: LpVector, rhs: LpVector) -> str:
+    """A witness that two unequal vectors differ: the word-least pattern
+    whose coefficients disagree, or "sizes differ" when none does."""
+    words = sorted({p.word for p in lhs.entries} | {p.word for p in rhs.entries})
+    for w in words:
+        p = LinkPattern.from_word(w)
+        if lhs.coeff(p) != rhs.coeff(p):
+            return f"{w}: {lhs.coeff(p)} != {rhs.coeff(p)}"
+    return "sizes differ"
 
 
 def apply_rotation(v: LpVector, k: int = 1) -> LpVector:

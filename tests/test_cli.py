@@ -1,15 +1,19 @@
 """The command-line surface: outputs, caching, exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 import os
 import stat
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+import fplrs
 from fplrs.cli import Cache, main
 
 
@@ -213,6 +217,71 @@ class TestUsage:
         with pytest.raises(SystemExit) as info:
             main(["--version"])
         assert info.value.code == 0
+
+
+class TestUnwritablePaths:
+    """A path the command cannot write is a usage error (exit 2, one
+    ``error:`` line), not a traceback that reads as a failed check."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("enumerate", "--n", "2"), ("groundstate", "--n", "2"), ("verify", "tl", "--n-max", "1")],
+        ids=["enumerate", "groundstate", "verify"],
+    )
+    def test_out_in_missing_directory(self, capsys, tmp_path, argv):
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path / "missing" / "out"))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["enumerate", "groundstate"])
+    def test_cache_dir_is_a_file(self, capsys, tmp_path, command):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, out, err = run(capsys, command, "--n", "2", "--cache-dir", str(blocker))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+    def test_cache_env_is_a_file(self, capsys, tmp_path, monkeypatch):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        monkeypatch.setenv("FPLRS_CACHE_DIR", str(blocker))
+        code, out, err = run(capsys, "enumerate", "--n", "2")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+class TestPinnedOutputs:
+    """SHA-256 of stdout payloads that refactors of the orbit code must
+    keep byte for byte."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (("orbit-report", "--n", "4", "--sign", "+"),
+             "cb10b6ae88de3b0694f39b15eb412b400ed1ab16a2a8e69f9b5c5656e0a56559"),
+            (("orbit-report", "--n", "4", "--sign", "-"),
+             "0fbdd101951c8f5ce8229ece81cc956657945c356252c7bb77eeeb3525dc422e"),
+            (("verify", "orbits", "--n-max", "4"),
+             "faee3b166f47b458dd86ea6c219f2ec07f123e85648f1dd686d1ab753a314fc5"),
+        ],
+        ids=["orbit-report-plus", "orbit-report-minus", "verify-orbits"],
+    )
+    def test_stdout_digest(self, capsys, argv, digest):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy is imported inside the linear algebra only, so start-up
+    # stays light for every command that does not need it
+    src = str(Path(fplrs.__file__).resolve().parents[1])
+    probe = "import sys, fplrs.cli; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
 
 
 class TestReportContract:

@@ -1,11 +1,13 @@
 """Configuration enumeration, path tracing, vertex types, tables."""
 
 import json
+from functools import partial
 
 import pytest
 
 from fplrs.fplcore import (
     PsiTable,
+    _tally,
     asm_count_formula,
     count_configs,
     enumerate_configs,
@@ -17,10 +19,22 @@ from fplrs.fplcore import (
     vertex_type_table,
 )
 from fplrs.groundstate import stationary_vector
+from fplrs.identities import _census_key, aux_state, s_vector
 from fplrs.lattice import BoundaryCondition, build_square
-from fplrs.linkpat import LinkPattern, rotate
+from fplrs.linkpat import LinkPattern, LpVector, rotate
 
 ASM_NUMBERS = [1, 2, 7, 42, 429, 7436, 218348]
+
+
+def _site(col: int) -> tuple[str, int]:
+    """The (parity, j) naming bottom-row column ``col`` in aux_state."""
+    return ("odd", (col + 1) // 2) if col % 2 else ("even", col // 2)
+
+
+@pytest.fixture(scope="module")
+def pooled_census():
+    d, t = build_square(5, "+")
+    return _tally(d, t, partial(_census_key, 5), jobs=2)
 
 
 class TestCountFormula:
@@ -221,25 +235,36 @@ class TestRefinedCounts:
         assert refined_counts(n, "+").counts == refined_counts(n, "-").counts
 
     def test_constrained_tables_partition(self):
+        # the a/b/c auxiliary states of one bottom-row site add up to
+        # the pattern-only table, at every site
         n = 4
-        full = refined_counts(n)
+        full = refined_counts(n).as_vector()
         for col in range(1, n + 1):
-            parts = [refined_counts(n, "+", (col, letter)) for letter in "abc"]
-            merged = parts[0].merge(parts[1]).merge(parts[2])
-            assert merged.counts == full.counts
+            parity, j = _site(col)
+            parts = [aux_state(n, parity, j, letter).value for letter in "abc"]
+            assert parts[0] + parts[1] + parts[2] == full
 
     def test_all_zero_table_is_allowed(self):
-        table = refined_counts(2, "+", (1, "a"))  # corner cannot be a
-        assert table.counts == {}
+        empty = PsiTable(2, "+", 0)
+        assert empty.total() == 0
+        assert PsiTable.from_json(json.loads(empty.dumps())) == empty
+        # the corner cannot be an a: its auxiliary state is the empty table
+        assert aux_state(2, "odd", 1, "a").value == empty.as_vector()
 
     def test_parallel_table_agrees(self):
         assert refined_counts(4, "+", jobs=2).counts == refined_counts(4).counts
 
     @pytest.mark.parametrize("col", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("letter", "abc")
-    def test_parallel_constrained_table_agrees(self, col, letter):
-        serial = refined_counts(5, "+", (col, letter))
-        assert refined_counts(5, "+", (col, letter), jobs=2).counts == serial.counts
+    def test_parallel_constrained_table_agrees(self, pooled_census, col, letter):
+        # the identity census tallied by the pool, restricted to one
+        # bottom-row site type, gives the serial auxiliary state
+        counts: dict = {}
+        for (pattern, bottom, _row2, _alphas), v in pooled_census.items():
+            if bottom[col - 1] == letter:
+                counts[pattern] = counts.get(pattern, 0) + v
+        parity, j = _site(col)
+        assert LpVector.from_counts(5, counts) == aux_state(5, parity, j, letter).value
 
     def test_json_round_trip(self):
         table = refined_counts(3)
@@ -247,9 +272,18 @@ class TestRefinedCounts:
         assert again == table
 
     def test_merge_is_commutative(self):
-        a = refined_counts(3, "+", (1, "b"))
-        b = refined_counts(3, "+", (1, "c"))
+        a = PsiTable(3, "+", 0, {"()()()": 2, "(())()": 1})
+        b = PsiTable(3, "+", 0, {"(())()": 4, "((()))": 1})
         assert a.merge(b) == b.merge(a)
+        assert a.merge(b).counts == {"()()()": 2, "(())()": 5, "((()))": 1}
+        with pytest.raises(ValueError):
+            a.merge(PsiTable(3, "-", 0))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_census_agrees_with_pattern_table(self, n):
+        # the keyed identity census and the pattern-only tally are two
+        # keys over one engine; summed over the extra keys they agree
+        assert s_vector(n) == refined_counts(n).as_vector()
 
 
 @pytest.mark.slow

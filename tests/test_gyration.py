@@ -18,6 +18,7 @@ from fplrs.gyration import (
     gyrate,
     h_tilde,
     orbit,
+    orbit_faces,
     orbit_partition,
     orbit_plaquette_sum,
     pair_link_data,
@@ -199,6 +200,18 @@ class TestOrbitSums:
             configs = list(o.configs())
             for alpha in d.faces:
                 assert sum(plaquette_indicator(phi, alpha) for phi in configs) == 0
+
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    def test_orbit_faces_agrees_with_direct_sums(self, sign):
+        d, _ = build_square(4, sign)
+        for o in orbit_partition(4, sign):
+            classes, faces = orbit_faces(o)
+            assert classes == (rotation_class_of(link_data(o.seed).black).word,)
+            assert set(faces) == set(d.faces)
+            for alpha, (plus, minus) in faces.items():
+                values = [plaquette_indicator(phi, alpha) for phi in o.configs()]
+                assert (plus, minus) == (values.count(1), values.count(-1))
+                assert plus == minus
 
     def test_helper_agrees(self):
         d, t = build_square(3, "+")

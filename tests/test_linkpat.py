@@ -19,6 +19,7 @@ from fplrs.linkpat import (
     apply_sym,
     catalan,
     close_c,
+    first_difference,
     lp_vector_from_json,
     lp_vector_to_json,
     rotate,
@@ -277,3 +278,14 @@ class TestLpVector:
         data = lp_vector_to_json(v)
         assert data["entries"][p.word] == "7/2"
         assert lp_vector_from_json(data) == v
+
+    def test_first_difference_names_the_least_word(self):
+        a = LinkPattern.from_word("(())()")
+        b = LinkPattern.from_word("()()()")
+        lhs = LpVector(3, {a: Fraction(2), b: Fraction(1)})
+        rhs = LpVector(3, {a: Fraction(3), b: Fraction(4)})
+        assert first_difference(lhs, rhs) == "(())(): 2 != 3"
+
+    def test_first_difference_of_different_sizes(self):
+        # no word tells two zero vectors of different sizes apart
+        assert first_difference(LpVector.zero(2), LpVector.zero(3)) == "sizes differ"
