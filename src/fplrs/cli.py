@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -139,6 +140,24 @@ def _write_atomic(path: Path, text: str) -> None:
             raise
     except OSError as exc:
         raise FplrsError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def _check_out(out: str | None) -> None:
+    """Refuse an ``--out`` that the payload could not be written to,
+    before the command does any work: the path must not be a directory
+    and its parent must be an existing, writable directory."""
+    if not out:
+        return
+    path = Path(out)
+    if path.is_dir():
+        code = errno.EISDIR
+    elif not path.parent.is_dir():
+        code = errno.ENOTDIR if path.parent.exists() else errno.ENOENT
+    elif not os.access(path.parent, os.W_OK | os.X_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise FplrsError(f"cannot write {path}: {os.strerror(code)}")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -569,6 +588,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args.out)
         return args.func(args)
     except FplrsError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,9 +7,18 @@ each; it is stored as a bitmask over the domain's canonical edge order
 the first undecided edge in canonical order, white before black, with
 constraint propagation: once a vertex has two edges of one colour its
 remaining edges are forced.  The emitted stream is therefore the
-lexicographic order of canonical bitstrings.  Every count, serial or
-pooled, walks the same tree through one engine, ``_tally``, which
-counts the leaves by a key, so stream and counts cannot disagree.
+lexicographic order of canonical bitstrings.  The keyed census of the
+identity suite walks the same tree through ``_tally``, which counts the
+leaves by a key.
+
+Pattern counts (``count_configs``, ``refined_counts``, ``psi_counts``)
+visit no configuration: a frontier sweep, the connectivity transfer
+matrix of Batchelor, Blöte, Nienhuis & Yung (1996), carries the
+colours and black connectivity of the edges cut between visited and
+unvisited vertices and adds up the configurations that share them.  It
+accepts the same forced decisions as the DFS and gives the counts that
+tracing every DFS leaf gives.  With jobs > 1 it runs once per DFS
+decision prefix in a process pool, the split the census uses too.
 
 Open monochromatic paths end at terminations; the black ones, labelled
 cyclically from the anchor, give the configuration's link pattern.
@@ -24,11 +33,12 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .lattice import BoundaryCondition, Cell, Domain, build_square
 from .linkpat import LinkPattern, LpVector
@@ -227,55 +237,57 @@ def split_prefixes(
     return done, prefixes
 
 
-def _tally(
-    d: Domain,
-    t: BoundaryCondition,
-    key: Callable,
-    jobs: int = 1,
-    prefix: Sequence[tuple[int, int]] = (),
-) -> dict:
-    """Count the leaves below ``prefix`` by ``key(domain, bits)``; a
-    ``None`` key drops the leaf.
-
-    With jobs > 1 the tree is split on its earliest decisions and each
-    open subtree is tallied by this function in a process pool (so
-    ``key`` must be picklable); leaves completed above the split go
-    through the same key.  The split changes no count.
-    """
-    parts: list[dict] = []
-    if jobs > 1:
-        depth = max(1, (jobs * 4 - 1).bit_length())
-        leaves, prefixes = split_prefixes(d, t, depth)
-        if prefixes:
-            import multiprocessing as mp
-
-            with mp.Pool(jobs) as pool:
-                parts = pool.starmap(_tally, [(d, t, key, 1, p) for p in prefixes])
-    else:
-        leaves = _search(d, t, prefix)
+def _keyed(key: Callable, d: Domain, leaves: Iterable[int]) -> dict:
     counts: dict = {}
     for bits in leaves:
         k = key(d, bits)
-        if k is not None:
-            counts[k] = counts.get(k, 0) + 1
-    for part in parts:
-        for k, v in part.items():
-            counts[k] = counts.get(k, 0) + v
+        counts[k] = counts.get(k, 0) + 1
     return counts
 
 
-def _any_leaf(d: Domain, bits: int) -> bool:
-    return True
+def _pooled(
+    d: Domain, t: BoundaryCondition, jobs: int, key: Callable, below: Callable
+) -> dict:
+    """Split the tree on its earliest decisions and add up the parts.
+
+    Leaves completed above the split are counted by ``key(domain,
+    bits)``; each open subtree is counted by ``below(d, t, prefix)`` in
+    a pool of ``jobs`` processes, so ``below`` must be picklable.  The
+    split changes no count.
+    """
+    depth = max(1, (jobs * 4 - 1).bit_length())
+    leaves, prefixes = split_prefixes(d, t, depth)
+    counts = _keyed(key, d, leaves)
+    if prefixes:
+        import multiprocessing as mp
+
+        with mp.Pool(jobs) as pool:
+            for part in pool.starmap(below, [(d, t, p) for p in prefixes]):
+                for k, v in part.items():
+                    counts[k] = counts.get(k, 0) + v
+    return counts
+
+
+def _tally_prefix(
+    key: Callable, d: Domain, t: BoundaryCondition, prefix: Sequence[tuple[int, int]]
+) -> dict:
+    return _keyed(key, d, _search(d, t, prefix))
+
+
+def _tally(d: Domain, t: BoundaryCondition, key: Callable, jobs: int = 1) -> dict:
+    """Count the DFS leaves by ``key(domain, bits)``, split over a pool
+    by :func:`_pooled` when jobs > 1."""
+    below = partial(_tally_prefix, key)
+    return _pooled(d, t, jobs, key, below) if jobs > 1 else below(d, t, ())
 
 
 def count_configs(d: Domain, t: BoundaryCondition, jobs: int = 1) -> int:
-    """Number of configurations, walking the same tree as the stream.
-
-    With jobs > 1 the tree is split on the earliest decisions and the
-    subtree counts are added; the split changes nothing about which
-    leaves exist.
+    """Number of configurations: the sum of the frontier sweep's
+    pattern counts.  With jobs > 1 the sweep is split over the DFS
+    decision prefixes as :func:`_patterns` does; the split changes
+    nothing about which configurations are counted.
     """
-    return sum(_tally(d, t, _any_leaf, jobs).values())
+    return sum(_patterns(d, t, jobs).values())
 
 
 def asm_count_formula(n: int) -> int:
@@ -500,32 +512,233 @@ class PsiTable:
         return json.dumps(self.to_json(), indent=0, sort_keys=True)
 
 
-def _black_pattern(
-    predicate: Callable[[FplConfig], bool] | None, d: Domain, bits: int
-) -> LinkPattern | None:
-    phi = FplConfig(d, bits)
-    if predicate is not None and not predicate(phi):
-        return None
-    return _trace_colour(phi, 1)[0]
+def _leaf_pattern(d: Domain, bits: int) -> LinkPattern:
+    return _trace_colour(FplConfig(d, bits), 1)[0]
+
+
+def _patterns(d: Domain, t: BoundaryCondition, jobs: int = 1) -> dict[LinkPattern, int]:
+    """Black-pattern counts by the sweep; with jobs > 1, one sweep per
+    DFS decision prefix in a pool, leaves above the split traced."""
+    if jobs > 1:
+        return _pooled(d, t, jobs, _leaf_pattern, _transfer)
+    return _transfer(d, t)
 
 
 def psi_counts(
-    d: Domain,
-    t: BoundaryCondition,
-    predicate: Callable[[FplConfig], bool] | None = None,
+    d: Domain, t: BoundaryCondition, forced: Sequence[tuple[int, int]] = ()
 ) -> dict[LinkPattern, int]:
-    """Black-pattern counts over an arbitrary ensemble, optionally filtered."""
-    return _tally(d, t, partial(_black_pattern, predicate))
+    """Black-pattern counts over an arbitrary ensemble, restricted to the
+    configurations that give each edge in ``forced`` its colour."""
+    return _transfer(d, t, forced)
 
 
 def refined_counts(n: int, sign: str = "+", jobs: int = 1) -> PsiTable:
     """Per-link-pattern counts over the square ensemble.
 
-    With jobs > 1 the search tree is partitioned and the per-subtree
-    counts merged; merging is commutative so the result is identical.
+    With jobs > 1 the sweep is split over the earliest DFS decisions
+    and the per-prefix counts merged; merging is commutative so the
+    result is identical.
     """
     d, t = build_square(n, sign)
     table = PsiTable(n=n, sign=sign, anchor=d.anchor)
-    for p, v in _tally(d, t, partial(_black_pattern, None), jobs).items():
+    for p, v in _patterns(d, t, jobs).items():
         table.add(p.word, v)
     return table
+
+
+# ---------------------------------------------------------------------------
+# Frontier sweep
+#
+# The vertices are visited in canonical (y, x) order.  When a vertex is
+# reached its W and S slots are decided: each is a termination or an
+# internal edge on the cut between visited and unvisited vertices.  The
+# cut holds at most one vertical edge per column plus the W edge of the
+# current vertex; ordered along the cut (a vertical edge in column x at
+# key 2x, the W edge at 2x - 1) the vertex's internal in-edges are
+# adjacent, and its internal N and E out-edges take their place.
+#
+# A state is the tag of every cut edge plus the termination pairs
+# closed so far.  Tags: 0 white, 1 and 2 the two ends of a black path
+# whose both ends are on the cut (left end 1, right end 2), and L + 3 a
+# black path ending at the L-th black termination.  The visited region
+# lies on one side of the cut, so paths between cut edges never cross
+# and the 1/2 ends pair up like brackets; no path ids are needed.  The
+# closed pairs are packed into one int, ``width`` bits per black
+# termination holding its partner + 1.
+
+
+@lru_cache(maxsize=128)
+def _schedule(d: Domain) -> tuple[tuple[int, int, int, int, int, int], ...]:
+    """Per vertex in (y, x) order: the cut index of its first internal
+    in-edge, the number of internal in-edges, and its W, S, N, E edge
+    ids.  Depends on the domain only, so it is built once per domain."""
+    n_internal = len(d.internal_edges)
+    keys: list[int] = []  # the cut's keys, in order
+    plan = []
+    for v in d.vertices:
+        x = v[0]
+        e_, n_, w_, s_ = d.vertex_edges[v]
+        i = bisect_left(keys, 2 * x - 1)
+        r = (w_ < n_internal) + (s_ < n_internal)
+        keys[i:i + r] = [k for k, e in ((2 * x, n_), (2 * x + 1, e_)) if e < n_internal]
+        plan.append((i, r, w_, s_, n_, e_))
+    assert not keys
+    return tuple(plan)
+
+
+def _out_options(
+    n_: int, e_: int, allowed: list[tuple[int, ...]], tag: list[int], n_internal: int
+) -> tuple:
+    """What a vertex's allowed N, E colourings put on the cut, by number
+    of black out-edges: the entries inserted when both are white, the
+    entries (or the termination pair to close) when both are black, and
+    one (before, after, termination tag) per colouring with one black
+    out-edge, whose path end goes between before and after when the
+    tag is 0."""
+    zero_n = (0,) if n_ < n_internal else ()
+    zero_e = (0,) if e_ < n_internal else ()
+    white, black, singles = None, None, []
+    for cn in allowed[n_]:
+        for ce in allowed[e_]:
+            if not cn and not ce:
+                white = zero_n + zero_e
+            elif cn and ce:
+                black = tuple(tag[e] for e in (n_, e_) if e >= n_internal) or (1, 2)
+            elif cn:
+                singles.append(((), zero_e, tag[n_]))
+            else:
+                singles.append((zero_n, (), tag[e_]))
+    return white, black, singles
+
+
+def _partner(tags: tuple[int, ...], i: int, end: int) -> int:
+    """Cut index of the partner of a path end removed at index i: right
+    of i for a left end (1), left of i for a right end (2)."""
+    depth = 0
+    if end == 1:
+        j = i
+        while True:
+            x = tags[j]
+            if x == 2:
+                if not depth:
+                    return j
+                depth -= 1
+            elif x == 1:
+                depth += 1
+            j += 1
+    j = i - 1
+    while True:
+        x = tags[j]
+        if x == 1:
+            if not depth:
+                return j
+            depth -= 1
+        elif x == 2:
+            depth += 1
+        j -= 1
+
+
+def _join(
+    tags: tuple[int, ...], i: int, x: int, y: int, closed: int, width: int
+) -> tuple[tuple[int, ...], int]:
+    """Join the black path ends x (left) and y (right) removed at cut
+    index i: close a termination pair, or retag the partner end."""
+    if x >= 3 and y >= 3:
+        a, b = x - 3, y - 3
+        return tags, closed | (b + 1) << (width * a) | (a + 1) << (width * b)
+    if x >= 3 or y >= 3:
+        end, tag = (y, x) if x >= 3 else (x, y)
+    elif x == y:
+        end, tag = x, x
+    else:
+        return tags, closed  # a closed loop (1, 2) or a bridge (2, 1)
+    j = _partner(tags, i, end)
+    return tags[:j] + (tag,) + tags[j + 1:], closed
+
+
+def _narrow(d: Domain, allowed: list[tuple[int, ...]]) -> bool:
+    """Narrow the allowed colours by the ice rule, as the DFS propagates:
+    a vertex with two edges of one colour forces its others to the other
+    colour.  False on a contradiction, which leaves no configuration."""
+    slots_of, ends = d.vertex_edges, d.edge_vertices
+    queue = list(d.vertices)
+    while queue:
+        slots = slots_of[queue.pop()]
+        fixed = [allowed[e] for e in slots]
+        black, white = fixed.count((1,)), fixed.count((0,))
+        if black > 2 or white > 2:
+            return False
+        if black == 2 or white == 2:
+            rest = (1,) if white == 2 else (0,)
+            for e in slots:
+                if len(allowed[e]) == 2:
+                    allowed[e] = rest
+                    queue.extend(ends[e])
+    return True
+
+
+def _transfer(
+    d: Domain, t: BoundaryCondition, forced: Sequence[tuple[int, int]] = ()
+) -> dict[LinkPattern, int]:
+    """Black-pattern counts of every ice-rule colouring extending t that
+    gives each edge in ``forced`` its colour, by one frontier sweep.
+
+    The counts equal tracing every leaf of ``_search(d, t, forced)``
+    with ``_trace_colour``, labels included.
+    """
+    if len(t.colours) != d.perimeter:
+        raise ValueError("boundary condition length mismatch")
+    n_internal = len(d.internal_edges)
+    allowed = [(0, 1)] * n_internal + [(c,) for c in t.colours]
+    for e, c in forced:
+        allowed[e] = tuple(x for x in allowed[e] if x == c)
+    if not all(allowed) or not _narrow(d, allowed):
+        return {}
+    n_black = t.n_black
+    width = max(1, n_black.bit_length())
+    tag = [0] * len(allowed)
+    label = 3
+    for k, c in enumerate(t.colours):
+        if c:
+            tag[n_internal + k] = label
+            label += 1
+
+    states: dict = {((), 0): 1}
+    for i, r, w_, s_, n_, e_ in _schedule(d):
+        wp, wt, sp, st = w_ < n_internal, tag[w_], s_ < n_internal, tag[s_]
+        white, black, singles = _out_options(n_, e_, allowed, tag, n_internal)
+        nxt: dict = {}
+        for (tags, closed), cnt in states.items():
+            a = tags[i] if wp else wt
+            b = tags[i + wp] if sp else st
+            left, right = tags[:i], tags[i + r:]
+            if a and b:
+                if white is None:
+                    continue
+                key = _join(left + white + right, i, a, b, closed, width)
+                nxt[key] = nxt.get(key, 0) + cnt
+            elif a or b:
+                c = a or b
+                for pre, post, term in singles:
+                    if term:
+                        key = _join(left + pre + post + right, i, c, term, closed, width)
+                    else:
+                        key = (left + pre + (c,) + post + right, closed)
+                    nxt[key] = nxt.get(key, 0) + cnt
+            elif black is not None:
+                if len(black) == 2 and black[0] >= 3:
+                    key = _join(left + right, i, black[0], black[1], closed, width)
+                else:
+                    key = (left + black + right, closed)
+                nxt[key] = nxt.get(key, 0) + cnt
+        if not nxt:
+            return {}
+        states = nxt
+
+    mask = (1 << width) - 1
+    out: dict[LinkPattern, int] = {}
+    for (tags, closed), cnt in states.items():
+        assert not tags
+        match = tuple(((closed >> (width * k)) & mask) - 1 for k in range(n_black))
+        out[LinkPattern(match)] = cnt
+    return out

@@ -289,8 +289,8 @@ def check_spr(d: Domain, t1: BoundaryCondition) -> SprReport:
     cols = list(t1.colours)
     cols[size - 2] = cols[size - 1] = 0
     t2 = BoundaryCondition(tuple(cols))
-    side1 = psi_counts(d, t1, lambda phi: phi.colour(e) == 0)
-    side2 = psi_counts(d, t2, lambda phi: phi.colour(e) == 1)
+    side1 = psi_counts(d, t1, [(e, 0)])
+    side2 = psi_counts(d, t2, [(e, 1)])
     v1 = LpVector.from_counts(m, side1)
     v2 = LpVector.from_counts(m - 1, side2)
     e_ok = apply_e(v1, 2 * m - 1) == apply_a(v2, 2 * m - 1)

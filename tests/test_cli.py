@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import fplrs
+from fplrs import cli
 from fplrs.cli import Cache, main
 
 
@@ -232,6 +233,17 @@ class TestUnwritablePaths:
         code, out, err = run(capsys, *argv, "--out", str(tmp_path / "missing" / "out"))
         assert code == 2 and out == ""
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    def test_out_is_checked_before_the_suite_runs(self, capsys, tmp_path, monkeypatch, where):
+        def suite(args):
+            raise AssertionError("the suite ran before --out was checked")
+
+        monkeypatch.setitem(cli.SUITES, "identities", suite)
+        out_path = tmp_path / "missing" / "x" if where == "missing" else tmp_path
+        code, out, err = run(capsys, "verify", "identities", "--n-max", "6", "--out", str(out_path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write ") and len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("command", ["enumerate", "groundstate"])
     def test_cache_dir_is_a_file(self, capsys, tmp_path, command):

@@ -1,18 +1,22 @@
 """Configuration enumeration, path tracing, vertex types, tables."""
 
 import json
+import random
+from collections import Counter
 from functools import partial
 
 import pytest
 
 from fplrs.fplcore import (
     PsiTable,
+    _patterns,
     _tally,
     asm_count_formula,
     count_configs,
     enumerate_configs,
     link_data,
     plaquette_indicator,
+    psi_counts,
     refined_counts,
     split_prefixes,
     vertex_type,
@@ -22,6 +26,7 @@ from fplrs.groundstate import stationary_vector
 from fplrs.identities import _census_key, aux_state, s_vector
 from fplrs.lattice import BoundaryCondition, build_square
 from fplrs.linkpat import LinkPattern, LpVector, rotate
+from fplrs.sampling import random_glueable
 
 ASM_NUMBERS = [1, 2, 7, 42, 429, 7436, 218348]
 
@@ -88,6 +93,7 @@ class TestEnumerate:
             t = BoundaryCondition(bits)
             if count_configs(d, t) == 0:
                 assert list(enumerate_configs(d, t)) == []
+                assert psi_counts(d, t) == {}
                 empty += 1
         assert empty > 0
 
@@ -286,6 +292,63 @@ class TestRefinedCounts:
         assert s_vector(n) == refined_counts(n).as_vector()
 
 
+def _oracle(d, t, forced=()):
+    """Black-pattern counts by tracing every DFS leaf."""
+    return dict(Counter(link_data(phi).black for phi in enumerate_configs(d, t, forced)))
+
+
+def _random_ensembles(parity, count=10, seed=20100615):
+    rng = random.Random(f"{seed}-{parity}")
+    return [random_glueable(rng, rng.randint(6, 16), parity) for _ in range(count)]
+
+
+class TestFrontierSweep:
+    """The transfer-matrix sweep against tracing every DFS leaf."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("sign", "+-")
+    def test_square_tables_match_the_oracle(self, n, sign):
+        d, t = build_square(n, sign)
+        expected = {p.word: v for p, v in _oracle(d, t).items()}
+        assert refined_counts(n, sign).counts == expected
+
+    @pytest.mark.parametrize("parity", ["plus", "minus"])
+    def test_random_domains_match_the_oracle(self, parity):
+        for d, t in _random_ensembles(parity):
+            expected = _oracle(d, t)
+            assert psi_counts(d, t) == expected
+            assert count_configs(d, t) == sum(expected.values())
+
+    @pytest.mark.parametrize("parity", ["plus", "minus"])
+    def test_forced_edges_match_the_oracle(self, parity):
+        rng = random.Random(parity)
+        for d, t in _random_ensembles(parity):
+            e = rng.randrange(len(d.internal_edges))
+            for c in (0, 1):
+                assert psi_counts(d, t, [(e, c)]) == _oracle(d, t, [(e, c)])
+
+    def test_split_prefixes_match_the_dfs(self):
+        d, t = build_square(5, "+")
+        done, prefixes = split_prefixes(d, t, 3)
+        assert prefixes
+        for prefix in prefixes:
+            leaves = sum(1 for _ in enumerate_configs(d, t, prefix))
+            assert sum(psi_counts(d, t, prefix).values()) == leaves
+        total = len(done) + sum(sum(psi_counts(d, t, p).values()) for p in prefixes)
+        assert total == asm_count_formula(5)
+
+    def test_contradictory_forced_edges_leave_nothing(self):
+        d, t = build_square(3, "+")
+        for forced in ([(0, 0), (0, 1)], [(d.termination_id(0), 0)]):
+            assert list(enumerate_configs(d, t, forced)) == []
+            assert psi_counts(d, t, forced) == {}
+
+    def test_pooled_sweep_agrees(self):
+        (d, t), = _random_ensembles("plus", count=1, seed=7)
+        assert _patterns(d, t, jobs=2) == _patterns(d, t)
+        assert count_configs(d, t, jobs=2) == count_configs(d, t)
+
+
 @pytest.mark.slow
 class TestLargeCounts:
     def test_n6(self):
@@ -302,6 +365,14 @@ class TestLargeCounts:
         assert table.value(LinkPattern.serial_arcs(7)) == asm_count_formula(6)
         # the Razumov-Stroganov identity at n=7, on the same table
         assert stationary_vector(7) == table.as_vector()
+
+    def test_n8_table(self):
+        plus = refined_counts(8, "+")
+        assert plus.total() == 10850216 == asm_count_formula(8)
+        assert plus.value(LinkPattern.serial_arcs(8)) == asm_count_formula(7)
+        for word, v in plus.counts.items():
+            assert plus.value(rotate(LinkPattern.from_word(word), 1)) == v
+        assert refined_counts(8, "-").counts == plus.counts
 
     def test_n6_psi_rotation_and_signs(self):
         plus = refined_counts(6, "+")

@@ -90,6 +90,8 @@ class TestStationaryVector:
         assert vec.coeff(LinkPattern.serial_arcs(8)) == asm_count_formula(7)
         assert vec.coeff(LinkPattern.from_word("(" * 8 + ")" * 8)) == 1
         assert apply_rotation(vec, 1) == vec
+        # the Razumov-Stroganov identity at n=8, against the refined table
+        assert vec == refined_counts(8).as_vector()
 
 
 class TestRationalReconstruction:
