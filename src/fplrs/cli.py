@@ -462,15 +462,21 @@ def _suite_gyration_general(n_max: int, seed: int) -> list[CheckLine]:
 
 
 def _threads(args) -> int:
+    """The worker count: --threads, else FPLRS_THREADS, else 1.  A count
+    below 1 is a usage error, not a quiet serial run."""
     if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("FPLRS_THREADS")
-    if not env:
-        return 1
-    try:
-        return max(1, int(env))
-    except ValueError:
-        raise FplrsError(f"FPLRS_THREADS must be an integer, got {env!r}") from None
+        jobs, source = args.threads, "--threads"
+    else:
+        env = os.environ.get("FPLRS_THREADS")
+        if not env:
+            return 1
+        try:
+            jobs, source = int(env), "FPLRS_THREADS"
+        except ValueError:
+            raise FplrsError(f"FPLRS_THREADS must be an integer, got {env!r}") from None
+    if jobs < 1:
+        raise FplrsError(f"{source} must be positive, got {jobs}")
+    return jobs
 
 
 class _AboveCap(FplrsError):
@@ -488,7 +494,8 @@ def _check_size(args) -> None:
 
 def cmd_enumerate(args) -> int:
     _check_size(args)
-    table = lambda: refined_counts(args.n, args.sign, jobs=_threads(args)).to_json()
+    jobs = _threads(args)
+    table = lambda: refined_counts(args.n, args.sign, jobs=jobs).to_json()
     _emit(_cached(args, "enumerate", table, n=args.n, sign=args.sign), args.out)
     return 0
 

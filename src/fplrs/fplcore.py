@@ -7,18 +7,16 @@ each; it is stored as a bitmask over the domain's canonical edge order
 the first undecided edge in canonical order, white before black, with
 constraint propagation: once a vertex has two edges of one colour its
 remaining edges are forced.  The emitted stream is therefore the
-lexicographic order of canonical bitstrings.  The keyed census of the
-identity suite walks the same tree through ``_tally``, which counts the
-leaves by a key.
+lexicographic order of canonical bitstrings.
 
-Pattern counts (``count_configs``, ``refined_counts``, ``psi_counts``)
-visit no configuration: a frontier sweep, the connectivity transfer
-matrix of Batchelor, Blöte, Nienhuis & Yung (1996), carries the
-colours and black connectivity of the edges cut between visited and
-unvisited vertices and adds up the configurations that share them.  It
-accepts the same forced decisions as the DFS and gives the counts that
-tracing every DFS leaf gives.  With jobs > 1 it runs once per DFS
-decision prefix in a process pool, the split the census uses too.
+Every count, the identity census included, visits no configuration: a
+frontier sweep, the connectivity transfer matrix of Batchelor, Blöte,
+Nienhuis & Yung (1996), carries the colours and black connectivity of
+the edges cut between visited and unvisited vertices and adds up the
+configurations that share them.  It accepts the same forced decisions
+as the DFS, gives the counts that tracing every DFS leaf gives, and can
+also count by the colours of chosen internal edges.  With jobs > 1 it
+runs once per DFS decision prefix in a process pool.
 
 Open monochromatic paths end at terminations; the black ones, labelled
 cyclically from the anchor, give the configuration's link pattern.
@@ -36,9 +34,9 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .lattice import BoundaryCondition, Cell, Domain, build_square
 from .linkpat import LinkPattern, LpVector
@@ -235,50 +233,6 @@ def split_prefixes(
         else:
             prefixes.append(payload)
     return done, prefixes
-
-
-def _keyed(key: Callable, d: Domain, leaves: Iterable[int]) -> dict:
-    counts: dict = {}
-    for bits in leaves:
-        k = key(d, bits)
-        counts[k] = counts.get(k, 0) + 1
-    return counts
-
-
-def _pooled(
-    d: Domain, t: BoundaryCondition, jobs: int, key: Callable, below: Callable
-) -> dict:
-    """Split the tree on its earliest decisions and add up the parts.
-
-    Leaves completed above the split are counted by ``key(domain,
-    bits)``; each open subtree is counted by ``below(d, t, prefix)`` in
-    a pool of ``jobs`` processes, so ``below`` must be picklable.  The
-    split changes no count.
-    """
-    depth = max(1, (jobs * 4 - 1).bit_length())
-    leaves, prefixes = split_prefixes(d, t, depth)
-    counts = _keyed(key, d, leaves)
-    if prefixes:
-        import multiprocessing as mp
-
-        with mp.Pool(jobs) as pool:
-            for part in pool.starmap(below, [(d, t, p) for p in prefixes]):
-                for k, v in part.items():
-                    counts[k] = counts.get(k, 0) + v
-    return counts
-
-
-def _tally_prefix(
-    key: Callable, d: Domain, t: BoundaryCondition, prefix: Sequence[tuple[int, int]]
-) -> dict:
-    return _keyed(key, d, _search(d, t, prefix))
-
-
-def _tally(d: Domain, t: BoundaryCondition, key: Callable, jobs: int = 1) -> dict:
-    """Count the DFS leaves by ``key(domain, bits)``, split over a pool
-    by :func:`_pooled` when jobs > 1."""
-    below = partial(_tally_prefix, key)
-    return _pooled(d, t, jobs, key, below) if jobs > 1 else below(d, t, ())
 
 
 def count_configs(d: Domain, t: BoundaryCondition, jobs: int = 1) -> int:
@@ -512,16 +466,32 @@ class PsiTable:
         return json.dumps(self.to_json(), indent=0, sort_keys=True)
 
 
-def _leaf_pattern(d: Domain, bits: int) -> LinkPattern:
-    return _trace_colour(FplConfig(d, bits), 1)[0]
+def _add_patterns(counts: dict, swept: Mapping) -> dict[LinkPattern, int]:
+    """Add sweep counts into ``counts`` with the kept-edge bitmask summed
+    out of their (pattern, bitmask) keys."""
+    for (p, _), v in swept.items():
+        counts[p] = counts.get(p, 0) + v
+    return counts
 
 
 def _patterns(d: Domain, t: BoundaryCondition, jobs: int = 1) -> dict[LinkPattern, int]:
     """Black-pattern counts by the sweep; with jobs > 1, one sweep per
     DFS decision prefix in a pool, leaves above the split traced."""
-    if jobs > 1:
-        return _pooled(d, t, jobs, _leaf_pattern, _transfer)
-    return _transfer(d, t)
+    if jobs <= 1:
+        return _add_patterns({}, _transfer(d, t))
+    depth = max(1, (jobs * 4 - 1).bit_length())
+    leaves, prefixes = split_prefixes(d, t, depth)
+    counts: dict[LinkPattern, int] = {}
+    for bits in leaves:
+        p = _trace_colour(FplConfig(d, bits), 1)[0]
+        counts[p] = counts.get(p, 0) + 1
+    if prefixes:
+        import multiprocessing as mp
+
+        with mp.Pool(jobs) as pool:
+            for part in pool.starmap(_transfer, [(d, t, p) for p in prefixes]):
+                _add_patterns(counts, part)
+    return counts
 
 
 def psi_counts(
@@ -529,7 +499,7 @@ def psi_counts(
 ) -> dict[LinkPattern, int]:
     """Black-pattern counts over an arbitrary ensemble, restricted to the
     configurations that give each edge in ``forced`` its colour."""
-    return _transfer(d, t, forced)
+    return _add_patterns({}, _transfer(d, t, forced))
 
 
 def refined_counts(n: int, sign: str = "+", jobs: int = 1) -> PsiTable:
@@ -564,7 +534,10 @@ def refined_counts(n: int, sign: str = "+", jobs: int = 1) -> PsiTable:
 # lies on one side of the cut, so paths between cut edges never cross
 # and the 1/2 ends pair up like brackets; no path ids are needed.  The
 # closed pairs are packed into one int, ``width`` bits per black
-# termination holding its partner + 1.
+# termination holding its partner + 1.  Above them, at bit ``off + e``
+# with ``off = width * n_black``, the same int holds the black edges e
+# the caller asked to keep; once coloured an edge never changes, so
+# states differing only there are counted apart to the end.
 
 
 @lru_cache(maxsize=128)
@@ -587,14 +560,14 @@ def _schedule(d: Domain) -> tuple[tuple[int, int, int, int, int, int], ...]:
 
 
 def _out_options(
-    n_: int, e_: int, allowed: list[tuple[int, ...]], tag: list[int], n_internal: int
+    n_: int, e_: int, allowed: list[tuple[int, ...]], tag: list, bit: list, n_internal: int
 ) -> tuple:
     """What a vertex's allowed N, E colourings put on the cut, by number
-    of black out-edges: the entries inserted when both are white, the
-    entries (or the termination pair to close) when both are black, and
-    one (before, after, termination tag) per colouring with one black
-    out-edge, whose path end goes between before and after when the
-    tag is 0."""
+    of black out-edges: the entries inserted when both are white; the
+    entries (or the termination pair to close) when both are black,
+    with their kept-edge bits; and one (before, after, termination tag,
+    kept-edge bit) per colouring with one black out-edge, whose path end
+    goes between before and after when the tag is 0."""
     zero_n = (0,) if n_ < n_internal else ()
     zero_e = (0,) if e_ < n_internal else ()
     white, black, singles = None, None, []
@@ -603,11 +576,12 @@ def _out_options(
             if not cn and not ce:
                 white = zero_n + zero_e
             elif cn and ce:
-                black = tuple(tag[e] for e in (n_, e_) if e >= n_internal) or (1, 2)
+                entries = tuple(tag[e] for e in (n_, e_) if e >= n_internal) or (1, 2)
+                black = entries, bit[n_] | bit[e_]
             elif cn:
-                singles.append(((), zero_e, tag[n_]))
+                singles.append(((), zero_e, tag[n_], bit[n_]))
             else:
-                singles.append((zero_n, (), tag[e_]))
+                singles.append((zero_n, (), tag[e_], bit[e_]))
     return white, black, singles
 
 
@@ -678,13 +652,15 @@ def _narrow(d: Domain, allowed: list[tuple[int, ...]]) -> bool:
 
 
 def _transfer(
-    d: Domain, t: BoundaryCondition, forced: Sequence[tuple[int, int]] = ()
-) -> dict[LinkPattern, int]:
-    """Black-pattern counts of every ice-rule colouring extending t that
-    gives each edge in ``forced`` its colour, by one frontier sweep.
+    d: Domain, t: BoundaryCondition, forced: Sequence[tuple[int, int]] = (), keep: Sequence[int] = ()
+) -> dict[tuple[LinkPattern, int], int]:
+    """Counts of every ice-rule colouring extending t that gives each
+    edge in ``forced`` its colour, by one frontier sweep, keyed by black
+    pattern and by the bitmask (bit e set = black) of the internal edges
+    e in ``keep``.
 
     The counts equal tracing every leaf of ``_search(d, t, forced)``
-    with ``_trace_colour``, labels included.
+    with ``_trace_colour``, labels included, and reading the kept edges.
     """
     if len(t.colours) != d.perimeter:
         raise ValueError("boundary condition length mismatch")
@@ -696,6 +672,10 @@ def _transfer(
         return {}
     n_black = t.n_black
     width = max(1, n_black.bit_length())
+    off = width * n_black
+    bit = [0] * len(allowed)
+    for e in keep:
+        bit[e] = 1 << (off + e)
     tag = [0] * len(allowed)
     label = 3
     for k, c in enumerate(t.colours):
@@ -703,10 +683,15 @@ def _transfer(
             tag[n_internal + k] = label
             label += 1
 
+    # Only internal edges are kept, so a join at a termination out-edge
+    # adds no kept bit.  A bit is or-ed in only when set: ``closed | 0``
+    # would still copy a multi-digit int on every transition.
     states: dict = {((), 0): 1}
     for i, r, w_, s_, n_, e_ in _schedule(d):
         wp, wt, sp, st = w_ < n_internal, tag[w_], s_ < n_internal, tag[s_]
-        white, black, singles = _out_options(n_, e_, allowed, tag, n_internal)
+        white, black, singles = _out_options(n_, e_, allowed, tag, bit, n_internal)
+        if black is not None:
+            black, both = black
         nxt: dict = {}
         for (tags, closed), cnt in states.items():
             a = tags[i] if wp else wt
@@ -719,26 +704,31 @@ def _transfer(
                 nxt[key] = nxt.get(key, 0) + cnt
             elif a or b:
                 c = a or b
-                for pre, post, term in singles:
+                for pre, post, term, one in singles:
                     if term:
                         key = _join(left + pre + post + right, i, c, term, closed, width)
                     else:
-                        key = (left + pre + (c,) + post + right, closed)
+                        key = (left + pre + (c,) + post + right, closed | one if one else closed)
                     nxt[key] = nxt.get(key, 0) + cnt
             elif black is not None:
                 if len(black) == 2 and black[0] >= 3:
                     key = _join(left + right, i, black[0], black[1], closed, width)
                 else:
-                    key = (left + black + right, closed)
+                    key = (left + black + right, closed | both if both else closed)
                 nxt[key] = nxt.get(key, 0) + cnt
         if not nxt:
             return {}
         states = nxt
 
-    mask = (1 << width) - 1
-    out: dict[LinkPattern, int] = {}
+    mask, low = (1 << width) - 1, (1 << off) - 1
+    patterns: dict[int, LinkPattern] = {}
+    out: dict[tuple[LinkPattern, int], int] = {}
     for (tags, closed), cnt in states.items():
         assert not tags
-        match = tuple(((closed >> (width * k)) & mask) - 1 for k in range(n_black))
-        out[LinkPattern(match)] = cnt
+        pairs = closed & low
+        p = patterns.get(pairs)
+        if p is None:
+            match = tuple(((pairs >> (width * k)) & mask) - 1 for k in range(n_black))
+            p = patterns[pairs] = LinkPattern(match)
+        out[p, closed >> off] = cnt
     return out

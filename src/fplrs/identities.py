@@ -25,19 +25,12 @@ pins them by brute force at sizes 3 and 4 and exposes the result via
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
 from .errors import GeometryMismatch, IndexOutOfRange, UnknownIdentity
-from .fplcore import (
-    FplConfig,
-    _tally,
-    _trace_colour,
-    plaquette_indicator,
-    psi_counts,
-    vertex_type,
-)
+from .fplcore import FplConfig, _transfer, plaquette_indicator, psi_counts, vertex_type
 from .lattice import BoundaryCondition, Domain, build_square
 from .linkpat import (
     LinkPattern,
@@ -78,22 +71,29 @@ def n_even_sites(n: int) -> int:
     return n // 2
 
 
-def _census_key(n: int, d: Domain, bits: int):
-    """What the identity suite reads of one configuration: its black
-    pattern, the type letters of the two bottom rows and the
-    bottom-face indicators."""
-    phi = FplConfig(d, bits)
-    row = lambda y: "".join(vertex_type(phi, (x, y)) for x in range(1, n + 1))
-    alphas = tuple(plaquette_indicator(phi, (2 * j - 1, 1)) for j in range(1, n // 2 + 1))
-    return _trace_colour(phi, 1)[0], row(1), row(2) if n >= 2 else "", alphas
-
-
 @lru_cache(maxsize=None)
 def _census(n: int) -> Mapping:
-    """The plus ensemble tallied by :func:`_census_key`, read-only since
-    every caller shares it."""
+    """The plus ensemble counted by what the identity suite reads of a
+    configuration: its black pattern, the type letters of the two bottom
+    rows and the bottom-face indicators.
+
+    One sweep keeps the internal edges of the two bottom rows; with the
+    black terminations they fix every edge those keys read.  Read-only,
+    since every caller shares it.
+    """
     d, t = build_square(n, "+")
-    return MappingProxyType(_tally(d, t, partial(_census_key, n)))
+    rows = [(x, y) for y in (1, 2) if y <= n for x in range(1, n + 1)]
+    n_internal = len(d.internal_edges)
+    keep = sorted({e for v in rows for e in d.vertex_edges[v] if e < n_internal})
+    ends = sum(1 << d.termination_id(k) for k, c in enumerate(t.colours) if c)
+    census: dict = {}
+    for (pattern, bits), v in _transfer(d, t, keep=keep).items():
+        phi = FplConfig(d, bits | ends)
+        row = lambda y: "".join(vertex_type(phi, (x, y)) for x in range(1, n + 1))
+        alphas = tuple(plaquette_indicator(phi, (2 * j - 1, 1)) for j in range(1, n // 2 + 1))
+        key = pattern, row(1), row(2) if n >= 2 else "", alphas
+        census[key] = census.get(key, 0) + v
+    return MappingProxyType(census)
 
 
 def _vector(n: int, weight: Callable[[str, str, tuple[int, ...]], int]) -> LpVector:

@@ -201,6 +201,22 @@ class TestUsage:
         assert code == 2 and out == ""
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("threads", ["0", "-4"])
+    def test_nonpositive_threads_is_usage_error(self, capsys, threads):
+        code, out, err = run(capsys, "enumerate", "--n", "2", "--threads", threads)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+    def test_nonpositive_threads_env_is_usage_error(self, capsys, monkeypatch, tmp_path):
+        # rejected on a cache hit too, not only when the table is computed
+        args = ("enumerate", "--n", "2", "--cache-dir", str(tmp_path))
+        assert run(capsys, *args)[0] == 0
+        monkeypatch.setenv("FPLRS_THREADS", "-2")
+        for argv in (args[:3], args):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -263,8 +279,8 @@ class TestUnwritablePaths:
 
 
 class TestPinnedOutputs:
-    """SHA-256 of stdout payloads that refactors of the orbit code must
-    keep byte for byte."""
+    """SHA-256 of stdout payloads that refactors of the orbit code and
+    of the identity census must keep byte for byte."""
 
     @pytest.mark.parametrize(
         "argv, digest",
@@ -275,8 +291,10 @@ class TestPinnedOutputs:
              "0fbdd101951c8f5ce8229ece81cc956657945c356252c7bb77eeeb3525dc422e"),
             (("verify", "orbits", "--n-max", "4"),
              "faee3b166f47b458dd86ea6c219f2ec07f123e85648f1dd686d1ab753a314fc5"),
+            (("verify", "identities", "--n-max", "5"),
+             "f8a6acf357040fe8cea4f5c7a05281622c2b897a4e9530a38a9f184a9fd2ebfa"),
         ],
-        ids=["orbit-report-plus", "orbit-report-minus", "verify-orbits"],
+        ids=["orbit-report-plus", "orbit-report-minus", "verify-orbits", "verify-identities"],
     )
     def test_stdout_digest(self, capsys, argv, digest):
         code, out, _ = run(capsys, *argv)

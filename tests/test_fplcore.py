@@ -3,14 +3,12 @@
 import json
 import random
 from collections import Counter
-from functools import partial
 
 import pytest
 
 from fplrs.fplcore import (
     PsiTable,
     _patterns,
-    _tally,
     asm_count_formula,
     count_configs,
     enumerate_configs,
@@ -23,9 +21,9 @@ from fplrs.fplcore import (
     vertex_type_table,
 )
 from fplrs.groundstate import stationary_vector
-from fplrs.identities import _census_key, aux_state, s_vector
+from fplrs.identities import _census, aux_state, s_vector
 from fplrs.lattice import BoundaryCondition, build_square
-from fplrs.linkpat import LinkPattern, LpVector, rotate
+from fplrs.linkpat import LinkPattern, rotate
 from fplrs.sampling import random_glueable
 
 ASM_NUMBERS = [1, 2, 7, 42, 429, 7436, 218348]
@@ -34,12 +32,6 @@ ASM_NUMBERS = [1, 2, 7, 42, 429, 7436, 218348]
 def _site(col: int) -> tuple[str, int]:
     """The (parity, j) naming bottom-row column ``col`` in aux_state."""
     return ("odd", (col + 1) // 2) if col % 2 else ("even", col // 2)
-
-
-@pytest.fixture(scope="module")
-def pooled_census():
-    d, t = build_square(5, "+")
-    return _tally(d, t, partial(_census_key, 5), jobs=2)
 
 
 class TestCountFormula:
@@ -260,18 +252,6 @@ class TestRefinedCounts:
     def test_parallel_table_agrees(self):
         assert refined_counts(4, "+", jobs=2).counts == refined_counts(4).counts
 
-    @pytest.mark.parametrize("col", [1, 2, 3, 4, 5])
-    @pytest.mark.parametrize("letter", "abc")
-    def test_parallel_constrained_table_agrees(self, pooled_census, col, letter):
-        # the identity census tallied by the pool, restricted to one
-        # bottom-row site type, gives the serial auxiliary state
-        counts: dict = {}
-        for (pattern, bottom, _row2, _alphas), v in pooled_census.items():
-            if bottom[col - 1] == letter:
-                counts[pattern] = counts.get(pattern, 0) + v
-        parity, j = _site(col)
-        assert LpVector.from_counts(5, counts) == aux_state(5, parity, j, letter).value
-
     def test_json_round_trip(self):
         table = refined_counts(3)
         again = PsiTable.from_json(json.loads(table.dumps()))
@@ -295,6 +275,18 @@ class TestRefinedCounts:
 def _oracle(d, t, forced=()):
     """Black-pattern counts by tracing every DFS leaf."""
     return dict(Counter(link_data(phi).black for phi in enumerate_configs(d, t, forced)))
+
+
+def _census_oracle(n):
+    """The identity census by the DFS: every configuration's black
+    pattern, bottom two type words and bottom-face indicators."""
+    d, t = build_square(n, "+")
+    keys = Counter()
+    for phi in enumerate_configs(d, t):
+        row = lambda y: "".join(vertex_type(phi, (x, y)) for x in range(1, n + 1))
+        alphas = tuple(plaquette_indicator(phi, (2 * j - 1, 1)) for j in range(1, n // 2 + 1))
+        keys[link_data(phi).black, row(1), row(2) if n >= 2 else "", alphas] += 1
+    return keys
 
 
 def _random_ensembles(parity, count=10, seed=20100615):
@@ -326,6 +318,12 @@ class TestFrontierSweep:
             e = rng.randrange(len(d.internal_edges))
             for c in (0, 1):
                 assert psi_counts(d, t, [(e, c)]) == _oracle(d, t, [(e, c)])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_census_matches_the_oracle(self, n):
+        # the sweep that keeps the bottom two rows' edges gives the
+        # identity census key for key
+        assert dict(_census(n)) == dict(_census_oracle(n))
 
     def test_split_prefixes_match_the_dfs(self):
         d, t = build_square(5, "+")

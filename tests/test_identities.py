@@ -221,6 +221,19 @@ class TestSizeSix:
         assert s_vector(6).total() == asm_count_formula(6)
 
 
+@pytest.mark.slow
+class TestSizeSeven:
+    """The whole registry at n = 7, on the swept census."""
+
+    def test_every_identity_holds(self):
+        from fplrs.fplcore import refined_counts
+
+        results = run_identity_suite([7])
+        assert len(results) == 50
+        assert [r for r in results if not r.status] == []
+        assert s_vector(7) == refined_counts(7).as_vector()
+
+
 class TestFrozenRegions:
     """Constraining one bottom-row site freezes a predictable stretch of
     the bottom row: everything for c, the left part (through the site's
