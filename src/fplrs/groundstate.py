@@ -1,15 +1,18 @@
 """The loop-model Hamiltonian on link-pattern space and its exact
 stationary vector.
 
-The matrix is assembled column by column from the capping generators in
-the lexicographic word basis; each column sums to twice the system
-size, so that value is always an eigenvalue of the transpose.  One
-routine, the row echelon form of the shifted matrix modulo a 31-bit
-prime, serves both the kernel-dimension certificate and the stationary
-vector, whose entries are the refined configuration counts by the
-identity this package certifies.  No floating point, no tolerance: a
-vector built from residues is accepted only after an exact integer
-residual check.
+H = e_1 + ... + e_2n is stored sparsely in the lexicographic word
+basis: column j lists the 2n row indices of the capping generators
+applied to basis[j].  H is nonnegative and every column sums to 2n, so
+2n is its spectral radius; when the digraph j -> e_k(j) is strongly
+connected, Perron-Frobenius makes 2n a simple eigenvalue with a
+positive eigenvector.  The kernel-dimension certificate is therefore a
+graph search, and the Razumov-Stroganov check needs no elimination: a
+positive, coprime integer vector that (H - 2n) kills is the stationary
+vector.  The stationary vector itself comes from the row echelon form
+of the shifted matrix modulo 31-bit primes, lifted by CRT and rational
+reconstruction.  No floating point, no tolerance: a vector built from
+residues is accepted only after an exact integer residual check.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .linkpat import (
     LpVector,
     all_patterns,
     apply_hamiltonian,
+    catalan,
     tl_e,
 )
 
@@ -43,31 +47,24 @@ _PRIMES = (2_147_483_629, 2_147_483_587, 2_147_483_579, 2_147_483_563, 2_147_483
 
 @dataclass(frozen=True)
 class HamiltonianMatrix:
-    """Dense integer matrix of H in the lexicographic word basis.
+    """Sparse integer matrix of H in the lexicographic word basis.
 
-    rows[i][j] counts the generators sending basis[j] to basis[i].
+    cols[j] lists the index of tl_e(basis[j], k) for k = 1..2n, so the
+    entry H[i, j] is the number of times i occurs in cols[j].
     """
 
     n: int
     basis: tuple[LinkPattern, ...]
-    rows: tuple[tuple[int, ...], ...]
-
-    def column_sums(self) -> tuple[int, ...]:
-        size = len(self.basis)
-        return tuple(
-            sum(self.rows[i][j] for i in range(size)) for j in range(size)
-        )
+    cols: tuple[tuple[int, ...], ...]
 
 
 def build_h_matrix(n: int) -> HamiltonianMatrix:
     basis = all_patterns(n)
     index = {p: i for i, p in enumerate(basis)}
-    size = len(basis)
-    rows = [[0] * size for _ in range(size)]
-    for j, p in enumerate(basis):
-        for k in range(1, 2 * n + 1):
-            rows[index[tl_e(p, k)]][j] += 1
-    return HamiltonianMatrix(n, basis, tuple(tuple(r) for r in rows))
+    cols = tuple(
+        tuple(index[tl_e(p, k)] for k in range(1, 2 * n + 1)) for p in basis
+    )
+    return HamiltonianMatrix(n, basis, cols)
 
 
 def _echelon_mod(h: HamiltonianMatrix, prime: int):
@@ -79,12 +76,14 @@ def _echelon_mod(h: HamiltonianMatrix, prime: int):
     import numpy as np
 
     size = len(h.basis)
-    a = np.array(h.rows, dtype=np.int64)
+    a = np.zeros((size, size), dtype=np.int64)
+    # a[i, j] += 1 for each i in cols[j]
+    np.add.at(a, (np.array(h.cols), np.arange(size)[:, None]), 1)
     a[np.diag_indices(size)] -= 2 * h.n
     a %= prime
-    cols: list[int] = []
+    pivots: list[int] = []
     for col in range(size):
-        row = len(cols)
+        row = len(pivots)
         nz = row + np.nonzero(a[row:, col])[0]
         if nz.size == 0:
             continue
@@ -92,13 +91,15 @@ def _echelon_mod(h: HamiltonianMatrix, prime: int):
         if p != row:
             a[[row, p]] = a[[p, row]]
         inv = pow(int(a[row, col]), prime - 2, prime)
-        a[row] = (a[row] * inv) % prime
+        # rows from `row` down are zero left of col, so only the columns
+        # from col on change
+        a[row, col:] = (a[row, col:] * inv) % prime
         # H is sparse: only the rows below with a nonzero in this column
         # change, and after the swap those are exactly nz[1:]
         below = nz[1:]
-        a[below] = (a[below] - np.outer(a[below, col], a[row])) % prime
-        cols.append(col)
-    return a[:len(cols)], tuple(cols)
+        a[below, col:] = (a[below, col:] - np.outer(a[below, col], a[row, col:])) % prime
+        pivots.append(col)
+    return a[:len(pivots)], tuple(pivots)
 
 
 def _kernel_mod(h: HamiltonianMatrix, prime: int) -> tuple[int, list[int]] | None:
@@ -136,6 +137,15 @@ def _rational(u: int, m: int) -> Fraction | None:
     return Fraction(r1, t1)
 
 
+def _residual(h: HamiltonianMatrix, x: list[int]) -> list[int]:
+    """(H - 2n) x, exactly, one sparse column at a time."""
+    y = [-2 * h.n * v for v in x]
+    for col, v in zip(h.cols, x):
+        for i in col:
+            y[i] += v
+    return y
+
+
 def stationary_vector(n: int) -> LpVector:
     """Exact kernel vector of (H - 2n), as coprime positive integers.
 
@@ -169,10 +179,7 @@ def stationary_vector(n: int) -> LpVector:
         # coprime integers, positive there
         scale = math.lcm(*(f.denominator for f in fracs))
         ints = [int(f * scale) for f in fracs]
-        if all(v > 0 for v in ints) and all(
-            sum(a * v for a, v in zip(row, ints)) == 2 * n * ints[i]
-            for i, row in enumerate(h.rows)
-        ):
+        if all(v > 0 for v in ints) and _residual(h, ints) == [0] * size:
             return LpVector(n, {p: Fraction(v) for p, v in zip(h.basis, ints)})
     raise KernelDimensionError(
         f"no exact kernel vector of the shifted matrix at n={n} from {len(_PRIMES)} primes"
@@ -203,8 +210,12 @@ def verify_rs(n: int) -> RsReport:
     """Certify that the refined counts are stationary and match the kernel.
 
     Checks, all exactly: (H - 2n) applied to the count vector vanishes
-    componentwise; the normalized kernel equals the count table
-    entrywise; the component sum matches the product formula.
+    componentwise; the kernel equals the count table entrywise; the
+    component sum matches the product formula.  The second needs no
+    elimination: under :func:`kernel_dimension_certificate` the kernel
+    is the line of one positive vector, so a count vector in it with a
+    positive entry at every pattern and coprime entries *is* the
+    coprime positive kernel vector :func:`stationary_vector` returns.
     """
     counts = refined_counts(n, "+").as_vector()
     residual = apply_hamiltonian(counts) - 2 * n * counts
@@ -215,8 +226,14 @@ def verify_rs(n: int) -> RsReport:
             ((p.word, c) for p, c in residual.entries.items())
         )[0]
         violation = f"residual {coeff} at {word}"
-    kernel = stationary_vector(n)
-    matches = kernel == counts
+    values = list(counts.entries.values())
+    matches = (
+        rs_zero
+        and len(values) == catalan(n)
+        and all(v > 0 and v.denominator == 1 for v in values)
+        and math.gcd(*(int(v) for v in values)) == 1
+        and kernel_dimension_certificate(n)
+    )
     if rs_zero and not matches:
         violation = "kernel differs from counts"
     return RsReport(
@@ -229,13 +246,37 @@ def verify_rs(n: int) -> RsReport:
     )
 
 
-def kernel_dimension_certificate(n: int) -> bool:
-    """Certify kernel dimension exactly one, on one modular echelon.
+def _reaches_all(succ) -> bool:
+    """Whether a search from vertex 0 along ``succ`` visits every vertex."""
+    seen = [False] * len(succ)
+    seen[0] = True
+    stack = [0]
+    while stack:
+        for i in succ[stack.pop()]:
+            if not seen[i]:
+                seen[i] = True
+                stack.append(i)
+    return all(seen)
 
-    The column sums force singularity over the rationals, so the kernel
-    has dimension at least one; a modular rank of size-1 forces the
-    rational rank that high as well (a nonzero minor mod p is nonzero
-    over the integers).  Together the dimension is exactly one.
+
+def kernel_dimension_certificate(n: int) -> bool:
+    """Certify kernel dimension exactly one, by Perron-Frobenius.
+
+    Every entry of H is a nonnegative count and every column sums to
+    2n, so the all-ones vector is a left eigenvector for 2n and 2n is
+    the spectral radius.  A forward and a backward search from pattern
+    0 that both reach every pattern make H irreducible, and for an
+    irreducible nonnegative matrix the spectral radius is an
+    algebraically simple eigenvalue with a positive eigenvector (Horn
+    & Johnson, *Matrix Analysis*, section 8.4).  So the kernel of
+    (H - 2n) is a line.  No elimination is done.
     """
     h = build_h_matrix(n)
-    return len(_echelon_mod(h, _PRIMES[0])[1]) == len(h.basis) - 1
+    size = len(h.basis)
+    if any(len(col) != 2 * n or not all(0 <= i < size for i in col) for col in h.cols):
+        return False
+    pred: list[list[int]] = [[] for _ in range(size)]
+    for j, col in enumerate(h.cols):
+        for i in col:
+            pred[i].append(j)
+    return _reaches_all(h.cols) and _reaches_all(pred)

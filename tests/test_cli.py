@@ -279,8 +279,9 @@ class TestUnwritablePaths:
 
 
 class TestPinnedOutputs:
-    """SHA-256 of stdout payloads that refactors of the orbit code and
-    of the identity census must keep byte for byte."""
+    """SHA-256 of stdout payloads that refactors of the orbit code, of
+    the identity census and of the RS certificate must keep byte for
+    byte."""
 
     @pytest.mark.parametrize(
         "argv, digest",
@@ -293,8 +294,10 @@ class TestPinnedOutputs:
              "faee3b166f47b458dd86ea6c219f2ec07f123e85648f1dd686d1ab753a314fc5"),
             (("verify", "identities", "--n-max", "5"),
              "f8a6acf357040fe8cea4f5c7a05281622c2b897a4e9530a38a9f184a9fd2ebfa"),
+            (("verify", "rs", "--n-max", "6"),
+             "47edfbd323638f5799e3ed01b1f5b5ff70777ab40827e84fbfd03775354aa560"),
         ],
-        ids=["orbit-report-plus", "orbit-report-minus", "verify-orbits", "verify-identities"],
+        ids=["orbit-report-plus", "orbit-report-minus", "verify-orbits", "verify-identities", "verify-rs"],
     )
     def test_stdout_digest(self, capsys, argv, digest):
         code, out, _ = run(capsys, *argv)
@@ -302,16 +305,30 @@ class TestPinnedOutputs:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def _numpy_loaded_after(probe: str) -> bool:
+    """Whether a fresh interpreter has numpy loaded after running probe."""
+    src = str(Path(fplrs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", probe + "; import sys; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return result.stdout.strip().splitlines()[-1] == "True"
+
+
 def test_cli_import_leaves_numpy_unloaded():
     # numpy is imported inside the linear algebra only, so start-up
     # stays light for every command that does not need it
-    src = str(Path(fplrs.__file__).resolve().parents[1])
-    probe = "import sys, fplrs.cli; print('numpy' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=src)
-    result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    assert not _numpy_loaded_after("import fplrs.cli")
+
+
+def test_rs_certificate_leaves_numpy_unloaded():
+    # the Perron-Frobenius certificate is a graph search: no elimination
+    # on the path of kernel_dimension_certificate or verify_rs
+    assert not _numpy_loaded_after(
+        "from fplrs.groundstate import kernel_dimension_certificate, verify_rs; "
+        "assert kernel_dimension_certificate(7); assert verify_rs(5).passed"
     )
-    assert result.stdout.strip() == "False"
 
 
 class TestReportContract:

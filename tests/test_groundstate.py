@@ -1,42 +1,64 @@
 """Hamiltonian matrix, exact kernels, and the stationarity identity."""
 
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from fplrs import groundstate
+from fplrs.cli import main
 from fplrs.fplcore import asm_count_formula, refined_counts
 from fplrs.groundstate import (
+    HamiltonianMatrix,
     _rational,
     build_h_matrix,
     kernel_dimension_certificate,
     stationary_vector,
     verify_rs,
 )
-from fplrs.linkpat import LinkPattern, LpVector, apply_rotation, catalan
+from fplrs.linkpat import (
+    LinkPattern,
+    LpVector,
+    all_patterns,
+    apply_hamiltonian,
+    apply_rotation,
+    catalan,
+)
+
+
+def _entries(h):
+    """Each column as {row index: entry}."""
+    return [dict(Counter(col)) for col in h.cols]
 
 
 class TestMatrix:
     def test_one_arc(self):
+        # H = [[2]]
         h = build_h_matrix(1)
-        assert h.rows == ((2,),)
+        assert _entries(h) == [{0: 2}]
 
     def test_two_arcs(self):
         # both generators fix each pattern once and map it across once,
-        # worked out directly from the capping rule
+        # worked out directly from the capping rule: H = [[2, 2], [2, 2]]
         h = build_h_matrix(2)
         assert [p.word for p in h.basis] == ["(())", "()()"]
-        assert h.rows == ((2, 2), (2, 2))
+        assert _entries(h) == [{0: 2, 1: 2}, {0: 2, 1: 2}]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_column_sums_and_entry_bounds(self, n):
+        # column j sums to len(cols[j]); an entry is a multiplicity
         h = build_h_matrix(n)
-        assert set(h.column_sums()) == {2 * n}
-        assert max(max(row) for row in h.rows) <= 2 * n
+        assert {len(col) for col in h.cols} == {2 * n}
+        assert all(0 <= i < len(h.basis) for col in h.cols for i in col)
+        assert max(max(e.values()) for e in _entries(h)) <= 2 * n
 
     @pytest.mark.slow
     def test_column_sums_n7(self):
         h = build_h_matrix(7)
-        assert set(h.column_sums()) == {14}
+        assert {len(col) for col in h.cols} == {14}
+        assert all(0 <= i < len(h.basis) for col in h.cols for i in col)
+        assert max(max(e.values()) for e in _entries(h)) <= 14
 
 
 class TestStationaryVector:
@@ -117,14 +139,102 @@ class TestVerifyRs:
         assert report.passed
 
     def test_matrix_route_agrees_with_operator_route(self):
-        # the same residual through the explicit matrix, as a second path
+        # the same residual through the sparse columns, as a second path
         n = 4
         h = build_h_matrix(n)
         counts = refined_counts(n, "+")
+
+        def through_cols(x):
+            y = [-2 * n * v for v in x]
+            for col, v in zip(h.cols, x):
+                for i in col:
+                    y[i] += v
+            return y
+
+        def through_operator(x):
+            vec = LpVector.from_counts(n, dict(zip(h.basis, x)))
+            residual = apply_hamiltonian(vec) - 2 * n * vec
+            return [residual.coeff(p) for p in h.basis]
+
         x = [counts.value(p) for p in h.basis]
-        for i in range(len(h.basis)):
-            acc = sum(h.rows[i][j] * x[j] for j in range(len(x)))
-            assert acc == 2 * n * x[i]
+        assert through_cols(x) == through_operator(x) == [0] * len(x)
+        # and off the kernel, where the residual is not zero
+        z = list(range(1, len(x) + 1))
+        assert through_cols(z) == through_operator(z) != [0] * len(z)
+
+    @pytest.mark.slow
+    def test_n9(self):
+        assert verify_rs(9).passed
+        assert kernel_dimension_certificate(9)
+
+
+def _patched_table(monkeypatch, edit):
+    """Make verify_rs read the n=4 table with ``edit`` applied to a copy
+    of its counts."""
+    table = refined_counts(4, "+")
+    counts = dict(table.counts)
+    edit(counts)
+    monkeypatch.setattr(groundstate, "refined_counts", lambda n, sign: replace(table, counts=counts))
+
+
+def _bump(counts):
+    counts["()()()()"] += 1
+
+
+class TestVerifyRsRejects:
+    def test_untouched_table_passes(self, monkeypatch):
+        # the patch itself changes nothing
+        _patched_table(monkeypatch, lambda counts: None)
+        assert verify_rs(4).passed
+
+    def test_bumped_entry(self, monkeypatch):
+        _patched_table(monkeypatch, _bump)
+        report = verify_rs(4)
+        assert not report.rs_is_zero
+        assert not report.kernel_matches_counts
+        assert not report.passed
+        assert report.first_violation.startswith("residual ")
+        assert " at " in report.first_violation
+
+    def test_doubled_table(self, monkeypatch):
+        # 2x counts is in the kernel, but not the coprime vector
+        _patched_table(monkeypatch, lambda counts: counts.update({w: 2 * v for w, v in counts.items()}))
+        report = verify_rs(4)
+        assert report.rs_is_zero
+        assert not report.kernel_matches_counts
+        assert not report.passed
+        assert report.first_violation == "kernel differs from counts"
+
+    def test_missing_entry(self, monkeypatch):
+        _patched_table(monkeypatch, lambda counts: counts.pop("(((())))"))
+        report = verify_rs(4)
+        assert not report.kernel_matches_counts
+        assert not report.passed
+
+    def test_uncertified_kernel(self, monkeypatch):
+        # true counts, but an H whose every pattern only maps to itself:
+        # the kernel is no line, so the counts are not "the" kernel
+        def diagonal(n):
+            basis = all_patterns(n)
+            return HamiltonianMatrix(n, basis, tuple((j,) * 2 * n for j in range(len(basis))))
+
+        monkeypatch.setattr(groundstate, "build_h_matrix", diagonal)
+        report = verify_rs(4)
+        assert report.rs_is_zero
+        assert not report.kernel_matches_counts
+        assert report.first_violation == "kernel differs from counts"
+
+    def test_cli_exit_code(self, monkeypatch, capsys):
+        _patched_table(monkeypatch, _bump)
+        assert main(["verify", "rs", "--n-max", "4"]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] rs: (H-2n) kills the count vector, n=4 (residual " in out
+        assert out.splitlines()[-1].startswith("FAILED: ")
+
+
+def _toy(cols):
+    """A hand-built 2x2 H at n=2, whose columns must hold 4 entries."""
+    return HamiltonianMatrix(2, all_patterns(2), tuple(map(tuple, cols)))
 
 
 class TestKernelDimension:
@@ -133,10 +243,26 @@ class TestKernelDimension:
         # stationary_vector raises unless the kernel is a line
         stationary_vector(n)
 
-    @pytest.mark.parametrize("n", [5, 6, 7])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
     def test_certificate(self, n):
         assert kernel_dimension_certificate(n)
 
-    @pytest.mark.slow
     def test_certificate_n8(self):
         assert kernel_dimension_certificate(8)
+
+    @pytest.mark.parametrize(
+        "cols, certified",
+        [
+            ([[0, 1, 0, 1], [0, 1, 0, 1]], True),  # the true H at n=2
+            ([[0, 0, 0, 0], [1, 1, 1, 1]], False),  # two blocks, no arc between them
+            ([[0, 0, 1, 1], [1, 1, 1, 1]], False),  # 0 -> 1 only: the backward search fails
+            ([[0, 0, 0, 0], [0, 1, 1, 1]], False),  # 1 -> 0 only: the forward search fails
+            ([[0, 1, 0, 1], [0, 1, 0]], False),  # a column sums to 3, not 4
+            ([[0, 1, 0, 1], [0, 1, 0, 1, 1]], False),  # a column sums to 5
+            ([[0, 1, 0, 1], [0, 1, 0, 2]], False),  # row 2 is outside the 2x2 matrix
+        ],
+        ids=["irreducible", "two-blocks", "one-way-out", "one-way-in", "short", "long", "out-of-range"],
+    )
+    def test_hand_built_matrix(self, monkeypatch, cols, certified):
+        monkeypatch.setattr(groundstate, "build_h_matrix", lambda n: _toy(cols))
+        assert kernel_dimension_certificate(2) is certified
