@@ -313,7 +313,39 @@ def _suite_identities(n_max: int) -> list[CheckLine]:
     ]
 
 
-def _check_tl_relations(n: int, samples, lines: list[CheckLine], label: str) -> None:
+def _tl_operators():
+    """tl_e, rotate, close_c and add_a, each memoised for one suite call.
+
+    The relations make about 2 x 10^5 operator calls per size, yet meet
+    only a few thousand distinct (pattern, index) pairs.  Every distinct
+    result is still built, and so validated, by the operator itself;
+    equal results are kept as one shared object, so the memo holds each
+    pattern once.  The memo lives only as long as the suite: the
+    Hamiltonian calls the same operators at sizes where a lasting cache
+    would hold millions of patterns.
+    """
+    canonical: dict[LinkPattern, LinkPattern] = {}
+
+    def memo(op):
+        by_index: dict[int, dict[LinkPattern, LinkPattern]] = {}
+
+        def call(p: LinkPattern, j: int) -> LinkPattern:
+            results = by_index.get(j)
+            if results is None:
+                results = by_index[j] = {}
+            q = results.get(p)
+            if q is None:
+                q = op(p, j)
+                q = results[p] = canonical.setdefault(q, q)
+            return q
+
+        return call
+
+    return tuple(memo(op) for op in (tl_e, rotate, close_c, add_a))
+
+
+def _check_tl_relations(n: int, samples, lines: list[CheckLine], label: str, ops) -> None:
+    tl_e, rotate, close_c, add_a = ops
     size = 2 * n
     wrap = lambda j: ((j - 1) % size) + 1
     ok_a = ok_b = ok_c = ok_d = True
@@ -354,6 +386,8 @@ def _nonconsecutive_sets(size: int):
 
 def _suite_tl(n_max: int, seed: int) -> list[CheckLine]:
     lines: list[CheckLine] = []
+    ops = _tl_operators()
+    tl_e, _, close_c, add_a = ops
     for n in range(1, min(n_max, 4) + 1):
         size = 2 * n
         samples = [
@@ -362,7 +396,7 @@ def _suite_tl(n_max: int, seed: int) -> list[CheckLine]:
             for i in range(1, size + 1)
             for j in range(1, size + 1)
         ]
-        _check_tl_relations(n, samples, lines, f"exhaustive n={n}")
+        _check_tl_relations(n, samples, lines, f"exhaustive n={n}", ops)
         ok_prod = True
         for p in all_patterns(n):
             for js in _nonconsecutive_sets(size):
@@ -387,7 +421,7 @@ def _suite_tl(n_max: int, seed: int) -> list[CheckLine]:
                 (rng.choice(pats), rng.randint(1, size), rng.randint(1, size))
                 for _ in range(10_000)
             ]
-            _check_tl_relations(n, samples, lines, f"10^4 samples n={n}")
+            _check_tl_relations(n, samples, lines, f"10^4 samples n={n}", ops)
     return lines
 
 

@@ -20,6 +20,9 @@ runs once per DFS decision prefix in a process pool.
 
 Open monochromatic paths end at terminations; the black ones, labelled
 cyclically from the anchor, give the configuration's link pattern.
+Paths are walked on the domain's cached ``walk`` table (at each edge
+end, the vertex's other three edges) with colours read straight off the
+bitmask.
 Vertex types a, b, c classify the position of the two black edges
 around a vertex.  The assignment of the six edge-pair placements to the
 three letters is not hard-coded: on first use it is pinned by brute
@@ -277,56 +280,49 @@ class LinkData:
 
 
 def _trace_colour(phi: FplConfig, want: int) -> tuple[LinkPattern, int]:
+    """The link pattern and closed-loop count of one colour, walked on
+    the domain's ``walk`` table with colours read straight off the bits
+    (complemented for white) and visited edges kept in one int."""
     d = phi.domain
+    bits = phi.bits if want else ~phi.bits
     n_internal = len(d.internal_edges)
-    terms = [
-        k for k in range(d.perimeter) if phi.colour(d.termination_id(k)) == want
-    ]
+    walk = d.walk
+    terms = [k for k in range(d.perimeter) if (bits >> (n_internal + k)) & 1]
     label = {k: i for i, k in enumerate(terms)}
-    edges_of_vert = d.vertex_edges
-    vert_of_edge = d.edge_vertices
-    seen: set[int] = set()
+    seen = 0
     match = [-1] * len(terms)
     for start in terms:
-        eid = d.termination_id(start)
-        if eid in seen:
+        eid = n_internal + start
+        if (seen >> eid) & 1:
             continue
-        seen.add(eid)
-        v = vert_of_edge[eid][0]
+        seen |= 1 << eid
+        state = 2 * eid
         while True:
-            nxt = next(
-                e2
-                for e2 in edges_of_vert[v]
-                if e2 != eid and phi.colour(e2) == want
-            )
-            seen.add(nxt)
-            if nxt >= n_internal:
-                end = nxt - n_internal
+            # leave along the vertex's one other edge of this colour
+            for state in walk[state]:
+                if (bits >> (state >> 1)) & 1:
+                    break
+            eid = state >> 1
+            seen |= 1 << eid
+            if eid >= n_internal:
+                end = eid - n_internal
                 match[label[start]] = label[end]
                 match[label[end]] = label[start]
                 break
-            a, b = vert_of_edge[nxt]
-            v = b if a == v else a
-            eid = nxt
     loops = 0
-    for eid in range(n_internal):
-        if phi.colour(eid) != want or eid in seen:
-            continue
+    rest = bits & ~seen & ((1 << n_internal) - 1)
+    while rest:
         loops += 1
-        v = vert_of_edge[eid][1]
-        cur = eid
+        first = (rest & -rest).bit_length() - 1
+        state = 2 * first + 1
         while True:
-            seen.add(cur)
-            nxt = next(
-                e2
-                for e2 in edges_of_vert[v]
-                if e2 != cur and phi.colour(e2) == want
-            )
-            if nxt == eid:
+            for state in walk[state]:
+                if (bits >> (state >> 1)) & 1:
+                    break
+            eid = state >> 1
+            rest &= ~(1 << eid)
+            if eid == first:
                 break
-            a, b = vert_of_edge[nxt]
-            v = b if a == v else a
-            cur = nxt
     return LinkPattern(tuple(match)), loops
 
 
@@ -399,12 +395,11 @@ def plaquette_indicator(phi: FplConfig, alpha: Cell) -> int:
     """+1 for two black horizontal and two white vertical edges around
     the face whose bottom-left vertex is ``alpha``; -1 for the colour
     complement; 0 otherwise."""
-    bottom, right, top, left = phi.domain.face_edges(alpha)
-    h = phi.colour(bottom) + phi.colour(top)
-    v = phi.colour(right) + phi.colour(left)
-    if h == 2 and v == 0:
+    h, v = phi.domain.face_masks[alpha]
+    s = phi.bits & (h | v)
+    if s == h:
         return 1
-    if h == 0 and v == 2:
+    if s == v:
         return -1
     return 0
 

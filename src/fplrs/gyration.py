@@ -12,6 +12,12 @@ swaps, the map exchanges the two leg colours at each swapped corner,
 applies the cycle rule, and swaps back, so it still sends the original
 boundary condition to its complement.
 
+The pass works on bitmasks: the gluing caches each 4-cycle's edge mask
+and its two alternating colourings, so a pass is one masked test per
+4-cycle and one XOR over all edges.  Orbits step on plain ints through
+the two cached square gluings, and the face counts along an orbit read
+each face's horizontal and vertical edge masks off the same ints.
+
 Link data on the glued graph is read over the bichromatic glued
 vertices (pairs whose two legs differ), labelled in pair order; both
 the black and the white matching live on those points, and closed
@@ -68,18 +74,27 @@ __all__ = [
 ]
 
 
-def _swap_legs(phi: FplConfig, g: GluedGraph) -> FplConfig:
+def _swap_legs(bits: int, g: GluedGraph) -> int:
     """Exchange the colours of the two legs over every recorded swap."""
-    bits = phi.bits
     d = g.domain
     for k in g.swaps:
         a = d.termination_id(k)
         b = d.termination_id((k + 1) % d.perimeter)
-        ca = (bits >> a) & 1
-        cb = (bits >> b) & 1
-        if ca != cb:
+        if ((bits >> a) ^ (bits >> b)) & 1:
             bits ^= (1 << a) | (1 << b)
-    return FplConfig(d, bits)
+    return bits
+
+
+def _pass(bits: int, g: GluedGraph) -> int:
+    """The cycle rule on a bitmask: complement every cycle except the
+    4-cycles that read one of their two alternating colourings."""
+    bits = _swap_legs(bits, g)
+    flip, quads = g.cycle_masks
+    for mask, alt0, alt1 in quads:
+        s = bits & mask
+        if s == alt0 or s == alt1:
+            flip ^= mask
+    return _swap_legs(bits ^ flip, g)
 
 
 def apply_h(phi: FplConfig, g: GluedGraph) -> FplConfig:
@@ -90,15 +105,7 @@ def apply_h(phi: FplConfig, g: GluedGraph) -> FplConfig:
     """
     if phi.domain is not g.domain and phi.domain != g.domain:
         raise InvalidTriplet("configuration and gluing live on different domains")
-    work = _swap_legs(phi, g)
-    bits = work.bits
-    for cyc in g.cycles:
-        cols = [(bits >> e) & 1 for e in cyc]
-        if len(cyc) == 4 and cols[0] != cols[1] and cols[1] != cols[2] and cols[2] != cols[3]:
-            continue
-        for e in cyc:
-            bits ^= 1 << e
-    return _swap_legs(FplConfig(g.domain, bits), g)
+    return FplConfig(g.domain, _pass(phi.bits, g))
 
 
 def h_tilde(phi: FplConfig, g: GluedGraph) -> FplConfig:
@@ -112,21 +119,26 @@ def _square_glued(n: int, parity: str) -> GluedGraph:
     return glue_and_gamma(d, t, parity)
 
 
+def _square_gluings(d: Domain) -> tuple[GluedGraph, GluedGraph]:
+    """The plus and minus gluings of an anchored square domain."""
+    n2 = len(d.cells)
+    n = int(round(n2 ** 0.5))
+    if n * n != n2:
+        raise InvalidTriplet("gyrate is defined on square domains")
+    plus = _square_glued(n, "plus")
+    if d is not plus.domain and d != plus.domain:
+        raise InvalidTriplet("gyrate needs the anchored square domain")
+    return plus, _square_glued(n, "minus")
+
+
 def gyrate(phi: FplConfig) -> FplConfig:
     """The full gyration: the plus pass followed by the minus pass.
 
     Acts within each of the two alternating square ensembles; the
     domain must be an anchored square.
     """
-    n2 = len(phi.domain.cells)
-    n = int(round(n2 ** 0.5))
-    if n * n != n2:
-        raise InvalidTriplet("gyrate is defined on square domains")
-    plus = _square_glued(n, "plus")
-    minus = _square_glued(n, "minus")
-    if phi.domain != plus.domain:
-        raise InvalidTriplet("gyrate needs the anchored square domain")
-    return apply_h(apply_h(phi, plus), minus)
+    plus, minus = _square_gluings(phi.domain)
+    return FplConfig(phi.domain, _pass(_pass(phi.bits, plus), minus))
 
 
 @dataclass(frozen=True)
@@ -146,11 +158,14 @@ class Orbit:
 
 
 def orbit(phi: FplConfig) -> Orbit:
-    hashes = [phi.bits]
-    cur = gyrate(phi)
-    while cur.bits != phi.bits:
-        hashes.append(cur.bits)
-        cur = gyrate(cur)
+    """The gyration cycle through phi, stepped on bitmasks."""
+    plus, minus = _square_gluings(phi.domain)
+    start = phi.bits
+    hashes = [start]
+    cur = _pass(_pass(start, plus), minus)
+    while cur != start:
+        hashes.append(cur)
+        cur = _pass(_pass(cur, plus), minus)
     return Orbit(phi, tuple(hashes))
 
 
@@ -171,14 +186,22 @@ def orbit_partition(n: int, sign: str = "+") -> list[Orbit]:
 def orbit_faces(o: Orbit) -> tuple[tuple[str, ...], dict[tuple[int, int], tuple[int, int]]]:
     """The rotation classes of the black patterns met along an orbit,
     sorted (one class, by Wieland's theorem), and for every face how
-    many of the orbit's configurations score +1 and -1 on it."""
-    configs = list(o.configs())
-    patterns = {_trace_colour(phi, 1)[0] for phi in configs}
+    many of the orbit's configurations score +1 and -1 on it: the face's
+    horizontal edges black and vertical ones white, or the reverse."""
+    d = o.seed.domain
+    patterns = {_trace_colour(phi, 1)[0] for phi in o.configs()}
     classes = tuple(sorted({rotation_class_of(p).word for p in patterns}))
     faces = {}
-    for alpha in o.seed.domain.faces:
-        values = [plaquette_indicator(phi, alpha) for phi in configs]
-        faces[alpha] = (values.count(1), values.count(-1))
+    for alpha, (h, v) in d.face_masks.items():
+        both = h | v
+        plus = minus = 0
+        for bits in o.hashes:
+            s = bits & both
+            if s == h:
+                plus += 1
+            elif s == v:
+                minus += 1
+        faces[alpha] = (plus, minus)
     return classes, faces
 
 
@@ -231,7 +254,7 @@ def pair_link_data(phi: FplConfig, g: GluedGraph) -> PairLinkData:
     colours are counted together.
     """
     d = g.domain
-    work = _swap_legs(phi, g)
+    work = FplConfig(d, _swap_legs(phi.bits, g))
     n_internal = len(d.internal_edges)
     # generalized endpoints: internal edges join two vertices, a
     # termination joins its vertex to its glued pair node ("p", i)

@@ -12,7 +12,8 @@ Canonical edge order: internal edges row-major over vertices (sorted by
 (y, x)), per vertex first the east then the north edge; terminations
 appended in boundary order starting at the anchor.  Configurations are
 stored as bitmasks over this order, so streams and caches are
-bit-exact.
+bit-exact.  Domains and gluings cache what the bit-level code reads:
+per-face edge masks, the path-tracing table and the cycle masks.
 
 Gluing: terminations are paired consecutively, pairs (1,2),(3,4),...
 for the plus parity and (2N,1),(2,3),... for the minus parity.  Each
@@ -256,6 +257,36 @@ class Domain:
             idx[("i", (x, y), (x, y + 1))],
         )
 
+    @cached_property
+    def face_masks(self) -> dict[Cell, tuple[int, int]]:
+        """Per face, in ``faces`` order, the bitmasks of its horizontal
+        (bottom, top) and of its vertical (right, left) edges."""
+        out = {}
+        for f in self.faces:
+            bottom, right, top, left = self.face_edges(f)
+            out[f] = (1 << bottom | 1 << top, 1 << right | 1 << left)
+        return out
+
+    @cached_property
+    def walk(self) -> tuple[tuple[int, ...], ...]:
+        """The path-tracing table, over states s = 2e + k: "at end k of
+        edge e", where end k is the k-th entry of ``edge_vertices[e]``
+        (a termination's end 1 is outside the domain).  ``walk[s]``
+        holds, for the vertex at that end, its other three edges, each
+        as the state at its far end; a path leaving along edge e2 is
+        next at state ``walk[s][i]``, with ``e2 = walk[s][i] >> 1``.
+        The outside ends of terminations have no entries."""
+        ends, slots = self.edge_vertices, self.vertex_edges
+        out: list[tuple[int, ...]] = []
+        for e, vs in enumerate(ends):
+            for v in vs:
+                out.append(tuple(
+                    2 * e2 + 1 - ends[e2].index(v) for e2 in slots[v] if e2 != e
+                ))
+            if len(vs) == 1:
+                out.append(())
+        return tuple(out)
+
     def termination_id(self, k: int) -> int:
         """Canonical edge id of the k-th termination (0-based, anchored)."""
         return len(self.internal_edges) + k
@@ -379,6 +410,18 @@ class GluedGraph:
             for e in cyc:
                 owner[e] = ci
         return tuple(owner)
+
+    @cached_property
+    def cycle_masks(self) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+        """The bitmask of all edges, which the cycles partition, and for
+        every 4-cycle its edge mask plus its two alternating colourings
+        (cycle positions 0 and 2 black, or 1 and 3) as masks."""
+        quads = []
+        for cyc in self.cycles:
+            if len(cyc) == 4:
+                a, b, c, d = (1 << e for e in cyc)
+                quads.append((a | b | c | d, a | c, b | d))
+        return (1 << len(self.domain.edges)) - 1, tuple(quads)
 
 
 def _pairing(n_terms: int, parity: str) -> tuple[tuple[int, int], ...]:

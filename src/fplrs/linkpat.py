@@ -276,16 +276,15 @@ def rotation_classes(n: int) -> tuple[RotationClass, ...]:
     return tuple(sorted(classes, key=lambda c: c.representative.word))
 
 
+@lru_cache(maxsize=None)
+def _class_representatives(n: int) -> dict[LinkPattern, LinkPattern]:
+    return {q: c.representative for c in rotation_classes(n) for q in c.members}
+
+
 def rotation_class_of(p: LinkPattern) -> LinkPattern:
-    """Word-minimal representative of p's rotation orbit."""
-    size = len(p.match)
-    best = p
-    q = p
-    for _ in range(size - 1):
-        q = rotate(q, 1)
-        if q.word < best.word:
-            best = q
-    return best
+    """Word-minimal representative of p's rotation orbit, looked up in
+    the cached :func:`rotation_classes` of its size."""
+    return _class_representatives(p.n)[p]
 
 
 # ---------------------------------------------------------------------------

@@ -280,8 +280,8 @@ class TestUnwritablePaths:
 
 class TestPinnedOutputs:
     """SHA-256 of stdout payloads that refactors of the orbit code, of
-    the identity census and of the RS certificate must keep byte for
-    byte."""
+    the identity census, of the RS certificate, of the gyration pass and
+    of the TL suite must keep byte for byte."""
 
     @pytest.mark.parametrize(
         "argv, digest",
@@ -296,8 +296,17 @@ class TestPinnedOutputs:
              "f8a6acf357040fe8cea4f5c7a05281622c2b897a4e9530a38a9f184a9fd2ebfa"),
             (("verify", "rs", "--n-max", "6"),
              "47edfbd323638f5799e3ed01b1f5b5ff70777ab40827e84fbfd03775354aa560"),
+            (("verify", "tl", "--n-max", "7"),
+             "2d38c801e59db71539ed2d9339c15c92a758bd470977ae6f0a13072bea953c21"),
+            (("verify", "orbits", "--n-max", "6"),
+             "5a33ed175b725fbb6456df0a3d4e04c4d230778d0afcaac33967b605ab08ebf8"),
+            (("verify", "gyration-general", "--n-max", "4", "--seed", "1"),
+             "dabfe0f091a605352c5330f933304d5b5370072c82cf10d76f5a44f2cc502107"),
         ],
-        ids=["orbit-report-plus", "orbit-report-minus", "verify-orbits", "verify-identities", "verify-rs"],
+        ids=[
+            "orbit-report-plus", "orbit-report-minus", "verify-orbits", "verify-identities",
+            "verify-rs", "verify-tl-n7", "verify-orbits-n6", "verify-gyration-general-seed1",
+        ],
     )
     def test_stdout_digest(self, capsys, argv, digest):
         code, out, _ = run(capsys, *argv)
@@ -341,3 +350,22 @@ class TestReportContract:
         assert _report([good, bad], "text", None) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out and "witness" in out
+
+
+def test_tl_memo_agrees_with_the_operators():
+    # the suite's memoised operators give the operators' own results,
+    # and a repeated call returns the stored object
+    from fplrs.cli import _tl_operators
+    from fplrs.linkpat import add_a, all_patterns, close_c, rotate, tl_e
+
+    memo = _tl_operators()
+    raw = (tl_e, rotate, close_c, add_a)
+    for n in (1, 2, 3):
+        size = 2 * n
+        indices = (range(1, size + 1), (-1, 1), range(1, size), range(1, size + 2))
+        for fast, slow, js in zip(memo, raw, indices):
+            for p in all_patterns(n):
+                for j in js:
+                    q = fast(p, j)
+                    assert q == slow(p, j)
+                    assert fast(p, j) is q

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 from fplrs.fplcore import (
+    LinkData,
     PsiTable,
     _patterns,
     asm_count_formula,
@@ -132,6 +133,96 @@ class TestLinkData:
         d, t = build_square(4, "+")
         for phi in enumerate_configs(d, t):
             link_data(phi)
+
+
+def _reference_trace(phi, want):
+    """The tracer as first written: one colour test per slot per step,
+    vertices as cells, visited edges in a set.  Kept as the oracle for
+    the table-driven ``_trace_colour``."""
+    d = phi.domain
+    n_internal = len(d.internal_edges)
+    terms = [
+        k for k in range(d.perimeter) if phi.colour(d.termination_id(k)) == want
+    ]
+    label = {k: i for i, k in enumerate(terms)}
+    edges_of_vert = d.vertex_edges
+    vert_of_edge = d.edge_vertices
+    seen = set()
+    match = [-1] * len(terms)
+    for start in terms:
+        eid = d.termination_id(start)
+        if eid in seen:
+            continue
+        seen.add(eid)
+        v = vert_of_edge[eid][0]
+        while True:
+            nxt = next(
+                e2
+                for e2 in edges_of_vert[v]
+                if e2 != eid and phi.colour(e2) == want
+            )
+            seen.add(nxt)
+            if nxt >= n_internal:
+                end = nxt - n_internal
+                match[label[start]] = label[end]
+                match[label[end]] = label[start]
+                break
+            a, b = vert_of_edge[nxt]
+            v = b if a == v else a
+            eid = nxt
+    loops = 0
+    for eid in range(n_internal):
+        if phi.colour(eid) != want or eid in seen:
+            continue
+        loops += 1
+        v = vert_of_edge[eid][1]
+        cur = eid
+        while True:
+            seen.add(cur)
+            nxt = next(
+                e2
+                for e2 in edges_of_vert[v]
+                if e2 != cur and phi.colour(e2) == want
+            )
+            if nxt == eid:
+                break
+            a, b = vert_of_edge[nxt]
+            v = b if a == v else a
+            cur = nxt
+    return LinkPattern(tuple(match)), loops
+
+
+def _assert_tracer_matches_reference(d, t):
+    count = 0
+    for phi in enumerate_configs(d, t):
+        black, loops_black = _reference_trace(phi, 1)
+        white, loops_white = _reference_trace(phi, 0)
+        assert link_data(phi) == LinkData(black, white, loops_black, loops_white)
+        count += 1
+    return count
+
+
+class TestTracerOracle:
+    """The table-driven tracer against the reference tracer: black and
+    white patterns, labels and both loop counts.  The frontier sweep is
+    cross-checked on black patterns only, so this is what guards the
+    white patterns and the loop counts."""
+
+    # n = 6 is the first size where one colour closes two loops
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("sign", "+-")
+    def test_every_square_config(self, n, sign):
+        d, t = build_square(n, sign)
+        assert _assert_tracer_matches_reference(d, t) == ASM_NUMBERS[n - 1]
+
+    @pytest.mark.parametrize("parity", ["plus", "minus"])
+    def test_random_domains(self, parity):
+        loops = 0
+        for d, t in _random_ensembles(parity):
+            assert _assert_tracer_matches_reference(d, t) >= 2
+            loops += sum(link_data(phi).loops for phi in enumerate_configs(d, t))
+        # closed loops occur, so the loop walk is exercised too
+        assert loops > 0
 
 
 class TestVertexTypes:

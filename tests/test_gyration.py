@@ -5,6 +5,7 @@ import random
 import pytest
 
 from fplrs.fplcore import (
+    FplConfig,
     asm_count_formula,
     count_configs,
     enumerate_configs,
@@ -27,6 +28,82 @@ from fplrs.gyration import (
 from fplrs.lattice import build_square, glue_and_gamma
 from fplrs.linkpat import LinkPattern, rotate, rotation_class_of
 from fplrs.sampling import random_glueable
+
+
+def _reference_apply_h(phi, g):
+    """The pass as first written: swap the legs, walk the cycles one by
+    one, keep an alternating 4-cycle and complement every other cycle
+    edge by edge, swap back.  Kept as the oracle for the mask pass."""
+    d = g.domain
+
+    def swap_legs(bits):
+        for k in g.swaps:
+            a = d.termination_id(k)
+            b = d.termination_id((k + 1) % d.perimeter)
+            if (bits >> a) & 1 != (bits >> b) & 1:
+                bits ^= (1 << a) | (1 << b)
+        return bits
+
+    bits = swap_legs(phi.bits)
+    for cyc in g.cycles:
+        cols = [(bits >> e) & 1 for e in cyc]
+        if len(cyc) == 4 and cols[0] != cols[1] and cols[1] != cols[2] and cols[2] != cols[3]:
+            continue
+        for e in cyc:
+            bits ^= 1 << e
+    return swap_legs(bits)
+
+
+class TestPassOracle:
+    """The mask pass against the cycle-by-cycle reference."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("parity", ["plus", "minus"])
+    @pytest.mark.parametrize("sign", "+-")
+    def test_every_square_config(self, n, parity, sign):
+        d, t = build_square(n, sign)
+        g = glue_and_gamma(d, build_square(n, "+")[1], parity)
+        for phi in enumerate_configs(d, t):
+            assert apply_h(phi, g).bits == _reference_apply_h(phi, g)
+
+    def test_random_domains_with_swaps(self):
+        rng = random.Random(20100615)
+        swapped = 0
+        for k in range(20):
+            parity = "plus" if k % 2 == 0 else "minus"
+            d, t = random_glueable(rng, rng.randint(6, 20), parity)
+            g = glue_and_gamma(d, t, parity, allow_swaps=True)
+            swapped += bool(g.swaps)
+            for phi in enumerate_configs(d, t):
+                assert apply_h(phi, g).bits == _reference_apply_h(phi, g)
+        # the conjugation by leg swaps is exercised, not only the cycle rule
+        assert swapped > 0
+
+    @pytest.mark.parametrize(
+        "black, kept",
+        [
+            ((0, 1), False),  # bottom and right: adjacent, complemented
+            ((1, 2), False),
+            ((0,), False),
+            ((0, 1, 2), False),
+            ((0, 2), True),  # bottom and top: alternating, kept
+            ((1, 3), True),
+        ],
+    )
+    def test_hand_built_face(self, black, kept):
+        # the minus gluing of the 2x2 square has its one face as a
+        # 4-cycle; colour only that face, by hand
+        d, t = build_square(2, "+")
+        g = glue_and_gamma(d, t, "minus")
+        face = d.face_edges((1, 1))
+        assert face in g.cycles
+        bits = sum(1 << face[i] for i in black)
+        phi = FplConfig(d, bits)
+        psi = apply_h(phi, g)
+        assert psi.bits == _reference_apply_h(phi, g)
+        face_mask = sum(1 << e for e in face)
+        expected = bits if kept else bits ^ face_mask
+        assert psi.bits & face_mask == expected
 
 
 class TestPass:

@@ -220,6 +220,13 @@ class TestRotationClasses:
             for m in c.members:
                 assert rotation_class_of(m) == c.representative
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_lookup_matches_brute_force(self, n):
+        # the lookup against the least word over all 2n rotations
+        for p in all_patterns(n):
+            best = min((rotate(p, k) for k in range(2 * n)), key=lambda q: q.word)
+            assert rotation_class_of(p) == best
+
 
 class TestLpVector:
     def test_zero_entries_dropped(self):
