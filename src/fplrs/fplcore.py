@@ -20,9 +20,10 @@ runs once per DFS decision prefix in a process pool.
 
 Open monochromatic paths end at terminations; the black ones, labelled
 cyclically from the anchor, give the configuration's link pattern.
-Paths are walked on the domain's cached ``walk`` table (at each edge
-end, the vertex's other three edges) with colours read straight off the
-bitmask.
+One walker traces paths on the domain's cached ``walk`` table (at each
+edge end, the vertex's other three edges), colours read off the
+bitmask, for the flat domain and for its gluings: a path stops at a
+labelled termination and passes a glued one on to its partner leg.
 Vertex types a, b, c classify the position of the two black edges
 around a vertex.  The assignment of the six edge-pair placements to the
 three letters is not hard-coded: on first use it is pinned by brute
@@ -279,24 +280,27 @@ class LinkData:
         return self.loops_black + self.loops_white
 
 
-def _trace_colour(phi: FplConfig, want: int) -> tuple[LinkPattern, int]:
-    """The link pattern and closed-loop count of one colour, walked on
-    the domain's ``walk`` table with colours read straight off the bits
-    (complemented for white) and visited edges kept in one int."""
-    d = phi.domain
-    bits = phi.bits if want else ~phi.bits
+def _walk_paths(
+    d: Domain, bits: int, ends: dict[int, int], glue: dict[int, int]
+) -> tuple[LinkPattern, int]:
+    """The link pattern and closed-loop count of the colour set in
+    ``bits``, walked on the domain's ``walk`` table.
+
+    Every termination of the colour is either in ``ends`` (edge id to
+    label; a path stops there) or in ``glue`` (edge id to its partner
+    leg; a path passes on and re-enters at the partner's vertex).
+    Visited edges are kept in one int; the loops are what is left of
+    the colour, over all edges, so two glued legs alone close a loop.
+    """
     n_internal = len(d.internal_edges)
     walk = d.walk
-    terms = [k for k in range(d.perimeter) if (bits >> (n_internal + k)) & 1]
-    label = {k: i for i, k in enumerate(terms)}
     seen = 0
-    match = [-1] * len(terms)
-    for start in terms:
-        eid = n_internal + start
-        if (seen >> eid) & 1:
+    match = [-1] * len(ends)
+    for start, i in ends.items():
+        if (seen >> start) & 1:
             continue
-        seen |= 1 << eid
-        state = 2 * eid
+        seen |= 1 << start
+        state = 2 * start
         while True:
             # leave along the vertex's one other edge of this colour
             for state in walk[state]:
@@ -305,25 +309,45 @@ def _trace_colour(phi: FplConfig, want: int) -> tuple[LinkPattern, int]:
             eid = state >> 1
             seen |= 1 << eid
             if eid >= n_internal:
-                end = eid - n_internal
-                match[label[start]] = label[end]
-                match[label[end]] = label[start]
-                break
+                j = ends.get(eid)
+                if j is not None:
+                    match[i], match[j] = j, i
+                    break
+                eid = glue[eid]
+                seen |= 1 << eid
+                state = 2 * eid
     loops = 0
-    rest = bits & ~seen & ((1 << n_internal) - 1)
+    rest = bits & ~seen & ((1 << len(d.edges)) - 1)
     while rest:
         loops += 1
         first = (rest & -rest).bit_length() - 1
-        state = 2 * first + 1
+        state = 2 * first
         while True:
             for state in walk[state]:
                 if (bits >> (state >> 1)) & 1:
                     break
             eid = state >> 1
             rest &= ~(1 << eid)
+            if eid >= n_internal:
+                eid = glue[eid]
+                rest &= ~(1 << eid)
+                state = 2 * eid
             if eid == first:
                 break
     return LinkPattern(tuple(match)), loops
+
+
+def _trace_colour(phi: FplConfig, want: int) -> tuple[LinkPattern, int]:
+    """The link pattern and closed-loop count of one colour (white by
+    complementing the bits), every termination of it a path end,
+    labelled in anchor order."""
+    d = phi.domain
+    bits = phi.bits if want else ~phi.bits
+    ends: dict[int, int] = {}
+    for e in range(len(d.internal_edges), len(d.edges)):
+        if (bits >> e) & 1:
+            ends[e] = len(ends)
+    return _walk_paths(d, bits, ends, {})
 
 
 def link_data(phi: FplConfig) -> LinkData:

@@ -27,8 +27,6 @@ from .linkpat import (
     LinkPattern,
     LpVector,
     all_patterns,
-    apply_hamiltonian,
-    catalan,
     tl_e,
 )
 
@@ -209,33 +207,38 @@ class RsReport:
 def verify_rs(n: int) -> RsReport:
     """Certify that the refined counts are stationary and match the kernel.
 
-    Checks, all exactly: (H - 2n) applied to the count vector vanishes
-    componentwise; the kernel equals the count table entrywise; the
-    component sum matches the product formula.  The second needs no
-    elimination: under :func:`kernel_dimension_certificate` the kernel
-    is the line of one positive vector, so a count vector in it with a
-    positive entry at every pattern and coprime entries *is* the
-    coprime positive kernel vector :func:`stationary_vector` returns.
+    Builds the sparse H once and checks on it, all exactly: H has one
+    column of 2n in-range row indices per pattern (a malformed H fails
+    the report instead of raising); (H - 2n) applied to the count vector
+    vanishes componentwise; the kernel equals the count table entrywise;
+    the component sum matches the product formula.  The second needs no
+    elimination: when the same H is irreducible, as in
+    :func:`kernel_dimension_certificate`, the kernel is the line of one
+    positive vector, so a count vector in it with a positive entry at
+    every pattern and coprime entries *is* the coprime positive kernel
+    vector :func:`stationary_vector` returns.
     """
     counts = refined_counts(n, "+").as_vector()
-    residual = apply_hamiltonian(counts) - 2 * n * counts
-    rs_zero = residual.is_zero()
-    violation = ""
-    if not rs_zero:
-        word, coeff = sorted(
-            ((p.word, c) for p, c in residual.entries.items())
-        )[0]
-        violation = f"residual {coeff} at {word}"
-    values = list(counts.entries.values())
-    matches = (
-        rs_zero
-        and len(values) == catalan(n)
-        and all(v > 0 and v.denominator == 1 for v in values)
-        and math.gcd(*(int(v) for v in values)) == 1
-        and kernel_dimension_certificate(n)
-    )
-    if rs_zero and not matches:
-        violation = "kernel differs from counts"
+    h = build_h_matrix(n)
+    rs_zero = matches = False
+    violation = "H has a malformed column"
+    if _well_formed(h, n):
+        x = [counts.entries.get(p, 0) for p in h.basis]
+        first = min(
+            ((p.word, c) for p, c in zip(h.basis, _residual(h, x)) if c),
+            default=None,
+        )
+        rs_zero = first is None
+        violation = "" if rs_zero else f"residual {first[1]} at {first[0]}"
+        matches = (
+            rs_zero
+            and len(counts.entries) == len(x)
+            and all(v > 0 and v.denominator == 1 for v in x)
+            and math.gcd(*(int(v) for v in x)) == 1
+            and _irreducible(h)
+        )
+        if rs_zero and not matches:
+            violation = "kernel differs from counts"
     return RsReport(
         n=n,
         rs_is_zero=rs_zero,
@@ -259,6 +262,22 @@ def _reaches_all(succ) -> bool:
     return all(seen)
 
 
+def _well_formed(h: HamiltonianMatrix, n: int) -> bool:
+    """Whether every column of H holds 2n row indices inside the basis."""
+    size = len(h.basis)
+    return all(len(col) == 2 * n and all(0 <= i < size for i in col) for col in h.cols)
+
+
+def _irreducible(h: HamiltonianMatrix) -> bool:
+    """Whether a forward and a backward search from pattern 0 both
+    reach every pattern of a well-formed H."""
+    pred: list[list[int]] = [[] for _ in h.basis]
+    for j, col in enumerate(h.cols):
+        for i in col:
+            pred[i].append(j)
+    return _reaches_all(h.cols) and _reaches_all(pred)
+
+
 def kernel_dimension_certificate(n: int) -> bool:
     """Certify kernel dimension exactly one, by Perron-Frobenius.
 
@@ -272,11 +291,4 @@ def kernel_dimension_certificate(n: int) -> bool:
     (H - 2n) is a line.  No elimination is done.
     """
     h = build_h_matrix(n)
-    size = len(h.basis)
-    if any(len(col) != 2 * n or not all(0 <= i < size for i in col) for col in h.cols):
-        return False
-    pred: list[list[int]] = [[] for _ in range(size)]
-    for j, col in enumerate(h.cols):
-        for i in col:
-            pred[i].append(j)
-    return _reaches_all(h.cols) and _reaches_all(pred)
+    return _well_formed(h, n) and _irreducible(h)

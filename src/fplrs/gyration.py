@@ -21,10 +21,13 @@ each face's horizontal and vertical edge masks off the same ints.
 Link data on the glued graph is read over the bichromatic glued
 vertices (pairs whose two legs differ), labelled in pair order; both
 the black and the white matching live on those points, and closed
-monochromatic cycles are counted after gluing.  One pass preserves this
-triplet exactly; the rotation of anchor-labelled patterns appears only
-when reading the result back through the ungluing, and its direction is
-pinned empirically, not assumed.
+monochromatic cycles are counted after gluing.  The paths are walked by
+the flat tracer's walker in ``fplcore``: a monochromatic pair passes a
+path from one leg to the other, and may close a loop of legs alone.
+One pass preserves this triplet exactly; the rotation of
+anchor-labelled patterns appears only when reading the result back
+through the ungluing, and its direction is pinned empirically, not
+assumed.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .errors import InvalidTriplet
 from .fplcore import (
     FplConfig,
     _trace_colour,
+    _walk_paths,
     enumerate_configs,
     plaquette_indicator,
     psi_counts,
@@ -254,82 +258,21 @@ def pair_link_data(phi: FplConfig, g: GluedGraph) -> PairLinkData:
     colours are counted together.
     """
     d = g.domain
-    work = FplConfig(d, _swap_legs(phi.bits, g))
-    n_internal = len(d.internal_edges)
-    # generalized endpoints: internal edges join two vertices, a
-    # termination joins its vertex to its glued pair node ("p", i)
-    pair_node: dict[int, tuple] = {}
-    legs_of_pair: list[tuple[int, int]] = []
-    for i, (a, b) in enumerate(g.pairs):
+    bits = _swap_legs(phi.bits, g)
+    white: dict[int, int] = {}
+    black: dict[int, int] = {}
+    glue: dict[int, int] = {}
+    for (a, b), bichromatic in zip(g.pairs, g.bichromatic):
         ta, tb = d.termination_id(a), d.termination_id(b)
-        pair_node[ta] = pair_node[tb] = ("p", i)
-        legs_of_pair.append((ta, tb))
-    ends: list[tuple] = []
-    for e in range(len(d.edges)):
-        if e < n_internal:
-            ends.append(d.edge_vertices[e])
+        if bichromatic:
+            if (bits >> ta) & 1:
+                ta, tb = tb, ta
+            white[ta] = black[tb] = len(black)
         else:
-            ends.append((d.edge_vertices[e][0], pair_node[e]))
-    edges_of_vert = d.vertex_edges
-
-    def step(eid: int, node, colour: int) -> tuple[int, object]:
-        """Cross ``node`` coming in along ``eid``; return the next edge
-        and the node at its far side."""
-        if isinstance(node, tuple) and node and node[0] == "p":
-            ta, tb = legs_of_pair[node[1]]
-            nxt = tb if eid == ta else ta
-        else:
-            nxt = next(
-                e2
-                for e2 in edges_of_vert[node]
-                if e2 != eid and work.colour(e2) == colour
-            )
-        far = ends[nxt][1] if ends[nxt][0] == node else ends[nxt][0]
-        return nxt, far
-
-    bichromatic = [i for i, flag in enumerate(g.bichromatic) if flag]
-    label = {i: k for k, i in enumerate(bichromatic)}
-    seen: set[tuple[int, int]] = set()  # (edge, colour)
-    patterns: list[LinkPattern] = []
-    for colour in (1, 0):
-        match = [-1] * len(bichromatic)
-        for i in bichromatic:
-            ta, tb = legs_of_pair[i]
-            leg = ta if work.colour(ta) == colour else tb
-            if (leg, colour) in seen:
-                continue
-            seen.add((leg, colour))
-            eid, node = leg, ends[leg][0]
-            while True:
-                eid, node = step(eid, node, colour)
-                seen.add((eid, colour))
-                if isinstance(node, tuple) and node and node[0] == "p":
-                    j = node[1]
-                    if g.bichromatic[j]:
-                        match[label[i]], match[label[j]] = label[j], label[i]
-                        break
-                    # slide through the monochromatic glued vertex
-                    eid, node = step(eid, node, colour)
-                    seen.add((eid, colour))
-        patterns.append(LinkPattern(tuple(match)))
-
-    loops = 0
-    for colour in (1, 0):
-        todo = {
-            e
-            for e in range(len(d.edges))
-            if work.colour(e) == colour and (e, colour) not in seen
-        }
-        while todo:
-            loops += 1
-            start = todo.pop()
-            eid, node = start, ends[start][0]
-            while True:
-                eid, node = step(eid, node, colour)
-                if eid == start:
-                    break
-                todo.discard(eid)
-    return PairLinkData(patterns[0], patterns[1], loops)
+            glue[ta], glue[tb] = tb, ta
+    black_pattern, black_loops = _walk_paths(d, bits, black, glue)
+    white_pattern, white_loops = _walk_paths(d, ~bits, white, glue)
+    return PairLinkData(black_pattern, white_pattern, black_loops + white_loops)
 
 
 # ---------------------------------------------------------------------------

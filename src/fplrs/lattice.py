@@ -159,7 +159,8 @@ class Domain:
         box_holes = (x1 - x0 + 1) * (y1 - y0 + 1) - len(cells) - len(outside)
         if box_holes:
             raise ValueError("domain has a hole; not simply connected")
-        canon_terms, _ = _trace_boundary(cells)
+        # traced once here and cached; a pinched boundary raises
+        canon_terms, _ = self._canonical_boundary
         if not 0 <= self.anchor < len(canon_terms):
             raise ValueError("anchor out of range")
 

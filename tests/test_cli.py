@@ -280,8 +280,8 @@ class TestUnwritablePaths:
 
 class TestPinnedOutputs:
     """SHA-256 of stdout payloads that refactors of the orbit code, of
-    the identity census, of the RS certificate, of the gyration pass and
-    of the TL suite must keep byte for byte."""
+    the identity census, of the RS certificate, of the gyration pass, of
+    the glued tracer and of the TL suite must keep byte for byte."""
 
     @pytest.mark.parametrize(
         "argv, digest",
@@ -302,10 +302,13 @@ class TestPinnedOutputs:
              "5a33ed175b725fbb6456df0a3d4e04c4d230778d0afcaac33967b605ab08ebf8"),
             (("verify", "gyration-general", "--n-max", "4", "--seed", "1"),
              "dabfe0f091a605352c5330f933304d5b5370072c82cf10d76f5a44f2cc502107"),
+            (("verify", "gyration-general", "--n-max", "5"),
+             "513d2fa224209a0e5221c5e70e706334ddda18e98a63eecd0708bf470900857f"),
         ],
         ids=[
             "orbit-report-plus", "orbit-report-minus", "verify-orbits", "verify-identities",
             "verify-rs", "verify-tl-n7", "verify-orbits-n6", "verify-gyration-general-seed1",
+            "verify-gyration-general-n5",
         ],
     )
     def test_stdout_digest(self, capsys, argv, digest):

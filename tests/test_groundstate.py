@@ -266,3 +266,39 @@ class TestKernelDimension:
     def test_hand_built_matrix(self, monkeypatch, cols, certified):
         monkeypatch.setattr(groundstate, "build_h_matrix", lambda n: _toy(cols))
         assert kernel_dimension_certificate(2) is certified
+
+
+class TestVerifyRsOneH:
+    def test_each_pattern_capped_once(self, monkeypatch):
+        # one H serves the residual and the certificate, so every
+        # pattern meets each of the 2n generators exactly once
+        from fplrs import linkpat
+
+        calls = []
+        real = linkpat.tl_e
+
+        def counted(p, j):
+            calls.append(j)
+            return real(p, j)
+
+        monkeypatch.setattr(linkpat, "tl_e", counted)
+        monkeypatch.setattr(groundstate, "tl_e", counted)
+        assert verify_rs(5).passed
+        assert len(calls) == catalan(5) * 10 == 420
+
+    @pytest.mark.parametrize(
+        "n, cols",
+        [
+            (2, [[0, 1, 0, 1], [0, 1, 0]]),  # a short column
+            (2, [[0, 1, 0, 1], [0, 1, 0, 2]]),  # row 2 is outside the basis
+            (3, [[0, 1, 0, 1], [0, 1, 0, 1]]),  # the n=2 matrix asked for n=3
+        ],
+        ids=["short", "out-of-range", "wrong-size"],
+    )
+    def test_malformed_h_fails_the_report(self, monkeypatch, n, cols):
+        monkeypatch.setattr(groundstate, "build_h_matrix", lambda n: _toy(cols))
+        report = verify_rs(n)
+        assert not report.rs_is_zero
+        assert not report.kernel_matches_counts
+        assert not report.passed
+        assert report.first_violation == "H has a malformed column"

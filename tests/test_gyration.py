@@ -22,6 +22,8 @@ from fplrs.gyration import (
     orbit_faces,
     orbit_partition,
     orbit_plaquette_sum,
+    PairLinkData,
+    _swap_legs,
     pair_link_data,
     square_rotation_direction,
 )
@@ -104,6 +106,162 @@ class TestPassOracle:
         face_mask = sum(1 << e for e in face)
         expected = bits if kept else bits ^ face_mask
         assert psi.bits & face_mask == expected
+
+
+def _reference_pair_link_data(phi, g):
+    """The glued tracer as first written, over tuple pair nodes built
+    from ``vertex_edges`` and ``edge_vertices``.  Kept as the oracle for
+    the shared walker."""
+    d = g.domain
+    work = FplConfig(d, _swap_legs(phi.bits, g))
+    n_internal = len(d.internal_edges)
+    # generalized endpoints: internal edges join two vertices, a
+    # termination joins its vertex to its glued pair node ("p", i)
+    pair_node: dict[int, tuple] = {}
+    legs_of_pair: list[tuple[int, int]] = []
+    for i, (a, b) in enumerate(g.pairs):
+        ta, tb = d.termination_id(a), d.termination_id(b)
+        pair_node[ta] = pair_node[tb] = ("p", i)
+        legs_of_pair.append((ta, tb))
+    ends: list[tuple] = []
+    for e in range(len(d.edges)):
+        if e < n_internal:
+            ends.append(d.edge_vertices[e])
+        else:
+            ends.append((d.edge_vertices[e][0], pair_node[e]))
+    edges_of_vert = d.vertex_edges
+
+    def step(eid: int, node, colour: int) -> tuple[int, object]:
+        """Cross ``node`` coming in along ``eid``; return the next edge
+        and the node at its far side."""
+        if isinstance(node, tuple) and node and node[0] == "p":
+            ta, tb = legs_of_pair[node[1]]
+            nxt = tb if eid == ta else ta
+        else:
+            nxt = next(
+                e2
+                for e2 in edges_of_vert[node]
+                if e2 != eid and work.colour(e2) == colour
+            )
+        far = ends[nxt][1] if ends[nxt][0] == node else ends[nxt][0]
+        return nxt, far
+
+    bichromatic = [i for i, flag in enumerate(g.bichromatic) if flag]
+    label = {i: k for k, i in enumerate(bichromatic)}
+    seen: set[tuple[int, int]] = set()  # (edge, colour)
+    patterns: list[LinkPattern] = []
+    for colour in (1, 0):
+        match = [-1] * len(bichromatic)
+        for i in bichromatic:
+            ta, tb = legs_of_pair[i]
+            leg = ta if work.colour(ta) == colour else tb
+            if (leg, colour) in seen:
+                continue
+            seen.add((leg, colour))
+            eid, node = leg, ends[leg][0]
+            while True:
+                eid, node = step(eid, node, colour)
+                seen.add((eid, colour))
+                if isinstance(node, tuple) and node and node[0] == "p":
+                    j = node[1]
+                    if g.bichromatic[j]:
+                        match[label[i]], match[label[j]] = label[j], label[i]
+                        break
+                    # slide through the monochromatic glued vertex
+                    eid, node = step(eid, node, colour)
+                    seen.add((eid, colour))
+        patterns.append(LinkPattern(tuple(match)))
+
+    loops = 0
+    for colour in (1, 0):
+        todo = {
+            e
+            for e in range(len(d.edges))
+            if work.colour(e) == colour and (e, colour) not in seen
+        }
+        while todo:
+            loops += 1
+            start = todo.pop()
+            eid, node = start, ends[start][0]
+            while True:
+                eid, node = step(eid, node, colour)
+                if eid == start:
+                    break
+                todo.discard(eid)
+    return PairLinkData(patterns[0], patterns[1], loops)
+
+
+def _glued_components(phi, g):
+    """The monochromatic components of the glued graph as edge lists,
+    by union-find: the two edges of one colour at every vertex are
+    joined, and so are the two legs of every monochromatic pair."""
+    d = g.domain
+    bits = _swap_legs(phi.bits, g)
+    parent = list(range(len(d.edges)))
+
+    def find(e):
+        while parent[e] != e:
+            e = parent[e]
+        return e
+
+    for slots in d.vertex_edges.values():
+        for colour in (0, 1):
+            a, b = [e for e in slots if (bits >> e) & 1 == colour]
+            parent[find(a)] = find(b)
+    for (a, b), bichromatic in zip(g.pairs, g.bichromatic):
+        if not bichromatic:
+            parent[find(d.termination_id(a))] = find(d.termination_id(b))
+    comps: dict[int, list[int]] = {}
+    for e in range(len(d.edges)):
+        comps.setdefault(find(e), []).append(e)
+    return list(comps.values())
+
+
+class TestGluedWalkerOracle:
+    """The glued tracer on the shared walker against the tuple-node
+    reference, and its loop count against a union-find count."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("parity", ["plus", "minus"])
+    @pytest.mark.parametrize("sign", "+-")
+    def test_every_square_config(self, n, parity, sign):
+        d, t = build_square(n, sign)
+        g = glue_and_gamma(d, t, parity)
+        for phi in enumerate_configs(d, t):
+            assert pair_link_data(phi, g) == _reference_pair_link_data(phi, g)
+
+    def test_random_domains_with_swaps(self):
+        rng = random.Random(20100615)
+        swapped = through = leg_loops = 0
+        for k in range(20):
+            parity = "plus" if k % 2 == 0 else "minus"
+            d, t = random_glueable(rng, rng.randint(6, 20), parity)
+            g = glue_and_gamma(d, t, parity, allow_swaps=True)
+            swapped += bool(g.swaps)
+            n_internal = len(d.internal_edges)
+            ends = {
+                d.termination_id(k)
+                for (a, b), bichromatic in zip(g.pairs, g.bichromatic)
+                if bichromatic
+                for k in (a, b)
+            }
+            for phi in enumerate_configs(d, t):
+                got = pair_link_data(phi, g)
+                assert got == _reference_pair_link_data(phi, g)
+                closed = 0
+                for comp in _glued_components(phi, g):
+                    legs = [e for e in comp if e >= n_internal]
+                    if ends.intersection(legs):
+                        through += len(legs) > 2
+                    else:
+                        closed += 1
+                        leg_loops += len(legs) == len(comp)
+                assert got.loops == closed
+        # the leg swaps, the pass through a monochromatic pair and the
+        # loops closed by glued legs alone are all exercised
+        assert swapped > 0
+        assert through > 0
+        assert leg_loops > 0
 
 
 class TestPass:
@@ -241,9 +399,11 @@ class TestGyrate:
 
 class TestTracerAgreement:
     """The flat tracer (anchor labels) and the glued tracer (pair
-    labels) are independent implementations; on the alternating square
-    every pair holds exactly one black leg, the i-th one, so the two
-    black patterns and the loop counts must coincide."""
+    labels) share one walker, so agreeing here does not make either
+    right; the reference tracers of both are what keep the check
+    independent.  On the alternating square every pair holds exactly
+    one black leg, the i-th one, so the two black patterns and the loop
+    counts must coincide."""
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("sign", ["+", "-"])

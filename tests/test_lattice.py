@@ -70,6 +70,23 @@ class TestDomain:
         assert again == d
         assert again.terminations == d.terminations
 
+    def test_boundary_traced_once(self, monkeypatch):
+        # the anchor check at construction reads the cached trace that
+        # terminations and steps use
+        from fplrs import lattice
+
+        calls = []
+        real = lattice._trace_boundary
+
+        def counted(cells):
+            calls.append(len(cells))
+            return real(cells)
+
+        monkeypatch.setattr(lattice, "_trace_boundary", counted)
+        d, _ = build_square(3, "+")
+        assert d.terminations and d.steps
+        assert calls == [9]
+
     def test_anchor_rotates_terminations(self):
         d0 = l_shape()
         d3 = Domain(d0.cells, anchor=3)
