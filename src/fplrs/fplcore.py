@@ -37,7 +37,6 @@ import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Mapping, Sequence
@@ -252,13 +251,11 @@ def asm_count_formula(n: int) -> int:
     """1, 2, 7, 42, 429, ... via the running-ratio form of the product."""
     if n < 1:
         raise ValueError("n must be positive")
-    value = Fraction(1)
     a = 1
     for k in range(1, n):
-        value = Fraction(a) * math.comb(3 * k + 1, k) / math.comb(2 * k, k)
-        if value.denominator != 1:
+        a, rem = divmod(a * math.comb(3 * k + 1, k), math.comb(2 * k, k))
+        if rem:
             raise AssertionError("running product left the integers")
-        a = value.numerator
     return a
 
 

@@ -7,12 +7,11 @@ applied to basis[j].  H is nonnegative and every column sums to 2n, so
 2n is its spectral radius; when the digraph j -> e_k(j) is strongly
 connected, Perron-Frobenius makes 2n a simple eigenvalue with a
 positive eigenvector.  The kernel-dimension certificate is therefore a
-graph search, and the Razumov-Stroganov check needs no elimination: a
-positive, coprime integer vector that (H - 2n) kills is the stationary
-vector.  The stationary vector itself comes from the row echelon form
-of the shifted matrix modulo 31-bit primes, lifted by CRT and rational
-reconstruction.  No floating point, no tolerance: a vector built from
-residues is accepted only after an exact integer residual check.
+graph search, and a positive vector that (H - 2n) kills exactly is the
+stationary vector.  :func:`stationary_vector` solves for it on the
+rotation classes, modulo 31-bit primes lifted by CRT and rational
+reconstruction, and accepts it only by those exact checks on the full
+H.  No floating point, no tolerance.
 """
 
 from __future__ import annotations
@@ -27,6 +26,8 @@ from .linkpat import (
     LinkPattern,
     LpVector,
     all_patterns,
+    rotation_class_of,
+    rotation_classes,
     tl_e,
 )
 
@@ -39,7 +40,6 @@ __all__ = [
     "kernel_dimension_certificate",
 ]
 
-# 31-bit, so every product of two residues fits in an int64
 _PRIMES = (2_147_483_629, 2_147_483_587, 2_147_483_579, 2_147_483_563, 2_147_483_549)
 
 
@@ -65,59 +65,53 @@ def build_h_matrix(n: int) -> HamiltonianMatrix:
     return HamiltonianMatrix(n, basis, cols)
 
 
-def _echelon_mod(h: HamiltonianMatrix, prime: int):
-    """Row echelon form of (H - 2n) modulo ``prime``.
+def _quotient(h: HamiltonianMatrix, n: int) -> tuple[list[int], list[list[int]]]:
+    """The rotation class of every basis index, and (H - 2n) on the
+    classes: row c is row (H - 2n) at the representative of class c,
+    its columns summed over each class.  Rotation commutes with H, so
+    the kernel vector is constant on classes and solves this system."""
+    number = {rc.representative: c for c, rc in enumerate(rotation_classes(n))}
+    class_of = [number[rotation_class_of(p)] for p in h.basis]
+    rep_rows = {i: number[p] for i, p in enumerate(h.basis) if p in number}
+    m = [[0] * len(number) for _ in number]
+    for j, col in enumerate(h.cols):
+        for i in col:
+            if i in rep_rows:
+                m[rep_rows[i]][class_of[j]] += 1
+    for c, row in enumerate(m):
+        row[c] -= 2 * n
+    return class_of, m
 
-    Returns the pivot rows, each scaled so its pivot is 1, as an int64
-    array, and the increasing tuple of their pivot columns.
-    """
-    import numpy as np
 
-    size = len(h.basis)
-    a = np.zeros((size, size), dtype=np.int64)
-    # a[i, j] += 1 for each i in cols[j]
-    np.add.at(a, (np.array(h.cols), np.arange(size)[:, None]), 1)
-    a[np.diag_indices(size)] -= 2 * h.n
-    a %= prime
+def _kernel_mod(a: list[list[int]], prime: int) -> tuple[int, list[int]] | None:
+    """The kernel vector of the square matrix ``a`` modulo ``prime``
+    with its free coordinate set to 1, as (free column, residues); None
+    unless the rank is size - 1."""
+    size = len(a)
+    rows = [[v % prime for v in row] for row in a]
     pivots: list[int] = []
     for col in range(size):
-        row = len(pivots)
-        nz = row + np.nonzero(a[row:, col])[0]
-        if nz.size == 0:
+        r = len(pivots)
+        below = [k for k in range(r, size) if rows[k][col]]
+        if not below:
             continue
-        p = int(nz[0])
-        if p != row:
-            a[[row, p]] = a[[p, row]]
-        inv = pow(int(a[row, col]), prime - 2, prime)
-        # rows from `row` down are zero left of col, so only the columns
-        # from col on change
-        a[row, col:] = (a[row, col:] * inv) % prime
-        # H is sparse: only the rows below with a nonzero in this column
-        # change, and after the swap those are exactly nz[1:]
-        below = nz[1:]
-        a[below, col:] = (a[below, col:] - np.outer(a[below, col], a[row, col:])) % prime
+        rows[r], rows[below[0]] = rows[below[0]], rows[r]
+        inv = pow(rows[r][col], -1, prime)
+        # rows from r down are zero left of col, so only columns col on change
+        pivot = rows[r][col:] = [v * inv % prime for v in rows[r][col:]]
+        # after the swap the rows below with a nonzero here are below[1:]
+        for k in below[1:]:
+            f = rows[k][col]
+            rows[k][col:] = [(v - f * w) % prime for v, w in zip(rows[k][col:], pivot)]
         pivots.append(col)
-    return a[:len(pivots)], tuple(pivots)
-
-
-def _kernel_mod(h: HamiltonianMatrix, prime: int) -> tuple[int, list[int]] | None:
-    """The kernel vector of (H - 2n) mod ``prime`` with its free
-    coordinate set to 1, as (free column, residues); None unless the
-    rank is size - 1.  The echelon dies with this call, so a caller
-    looping over primes never holds two."""
-    rows, cols = _echelon_mod(h, prime)
-    size = len(h.basis)
-    if len(cols) != size - 1:
+    if len(pivots) != size - 1:
         return None
-    free = min(set(range(size)).difference(cols))
-    # back substitution, one pivot column at a time: acc[i] holds
-    # row i of the echelon applied to the coordinates fixed so far
+    free = min(set(range(size)).difference(pivots))
+    # back substitution, each pivot row fixing its pivot coordinate
     x = [0] * size
     x[free] = 1
-    acc = rows[:, free].copy()
-    for i in reversed(range(len(cols))):
-        x[cols[i]] = -int(acc[i]) % prime
-        acc[:i] = (acc[:i] + rows[:i, cols[i]] * x[cols[i]]) % prime
+    for row, col in reversed(list(zip(rows, pivots))):
+        x[col] = -sum(v * w for v, w in zip(row[col + 1:], x[col + 1:])) % prime
     return free, x
 
 
@@ -147,24 +141,24 @@ def _residual(h: HamiltonianMatrix, x: list[int]) -> list[int]:
 def stationary_vector(n: int) -> LpVector:
     """Exact kernel vector of (H - 2n), as coprime positive integers.
 
-    For each prime of ``_PRIMES`` whose echelon has rank size - 1,
-    the kernel vector mod p with its free coordinate set to 1 is
-    CRT-combined with those of the earlier primes that had the same
-    free column, and every coordinate is rationally reconstructed.  A
-    candidate is returned only when it is strictly positive and killed
-    exactly by the integer matrix, so no modular step needs trusting.
-    Raises :class:`KernelDimensionError` when the primes run out (the
-    kernel is always a line; a failure means a bug upstream).
+    For each prime of ``_PRIMES`` where the rotation quotient has rank
+    size - 1, its kernel vector mod p with the free coordinate set to 1
+    is CRT-combined with those of the earlier primes that had the same
+    free column and rationally reconstructed.  The class values, spread
+    over every pattern, are returned only when :func:`_pf_violation`
+    accepts them on the full H, so neither the quotient nor a modular
+    step needs trusting.  Raises :class:`KernelDimensionError` when the
+    primes run out (a failure means a bug upstream).
     """
     h = build_h_matrix(n)
-    size = len(h.basis)
+    class_of, q = _quotient(h, n)
     combined: dict[int, tuple[list[int], int]] = {}
     for prime in _PRIMES:
-        solved = _kernel_mod(h, prime)
+        solved = _kernel_mod(q, prime)
         if solved is None:
             continue
         free, x = solved
-        residues, m = combined.get(free, ([0] * size, 1))
+        residues, m = combined.get(free, ([0] * len(q), 1))
         # CRT: lift each residue mod m to the one mod m*prime agreeing with x
         minv = pow(m, -1, prime)
         residues = [r + m * ((xi - r) * minv % prime) for r, xi in zip(residues, x)]
@@ -176,8 +170,8 @@ def stationary_vector(n: int) -> LpVector:
         # the free coordinate is 1, so clearing the denominators leaves
         # coprime integers, positive there
         scale = math.lcm(*(f.denominator for f in fracs))
-        ints = [int(f * scale) for f in fracs]
-        if all(v > 0 for v in ints) and _residual(h, ints) == [0] * size:
+        ints = [int(fracs[c] * scale) for c in class_of]
+        if not _pf_violation(h, n, ints):
             return LpVector(n, {p: Fraction(v) for p, v in zip(h.basis, ints)})
     raise KernelDimensionError(
         f"no exact kernel vector of the shifted matrix at n={n} from {len(_PRIMES)} primes"
@@ -207,42 +201,25 @@ class RsReport:
 def verify_rs(n: int) -> RsReport:
     """Certify that the refined counts are stationary and match the kernel.
 
-    Builds the sparse H once and checks on it, all exactly: H has one
-    column of 2n in-range row indices per pattern (a malformed H fails
-    the report instead of raising); (H - 2n) applied to the count vector
-    vanishes componentwise; the kernel equals the count table entrywise;
-    the component sum matches the product formula.  The second needs no
-    elimination: when the same H is irreducible, as in
-    :func:`kernel_dimension_certificate`, the kernel is the line of one
-    positive vector, so a count vector in it with a positive entry at
-    every pattern and coprime entries *is* the coprime positive kernel
-    vector :func:`stationary_vector` returns.
+    Builds the sparse H once.  The count vector, read over the basis,
+    must pass :func:`_pf_violation` (a malformed H fails the report
+    instead of raising), which makes it a positive vector spanning the
+    kernel; with integer, coprime entries and none outside the basis it
+    *is* the vector :func:`stationary_vector` returns.  The component
+    sum must match the product formula.
     """
     counts = refined_counts(n, "+").as_vector()
     h = build_h_matrix(n)
-    rs_zero = matches = False
-    violation = "H has a malformed column"
-    if _well_formed(h, n):
-        x = [counts.entries.get(p, 0) for p in h.basis]
-        first = min(
-            ((p.word, c) for p, c in zip(h.basis, _residual(h, x)) if c),
-            default=None,
-        )
-        rs_zero = first is None
-        violation = "" if rs_zero else f"residual {first[1]} at {first[0]}"
-        matches = (
-            rs_zero
-            and len(counts.entries) == len(x)
-            and all(v > 0 and v.denominator == 1 for v in x)
-            and math.gcd(*(int(v) for v in x)) == 1
-            and _irreducible(h)
-        )
-        if rs_zero and not matches:
-            violation = "kernel differs from counts"
+    x = [counts.entries.get(p, 0) for p in h.basis]
+    violation = _pf_violation(h, n, x)
+    rs_zero = violation in ("", _NOT_THE_KERNEL)
+    whole = len(counts.entries) == len(x) and all(v.denominator == 1 for v in x)
+    if not violation and not (whole and math.gcd(*(int(v) for v in x)) == 1):
+        violation = _NOT_THE_KERNEL
     return RsReport(
         n=n,
         rs_is_zero=rs_zero,
-        kernel_matches_counts=matches,
+        kernel_matches_counts=not violation,
         total=int(counts.total()),
         expected_total=asm_count_formula(n),
         first_violation=violation,
@@ -276,6 +253,23 @@ def _irreducible(h: HamiltonianMatrix) -> bool:
         for i in col:
             pred[i].append(j)
     return _reaches_all(h.cols) and _reaches_all(pred)
+
+
+_NOT_THE_KERNEL = "kernel differs from counts"
+
+
+def _pf_violation(h: HamiltonianMatrix, n: int, x: list) -> str:
+    """Why ``x`` does not span the kernel of (H - 2n), or "" when it
+    does: H well formed, (H - 2n) x exactly zero, x positive and H
+    irreducible, as in :func:`kernel_dimension_certificate`."""
+    if not _well_formed(h, n):
+        return "H has a malformed column"
+    first = min(((p.word, c) for p, c in zip(h.basis, _residual(h, x)) if c), default=None)
+    if first is not None:
+        return f"residual {first[1]} at {first[0]}"
+    if all(v > 0 for v in x) and _irreducible(h):
+        return ""
+    return _NOT_THE_KERNEL
 
 
 def kernel_dimension_certificate(n: int) -> bool:

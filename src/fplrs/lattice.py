@@ -129,38 +129,13 @@ class Domain:
         object.__setattr__(self, "cells", cells)
         if not cells:
             raise ValueError("domain needs at least one cell")
-        # edge-connectivity
-        seen = {next(iter(cells))}
-        frontier = list(seen)
-        while frontier:
-            v = frontier.pop()
-            for d in range(4):
-                w = _neighbour(v, d)
-                if w in cells and w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        if seen != cells:
-            raise ValueError("cells are not edge-connected")
-        # simple connectivity: every absent cell of the padded bounding
-        # box must reach the outer margin
-        xs = [c[0] for c in cells]
-        ys = [c[1] for c in cells]
-        x0, x1 = min(xs) - 1, max(xs) + 1
-        y0, y1 = min(ys) - 1, max(ys) + 1
-        outside = {(x0, y0)}
-        frontier = [(x0, y0)]
-        while frontier:
-            v = frontier.pop()
-            for d in range(4):
-                w = _neighbour(v, d)
-                if x0 <= w[0] <= x1 and y0 <= w[1] <= y1 and w not in cells and w not in outside:
-                    outside.add(w)
-                    frontier.append(w)
-        box_holes = (x1 - x0 + 1) * (y1 - y0 + 1) - len(cells) - len(outside)
-        if box_holes:
-            raise ValueError("domain has a hole; not simply connected")
-        # traced once here and cached; a pinched boundary raises
+        # traced once here and cached; a pinched boundary raises.  A
+        # second component or a hole leaves legs off the outer walk, so
+        # the walk falls short of the 4|cells| - 2|adjacent pairs| legs
         canon_terms, _ = self._canonical_boundary
+        pairs = sum(((x + 1, y) in cells) + ((x, y + 1) in cells) for x, y in cells)
+        if len(canon_terms) != 4 * len(cells) - 2 * pairs:
+            raise ValueError("cells are not edge-connected or enclose a hole; not simply connected")
         if not 0 <= self.anchor < len(canon_terms):
             raise ValueError("anchor out of range")
 

@@ -329,17 +329,19 @@ def _numpy_loaded_after(probe: str) -> bool:
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    # numpy is imported inside the linear algebra only, so start-up
-    # stays light for every command that does not need it
+    # the package does not depend on numpy, so nothing may pull it in
+    # at start-up
     assert not _numpy_loaded_after("import fplrs.cli")
 
 
 def test_rs_certificate_leaves_numpy_unloaded():
-    # the Perron-Frobenius certificate is a graph search: no elimination
-    # on the path of kernel_dimension_certificate or verify_rs
+    # the Perron-Frobenius certificate is a graph search and the
+    # stationary vector an echelon on lists, so no path of groundstate
+    # needs numpy
     assert not _numpy_loaded_after(
-        "from fplrs.groundstate import kernel_dimension_certificate, verify_rs; "
-        "assert kernel_dimension_certificate(7); assert verify_rs(5).passed"
+        "from fplrs.groundstate import kernel_dimension_certificate, stationary_vector, verify_rs; "
+        "assert kernel_dimension_certificate(7); assert verify_rs(5).passed; "
+        "assert stationary_vector(7).total() == 218348"
     )
 
 

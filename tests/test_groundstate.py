@@ -8,6 +8,7 @@ import pytest
 
 from fplrs import groundstate
 from fplrs.cli import main
+from fplrs.errors import KernelDimensionError
 from fplrs.fplcore import asm_count_formula, refined_counts
 from fplrs.groundstate import (
     HamiltonianMatrix,
@@ -102,10 +103,9 @@ class TestStationaryVector:
         assert math.gcd(*values) == 1
         assert len(values) == catalan(n)
 
-    @pytest.mark.slow
     def test_n8(self):
         # the smallest size where one prime's modulus is too small to
-        # reconstruct the vector, so the only run through the CRT lift
+        # reconstruct the vector, so the first run through the CRT lift
         vec = stationary_vector(8)
         assert len(vec.entries) == catalan(8) == 1430
         assert vec.total() == asm_count_formula(8) == 10850216
@@ -114,6 +114,10 @@ class TestStationaryVector:
         assert apply_rotation(vec, 1) == vec
         # the Razumov-Stroganov identity at n=8, against the refined table
         assert vec == refined_counts(8).as_vector()
+
+    @pytest.mark.slow
+    def test_n9(self):
+        assert stationary_vector(9) == refined_counts(9).as_vector()
 
 
 class TestRationalReconstruction:
@@ -266,6 +270,16 @@ class TestKernelDimension:
     def test_hand_built_matrix(self, monkeypatch, cols, certified):
         monkeypatch.setattr(groundstate, "build_h_matrix", lambda n: _toy(cols))
         assert kernel_dimension_certificate(2) is certified
+
+    def test_reducible_h_has_no_stationary_vector(self, monkeypatch):
+        # the two blocks form one rotation class, so the quotient is the
+        # 1x1 zero matrix and (1, 1) has zero residual on the toy H: only
+        # the irreducibility check rejects it
+        cols = [[0, 0, 0, 0], [1, 1, 1, 1]]
+        monkeypatch.setattr(groundstate, "build_h_matrix", lambda n: _toy(cols))
+        assert groundstate._residual(_toy(cols), [1, 1]) == [0, 0]
+        with pytest.raises(KernelDimensionError):
+            stationary_vector(2)
 
 
 class TestVerifyRsOneH:

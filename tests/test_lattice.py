@@ -9,6 +9,8 @@ from fplrs.errors import InvalidTriplet
 from fplrs.lattice import (
     BoundaryCondition,
     Domain,
+    _neighbour,
+    _trace_boundary,
     boundary_string,
     build_square,
     glue_and_gamma,
@@ -92,6 +94,64 @@ class TestDomain:
         d3 = Domain(d0.cells, anchor=3)
         assert d3.terminations == d0.terminations[3:] + d0.terminations[:3]
         assert d3.steps == d0.steps[3:] + d0.steps[:3]
+
+
+def _reference_accepts(cells):
+    """Reference acceptance for Domain, independent of its leg count: an
+    edge-connectivity search, a hole search over the padded bounding
+    box, then the boundary trace's pinch check."""
+    # edge-connectivity
+    seen = {next(iter(cells))}
+    frontier = list(seen)
+    while frontier:
+        v = frontier.pop()
+        for d in range(4):
+            w = _neighbour(v, d)
+            if w in cells and w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    if seen != cells:
+        return False
+    # simple connectivity: every absent cell of the padded bounding
+    # box must reach the outer margin
+    xs = [c[0] for c in cells]
+    ys = [c[1] for c in cells]
+    x0, x1 = min(xs) - 1, max(xs) + 1
+    y0, y1 = min(ys) - 1, max(ys) + 1
+    outside = {(x0, y0)}
+    frontier = [(x0, y0)]
+    while frontier:
+        v = frontier.pop()
+        for d in range(4):
+            w = _neighbour(v, d)
+            if x0 <= w[0] <= x1 and y0 <= w[1] <= y1 and w not in cells and w not in outside:
+                outside.add(w)
+                frontier.append(w)
+    box_holes = (x1 - x0 + 1) * (y1 - y0 + 1) - len(cells) - len(outside)
+    if box_holes:
+        return False
+    try:
+        _trace_boundary(cells)
+    except ValueError:
+        return False
+    return True
+
+
+def test_domain_acceptance_matches_the_searches():
+    # every nonempty subset of a 4x4 box: the leg count accepts exactly
+    # the connected, hole-free, unpinched sets
+    box = [(x, y) for y in range(4) for x in range(4)]
+    accepted = 0
+    for mask in range(1, 1 << len(box)):
+        cells = frozenset(c for k, c in enumerate(box) if mask >> k & 1)
+        try:
+            Domain(cells)
+            ok = True
+        except ValueError:
+            ok = False
+        assert ok == _reference_accepts(cells), sorted(cells)
+        accepted += ok
+    assert accepted == 9349
 
 
 class TestBoundaryString:
