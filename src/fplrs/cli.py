@@ -31,7 +31,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import FplrsError
-from .fplcore import asm_count_formula, enumerate_configs, refined_counts
+from .fplcore import asm_count_formula, count_configs, enumerate_configs, refined_counts
 from .gyration import (
     apply_h,
     generalized_gyration_check,
@@ -439,7 +439,8 @@ def _conservation_lines(d, t, parity, lines, label) -> None:
         CheckLine(
             "gyration-general",
             f"pass is an involution onto the complement, {label}",
-            ok_inv and ok_bc,
+            # the DFS and the sweep must also agree on the ensemble
+            ok_inv and ok_bc and count == count_configs(d, t),
             f"{count} configs, swaps={g.swaps}",
         )
     )

@@ -132,23 +132,19 @@ def _search(
                 continue
             colour[e] = c
             trail.append(e)
+            # count both endpoints before failing: undo uncounts both
+            counts = nb if c else nw
+            over = False
             for v in vert_of_edge[e]:
-                if c:
-                    nb[v] += 1
-                    if nb[v] > 2:
-                        return False
-                    if nb[v] == 2:
-                        for e2 in edges_of_vert[v]:
-                            if colour[e2] < 0:
-                                stack.append((e2, 0))
-                else:
-                    nw[v] += 1
-                    if nw[v] > 2:
-                        return False
-                    if nw[v] == 2:
-                        for e2 in edges_of_vert[v]:
-                            if colour[e2] < 0:
-                                stack.append((e2, 1))
+                counts[v] += 1
+                if counts[v] > 2:
+                    over = True
+                elif counts[v] == 2:
+                    for e2 in edges_of_vert[v]:
+                        if colour[e2] < 0:
+                            stack.append((e2, 1 - c))
+            if over:
+                return False
         return True
 
     def undo(mark: int) -> None:
@@ -303,6 +299,8 @@ def _walk_paths(
             for state in walk[state]:
                 if (bits >> (state >> 1)) & 1:
                     break
+            else:
+                raise ValueError("a path of the colour stops at an inner vertex")
             eid = state >> 1
             seen |= 1 << eid
             if eid >= n_internal:
@@ -323,6 +321,8 @@ def _walk_paths(
             for state in walk[state]:
                 if (bits >> (state >> 1)) & 1:
                     break
+            else:
+                raise ValueError("a loop of the colour stops at an inner vertex")
             eid = state >> 1
             rest &= ~(1 << eid)
             if eid >= n_internal:

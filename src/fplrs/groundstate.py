@@ -9,9 +9,10 @@ connected, Perron-Frobenius makes 2n a simple eigenvalue with a
 positive eigenvector.  The kernel-dimension certificate is therefore a
 graph search, and a positive vector that (H - 2n) kills exactly is the
 stationary vector.  :func:`stationary_vector` solves for it on the
-rotation classes, modulo 31-bit primes lifted by CRT and rational
-reconstruction, and accepts it only by those exact checks on the full
-H.  No floating point, no tolerance.
+dihedral classes by one sparse elimination modulo the prime 2^61 - 1,
+with the nested arcs at 1 so that the entries are integers, and accepts
+it only by those exact checks on the full H.  No floating point, no
+tolerance.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from .linkpat import (
     LinkPattern,
     LpVector,
     all_patterns,
-    rotation_class_of,
-    rotation_classes,
+    reflect,
+    rotate,
     tl_e,
 )
 
@@ -40,7 +41,7 @@ __all__ = [
     "kernel_dimension_certificate",
 ]
 
-_PRIMES = (2_147_483_629, 2_147_483_587, 2_147_483_579, 2_147_483_563, 2_147_483_549)
+_PRIME = 2**61 - 1
 
 
 @dataclass(frozen=True)
@@ -65,68 +66,69 @@ def build_h_matrix(n: int) -> HamiltonianMatrix:
     return HamiltonianMatrix(n, basis, cols)
 
 
-def _quotient(h: HamiltonianMatrix, n: int) -> tuple[list[int], list[list[int]]]:
-    """The rotation class of every basis index, and (H - 2n) on the
-    classes: row c is row (H - 2n) at the representative of class c,
-    its columns summed over each class.  Rotation commutes with H, so
-    the kernel vector is constant on classes and solves this system."""
-    number = {rc.representative: c for c, rc in enumerate(rotation_classes(n))}
-    class_of = [number[rotation_class_of(p)] for p in h.basis]
-    rep_rows = {i: number[p] for i, p in enumerate(h.basis) if p in number}
-    m = [[0] * len(number) for _ in number]
+def _quotient(h: HamiltonianMatrix, n: int) -> tuple[list[int], list[dict[int, int]]]:
+    """The dihedral class of every basis index, and (H - 2n) on the
+    classes as sparse rows: row c is row (H - 2n) at the first index of
+    class c, its columns summed over each class.  Rotation and
+    reflection commute with H, so the kernel vector is constant on
+    classes and solves this system.  The nested arcs, basis[0], are
+    class 0."""
+    index = {p: i for i, p in enumerate(h.basis)}
+    class_of = [-1] * len(h.basis)
+    first: dict[int, int] = {}
+    for i, p in enumerate(h.basis):
+        if class_of[i] < 0:
+            for q in (p, reflect(p)):
+                for _ in range(2 * n):
+                    class_of[index[q]] = len(first)
+                    q = rotate(q)
+            first[i] = len(first)
+    rows: list[dict[int, int]] = [{c: -2 * n} for c in range(len(first))]
     for j, col in enumerate(h.cols):
         for i in col:
-            if i in rep_rows:
-                m[rep_rows[i]][class_of[j]] += 1
-    for c, row in enumerate(m):
-        row[c] -= 2 * n
-    return class_of, m
+            if i in first:
+                row = rows[first[i]]
+                row[class_of[j]] = row.get(class_of[j], 0) + 1
+    return class_of, [{c: v for c, v in row.items() if v} for row in rows]
 
 
-def _kernel_mod(a: list[list[int]], prime: int) -> tuple[int, list[int]] | None:
-    """The kernel vector of the square matrix ``a`` modulo ``prime``
-    with its free coordinate set to 1, as (free column, residues); None
-    unless the rank is size - 1."""
-    size = len(a)
-    rows = [[v % prime for v in row] for row in a]
-    pivots: list[int] = []
-    for col in range(size):
-        r = len(pivots)
-        below = [k for k in range(r, size) if rows[k][col]]
-        if not below:
-            continue
-        rows[r], rows[below[0]] = rows[below[0]], rows[r]
-        inv = pow(rows[r][col], -1, prime)
-        # rows from r down are zero left of col, so only columns col on change
-        pivot = rows[r][col:] = [v * inv % prime for v in rows[r][col:]]
-        # after the swap the rows below with a nonzero here are below[1:]
-        for k in below[1:]:
-            f = rows[k][col]
-            rows[k][col:] = [(v - f * w) % prime for v, w in zip(rows[k][col:], pivot)]
-        pivots.append(col)
-    if len(pivots) != size - 1:
+def _kernel_mod(rows: list[dict[int, int]], prime: int) -> list[int] | None:
+    """The kernel vector of the square sparse matrix ``rows`` modulo
+    ``prime`` with x_0 = 1, or None unless the rank is size - 1 with
+    x_0 free.
+
+    Eliminates the columns from the last down to 1, each on the
+    shortest pending row that holds it, so a pivot row holds its own
+    column and lower ones only; the one row left over must vanish.
+    Back substitution then runs upwards from x_0.
+    """
+    pending = [{c: v % prime for c, v in row.items() if v % prime} for row in rows]
+    pivots: list[tuple[int, dict[int, int]]] = []
+    for col in range(len(rows) - 1, 0, -1):
+        holding = [row for row in pending if col in row]
+        if not holding:
+            return None
+        pivot = min(holding, key=len)
+        pending = [row for row in pending if row is not pivot]
+        inv = pow(pivot[col], -1, prime)
+        for row in holding:
+            if row is not pivot:
+                f = row[col] * inv % prime
+                for c, v in pivot.items():
+                    w = (row.get(c, 0) - f * v) % prime
+                    if w:
+                        row[c] = w
+                    else:
+                        del row[c]
+        pivots.append((col, pivot))
+    if pending[0]:
         return None
-    free = min(set(range(size)).difference(pivots))
-    # back substitution, each pivot row fixing its pivot coordinate
-    x = [0] * size
-    x[free] = 1
-    for row, col in reversed(list(zip(rows, pivots))):
-        x[col] = -sum(v * w for v, w in zip(row[col + 1:], x[col + 1:])) % prime
-    return free, x
-
-
-def _rational(u: int, m: int) -> Fraction | None:
-    """The fraction r/s with |r|, s <= sqrt(m/2) congruent to u mod m,
-    or None when there is none (rational reconstruction by the extended
-    Euclidean algorithm)."""
-    bound = math.isqrt(m // 2)
-    r0, r1, t0, t1 = m, u % m, 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
-    if abs(t1) > bound or math.gcd(r1, t1) != 1:
-        return None
-    return Fraction(r1, t1)
+    x = [0] * len(rows)
+    x[0] = 1
+    for col, row in reversed(pivots):
+        rest = sum(v * x[c] for c, v in row.items() if c != col)
+        x[col] = -rest * pow(row[col], -1, prime) % prime
+    return x
 
 
 def _residual(h: HamiltonianMatrix, x: list[int]) -> list[int]:
@@ -139,42 +141,28 @@ def _residual(h: HamiltonianMatrix, x: list[int]) -> list[int]:
 
 
 def stationary_vector(n: int) -> LpVector:
-    """Exact kernel vector of (H - 2n), as coprime positive integers.
+    """Exact kernel vector of (H - 2n), as positive integers with the
+    nested arcs at 1.
 
-    For each prime of ``_PRIMES`` where the rotation quotient has rank
-    size - 1, its kernel vector mod p with the free coordinate set to 1
-    is CRT-combined with those of the earlier primes that had the same
-    free column and rationally reconstructed.  The class values, spread
-    over every pattern, are returned only when :func:`_pf_violation`
-    accepts them on the full H, so neither the quotient nor a modular
-    step needs trusting.  Raises :class:`KernelDimensionError` when the
-    primes run out (a failure means a bug upstream).
+    That normalisation makes the vector integral with its largest entry
+    A_{n-1} (the serial arcs), so one solve of the dihedral quotient
+    modulo ``_PRIME``, lifted to (-p/2, p/2], is the vector.  The class
+    values, spread over every pattern, are returned only when
+    :func:`_pf_violation` accepts them on the full H, so neither the
+    quotient nor the modular step needs trusting.  Raises
+    :class:`KernelDimensionError` otherwise (a failure means a bug
+    upstream, or entries past p/2).
     """
     h = build_h_matrix(n)
-    class_of, q = _quotient(h, n)
-    combined: dict[int, tuple[list[int], int]] = {}
-    for prime in _PRIMES:
-        solved = _kernel_mod(q, prime)
-        if solved is None:
-            continue
-        free, x = solved
-        residues, m = combined.get(free, ([0] * len(q), 1))
-        # CRT: lift each residue mod m to the one mod m*prime agreeing with x
-        minv = pow(m, -1, prime)
-        residues = [r + m * ((xi - r) * minv % prime) for r, xi in zip(residues, x)]
-        m *= prime
-        combined[free] = residues, m
-        fracs = [_rational(r, m) for r in residues]
-        if None in fracs:
-            continue
-        # the free coordinate is 1, so clearing the denominators leaves
-        # coprime integers, positive there
-        scale = math.lcm(*(f.denominator for f in fracs))
-        ints = [int(fracs[c] * scale) for c in class_of]
+    class_of, rows = _quotient(h, n)
+    x = _kernel_mod(rows, _PRIME)
+    if x is not None:
+        lifted = [v - _PRIME if 2 * v > _PRIME else v for v in x]
+        ints = [lifted[c] for c in class_of]
         if not _pf_violation(h, n, ints):
             return LpVector(n, {p: Fraction(v) for p, v in zip(h.basis, ints)})
     raise KernelDimensionError(
-        f"no exact kernel vector of the shifted matrix at n={n} from {len(_PRIMES)} primes"
+        f"no exact kernel vector of the shifted matrix at n={n} modulo {_PRIME}"
     )
 
 

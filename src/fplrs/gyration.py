@@ -42,7 +42,6 @@ from .fplcore import (
     _trace_colour,
     _walk_paths,
     enumerate_configs,
-    plaquette_indicator,
     psi_counts,
 )
 from .lattice import (
@@ -65,12 +64,10 @@ __all__ = [
     "Orbit",
     "PairLinkData",
     "apply_h",
-    "h_tilde",
     "gyrate",
     "orbit",
     "orbit_partition",
     "orbit_faces",
-    "orbit_plaquette_sum",
     "pair_link_data",
     "square_rotation_direction",
     "generalized_gyration_check",
@@ -110,11 +107,6 @@ def apply_h(phi: FplConfig, g: GluedGraph) -> FplConfig:
     if phi.domain is not g.domain and phi.domain != g.domain:
         raise InvalidTriplet("configuration and gluing live on different domains")
     return FplConfig(g.domain, _pass(phi.bits, g))
-
-
-def h_tilde(phi: FplConfig, g: GluedGraph) -> FplConfig:
-    """The pass followed by complementation; fixes the boundary condition."""
-    return apply_h(phi, g).complemented()
 
 
 @lru_cache(maxsize=None)
@@ -207,11 +199,6 @@ def orbit_faces(o: Orbit) -> tuple[tuple[str, ...], dict[tuple[int, int], tuple[
                 minus += 1
         faces[alpha] = (plus, minus)
     return classes, faces
-
-
-def orbit_plaquette_sum(phi: FplConfig, alpha: tuple[int, int]) -> int:
-    """Sum of the plaquette indicator along the orbit of phi."""
-    return sum(plaquette_indicator(psi, alpha) for psi in orbit(phi).configs())
 
 
 @lru_cache(maxsize=None)
@@ -346,4 +333,3 @@ def generalized_gyration_check(
     passed = lhs == rhs
     detail = "" if passed else first_difference(lhs, rhs)
     return GyrationReport("plus", j1, j2, g.swaps, passed, detail)
-

@@ -53,13 +53,11 @@ __all__ = [
     "nalpha_vector",
     "rs_vector",
     "gyration_directions",
-    "identity_names",
     "check_identity",
     "check_spr",
     "shat_c_rectangle",
     "spr_instance",
     "run_identity_suite",
-    "suite_report_json",
 ]
 
 
@@ -513,10 +511,6 @@ _REGISTRY: dict[str, tuple[str, Callable[[int], tuple[int, ...]], Callable]] = {
 }
 
 
-def identity_names() -> tuple[str, ...]:
-    return tuple(_REGISTRY)
-
-
 def check_identity(name: str, n: int, j: int | None = None) -> IdentityResult:
     """Run one registered identity at the given size and site index."""
     if name not in _REGISTRY:
@@ -538,13 +532,3 @@ def run_identity_suite(n_values: Iterable[int]) -> list[IdentityResult]:
             for j in j_values(n):
                 results.append(check_identity(name, n, j))
     return results
-
-
-def suite_report_json(results: Iterable[IdentityResult]) -> list[dict]:
-    out = []
-    for r in results:
-        item = {"identity": r.identity, "n": r.n, "j": r.j, "status": "pass" if r.status else "fail"}
-        if r.witness:
-            item["witness"] = r.witness
-        out.append(item)
-    return out

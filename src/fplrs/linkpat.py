@@ -44,6 +44,7 @@ __all__ = [
     "all_patterns",
     "catalan",
     "rotate",
+    "reflect",
     "tl_e",
     "close_c",
     "add_a",
@@ -55,10 +56,8 @@ __all__ = [
     "apply_a",
     "apply_sym",
     "apply_hamiltonian",
-    "vec_apply",
     "first_difference",
     "lp_vector_to_json",
-    "lp_vector_from_json",
 ]
 
 
@@ -185,6 +184,13 @@ def rotate(p: LinkPattern, k: int = 1) -> LinkPattern:
     k %= size
     m = p.match
     return LinkPattern(tuple((m[(i + k) % size] - k) % size for i in range(size)))
+
+
+def reflect(p: LinkPattern) -> LinkPattern:
+    """The mirror image i -> 2n-1-i (0-based).  It maps e_j to e_{2n-j},
+    fixes e_2n and inverts R, so it commutes with H."""
+    last = len(p.match) - 1
+    return LinkPattern(tuple(last - j for j in reversed(p.match)))
 
 
 def tl_e(p: LinkPattern, j: int) -> LinkPattern:
@@ -416,38 +422,6 @@ def apply_hamiltonian(v: LpVector) -> LpVector:
     return out
 
 
-def vec_apply(op: str, v: LpVector, j: int | None = None) -> LpVector:
-    """Dispatch an operator by name: R | e | c | a | Sym | H.
-
-    R accepts an optional power in ``j`` (default 1); e, c and a require
-    their index.
-    """
-    if op == "R":
-        return apply_rotation(v, 1 if j is None else j)
-    if op == "Sym":
-        return apply_sym(v)
-    if op == "H":
-        return apply_hamiltonian(v)
-    if j is None:
-        raise ArityMismatch(f"operator {op!r} needs an index")
-    if op == "e":
-        return apply_e(v, j)
-    if op == "c":
-        return apply_c(v, j)
-    if op == "a":
-        return apply_a(v, j)
-    raise ArityMismatch(f"unknown operator {op!r}")
-
-
 def lp_vector_to_json(v: LpVector) -> dict:
     entries = {p.word: str(c) for p, c in sorted(v.entries.items(), key=lambda kv: kv[0].word)}
     return {"n": v.n, "entries": entries}
-
-
-def lp_vector_from_json(data: Mapping) -> LpVector:
-    n = int(data["n"])
-    entries = {
-        LinkPattern.from_word(word): Fraction(text)
-        for word, text in data["entries"].items()
-    }
-    return LpVector(n, entries)

@@ -165,6 +165,21 @@ class TestVerify:
         assert info.value.code == 2
 
 
+    def test_conservation_line_checks_the_count(self, monkeypatch):
+        # the involution line also fails when the DFS and the sweep
+        # disagree on the ensemble's size; its text stays the same
+        from fplrs.lattice import build_square
+
+        d, t = build_square(3, "+")
+        lines = []
+        cli._conservation_lines(d, t, "plus", lines, "square n=3 plus")
+        monkeypatch.setattr(cli, "count_configs", lambda d, t: 6)
+        cli._conservation_lines(d, t, "plus", lines, "square n=3 plus")
+        honest, miscounted = lines[0], lines[2]
+        assert honest.status and not miscounted.status
+        assert (honest.check, honest.detail) == (miscounted.check, miscounted.detail)
+
+
 class TestOrbitReport:
     def test_csv_rows_all_zero(self, capsys):
         code, out, _ = run(capsys, "orbit-report", "--n", "3")

@@ -7,9 +7,11 @@ from collections import Counter
 import pytest
 
 from fplrs.fplcore import (
+    FplConfig,
     LinkData,
     PsiTable,
     _patterns,
+    _trace_colour,
     asm_count_formula,
     count_configs,
     enumerate_configs,
@@ -103,6 +105,21 @@ class TestEnumerate:
         d, t = build_square(4, "+")
         assert count_configs(d, t, jobs=2) == asm_count_formula(4)
 
+    @pytest.mark.parametrize("seed", [10216, 10314, 10404])
+    def test_gyration_suite_ensembles(self, seed):
+        # the 50 random domains of `verify gyration-general --seed S`,
+        # drawn as the suite draws them.  Each seed holds one ensemble
+        # where an edge rejected at its first endpoint was never counted
+        # at its second, whose count then stayed one low, so the DFS
+        # yielded configs with three edges of one colour there.
+        rng = random.Random(seed)
+        for k in range(50):
+            n_cells = rng.randint(6, 24)
+            d, t = random_glueable(rng, n_cells, "plus" if k % 2 == 0 else "minus")
+            configs = list(enumerate_configs(d, t))
+            assert len(configs) == count_configs(d, t)
+            assert all(phi.check_ice_rule() for phi in configs)
+
 
 class TestLinkData:
     def test_single_vertex(self):
@@ -126,6 +143,18 @@ class TestLinkData:
             assert ld.black == ld_bar.white
             assert ld.white == ld_bar.black
             assert ld.loops_black == ld_bar.loops_white
+
+    def test_broken_colour_raises(self):
+        # clearing one black inner edge leaves two vertices with a single
+        # black edge; a walk reaching one must raise, not leave along a
+        # white edge (which looped for ever on some of these)
+        d, t = build_square(4, "+")
+        phi = next(p for p in enumerate_configs(d, t) if link_data(p).loops_black)
+        inner = [e for e in range(len(d.internal_edges)) if phi.colour(e)]
+        assert len(inner) == 12
+        for e in inner:
+            with pytest.raises(ValueError, match="stops at an inner vertex"):
+                _trace_colour(FplConfig(d, phi.bits & ~(1 << e)), 1)
 
     def test_patterns_are_valid_involutions(self):
         # LinkPattern construction rejects crossings and fixed points,

@@ -12,7 +12,7 @@ from fplrs.errors import KernelDimensionError
 from fplrs.fplcore import asm_count_formula, refined_counts
 from fplrs.groundstate import (
     HamiltonianMatrix,
-    _rational,
+    _quotient,
     build_h_matrix,
     kernel_dimension_certificate,
     stationary_vector,
@@ -25,6 +25,8 @@ from fplrs.linkpat import (
     apply_hamiltonian,
     apply_rotation,
     catalan,
+    reflect,
+    rotate,
 )
 
 
@@ -104,8 +106,8 @@ class TestStationaryVector:
         assert len(values) == catalan(n)
 
     def test_n8(self):
-        # the smallest size where one prime's modulus is too small to
-        # reconstruct the vector, so the first run through the CRT lift
+        # the smallest size whose largest entry, A_7 = 218348 on the
+        # serial arcs, needs more than 17 bits of the prime
         vec = stationary_vector(8)
         assert len(vec.entries) == catalan(8) == 1430
         assert vec.total() == asm_count_formula(8) == 10850216
@@ -119,19 +121,47 @@ class TestStationaryVector:
     def test_n9(self):
         assert stationary_vector(9) == refined_counts(9).as_vector()
 
+    @pytest.mark.slow
+    def test_n10(self):
+        # the refined table at n=10 is too slow to compare against, so
+        # the sum rule, the two pinned entries and the symmetries
+        vec = stationary_vector(10)
+        assert len(vec.entries) == catalan(10) == 16796
+        assert vec.total() == asm_count_formula(10)
+        assert vec.coeff(LinkPattern.from_word("(" * 10 + ")" * 10)) == 1
+        assert vec.coeff(LinkPattern.serial_arcs(10)) == asm_count_formula(9)
+        assert apply_rotation(vec, 1) == vec
+        assert vec.map_patterns(reflect, 10) == vec
 
-class TestRationalReconstruction:
+    def test_prime_too_small_raises(self, monkeypatch):
+        # the serial-arcs entry 218348 lifts to a wrong value mod 100003,
+        # and the full-H check must reject it rather than return it
+        monkeypatch.setattr(groundstate, "_PRIME", 100_003)
+        with pytest.raises(KernelDimensionError):
+            stationary_vector(8)
+
+
+class TestQuotient:
     @pytest.mark.parametrize(
-        "f", [Fraction(0), Fraction(1), Fraction(218348), Fraction(3, 7), Fraction(-5, 12)]
+        "n, classes", [(1, 1), (2, 1), (3, 2), (4, 3), (5, 6), (6, 12), (7, 27), (8, 65)]
     )
-    def test_round_trip(self, f):
-        m = 2_147_483_629 * 2_147_483_587
-        u = f.numerator * pow(f.denominator, -1, m) % m
-        assert _rational(u, m) == f
+    def test_dihedral_class_counts(self, n, classes):
+        class_of, rows = _quotient(build_h_matrix(n), n)
+        assert len(rows) == max(class_of) + 1 == classes
 
-    def test_past_the_bound(self):
-        # mod 101 the bound is 7, and no r/s with |r|, s <= 7 is 8
-        assert _rational(8, 101) is None
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_classes_are_dihedral_orbits(self, n):
+        h = build_h_matrix(n)
+        class_of, _ = _quotient(h, n)
+        index = {p: i for i, p in enumerate(h.basis)}
+        assert class_of[0] == 0
+        for i, p in enumerate(h.basis):
+            assert class_of[index[rotate(p)]] == class_of[index[reflect(p)]] == class_of[i]
+        # and no coarser: each class is one orbit of the 4n symmetries
+        for c in set(class_of):
+            p = h.basis[class_of.index(c)]
+            orbit = {rotate(q, k) for q in (p, reflect(p)) for k in range(2 * n)}
+            assert orbit == {q for q, d in zip(h.basis, class_of) if d == c}
 
 
 class TestVerifyRs:
