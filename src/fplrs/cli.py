@@ -317,14 +317,12 @@ def _tl_operators():
     """tl_e, rotate, close_c and add_a, each memoised for one suite call.
 
     The relations make about 2 x 10^5 operator calls per size, yet meet
-    only a few thousand distinct (pattern, index) pairs.  Every distinct
-    result is still built, and so validated, by the operator itself;
-    equal results are kept as one shared object, so the memo holds each
-    pattern once.  The memo lives only as long as the suite: the
-    Hamiltonian calls the same operators at sizes where a lasting cache
-    would hold millions of patterns.
+    only a few thousand distinct (pattern, index) pairs.  Patterns are
+    interned, so every result is the one object for its matching and
+    the memo holds each pattern once.  The memo lives only as long as
+    the suite: the Hamiltonian calls the same operators at sizes where a
+    lasting cache would hold millions of (pattern, index) pairs.
     """
-    canonical: dict[LinkPattern, LinkPattern] = {}
 
     def memo(op):
         by_index: dict[int, dict[LinkPattern, LinkPattern]] = {}
@@ -335,8 +333,7 @@ def _tl_operators():
                 results = by_index[j] = {}
             q = results.get(p)
             if q is None:
-                q = op(p, j)
-                q = results[p] = canonical.setdefault(q, q)
+                q = results[p] = op(p, j)
             return q
 
         return call
@@ -521,6 +518,8 @@ class _AboveCap(FplrsError):
 def _check_size(args) -> None:
     if args.n < 1:
         raise FplrsError(f"--n must be positive, got {args.n}")
+    if args.max_n < 1:
+        raise FplrsError(f"--max-n must be positive, got {args.max_n}")
     if args.n > args.max_n and not args.allow_large:
         raise _AboveCap(
             f"n={args.n} exceeds the default cap {args.max_n}; pass --allow-large"

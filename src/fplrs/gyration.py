@@ -186,6 +186,7 @@ def orbit_faces(o: Orbit) -> tuple[tuple[str, ...], dict[tuple[int, int], tuple[
     horizontal edges black and vertical ones white, or the reverse."""
     d = o.seed.domain
     patterns = {_trace_colour(phi, 1)[0] for phi in o.configs()}
+    # sorted by word: a set of patterns iterates in identity-hash order
     classes = tuple(sorted({rotation_class_of(p).word for p in patterns}))
     faces = {}
     for alpha, (h, v) in d.face_masks.items():

@@ -7,6 +7,12 @@ text encoding is the balanced parenthesis word of length 2n carrying
 '(' at the smaller endpoint of every arc; all serialized data and all
 dictionary keys use this word.
 
+Patterns are interned: there is one :class:`LinkPattern` object per
+matching, validated once when it is first built, and equality and
+hashing are identity.  Identity hashes differ from one process to the
+next, so nothing that reaches output may depend on the order of a set
+of patterns; outputs order patterns by word.
+
 Operator indices in the public API are 1-based, matching the usual
 diagram conventions:
 
@@ -61,32 +67,65 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+def _check_match(m: tuple[int, ...]) -> None:
+    """Raise ValueError unless m is a non-crossing fixed-point-free
+    involution of an even number of points."""
+    size = len(m)
+    if size % 2:
+        raise ValueError("a link pattern needs an even number of points")
+    for i, j in enumerate(m):
+        if not 0 <= j < size or j == i or m[j] != i:
+            raise ValueError("match is not a fixed-point-free involution")
+    # Non-crossing <=> the induced parenthesis word is balanced with
+    # matching pairs exactly the arcs.
+    stack: list[int] = []
+    for i, j in enumerate(m):
+        if i < j:
+            stack.append(j)
+        elif stack.pop() != i:
+            raise ValueError("matching has crossing arcs")
+
+
+# Every LinkPattern ever built, by its match tuple.  It only grows, and
+# holds at most the distinct matchings a process meets: all of LP(n)
+# for the sizes it works at.
+_interned: dict[tuple[int, ...], "LinkPattern"] = {}
+
+
 class LinkPattern:
     """A non-crossing perfect matching of 2n cyclically ordered points.
 
     ``match[i]`` is the 0-based partner of point i.  The empty pattern
     (n = 0) is allowed; it is the unit for ``add_a``.
+
+    Patterns are interned: ``LinkPattern(m)`` validates a matching the
+    first time it is seen and afterwards returns that same object, so
+    equality and hashing are identity.  Pickling and copying rebuild
+    through the constructor and so give the interned object back.
     """
 
+    __slots__ = ("match",)
     match: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        m = self.match
-        size = len(m)
-        if size % 2:
-            raise ValueError("a link pattern needs an even number of points")
-        for i, j in enumerate(m):
-            if not 0 <= j < size or j == i or m[j] != i:
-                raise ValueError("match is not a fixed-point-free involution")
-        # Non-crossing <=> the induced parenthesis word is balanced with
-        # matching pairs exactly the arcs.
-        stack: list[int] = []
-        for i, j in enumerate(m):
-            if i < j:
-                stack.append(j)
-            elif stack.pop() != i:
-                raise ValueError("matching has crossing arcs")
+    def __new__(cls, match: tuple[int, ...]) -> "LinkPattern":
+        p = _interned.get(match)
+        if p is None:
+            _check_match(match)
+            p = object.__new__(cls)
+            object.__setattr__(p, "match", match)
+            # setdefault: of two threads that build one matching, both
+            # get the object that was stored first
+            p = _interned.setdefault(match, p)
+        return p
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"LinkPattern is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"LinkPattern is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return (LinkPattern, (self.match,))
 
     @property
     def n(self) -> int:

@@ -205,6 +205,12 @@ class TestUsage:
         assert code == 2 and out == ""
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_nonpositive_cap_is_usage_error(self, capsys, cap):
+        code, out, err = run(capsys, "enumerate", "--n", "3", "--max-n", cap)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
     def test_empty_verify_range_is_usage_error(self, capsys):
         code, out, err = run(capsys, "verify", "rs", "--n-max", "0")
         assert code == 2 and "OK" not in out
@@ -330,6 +336,29 @@ class TestPinnedOutputs:
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _fresh_stdout(argv, hash_seed: str) -> str:
+    """The stdout of one command in a fresh interpreter."""
+    src = str(Path(fplrs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+    result = subprocess.run(
+        [sys.executable, "-m", "fplrs.cli", *argv],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return result.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("verify", "orbits", "--n-max", "5"), ("groundstate", "--n", "6")],
+    ids=["verify-orbits", "groundstate"],
+)
+def test_stdout_is_the_same_in_fresh_interpreters(argv):
+    # patterns hash by identity, so a set of them iterates in a
+    # different order in every process; no output may depend on it
+    first = _fresh_stdout(argv, "1")
+    assert first and _fresh_stdout(argv, "2") == first
 
 
 def _numpy_loaded_after(probe: str) -> bool:

@@ -1,11 +1,22 @@
 """Link patterns, diagram operators, and exact vectors."""
 
+import copy
+import os
+import pickle
+import subprocess
+import sys
+import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fplrs
+from fplrs import linkpat
 from fplrs.errors import ArityMismatch
+from fplrs.fplcore import _patterns
+from fplrs.lattice import build_square
 from fplrs.linkpat import (
     LinkPattern,
     LpVector,
@@ -64,6 +75,112 @@ class TestLinkPattern:
         empty = LinkPattern(())
         assert empty.n == 0 and empty.word == ""
         assert add_a(empty, 1) == LinkPattern.from_word("()")
+
+
+class TestInterning:
+    """One object per matching: validated once, equal means identical."""
+
+    def test_one_object_per_matching(self):
+        for n in range(5):
+            for p in all_patterns(n):
+                assert LinkPattern(tuple(list(p.match))) is p
+                assert LinkPattern.from_word(p.word) is p
+                assert LinkPattern.from_pairs(n, p.pairs()) is p
+
+    @pytest.mark.parametrize(
+        "match, message",
+        [
+            ((1, 0, 2), "even number of points"),
+            ((0, 1, 2, 3), "fixed-point-free involution"),
+            ((1, 0, 3, 4), "fixed-point-free involution"),
+            ((2, 3, 0, 1), "crossing arcs"),
+        ],
+    )
+    def test_invalid_match_raises_every_time_and_is_not_stored(self, match, message):
+        for _ in range(3):
+            with pytest.raises(ValueError, match=message):
+                LinkPattern(match)
+            assert match not in linkpat._interned
+
+    def test_pickle_and_copy_return_the_interned_object(self):
+        for p in all_patterns(4):
+            assert pickle.loads(pickle.dumps(p)) is p
+            assert copy.copy(p) is p
+            assert copy.deepcopy(p) is p
+        table = {p: k for k, p in enumerate(all_patterns(3))}
+        assert pickle.loads(pickle.dumps(table)) == table
+
+    def test_pool_keys_are_the_serial_objects(self):
+        # the jobs > 1 sweep ships its counts back through pickle
+        d, t = build_square(5, "+")
+        serial = _patterns(d, t)
+        # checked first: a pool whose result fails to unpickle hangs
+        assert pickle.loads(pickle.dumps(serial)) == serial
+        pooled = _patterns(d, t, jobs=2)
+        assert pooled == serial
+        lp5 = set(map(id, all_patterns(5)))
+        assert all(id(p) in lp5 for p in pooled)
+
+    def test_match_is_read_only(self):
+        p = LinkPattern.from_word("(())")
+        with pytest.raises(AttributeError):
+            p.match = (1, 0, 3, 2)
+        with pytest.raises(AttributeError):
+            del p.match
+        with pytest.raises(AttributeError):
+            p.extra = 1
+        assert p.match == (3, 2, 1, 0) and p.word == "(())"
+
+    def test_threads_building_fresh_matchings_share_one_object(self):
+        # patterns on 2 * 207 points: no other test builds them
+        words = ["()" * k + "(" * 7 + ")" * 7 + "()" * (200 - k) for k in range(201)]
+        assert all(len(m) != 414 for m in linkpat._interned)
+        barrier = threading.Barrier(4)
+        built: list[list[LinkPattern]] = [[] for _ in range(4)]
+
+        def build(out: list) -> None:
+            barrier.wait(timeout=60)
+            out.extend(LinkPattern.from_word(w) for w in words)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build, args=(out,)) for out in built]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+            assert not any(th.is_alive() for th in threads)
+        finally:
+            sys.setswitchinterval(switch)
+        for objects in zip(*built):
+            assert all(q is objects[0] for q in objects)
+            assert linkpat._interned[objects[0].match] is objects[0]
+        assert len({id(p) for p in built[0]}) == len(words)
+
+
+def test_build_h_validates_each_matching_once():
+    # a fresh interpreter, so that no earlier test has built LP(5); each
+    # distinct matching is checked once, not once per tl_e result
+    probe = """
+from fplrs import linkpat
+from fplrs.groundstate import build_h_matrix
+calls = []
+check = linkpat._check_match
+def counted(m):
+    calls.append(m)
+    check(m)
+linkpat._check_match = counted
+build_h_matrix(5)
+print(len(calls), len(set(calls)))
+"""
+    src = str(Path(fplrs.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
+    )
+    calls, distinct = map(int, result.stdout.split())
+    assert 0 < calls == distinct <= catalan(5)
 
 
 class TestRotate:
