@@ -436,7 +436,8 @@ def _conservation_lines(d, t, parity, lines, label) -> None:
         CheckLine(
             "gyration-general",
             f"pass is an involution onto the complement, {label}",
-            # the DFS and the sweep must also agree on the ensemble
+            # the walk and the sweep, which merges the same transitions
+            # by state, must also agree on the ensemble's size
             ok_inv and ok_bc and count == count_configs(d, t),
             f"{count} configs, swaps={g.swaps}",
         )

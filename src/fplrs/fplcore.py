@@ -3,20 +3,23 @@
 A configuration colours every edge slot (internal edges and
 terminations) black or white so that each vertex sees exactly two of
 each; it is stored as a bitmask over the domain's canonical edge order
-(bit set = black).  The enumerator is a depth-first search branching on
-the first undecided edge in canonical order, white before black, with
-constraint propagation: once a vertex has two edges of one colour its
-remaining edges are forced.  The emitted stream is therefore the
-lexicographic order of canonical bitstrings.
+(bit set = black).
 
-Every count, the identity census included, visits no configuration: a
-frontier sweep, the connectivity transfer matrix of Batchelor, Blöte,
-Nienhuis & Yung (1996), carries the colours and black connectivity of
-the edges cut between visited and unvisited vertices and adds up the
-configurations that share them.  It accepts the same forced decisions
-as the DFS, gives the counts that tracing every DFS leaf gives, and can
-also count by the colours of chosen internal edges.  With jobs > 1 it
-runs once per DFS decision prefix in a process pool.
+One engine counts and enumerates: a frontier sweep, the connectivity
+transfer matrix of Batchelor, Blöte, Nienhuis & Yung (1996), visits the
+vertices in canonical order and carries the colours and black
+connectivity of the edges cut between visited and unvisited vertices.
+Counting adds up the configurations that share a state, so it visits
+none of them; it can also count by the colours of chosen internal
+edges, and with jobs > 1 runs once per decision prefix in a process
+pool.  Enumeration walks the same per-vertex transitions depth first,
+one state at a time, with every internal edge's colour kept.  Internal
+edge ids run in vertex order, E before N, and each vertex tries E white
+first, so the stream is the lexicographic order of canonical
+bitstrings; each leaf's closed termination pairs are its black link
+pattern, which the walk hands out with it.  The transitions from one
+decision to the next depend on the cut alone, so the walk follows them
+once per cut and afterwards only ORs in what they add.
 
 Open monochromatic paths end at terminations; the black ones, labelled
 cyclically from the anchor, give the configuration's link pattern.
@@ -91,134 +94,19 @@ class FplConfig:
         return True
 
 
-def _search(
-    domain: Domain,
-    bc: BoundaryCondition,
-    forced: Sequence[tuple[int, int]] = (),
-    split_depth: int | None = None,
-):
-    """Core DFS shared by streaming, counting and task splitting.
-
-    Yields solution bitmasks, or, when ``split_depth`` is given,
-    ``("prefix", decisions)`` once the decision stack reaches that depth
-    (the subtree is then skipped) alongside ``("done", bits)`` for
-    solutions found earlier.
-    """
-    if len(bc.colours) != domain.perimeter:
-        raise ValueError("boundary condition length mismatch")
-    edges = domain.edges
-    n_edges = len(edges)
-    n_internal = len(domain.internal_edges)
-    verts = domain.vertices
-    v_index = {v: i for i, v in enumerate(verts)}
-    edges_of_vert = [tuple(domain.vertex_edges[v]) for v in verts]
-    vert_of_edge: list[tuple[int, ...]] = [
-        tuple(v_index[v] for v in vs) for vs in domain.edge_vertices
-    ]
-
-    colour = [-1] * n_edges
-    nb = [0] * len(verts)
-    nw = [0] * len(verts)
-    trail: list[int] = []
-
-    def assign(e0: int, c0: int) -> bool:
-        stack = [(e0, c0)]
-        while stack:
-            e, c = stack.pop()
-            cur = colour[e]
-            if cur >= 0:
-                if cur != c:
-                    return False
-                continue
-            colour[e] = c
-            trail.append(e)
-            # count both endpoints before failing: undo uncounts both
-            counts = nb if c else nw
-            over = False
-            for v in vert_of_edge[e]:
-                counts[v] += 1
-                if counts[v] > 2:
-                    over = True
-                elif counts[v] == 2:
-                    for e2 in edges_of_vert[v]:
-                        if colour[e2] < 0:
-                            stack.append((e2, 1 - c))
-            if over:
-                return False
-        return True
-
-    def undo(mark: int) -> None:
-        while len(trail) > mark:
-            e = trail.pop()
-            c = colour[e]
-            colour[e] = -1
-            counts = nb if c else nw
-            for v in vert_of_edge[e]:
-                counts[v] -= 1
-
-    ok = True
-    for k, c in enumerate(bc.colours):
-        if not assign(n_internal + k, c):
-            ok = False
-            break
-    if ok:
-        for e, c in forced:
-            if not assign(e, c):
-                ok = False
-                break
-    if not ok:
-        return
-
-    def encode() -> int:
-        bits = 0
-        for e in range(n_edges):
-            if colour[e]:
-                bits |= 1 << e
-        return bits
-
-    splitting = split_depth is not None
-    decisions: list[list[int]] = []  # [edge, trail mark, colour tried]
-    ptr = 0
-    descending = True
-    while True:
-        if descending:
-            while ptr < n_edges and colour[ptr] >= 0:
-                ptr += 1
-            if ptr == n_edges:
-                yield ("done", encode()) if splitting else encode()
-                descending = False
-                continue
-            if splitting and len(decisions) == split_depth:
-                yield ("prefix", tuple((d[0], d[2]) for d in decisions))
-                descending = False
-                continue
-            decisions.append([ptr, len(trail), 0])
-            descending = assign(ptr, 0)
-        else:
-            if not decisions:
-                return
-            edge, mark, tried = decisions[-1]
-            undo(mark)
-            if tried == 0:
-                decisions[-1][2] = 1
-                ptr = edge
-                descending = assign(edge, 1)
-            else:
-                decisions.pop()
-
-
 def enumerate_configs(
     d: Domain, t: BoundaryCondition, forced: Sequence[tuple[int, int]] = ()
 ) -> Iterator[FplConfig]:
-    """Every ice-rule colouring extending t, in lexicographic bit order."""
-    for bits in _search(d, t, forced):
+    """Every ice-rule colouring extending t that gives each edge in
+    ``forced`` its colour, in lexicographic bit order."""
+    for bits, _ in _walk(d, t, forced):
         yield FplConfig(d, bits)
 
 
 def split_prefixes(
     d: Domain, t: BoundaryCondition, depth: int
 ) -> tuple[list[int], list[tuple[tuple[int, int], ...]]]:
-    """Split the search tree at the given decision depth.
+    """Split the walk at the given decision depth.
 
     Returns solutions completed above the split together with the
     decision prefixes of the open subtrees; enumerating each prefix
@@ -226,17 +114,17 @@ def split_prefixes(
     """
     done: list[int] = []
     prefixes: list[tuple[tuple[int, int], ...]] = []
-    for kind, payload in _search(d, t, split_depth=depth):
-        if kind == "done":
-            done.append(payload)
-        else:
+    for bits, payload in _walk(d, t, split_depth=depth):
+        if bits is None:
             prefixes.append(payload)
+        else:
+            done.append(bits)
     return done, prefixes
 
 
 def count_configs(d: Domain, t: BoundaryCondition, jobs: int = 1) -> int:
     """Number of configurations: the sum of the frontier sweep's
-    pattern counts.  With jobs > 1 the sweep is split over the DFS
+    pattern counts.  With jobs > 1 the sweep is split over the walk's
     decision prefixes as :func:`_patterns` does; the split changes
     nothing about which configurations are counted.
     """
@@ -492,7 +380,7 @@ def _add_patterns(counts: dict, swept: Mapping) -> dict[LinkPattern, int]:
 
 def _patterns(d: Domain, t: BoundaryCondition, jobs: int = 1) -> dict[LinkPattern, int]:
     """Black-pattern counts by the sweep; with jobs > 1, one sweep per
-    DFS decision prefix in a pool, leaves above the split traced."""
+    decision prefix of the walk in a pool, leaves above the split traced."""
     if jobs <= 1:
         return _add_patterns({}, _transfer(d, t))
     depth = max(1, (jobs * 4 - 1).bit_length())
@@ -521,7 +409,7 @@ def psi_counts(
 def refined_counts(n: int, sign: str = "+", jobs: int = 1) -> PsiTable:
     """Per-link-pattern counts over the square ensemble.
 
-    With jobs > 1 the sweep is split over the earliest DFS decisions
+    With jobs > 1 the sweep is split over the walk's earliest decisions
     and the per-prefix counts merged; merging is commutative so the
     result is identical.
     """
@@ -647,9 +535,9 @@ def _join(
 
 
 def _narrow(d: Domain, allowed: list[tuple[int, ...]]) -> bool:
-    """Narrow the allowed colours by the ice rule, as the DFS propagates:
-    a vertex with two edges of one colour forces its others to the other
-    colour.  False on a contradiction, which leaves no configuration."""
+    """Narrow the allowed colours by the ice rule: a vertex with two
+    edges of one colour forces its others to the other colour.  False
+    on a contradiction, which leaves no configuration."""
     slots_of, ends = d.vertex_edges, d.edge_vertices
     queue = list(d.vertices)
     while queue:
@@ -667,17 +555,13 @@ def _narrow(d: Domain, allowed: list[tuple[int, ...]]) -> bool:
     return True
 
 
-def _transfer(
-    d: Domain, t: BoundaryCondition, forced: Sequence[tuple[int, int]] = (), keep: Sequence[int] = ()
-) -> dict[tuple[LinkPattern, int], int]:
-    """Counts of every ice-rule colouring extending t that gives each
-    edge in ``forced`` its colour, by one frontier sweep, keyed by black
-    pattern and by the bitmask (bit e set = black) of the internal edges
-    e in ``keep``.
-
-    The counts equal tracing every leaf of ``_search(d, t, forced)``
-    with ``_trace_colour``, labels included, and reading the kept edges.
-    """
+def _setup(
+    d: Domain, t: BoundaryCondition, forced: Sequence[tuple[int, int]], keep: Sequence[int]
+) -> tuple | None:
+    """What the sweep and the walk start from: the allowed colours of
+    every edge, narrowed by the ice rule (None when nothing is allowed),
+    the tag and kept-edge bit of every edge, and the bit width of one
+    closed pair."""
     if len(t.colours) != d.perimeter:
         raise ValueError("boundary condition length mismatch")
     n_internal = len(d.internal_edges)
@@ -685,7 +569,7 @@ def _transfer(
     for e, c in forced:
         allowed[e] = tuple(x for x in allowed[e] if x == c)
     if not all(allowed) or not _narrow(d, allowed):
-        return {}
+        return None
     n_black = t.n_black
     width = max(1, n_black.bit_length())
     off = width * n_black
@@ -698,6 +582,31 @@ def _transfer(
         if c:
             tag[n_internal + k] = label
             label += 1
+    return allowed, tag, bit, width
+
+
+def _decode(pairs: int, width: int, n_black: int) -> LinkPattern:
+    """The black pattern of a state's packed closed pairs."""
+    mask = (1 << width) - 1
+    return LinkPattern(tuple(((pairs >> (width * k)) & mask) - 1 for k in range(n_black)))
+
+
+def _transfer(
+    d: Domain, t: BoundaryCondition, forced: Sequence[tuple[int, int]] = (), keep: Sequence[int] = ()
+) -> dict[tuple[LinkPattern, int], int]:
+    """Counts of every ice-rule colouring extending t that gives each
+    edge in ``forced`` its colour, by one frontier sweep, keyed by black
+    pattern and by the bitmask (bit e set = black) of the internal edges
+    e in ``keep``.
+
+    The counts equal those of the leaves of ``_walk(d, t, forced)``,
+    patterns included, with the kept edges read off their bits.
+    """
+    setup = _setup(d, t, forced, keep)
+    if setup is None:
+        return {}
+    allowed, tag, bit, width = setup
+    n_internal = len(d.internal_edges)
 
     # Only internal edges are kept, so a join at a termination out-edge
     # adds no kept bit.  A bit is or-ed in only when set: ``closed | 0``
@@ -736,7 +645,9 @@ def _transfer(
             return {}
         states = nxt
 
-    mask, low = (1 << width) - 1, (1 << off) - 1
+    n_black = t.n_black
+    off = width * n_black
+    low = (1 << off) - 1
     patterns: dict[int, LinkPattern] = {}
     out: dict[tuple[LinkPattern, int], int] = {}
     for (tags, closed), cnt in states.items():
@@ -744,7 +655,120 @@ def _transfer(
         pairs = closed & low
         p = patterns.get(pairs)
         if p is None:
-            match = tuple(((pairs >> (width * k)) & mask) - 1 for k in range(n_black))
-            p = patterns[pairs] = LinkPattern(match)
+            p = patterns[pairs] = _decode(pairs, width, n_black)
         out[p, closed >> off] = cnt
     return out
+
+
+def _walk(
+    d: Domain,
+    t: BoundaryCondition,
+    forced: Sequence[tuple[int, int]] = (),
+    split_depth: int | None = None,
+) -> Iterator[tuple]:
+    """Every ice-rule colouring extending t that gives each edge in
+    ``forced`` its colour, as ``(bits, black pattern)``, by walking the
+    sweep's transitions depth first: one state at a time, every
+    internal edge kept.
+
+    Internal edge ids run in vertex order, E before N, and each vertex
+    tries its out-edge colourings with E white first, so the leaves come
+    in lexicographic bit order.  A vertex with one black in-edge and two
+    free out-edges is a decision on its E edge.  When ``split_depth`` is
+    given, a decision met with that many above it yields
+    ``(None, decisions)`` as (edge, colour) pairs instead, and its
+    subtree is skipped.
+    """
+    setup = _setup(d, t, forced, range(len(d.internal_edges)))
+    if setup is None:
+        return
+    allowed, tag, bit, width = setup
+    n_internal = len(d.internal_edges)
+    n_black = t.n_black
+    off = width * n_black
+    low = (1 << off) - 1
+    ends = sum(1 << d.termination_id(k) for k, c in enumerate(t.colours) if c)
+    steps = []
+    for i, r, w_, s_, n_, e_ in _schedule(d):
+        white, black, singles = _out_options(n_, e_, allowed, tag, bit, n_internal)
+        # singles come N white first; the walk tries E white first
+        steps.append((i, r, w_ < n_internal, tag[w_], s_ < n_internal, tag[s_],
+                      white, black, singles[::-1], e_))
+    last = len(steps)
+
+    def run(k: int, tags: tuple) -> int | tuple | None:
+        """Follow the transitions from the cut ``tags`` at vertex k that
+        leave no choice.  Returns, as an int, what they OR into a
+        state's closed pairs and kept bits when they reach a leaf; or
+        the next decision as its E edge and, per E colour, the state
+        after it with what was OR-ed in up to there; or None when they
+        reach a dead end."""
+        # Every internal edge is kept, so a single black out-edge adds
+        # its bit unless it is a termination, which joins its path.
+        closed = 0
+        while k < last:
+            i, r, wp, wt, sp, st, white, black, singles, e_ = steps[k]
+            a = tags[i] if wp else wt
+            b = tags[i + wp] if sp else st
+            if a and b:
+                if white is None:
+                    return None
+                tags, closed = _join(tags[:i] + white + tags[i + r:], i, a, b, closed, width)
+            elif a or b:
+                c = a or b
+                left, right = tags[:i], tags[i + r:]
+                if len(singles) == 2:
+                    # both out-edges are internal and free
+                    (pre0, post0, _, one0), (pre1, post1, _, one1) = singles
+                    return (e_, ((k + 1, left + pre0 + (c,) + post0 + right), closed | one0),
+                            ((k + 1, left + pre1 + (c,) + post1 + right), closed | one1))
+                if not singles:
+                    return None
+                (pre, post, term, one), = singles
+                if term:
+                    tags, closed = _join(left + pre + post + right, i, c, term, closed, width)
+                else:
+                    tags, closed = left + pre + (c,) + post + right, closed | one
+            elif black is not None:
+                entries, both = black
+                if len(entries) == 2 and entries[0] >= 3:
+                    tags, closed = _join(tags[:i] + tags[i + r:], i, entries[0], entries[1],
+                                         closed, width)
+                else:
+                    tags, closed = tags[:i] + entries + tags[i + r:], closed | both
+            else:
+                return None
+            k += 1
+        return closed
+
+    # What a run adds depends on its start state alone, not on the
+    # edges coloured before it, so each start state is run once.
+    runs: dict = {}
+    unseen = object()
+    patterns: dict[int, LinkPattern] = {}
+    splitting = split_depth is not None
+    stack = [((0, ()), 0, ())]
+    while stack:
+        state, closed, decisions = stack.pop()
+        out = runs.get(state, unseen)
+        if out is unseen:
+            out = runs[state] = run(*state)
+        if out is None:
+            continue
+        if type(out) is int:
+            closed |= out
+            pairs = closed & low
+            p = patterns.get(pairs)
+            if p is None:
+                p = patterns[pairs] = _decode(pairs, width, n_black)
+            yield (closed >> off) | ends, p
+            continue
+        e_, (first, one0), (second, one1) = out
+        later = decisions
+        if splitting:
+            if len(decisions) == split_depth:
+                yield None, decisions
+                continue
+            later, decisions = decisions + ((e_, 1),), decisions + ((e_, 0),)
+        stack.append((second, closed | one1, later))
+        stack.append((first, closed | one0, decisions))

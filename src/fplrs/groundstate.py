@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import KernelDimensionError
 from .fplcore import asm_count_formula, refined_counts
@@ -160,7 +159,7 @@ def stationary_vector(n: int) -> LpVector:
         lifted = [v - _PRIME if 2 * v > _PRIME else v for v in x]
         ints = [lifted[c] for c in class_of]
         if not _pf_violation(h, n, ints):
-            return LpVector(n, {p: Fraction(v) for p, v in zip(h.basis, ints)})
+            return LpVector(n, dict(zip(h.basis, ints)))
     raise KernelDimensionError(
         f"no exact kernel vector of the shifted matrix at n={n} modulo {_PRIME}"
     )

@@ -16,7 +16,9 @@ The pass works on bitmasks: the gluing caches each 4-cycle's edge mask
 and its two alternating colourings, so a pass is one masked test per
 4-cycle and one XOR over all edges.  Orbits step on plain ints through
 the two cached square gluings, and the face counts along an orbit read
-each face's horizontal and vertical edge masks off the same ints.
+each face's horizontal and vertical edge masks off the same ints.  The
+orbit partition takes each configuration's black pattern from the
+enumeration walk, which meets it anyway, instead of tracing it.
 
 Link data on the glued graph is read over the bichromatic glued
 vertices (pairs whose two legs differ), labelled in pair order; both
@@ -40,6 +42,7 @@ from .errors import InvalidTriplet
 from .fplcore import (
     FplConfig,
     _trace_colour,
+    _walk,
     _walk_paths,
     enumerate_configs,
     psi_counts,
@@ -139,10 +142,12 @@ def gyrate(phi: FplConfig) -> FplConfig:
 
 @dataclass(frozen=True)
 class Orbit:
-    """One cycle of repeated gyration, identified by config bitmasks."""
+    """One cycle of repeated gyration: the config bitmasks in gyration
+    order from the seed, and the black pattern of each."""
 
     seed: FplConfig
     hashes: tuple[int, ...]
+    patterns: tuple[LinkPattern, ...]
 
     @property
     def period(self) -> int:
@@ -153,41 +158,62 @@ class Orbit:
             yield FplConfig(self.seed.domain, bits)
 
 
-def orbit(phi: FplConfig) -> Orbit:
-    """The gyration cycle through phi, stepped on bitmasks."""
-    plus, minus = _square_gluings(phi.domain)
-    start = phi.bits
+def _cycle(start: int, plus: GluedGraph, minus: GluedGraph) -> tuple[int, ...]:
+    """The gyration cycle through a bitmask, stepped on plain ints."""
     hashes = [start]
     cur = _pass(_pass(start, plus), minus)
     while cur != start:
         hashes.append(cur)
         cur = _pass(_pass(cur, plus), minus)
-    return Orbit(phi, tuple(hashes))
+    return tuple(hashes)
+
+
+def orbit(phi: FplConfig) -> Orbit:
+    """The gyration cycle through phi, each configuration's pattern
+    traced."""
+    d = phi.domain
+    hashes = _cycle(phi.bits, *_square_gluings(d))
+    patterns = tuple(_trace_colour(FplConfig(d, bits), 1)[0] for bits in hashes)
+    return Orbit(phi, hashes, patterns)
 
 
 def orbit_partition(n: int, sign: str = "+") -> list[Orbit]:
-    """All gyration orbits of the square ensemble, seeds in stream order."""
+    """All gyration orbits of the square ensemble, seeds in stream order.
+
+    The walk gives every configuration with its pattern.  An orbit is
+    formed at the first of its configurations the walk meets, and
+    ``pattern`` then holds each of its configurations, keyed by the
+    orbit's own ints, until the walk reaches it with its pattern; so
+    ``pattern`` also tells which configurations an orbit already holds.
+    """
     d, t = build_square(n, sign)
-    seen: set[int] = set()
-    orbits: list[Orbit] = []
-    for phi in enumerate_configs(d, t):
-        if phi.bits in seen:
-            continue
-        o = orbit(phi)
-        seen.update(o.hashes)
-        orbits.append(o)
+    plus, minus = _square_gluings(d)
+    pattern: dict[int, LinkPattern | None] = {}
+    cycles: list[tuple[int, ...]] = []
+    for bits, p in _walk(d, t):
+        if bits not in pattern:
+            hashes = _cycle(bits, plus, minus)
+            cycles.append(hashes)
+            pattern.update(dict.fromkeys(hashes))
+        # the key stays the orbit's int; the walk's is let go
+        pattern[bits] = p
+    orbits = []
+    for hashes in cycles:
+        patterns = tuple(pattern[bits] for bits in hashes)
+        if None in patterns:
+            raise AssertionError("gyration left the ensemble")
+        orbits.append(Orbit(FplConfig(d, hashes[0]), hashes, patterns))
     return orbits
 
 
 def orbit_faces(o: Orbit) -> tuple[tuple[str, ...], dict[tuple[int, int], tuple[int, int]]]:
-    """The rotation classes of the black patterns met along an orbit,
+    """The rotation classes of the black patterns the orbit carries,
     sorted (one class, by Wieland's theorem), and for every face how
     many of the orbit's configurations score +1 and -1 on it: the face's
     horizontal edges black and vertical ones white, or the reverse."""
     d = o.seed.domain
-    patterns = {_trace_colour(phi, 1)[0] for phi in o.configs()}
     # sorted by word: a set of patterns iterates in identity-hash order
-    classes = tuple(sorted({rotation_class_of(p).word for p in patterns}))
+    classes = tuple(sorted(c.word for c in {rotation_class_of(p) for p in o.patterns}))
     faces = {}
     for alpha, (h, v) in d.face_masks.items():
         both = h | v

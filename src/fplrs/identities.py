@@ -105,8 +105,10 @@ def _vector(n: int, weight: Callable[[str, str, tuple[int, ...]], int]) -> LpVec
     return LpVector.from_counts(n, counts)
 
 
+@lru_cache(maxsize=None)
 def s_vector(n: int) -> LpVector:
-    """The full refined-count vector of the plus ensemble."""
+    """The full refined-count vector of the plus ensemble; cached, and
+    read-only like every vector."""
     return _vector(n, lambda bottom, row2, alphas: 1)
 
 
@@ -121,8 +123,10 @@ class AuxState:
     value: LpVector
 
 
+@lru_cache(maxsize=None)
 def aux_state(n: int, parity: str, j: int, vtype: str) -> AuxState:
-    """The count vector restricted by one bottom-row site type.
+    """The count vector restricted by one bottom-row site type; cached,
+    so every identity that reads a state shares one vector.
 
     For ``vtype`` "cb"/"cx" (odd parity only) the site must be a c and
     the site above it is constrained to b, respectively to a or c.

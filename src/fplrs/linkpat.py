@@ -39,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
 from .errors import ArityMismatch
@@ -137,8 +138,7 @@ class LinkPattern:
 
     def partner(self, i: int) -> int:
         """1-based partner of the 1-based point i (cyclic)."""
-        size = len(self.match)
-        return self.match[(i - 1) % size] + 1
+        return self.match[(i - 1) % len(self.match)] + 1
 
     def pairs(self) -> tuple[tuple[int, int], ...]:
         """The arcs as sorted 1-based pairs, ordered by smaller endpoint."""
@@ -336,11 +336,12 @@ def rotation_class_of(p: LinkPattern) -> LinkPattern:
 # Exact vectors over link-pattern space
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _exact(x) -> int | Fraction:
+    """An exact coefficient: ints stay ints, Fractions stay Fractions."""
+    if type(x) is int or isinstance(x, Fraction):
         return x
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     raise TypeError(f"coefficients must be exact rationals, got {type(x)!r}")
 
 
@@ -348,38 +349,40 @@ def _as_fraction(x) -> Fraction:
 class LpVector:
     """A sparse exact-rational vector indexed by link patterns of one size.
 
-    Zero coefficients are dropped at construction, so equality of
-    vectors is plain dataclass equality.
+    Coefficients are ints or Fractions.  Zero coefficients are dropped
+    at construction, so equality of vectors is plain dataclass
+    equality; the entries are read-only, since cached vectors are
+    shared by every caller.
     """
 
     n: int
-    entries: Mapping[LinkPattern, Fraction] = field(default_factory=dict)
+    entries: Mapping[LinkPattern, int | Fraction] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        clean: dict[LinkPattern, Fraction] = {}
+        clean: dict[LinkPattern, int | Fraction] = {}
         for p, coeff in self.entries.items():
             if p.n != self.n:
                 raise ArityMismatch(
                     f"pattern on 2n={2 * p.n} points in a size-{self.n} vector"
                 )
-            value = _as_fraction(coeff)
+            value = _exact(coeff)
             if value:
                 clean[p] = value
-        object.__setattr__(self, "entries", clean)
+        object.__setattr__(self, "entries", MappingProxyType(clean))
 
     def __add__(self, other: "LpVector") -> "LpVector":
         if self.n != other.n:
             raise ArityMismatch("vector sizes differ")
         out = dict(self.entries)
         for p, coeff in other.entries.items():
-            out[p] = out.get(p, Fraction(0)) + coeff
+            out[p] = out.get(p, 0) + coeff
         return LpVector(self.n, out)
 
     def __sub__(self, other: "LpVector") -> "LpVector":
         return self + (-1) * other
 
     def __rmul__(self, scalar) -> "LpVector":
-        s = _as_fraction(scalar)
+        s = _exact(scalar)
         return LpVector(self.n, {p: s * c for p, c in self.entries.items()})
 
     def __eq__(self, other) -> bool:
@@ -390,26 +393,26 @@ class LpVector:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def coeff(self, p: LinkPattern) -> Fraction:
-        return self.entries.get(p, Fraction(0))
+    def coeff(self, p: LinkPattern) -> int | Fraction:
+        return self.entries.get(p, 0)
 
-    def total(self) -> Fraction:
-        return sum(self.entries.values(), Fraction(0))
+    def total(self) -> int | Fraction:
+        return sum(self.entries.values(), 0)
 
     def map_patterns(self, f: Callable[[LinkPattern], LinkPattern], n_out: int) -> "LpVector":
-        out: dict[LinkPattern, Fraction] = {}
+        out: dict[LinkPattern, int | Fraction] = {}
         for p, coeff in self.entries.items():
             q = f(p)
-            out[q] = out.get(q, Fraction(0)) + coeff
+            out[q] = out.get(q, 0) + coeff
         return LpVector(n_out, out)
 
     @classmethod
     def basis(cls, p: LinkPattern) -> "LpVector":
-        return cls(p.n, {p: Fraction(1)})
+        return cls(p.n, {p: 1})
 
     @classmethod
     def from_counts(cls, n: int, counts: Mapping[LinkPattern, int]) -> "LpVector":
-        return cls(n, {p: Fraction(v) for p, v in counts.items()})
+        return cls(n, counts)
 
     @classmethod
     def zero(cls, n: int) -> "LpVector":

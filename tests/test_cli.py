@@ -325,11 +325,15 @@ class TestPinnedOutputs:
              "dabfe0f091a605352c5330f933304d5b5370072c82cf10d76f5a44f2cc502107"),
             (("verify", "gyration-general", "--n-max", "5"),
              "513d2fa224209a0e5221c5e70e706334ddda18e98a63eecd0708bf470900857f"),
+            (("orbit-report", "--n", "6", "--sign", "+"),
+             "3e32b56bd4ba397a1c4d69cdc488ade91c97ab3bdce30d52e93e749376ef9da7"),
+            (("orbit-report", "--n", "6", "--sign", "-"),
+             "18c9afa13cbaed2575fd33d76f5d9bccf9643716b3b5974816a261cb58d14f9a"),
         ],
         ids=[
             "orbit-report-plus", "orbit-report-minus", "verify-orbits", "verify-identities",
             "verify-rs", "verify-tl-n7", "verify-orbits-n6", "verify-gyration-general-seed1",
-            "verify-gyration-general-n5",
+            "verify-gyration-general-n5", "orbit-report-n6-plus", "orbit-report-n6-minus",
         ],
     )
     def test_stdout_digest(self, capsys, argv, digest):

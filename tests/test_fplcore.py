@@ -6,12 +6,14 @@ from collections import Counter
 
 import pytest
 
+from dfs_oracle import oracle_configs, search
 from fplrs.fplcore import (
     FplConfig,
     LinkData,
     PsiTable,
     _patterns,
     _trace_colour,
+    _walk,
     asm_count_formula,
     count_configs,
     enumerate_configs,
@@ -107,16 +109,13 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("seed", [10216, 10314, 10404])
     def test_gyration_suite_ensembles(self, seed):
-        # the 50 random domains of `verify gyration-general --seed S`,
-        # drawn as the suite draws them.  Each seed holds one ensemble
-        # where an edge rejected at its first endpoint was never counted
-        # at its second, whose count then stayed one low, so the DFS
-        # yielded configs with three edges of one colour there.
-        rng = random.Random(seed)
-        for k in range(50):
-            n_cells = rng.randint(6, 24)
-            d, t = random_glueable(rng, n_cells, "plus" if k % 2 == 0 else "minus")
-            configs = list(enumerate_configs(d, t))
+        # the 50 random domains of `verify gyration-general --seed S`.
+        # Each seed holds one ensemble where an edge rejected at its
+        # first endpoint was never counted at its second, whose count
+        # then stayed one low, so the DFS yielded configs with three
+        # edges of one colour there.
+        for d, t in _suite_ensembles(seed):
+            configs = list(oracle_configs(d, t))
             assert len(configs) == count_configs(d, t)
             assert all(phi.check_ice_rule() for phi in configs)
 
@@ -392,9 +391,19 @@ class TestRefinedCounts:
         assert s_vector(n) == refined_counts(n).as_vector()
 
 
+def _suite_ensembles(seed):
+    """The 50 random domains of `verify gyration-general --seed S`,
+    drawn as the suite draws them."""
+    rng = random.Random(seed)
+    return [
+        random_glueable(rng, rng.randint(6, 24), "plus" if k % 2 == 0 else "minus")
+        for k in range(50)
+    ]
+
+
 def _oracle(d, t, forced=()):
     """Black-pattern counts by tracing every DFS leaf."""
-    return dict(Counter(link_data(phi).black for phi in enumerate_configs(d, t, forced)))
+    return dict(Counter(link_data(phi).black for phi in oracle_configs(d, t, forced)))
 
 
 def _census_oracle(n):
@@ -402,7 +411,7 @@ def _census_oracle(n):
     pattern, bottom two type words and bottom-face indicators."""
     d, t = build_square(n, "+")
     keys = Counter()
-    for phi in enumerate_configs(d, t):
+    for phi in oracle_configs(d, t):
         row = lambda y: "".join(vertex_type(phi, (x, y)) for x in range(1, n + 1))
         alphas = tuple(plaquette_indicator(phi, (2 * j - 1, 1)) for j in range(1, n // 2 + 1))
         keys[link_data(phi).black, row(1), row(2) if n >= 2 else "", alphas] += 1
@@ -450,7 +459,7 @@ class TestFrontierSweep:
         done, prefixes = split_prefixes(d, t, 3)
         assert prefixes
         for prefix in prefixes:
-            leaves = sum(1 for _ in enumerate_configs(d, t, prefix))
+            leaves = sum(1 for _ in oracle_configs(d, t, prefix))
             assert sum(psi_counts(d, t, prefix).values()) == leaves
         total = len(done) + sum(sum(psi_counts(d, t, p).values()) for p in prefixes)
         assert total == asm_count_formula(5)
@@ -465,6 +474,61 @@ class TestFrontierSweep:
         (d, t), = _random_ensembles("plus", count=1, seed=7)
         assert _patterns(d, t, jobs=2) == _patterns(d, t)
         assert count_configs(d, t, jobs=2) == count_configs(d, t)
+
+
+def _walks_like_the_oracle(d, t, forced=()):
+    """The walk gives the DFS's stream, in its order, each leaf with its
+    traced black pattern; ``enumerate_configs`` is that stream."""
+    walked = list(_walk(d, t, forced))
+    stream = [bits for bits, _ in walked]
+    assert stream == list(search(d, t, forced))
+    assert [phi.bits for phi in enumerate_configs(d, t, forced)] == stream
+    for bits, p in walked:
+        assert p is _trace_colour(FplConfig(d, bits), 1)[0]
+    return stream
+
+
+class TestWalk:
+    """The depth-first walk over the sweep's transitions against the
+    DFS oracle, which decides edges rather than vertices."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("sign", "+-")
+    def test_squares(self, n, sign):
+        d, t = build_square(n, sign)
+        assert len(_walks_like_the_oracle(d, t)) == asm_count_formula(n)
+
+    @pytest.mark.parametrize("seed", [20100615, 10216, 10314, 10404])
+    def test_suite_ensembles(self, seed):
+        for d, t in _suite_ensembles(seed):
+            _walks_like_the_oracle(d, t)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("sign", "+-")
+    def test_every_depth_3_prefix(self, n, sign):
+        d, t = build_square(n, sign)
+        done, prefixes = split_prefixes(d, t, 3)
+        merged = list(done)
+        for prefix in prefixes:
+            merged += _walks_like_the_oracle(d, t, prefix)
+        stream = list(search(d, t))
+        assert sorted(merged) == sorted(stream)
+        if not done:
+            assert merged == stream
+        # the DFS's own prefixes force the walk just as well
+        for kind, payload in search(d, t, split_depth=3):
+            if kind == "prefix":
+                _walks_like_the_oracle(d, t, payload)
+
+    def test_a_split_below_every_decision_is_the_stream(self):
+        d, t = build_square(4, "-")
+        done, prefixes = split_prefixes(d, t, 10**6)
+        assert prefixes == [] and done == list(search(d, t))
+
+    def test_bad_boundary_raises(self):
+        d, _ = build_square(2, "+")
+        with pytest.raises(ValueError):
+            list(enumerate_configs(d, BoundaryCondition((1, 0))))
 
 
 @pytest.mark.slow

@@ -6,6 +6,7 @@ import pytest
 
 from fplrs.fplcore import (
     FplConfig,
+    _trace_colour,
     asm_count_formula,
     count_configs,
     enumerate_configs,
@@ -13,6 +14,7 @@ from fplrs.fplcore import (
     plaquette_indicator,
     refined_counts,
 )
+import fplrs.gyration
 from fplrs.gyration import (
     apply_h,
     generalized_gyration_check,
@@ -447,6 +449,26 @@ class TestOrbitSums:
                 values = [plaquette_indicator(phi, alpha) for phi in o.configs()]
                 assert (plus, minus) == (values.count(1), values.count(-1))
                 assert plus == minus
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    def test_orbit_patterns_are_the_traced_ones(self, n, sign):
+        # the partition takes its patterns from the walk, orbit() traces
+        # them; both must be each configuration's black pattern
+        for o in orbit_partition(n, sign):
+            assert len(o.patterns) == o.period
+            for phi, p in zip(o.configs(), o.patterns):
+                assert p is _trace_colour(phi, 1)[0]
+            traced = orbit(o.seed)
+            assert traced == o
+            assert orbit_faces(traced) == orbit_faces(o)
+
+    def test_a_cycle_leaving_the_ensemble_is_an_error(self, monkeypatch):
+        # one flipped edge breaks the ice rule, so the walk never meets
+        # that member and its pattern stays unknown
+        monkeypatch.setattr(fplrs.gyration, "_cycle", lambda bits, plus, minus: (bits, bits ^ 1))
+        with pytest.raises(AssertionError, match="left the ensemble"):
+            orbit_partition(3)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_class_level_sums(self, n):

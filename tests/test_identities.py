@@ -199,6 +199,20 @@ class TestVectors:
 
         assert s_vector(n).total() == asm_count_formula(n)
 
+    def test_vectors_are_built_once_and_read_only(self):
+        s = s_vector(4)
+        state = aux_state(4, "odd", 1, "c")
+        assert s_vector(4) is s
+        assert aux_state(4, "odd", 1, "c") is state
+        p = next(iter(s.entries))
+        for v in (s, state.value):
+            with pytest.raises(TypeError):
+                v.entries[p] = 0
+        assert s_vector(4) is s and s.total() == 42
+
+    def test_counts_stay_ints(self):
+        assert all(type(c) is int for c in s_vector(4).entries.values())
+
 
 @pytest.mark.slow
 class TestSizeSix:

@@ -401,6 +401,26 @@ class TestLpVector:
         data = lp_vector_to_json(v)
         assert data["entries"][p.word] == "7/2"
 
+    def test_ints_stay_ints_and_print_as_fractions_did(self):
+        p, q = all_patterns(2)
+        v = LpVector.from_counts(2, {p: 3, q: -2})
+        w = LpVector(2, {p: Fraction(3), q: Fraction(-2)})
+        assert type(v.coeff(p)) is int and type(v.total()) is int
+        assert type((2 * v + v).coeff(q)) is int
+        assert v == w
+        assert lp_vector_to_json(v) == lp_vector_to_json(w)
+        assert first_difference(v, 2 * w) == first_difference(w, 2 * w)
+        assert type(LpVector(2, {p: True}).coeff(p)) is int
+        with pytest.raises(TypeError):
+            LpVector(2, {p: 0.5})
+
+    def test_entries_are_read_only(self):
+        p, q = all_patterns(2)
+        v = LpVector.basis(p)
+        with pytest.raises(TypeError):
+            v.entries[q] = 1
+        assert v.entries == {p: 1}
+
     def test_first_difference_names_the_least_word(self):
         a = LinkPattern.from_word("(())()")
         b = LinkPattern.from_word("()()()")
