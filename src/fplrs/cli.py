@@ -26,6 +26,7 @@ import json
 import os
 import random
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -123,23 +124,31 @@ def _cached(args, command: str, compute, **params) -> str:
     return text
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Write through a temp file of its own in the target directory and
-    rename it into place, so concurrent writers never share a temp path.
-    The temp file is created with the mode a plain ``open`` would give.
-    An unwritable target is a usage error, not a traceback."""
+@contextmanager
+def _atomic_open(path: Path):
+    """A text file to write, that replaces ``path`` when the block ends.
+    It is a temp file of its own in the target directory, so concurrent
+    writers never share a temp path; it is renamed into place on success
+    and removed on any error.  The temp file is created with the mode a
+    plain ``open`` would give.  An unwritable target is a usage error,
+    not a traceback."""
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w") as f:
-                f.write(text)
+                yield f
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
             raise
     except OSError as exc:
         raise FplrsError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    with _atomic_open(path) as f:
+        f.write(text)
 
 
 def _check_out(out: str | None) -> None:
@@ -316,7 +325,9 @@ def _suite_identities(n_max: int) -> list[CheckLine]:
 def _tl_operators():
     """tl_e, rotate, close_c and add_a, each memoised for one suite call.
 
-    The relations make about 2 x 10^5 operator calls per size, yet meet
+    The relations check each distinct sample once, with about 17
+    operator calls each: 6 x 10^4 calls at n = 5 (3,792 distinct
+    samples of 10^4) up to 1.6 x 10^5 at n = 7 (9,434), yet they meet
     only a few thousand distinct (pattern, index) pairs.  Patterns are
     interned, so every result is the one object for its matching and
     the memo holds each pattern once.  The memo lives only as long as
@@ -347,23 +358,25 @@ def _check_tl_relations(n: int, samples, lines: list[CheckLine], label: str, ops
     wrap = lambda j: ((j - 1) % size) + 1
     ok_a = ok_b = ok_c = ok_d = True
     ok_ca = ok_ac = ok_comm = True
-    for p, i, j in samples:
+    # each check is an AND, so a repeated sample adds nothing: check
+    # every distinct one once, in first-seen order
+    for p, i, j in dict.fromkeys(samples):
         ei = tl_e(p, i)
         ok_a &= ei == rotate(tl_e(rotate(p, -1), wrap(i + 1)), 1)
         ok_b &= tl_e(ei, i) == ei
         dist = min((i - j) % size, (j - i) % size)
         if dist > 1:
             ok_c &= tl_e(tl_e(p, j), i) == tl_e(ei, j)
-        ok_d &= tl_e(tl_e(tl_e(p, i), wrap(i + 1)), i) == ei
-        ok_d &= tl_e(tl_e(tl_e(p, i), wrap(i - 1)), i) == ei
+        ok_d &= tl_e(tl_e(ei, wrap(i + 1)), i) == ei
+        ok_d &= tl_e(tl_e(ei, wrap(i - 1)), i) == ei
         if i <= size - 1:
             ok_ca &= close_c(add_a(p, i), i) == p
-            ok_ac &= add_a(close_c(p, i), i) == tl_e(p, i)
+            ok_ac &= add_a(close_c(p, i), i) == ei
         if j - i >= 2:
             if j <= size - 1 and i <= size - 3:
-                ok_comm &= close_c(tl_e(p, i), j) == tl_e(close_c(p, j), i)
+                ok_comm &= close_c(ei, j) == tl_e(close_c(p, j), i)
             if j <= size + 1:
-                ok_comm &= add_a(tl_e(p, i), j) == tl_e(add_a(p, j), i)
+                ok_comm &= add_a(ei, j) == tl_e(add_a(p, j), i)
     lines.append(CheckLine("tl", f"conjugation by rotation shifts indices, {label}", ok_a))
     lines.append(CheckLine("tl", f"generators are idempotent, {label}", ok_b))
     lines.append(CheckLine("tl", f"distant generators commute, {label}", ok_c))
@@ -426,10 +439,11 @@ def _conservation_lines(d, t, parity, lines, label) -> None:
     g = glue_and_gamma(d, t, parity, allow_swaps=True)
     ok_inv = ok_triplet = ok_bc = True
     count = 0
+    complement = t.complemented()
     for phi in enumerate_configs(d, t):
         count += 1
         psi = apply_h(phi, g)
-        ok_bc &= psi.boundary() == t.complemented()
+        ok_bc &= psi.boundary() == complement
         ok_inv &= apply_h(psi, g).bits == phi.bits
         ok_triplet &= pair_link_data(phi, g) == pair_link_data(psi, g)
     lines.append(
@@ -566,16 +580,23 @@ def cmd_verify(args) -> int:
     return _report(SUITES[args.suite](args), args.format, args.out)
 
 
-def cmd_orbit_report(args) -> int:
-    _check_size(args)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
+def _orbit_rows(n: int, sign: str, f) -> None:
+    """Write the orbit-report CSV to f row by row, as the orbits come."""
+    writer = csv.writer(f)
     writer.writerow(["orbit_id", "period", "link_class", "plaquette", "sum"])
-    for oid, o in enumerate(orbit_partition(args.n, args.sign)):
+    for oid, o in enumerate(orbit_partition(n, sign)):
         classes, faces = orbit_faces(o)
         for (x, y), (plus, minus) in faces.items():
             writer.writerow([oid, o.period, classes[0], f"{x},{y}", plus - minus])
-    _emit(buf.getvalue(), args.out)
+
+
+def cmd_orbit_report(args) -> int:
+    _check_size(args)
+    if args.out:
+        with _atomic_open(Path(args.out)) as f:
+            _orbit_rows(args.n, args.sign, f)
+    else:
+        _orbit_rows(args.n, args.sign, sys.stdout)
     return 0
 
 

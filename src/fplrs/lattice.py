@@ -25,7 +25,9 @@ rejected.  A pairing is valid when every cycle has length at most 4 and
 every cycle through a bichromatic glued vertex has length at most 3;
 when a concave corner breaks this, the two terminations over an
 adjacent convex corner may be interchanged (a count-preserving swap)
-and the test repeated.
+and the test repeated.  The turn between two glued terminations already
+fixes the length of their cycle, so this test runs on the boundary walk
+alone, before any edge ids or plaquettes are built.
 """
 
 from __future__ import annotations
@@ -64,51 +66,69 @@ def _neighbour(v: Cell, d: int) -> Cell:
     return (v[0] + dx, v[1] + dy)
 
 
+# The boundary walk runs on the shifted grid: corner (a, b) is the
+# lower-left corner of cell (a, b).  The four cells around a corner are
+# indexed by direction: cell h lies on the left of a walk leaving the
+# corner with heading h, and cell h - 1 on its right.
+#   heading E: left cell (a, b),     right cell (a, b-1),   leg ((a, b), S)
+#   heading N: left cell (a-1, b),   right cell (a, b),     leg ((a-1, b), E)
+#   heading W: left cell (a-1, b-1), right cell (a-1, b),   leg ((a-1, b-1), N)
+#   heading S: left cell (a, b-1),   right cell (a-1, b-1), leg ((a, b-1), W)
+_AROUND = ((0, 0), (-1, 0), (-1, -1), (0, -1))
+
+
+def _next_heading(heading: int, occupied: int) -> int:
+    """The one heading among left, straight and right whose left cell is
+    in the domain and whose right cell is not, or -1 if there is not
+    exactly one; ``occupied`` has bit h set when cell h is in the domain."""
+    ok = [
+        d for d in ((heading + 1) % 4, heading, (heading + 3) % 4)
+        if occupied >> d & 1 and not occupied >> (d + 3) % 4 & 1
+    ]
+    return ok[0] if len(ok) == 1 else -1
+
+
+# _STEPS[16 * heading + occupied]: the next heading and the turn to it,
+# or None where the boundary is pinched
+_STEPS = tuple(
+    None if (nxt := _next_heading(h, occ)) < 0 else (nxt, (nxt - h + 1) % 4 - 1)
+    for h in range(4)
+    for occ in range(16)
+)
+
+
 def _trace_boundary(cells: frozenset[Cell]) -> tuple[tuple[tuple[Cell, int], ...], tuple[int, ...]]:
     """Counter-clockwise boundary walk.
 
     Returns the terminations in cyclic order, starting at the south leg
     of the bottom-most-then-left-most cell, and the turn taken after
-    each termination.  Corners live on the shifted grid: corner (a, b)
-    is the lower-left corner of cell (a, b).
+    each termination.  Each step reads the four cells around the next
+    corner and looks the turn up in ``_STEPS``.
     """
-    start_cell = min(cells, key=lambda c: (c[1], c[0]))
-    # Walking east along the south side of start_cell keeps the region
-    # on the left, i.e. the walk is counter-clockwise.
-    #   direction E: left cell (a, b),     right cell (a, b-1), leg ((a, b), S)
-    #   direction N: left cell (a-1, b),   right cell (a, b),   leg ((a-1, b), E)
-    #   direction W: left cell (a-1, b-1), right cell (a-1, b), leg ((a-1, b-1), N)
-    #   direction S: left cell (a, b-1),   right cell (a-1, b-1), leg ((a, b-1), W)
-    def sides(p: Cell, d: int) -> tuple[Cell, Cell, tuple[Cell, int]]:
-        a, b = p
-        if d == EAST:
-            return (a, b), (a, b - 1), ((a, b), SOUTH)
-        if d == NORTH:
-            return (a - 1, b), (a, b), ((a - 1, b), EAST)
-        if d == WEST:
-            return (a - 1, b - 1), (a - 1, b), ((a - 1, b - 1), NORTH)
-        return (a, b - 1), (a - 1, b - 1), ((a, b - 1), WEST)
-
-    def ok(p: Cell, d: int) -> bool:
-        left, right, _ = sides(p, d)
-        return left in cells and right not in cells
-
-    pos, heading = start_cell, EAST
+    # Walking east along the south side of the start cell keeps the
+    # region on the left, i.e. the walk is counter-clockwise.
+    x0, y0 = min(cells, key=lambda c: (c[1], c[0]))
+    x, y, heading = x0, y0, EAST
     terms: list[tuple[Cell, int]] = []
     turns: list[int] = []
     while True:
-        terms.append(sides(pos, heading)[2])
-        pos = (pos[0] + DIRS[heading][0], pos[1] + DIRS[heading][1])
-        choices = [
-            d for d in ((heading + 1) % 4, heading, (heading + 3) % 4)
-            if ok(pos, d)
+        dx, dy = _AROUND[heading]
+        terms.append(((x + dx, y + dy), (heading + 3) % 4))
+        dx, dy = DIRS[heading]
+        x += dx
+        y += dy
+        step = _STEPS[
+            16 * heading
+            | ((x, y) in cells)
+            | ((x - 1, y) in cells) << 1
+            | ((x - 1, y - 1) in cells) << 2
+            | ((x, y - 1) in cells) << 3
         ]
-        if len(choices) != 1:
+        if step is None:
             raise ValueError("boundary is pinched; domain is not simply connected")
-        nxt = choices[0]
-        turns.append((nxt - heading + 1) % 4 - 1)
-        heading = nxt
-        if pos == start_cell and heading == EAST:
+        heading, turn = step
+        turns.append(turn)
+        if heading == EAST and x == x0 and y == y0:
             break
     return tuple(terms), tuple(turns)
 
@@ -410,44 +430,52 @@ def _pairing(n_terms: int, parity: str) -> tuple[tuple[int, int], ...]:
     raise ValueError("parity must be 'plus' or 'minus'")
 
 
-def _boundary_cycles(d: Domain, pairs) -> tuple[tuple[tuple[int, ...], ...], set[int]]:
-    """The forced cycle through each glued vertex.
+def _pair_paths(d: Domain, pairs) -> tuple[tuple[Cell, ...], ...]:
+    """The vertices that the forced cycle through each glued pair visits,
+    read off the turn between its two terminations.
 
-    Consecutive terminations attach at the same vertex (digon), at
-    adjacent vertices (triangle) or at diagonal vertices with a unique
-    common neighbour inside the domain (concave 4-cycle).
+    Consecutive terminations attach at the same vertex over a convex
+    corner (turn +1: a digon), at adjacent vertices over a straight
+    stretch (turn 0: a triangle) and at diagonal vertices over a concave
+    corner (turn -1: a 4-cycle).  The concave corner's vertex is in the
+    domain, since the walk turned right there, and it is the only common
+    neighbour of the two, so each cycle is unique.  Raises
+    :class:`InvalidTriplet` when two cycles share an internal edge.
     """
-    cycles: list[tuple[int, ...]] = []
-    used: set[int] = set()
-    idx = d.edge_index
+    terms, steps = d.terminations, d.steps
+    paths: list[tuple[Cell, ...]] = []
+    used: set[tuple[Cell, Cell]] = set()
     for a, b in pairs:
-        (va, _), (vb, _) = d.terminations[a], d.terminations[b]
-        ta, tb = d.termination_id(a), d.termination_id(b)
-        if va == vb:
-            cyc = (ta, tb)
-        elif abs(va[0] - vb[0]) + abs(va[1] - vb[1]) == 1:
-            lo, hi = (va, vb) if va < vb else (vb, va)
-            cyc = (ta, idx[("i", lo, hi)], tb)
+        (va, leg), (vb, _) = terms[a], terms[b]
+        turn = steps[a]
+        if turn == 1:
+            path: tuple[Cell, ...] = (va,)
+        elif turn == 0:
+            path = (va, vb)
         else:
-            common = [
-                w
-                for w in ((va[0], vb[1]), (vb[0], va[1]))
-                if abs(va[0] - vb[0]) == 1 and abs(va[1] - vb[1]) == 1 and w in d.cells
-            ]
-            if len(common) > 1:
-                raise NonUniqueGamma("two paths close the glued pair")
-            if not common:
-                raise InvalidTriplet("glued pair cannot close in length 4")
-            w = common[0]
-            e1 = ("i", *sorted((va, w)))
-            e2 = ("i", *sorted((w, vb)))
-            cyc = (ta, idx[e1], idx[e2], tb)
-        for e in cyc:
-            if e in used:
+            # the walk passes va heading along leg + 1 and turns right
+            # at the next vertex
+            path = (va, _neighbour(va, (leg + 1) % 4), vb)
+        for v, w in zip(path, path[1:]):
+            link = (v, w) if v < w else (w, v)
+            if link in used:
                 raise InvalidTriplet("boundary cycles overlap")
-            used.add(e)
-        cycles.append(cyc)
-    return tuple(cycles), used
+            used.add(link)
+        paths.append(path)
+    return tuple(paths)
+
+
+def _boundary_cycles(d: Domain, pairs, paths) -> tuple[tuple[int, ...], ...]:
+    """The forced cycle through each glued vertex as canonical edge ids:
+    the first termination, the internal edges along the pair's path,
+    the second termination."""
+    idx = d.edge_index
+    return tuple(
+        (d.termination_id(a),)
+        + tuple(idx[("i", v, w) if v < w else ("i", w, v)] for v, w in zip(path, path[1:]))
+        + (d.termination_id(b),)
+        for (a, b), path in zip(pairs, paths)
+    )
 
 
 def _plaquette_cover(d: Domain, used: set[int]) -> tuple[tuple[int, ...], ...]:
@@ -496,15 +524,15 @@ def _plaquette_cover(d: Domain, used: set[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(edges_of_face[f] for f in chosen)
 
 
-def _validity_offence(d: Domain, pairs, cycles, bc: BoundaryCondition) -> int | None:
+def _validity_offence(pairs, steps, cols) -> int | None:
     """Index of the first pair breaking validity, or None if valid.
 
     Every cycle has length <= 4 by construction, so the only possible
-    offence is a 4-cycle through a bichromatic glued vertex.
+    offence is a 4-cycle, a pair over a concave corner, through a
+    bichromatic glued vertex.
     """
-    cols = bc.colours
-    for i, ((a, b), cyc) in enumerate(zip(pairs, cycles)):
-        if len(cyc) == 4 and cols[a] != cols[b]:
+    for i, (a, b) in enumerate(pairs):
+        if steps[a] == -1 and cols[a] != cols[b]:
             return i
     return None
 
@@ -520,41 +548,46 @@ def glue_and_gamma(
     Raises :class:`InvalidTriplet` when no valid partition exists (even
     after permitted convex-corner swaps) and :class:`NonUniqueGamma`
     when propagation cannot decide the plaquette parity.
+
+    The checks run from cheap to dear.  The pair geometry and the colour
+    test (with its swaps) need only the boundary walk's terminations and
+    turns; edge ids, cycles and the plaquette cover are built only for
+    a pairing that passes both.  So a pairing that fails the colour test
+    raises its colour :class:`InvalidTriplet` even where the plaquette
+    cover would also have failed.
     """
     if len(t.colours) != d.perimeter:
         raise ValueError("boundary condition length mismatch")
     pairs = _pairing(d.perimeter, parity)
-    b_cycles, used = _boundary_cycles(d, pairs)
-    plaquettes = _plaquette_cover(d, used)
-    cycles = b_cycles + plaquettes
-    covered = sorted(e for cyc in cycles for e in cyc)
-    if covered != list(range(len(d.edges))):
-        raise NonUniqueGamma("cycle partition does not cover the edge set")
-
-    bc, swaps = t, []
-    steps = d.steps
-    while True:
-        offence = _validity_offence(d, pairs, b_cycles, bc)
-        if offence is None:
-            break
+    paths = _pair_paths(d, pairs)
+    cols, swaps = list(t.colours), []
+    steps, n_terms = d.steps, d.perimeter
+    while (offence := _validity_offence(pairs, steps, cols)) is not None:
         if not allow_swaps:
             raise InvalidTriplet(
                 f"bichromatic pair {pairs[offence]} sits over a concave corner"
             )
         a, b = pairs[offence]
-        fixed = False
-        for k in ((a - 1) % d.perimeter, b % d.perimeter):
-            if steps[k] != 1 or k in swaps:
-                continue
-            candidate = bc.swapped(k)
-            if candidate.colours[a] == candidate.colours[b]:
-                bc, fixed = candidate, True
+        for k in ((a - 1) % n_terms, b % n_terms):
+            # the swap at k (as BoundaryCondition.swapped) moves a new
+            # colour onto a or b, and so makes the pair monochromatic,
+            # exactly when the two colours it exchanges differ
+            k2 = (k + 1) % n_terms
+            if steps[k] == 1 and k not in swaps and cols[k] != cols[k2]:
+                cols[k], cols[k2] = cols[k2], cols[k]
                 swaps.append(k)
                 break
-        if not fixed:
+        else:
             raise InvalidTriplet(
                 f"no convex-corner swap fixes pair {pairs[offence]}"
             )
+
+    b_cycles = _boundary_cycles(d, pairs, paths)
+    used = {e for cyc in b_cycles for e in cyc}
+    cycles = b_cycles + _plaquette_cover(d, used)
+    covered = sorted(e for cyc in cycles for e in cyc)
+    if covered != list(range(len(d.edges))):
+        raise NonUniqueGamma("cycle partition does not cover the edge set")
 
     graph = GluedGraph(
         domain=d,

@@ -265,9 +265,10 @@ def close_c(p: LinkPattern, j: int) -> LinkPattern:
     if pa != b:
         # join the former partners of j and j+1
         m[pa], m[pb] = pb, pa
-    keep = [i for i in range(size) if i not in (a, b)]
-    relabel = {old: new for new, old in enumerate(keep)}
-    return LinkPattern(tuple(relabel[m[old]] for old in keep))
+    # drop positions a and b; no remaining point is partnered with
+    # either, and the points after them move down by two
+    del m[a : b + 1]
+    return LinkPattern(tuple(q if q < a else q - 2 for q in m))
 
 
 def add_a(p: LinkPattern, j: int) -> LinkPattern:
@@ -275,17 +276,9 @@ def add_a(p: LinkPattern, j: int) -> LinkPattern:
     size = len(p.match)
     if not 1 <= j <= size + 1:
         raise ArityMismatch(f"add_a index {j} out of range for 2n={size}")
-    shift = [old + 2 if old >= j - 1 else old for old in p.match]
-    out: list[int] = []
-    for old in range(size + 2):
-        if old == j - 1:
-            out.append(j)
-        elif old == j:
-            out.append(j - 1)
-        else:
-            src = old - 2 if old > j else old
-            out.append(shift[src])
-    return LinkPattern(tuple(out))
+    # the points from j on move up by two, past the new arc
+    shift = tuple(q + 2 if q >= j - 1 else q for q in p.match)
+    return LinkPattern(shift[: j - 1] + (j, j - 1) + shift[j - 1 :])
 
 
 @dataclass(frozen=True)

@@ -60,7 +60,14 @@ def random_glueable(
     max_configs: int = 4000,
 ) -> tuple[Domain, BoundaryCondition]:
     """A random domain and colours whose gluing is valid (swaps allowed)
-    and whose ensemble is populated but small enough to enumerate."""
+    and whose ensemble is populated but small enough to enumerate.
+
+    Each try draws a domain (traced once, when it is built) and its
+    colours, then glues.  :func:`glue_and_gamma` runs the colour test on
+    the boundary walk alone, so a rejected try builds no edge ids and no
+    plaquette cover; only a glueable pair is then counted.  The rejected
+    tries still consume their random numbers, so the stream depends on
+    the seed alone."""
     from .errors import InvalidTriplet, NonUniqueGamma
     from .fplcore import count_configs
     from .lattice import glue_and_gamma

@@ -5,10 +5,12 @@ import hashlib
 import io
 import json
 import os
+import random
 import stat
 import subprocess
 import sys
 import threading
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,7 @@ import pytest
 import fplrs
 from fplrs import cli
 from fplrs.cli import Cache, main
+from fplrs.linkpat import all_patterns, tl_e
 
 
 def run(capsys, *argv):
@@ -180,7 +183,56 @@ class TestVerify:
         assert (honest.check, honest.detail) == (miscounted.check, miscounted.detail)
 
 
+@pytest.mark.parametrize("repeats", [1, 2], ids=["once", "repeated"])
+def test_tl_fault_reached_by_one_sample_fails_its_line(monkeypatch, repeats):
+    # tl_e gives a wrong pattern for one (q, k) that a single distinct
+    # sampled triple reaches, occurring once or twice in the n = 5
+    # sample; checking each distinct triple once must still report it.
+    # q is taken from LP(6), which only the cap relations of n = 5 reach
+    # when the suite stops at n-max 5.
+    seed = 20100615
+    rng = random.Random(seed)
+    pats = all_patterns(5)
+    samples = [(rng.choice(pats), rng.randint(1, 10), rng.randint(1, 10)) for _ in range(10_000)]
+    ops = cli._tl_operators()
+    reached = {}
+    for sample in dict.fromkeys(samples):
+        def spy(q, k, sample=sample):
+            reached.setdefault((q, k), set()).add(sample)
+            return ops[0](q, k)
+
+        cli._check_tl_relations(5, [sample], [], "", (spy, *ops[1:]))
+    times = Counter(samples)
+    key = next(
+        key for key, by in reached.items()
+        if key[0].n == 6 and len(by) == 1 and times[next(iter(by))] == repeats
+        and tl_e(*key) != key[0]
+    )
+    real = cli.tl_e
+    monkeypatch.setattr(cli, "tl_e", lambda q, k: q if (q, k) == key else real(q, k))
+    failed = [line.check for line in cli._suite_tl(5, seed) if not line.status]
+    assert failed == ["caps commute with distant generators, 10^4 samples n=5"]
+
+
 class TestOrbitReport:
+    def test_out_file_is_the_stdout_stream(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "orbit-report", "--n", "4")
+        target = tmp_path / "orbits.csv"
+        assert run(capsys, "orbit-report", "--n", "4", "--out", str(target))[:2] == (0, "")
+        assert code == 0 and target.read_bytes() == out.encode()
+        assert [p.name for p in tmp_path.iterdir()] == ["orbits.csv"]
+
+    def test_failed_report_leaves_no_file(self, capsys, tmp_path, monkeypatch):
+        # rows are written as the orbits come; a run that fails part way
+        # removes its temp file and never creates the target
+        def broken(o):
+            raise AssertionError("gyration left the ensemble")
+
+        monkeypatch.setattr(cli, "orbit_faces", broken)
+        with pytest.raises(AssertionError):
+            main(["orbit-report", "--n", "3", "--out", str(tmp_path / "orbits.csv")])
+        assert not list(tmp_path.iterdir())
+
     def test_csv_rows_all_zero(self, capsys):
         code, out, _ = run(capsys, "orbit-report", "--n", "3")
         assert code == 0
@@ -329,11 +381,21 @@ class TestPinnedOutputs:
              "3e32b56bd4ba397a1c4d69cdc488ade91c97ab3bdce30d52e93e749376ef9da7"),
             (("orbit-report", "--n", "6", "--sign", "-"),
              "18c9afa13cbaed2575fd33d76f5d9bccf9643716b3b5974816a261cb58d14f9a"),
+            (("verify", "gyration-general", "--n-max", "5", "--seed", "10216"),
+             "95a112d0a201af69d89bac671d2dca51d8c2e6174d364f9921795c12f027cd19"),
+            (("verify", "gyration-general", "--n-max", "5", "--seed", "10314"),
+             "61e1c17809e92bcf1404fcf6c952a4c0501ee78f96ed9af8a3df5ae9373da846"),
+            (("verify", "gyration-general", "--n-max", "5", "--seed", "10404"),
+             "92f2e64e3a0111b39e640d8e2c875bb3a1ffa4d39ae0c432d6d6ea1edd3fb80b"),
+            (("verify", "tl", "--n-max", "7", "--seed", "5"),
+             "2d38c801e59db71539ed2d9339c15c92a758bd470977ae6f0a13072bea953c21"),
         ],
         ids=[
             "orbit-report-plus", "orbit-report-minus", "verify-orbits", "verify-identities",
             "verify-rs", "verify-tl-n7", "verify-orbits-n6", "verify-gyration-general-seed1",
             "verify-gyration-general-n5", "orbit-report-n6-plus", "orbit-report-n6-minus",
+            "verify-gyration-general-n5-seed10216", "verify-gyration-general-n5-seed10314",
+            "verify-gyration-general-n5-seed10404", "verify-tl-n7-seed5",
         ],
     )
     def test_stdout_digest(self, capsys, argv, digest):

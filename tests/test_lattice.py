@@ -1,12 +1,19 @@
 """Domains, boundary walks, and termination gluing."""
 
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fplrs.errors import InvalidTriplet
+from fplrs import cli, lattice
+from fplrs.errors import InvalidTriplet, NonUniqueGamma
 from fplrs.lattice import (
+    DIRS,
+    EAST,
+    NORTH,
+    SOUTH,
+    WEST,
     BoundaryCondition,
     Domain,
     _neighbour,
@@ -250,3 +257,155 @@ def test_boundary_walk_covers_each_termination_once(seed, size):
     d = random_domain(random.Random(seed), size)
     assert len(set(d.terminations)) == d.perimeter
     assert sum(d.steps) == 4
+
+
+def _reference_trace_boundary(cells):
+    """The boundary walk as it was written before it became
+    table-driven: each candidate step builds its (left cell, right
+    cell, leg) triple through two closures."""
+    start_cell = min(cells, key=lambda c: (c[1], c[0]))
+
+    def sides(p, d):
+        a, b = p
+        if d == EAST:
+            return (a, b), (a, b - 1), ((a, b), SOUTH)
+        if d == NORTH:
+            return (a - 1, b), (a, b), ((a - 1, b), EAST)
+        if d == WEST:
+            return (a - 1, b - 1), (a - 1, b), ((a - 1, b - 1), NORTH)
+        return (a, b - 1), (a - 1, b - 1), ((a, b - 1), WEST)
+
+    def ok(p, d):
+        left, right, _ = sides(p, d)
+        return left in cells and right not in cells
+
+    pos, heading = start_cell, EAST
+    terms, turns = [], []
+    while True:
+        terms.append(sides(pos, heading)[2])
+        pos = (pos[0] + DIRS[heading][0], pos[1] + DIRS[heading][1])
+        choices = [
+            d for d in ((heading + 1) % 4, heading, (heading + 3) % 4)
+            if ok(pos, d)
+        ]
+        if len(choices) != 1:
+            raise ValueError("boundary is pinched; domain is not simply connected")
+        nxt = choices[0]
+        turns.append((nxt - heading + 1) % 4 - 1)
+        heading = nxt
+        if pos == start_cell and heading == EAST:
+            break
+    return tuple(terms), tuple(turns)
+
+
+def _trace_outcome(trace, cells):
+    try:
+        return trace(cells)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_boundary_walk_matches_the_reference():
+    # random growth without the resampling of random_domain, so that
+    # pinched and holed polyominoes occur among the 500
+    rng = random.Random(4)
+    pinched = holed = 0
+    for _ in range(500):
+        cells = {(0, 0)}
+        for _ in range(rng.randint(0, 40)):
+            x, y = rng.choice(sorted(cells))
+            dx, dy = rng.choice(DIRS)
+            cells.add((x + dx, y + dy))
+        cells = frozenset(cells)
+        want = _trace_outcome(_reference_trace_boundary, cells)
+        assert _trace_outcome(_trace_boundary, cells) == want
+        if isinstance(want, str):
+            pinched += 1
+        elif not _reference_accepts(cells):
+            holed += 1
+            with pytest.raises(ValueError, match="enclose a hole"):
+                Domain(cells)
+    assert pinched and holed
+
+
+def _draw_outcomes(seed, draws=300):
+    """Per random draw: the swaps when glued with swaps allowed, and
+    without, or "x" where the gluing raises."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(draws):
+        d = random_domain(rng, rng.randint(6, 24))
+        t = random_boundary(rng, d)
+        parity = "plus" if k % 2 == 0 else "minus"
+        row = []
+        for allow in (True, False):
+            try:
+                g = glue_and_gamma(d, t, parity, allow_swaps=allow)
+            except (InvalidTriplet, NonUniqueGamma):
+                row.append("x")
+            else:
+                row.append(",".join(map(str, g.swaps)))
+        out.append("|".join(row))
+    return out
+
+
+@pytest.mark.parametrize(
+    "seed, accepted, digest",
+    [
+        (1, 165, "00857d4282ec6c885d059ccfae4bc5f1176df2593dc62ea4d52d82512423884a"),
+        (10216, 148, "695df2f4f2af6d7d9d88b5235f97bdec05868486b95a2247a1ff49209ba1f713"),
+        (10314, 131, "1d6d3cb271048b4c64031a75b07bb114139cbe5becd13299cb65ea93b9c5ccdf"),
+        (10404, 144, "511134e5b0f7a8f157f97e0e0afb1e043564ace9a4196bb28944e01ff0b3bae6"),
+    ],
+)
+def test_glue_accepts_and_rejects_the_same_draws(seed, accepted, digest):
+    # computed when the plaquette cover still ran before the colour
+    # test; checking colours first must not change which draws pass
+    # or their swaps.  Any other exception type fails the test.
+    out = _draw_outcomes(seed)
+    assert sum(row.split("|")[0] != "x" for row in out) == accepted
+    assert hashlib.sha256("\n".join(out).encode()).hexdigest() == digest
+
+
+def test_colour_fault_is_raised_before_the_plaquette_cover(monkeypatch):
+    # a pairing with a colour fault raises the colour InvalidTriplet,
+    # and the cover, which might have failed too, is never built
+    def broken_cover(d, used):
+        raise NonUniqueGamma("plaquette parity not forced by the boundary")
+
+    monkeypatch.setattr(lattice, "_plaquette_cover", broken_cover)
+    d = l_shape()
+    t = BoundaryCondition(tuple(k % 2 for k in range(d.perimeter)))
+    with pytest.raises(InvalidTriplet, match="sits over a concave corner"):
+        glue_and_gamma(d, t, "minus", allow_swaps=False)
+    with pytest.raises(NonUniqueGamma):
+        glue_and_gamma(d, t, "minus", allow_swaps=True)
+
+
+def test_rejected_draws_build_no_plaquette_cover(monkeypatch):
+    # at seed 1, 897 draws of random_glueable reach glue_and_gamma and
+    # 364 pass the colour test; only those build a plaquette cover
+    drawing = []
+    counts = {"draws": 0, "covers": 0}
+    real_draw, real_glue, real_cover = cli.random_glueable, lattice.glue_and_gamma, lattice._plaquette_cover
+
+    def draw(*args, **kwargs):
+        drawing.append(True)
+        try:
+            return real_draw(*args, **kwargs)
+        finally:
+            drawing.pop()
+
+    def glue(*args, **kwargs):
+        counts["draws"] += bool(drawing)
+        return real_glue(*args, **kwargs)
+
+    def cover(*args):
+        counts["covers"] += bool(drawing)
+        return real_cover(*args)
+
+    monkeypatch.setattr(cli, "random_glueable", draw)
+    monkeypatch.setattr(lattice, "glue_and_gamma", glue)
+    monkeypatch.setattr(lattice, "_plaquette_cover", cover)
+    cli._suite_gyration_general(5, 1)
+    assert counts == {"draws": 897, "covers": 364}

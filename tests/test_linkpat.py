@@ -224,6 +224,65 @@ class TestGenerators:
             add_a(p, 6)
 
 
+def _reference_close_c(p, j):
+    """close_c as it was written before its relabelling became
+    arithmetic: a dict from kept positions to their new labels."""
+    size = len(p.match)
+    if not 1 <= j <= size - 1:
+        raise ArityMismatch(f"close_c index {j} out of range for 2n={size}")
+    a, b = j - 1, j
+    m = list(p.match)
+    pa, pb = m[a], m[b]
+    if pa != b:
+        m[pa], m[pb] = pb, pa
+    keep = [i for i in range(size) if i not in (a, b)]
+    relabel = {old: new for new, old in enumerate(keep)}
+    return LinkPattern(tuple(relabel[m[old]] for old in keep))
+
+
+def _reference_add_a(p, j):
+    """add_a as it was written before it became two slices."""
+    size = len(p.match)
+    if not 1 <= j <= size + 1:
+        raise ArityMismatch(f"add_a index {j} out of range for 2n={size}")
+    shift = [old + 2 if old >= j - 1 else old for old in p.match]
+    out = []
+    for old in range(size + 2):
+        if old == j - 1:
+            out.append(j)
+        elif old == j:
+            out.append(j - 1)
+        else:
+            src = old - 2 if old > j else old
+            out.append(shift[src])
+    return LinkPattern(tuple(out))
+
+
+def _outcome(op, p, j):
+    try:
+        return op(p, j)
+    except ArityMismatch as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "op, reference", [(close_c, _reference_close_c), (add_a, _reference_add_a)],
+    ids=["close_c", "add_a"],
+)
+@pytest.mark.parametrize("n", range(7))
+def test_cap_and_add_match_the_reference(op, reference, n):
+    # every index from two below the range to two above it, so both
+    # ends of the ArityMismatch range are covered
+    size = 2 * n
+    rejected = 0
+    for p in all_patterns(n):
+        for j in range(-1, size + 4):
+            want = _outcome(reference, p, j)
+            assert _outcome(op, p, j) == want
+            rejected += isinstance(want, str)
+    assert rejected
+
+
 class TestRelationsExhaustive:
     """The defining relations, exhaustively through size 5."""
 
