@@ -13,6 +13,14 @@ Tables and ground states are cached when a cache directory is set
 (--cache-dir or FPLRS_CACHE_DIR); entries are keyed by command,
 parameters and package version, payloads are checksummed, and writes go
 through a unique temp file and rename so concurrent runs cannot clash.
+
+The layers are bound as modules and called through their attributes
+(``gyration.orbit_partition(n)``), never imported by name.  The package
+registers each layer lazily, and a from-import of a name executes its
+module at once; an attribute call executes it only when the command
+reaches it, so ``--help`` or ``verify tl`` compiles no layer it does not
+use.  A test or tracer that replaces a layer function therefore patches
+the layer module, which is where this module looks it up.
 """
 
 from __future__ import annotations
@@ -30,46 +38,14 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import __version__
+from . import __version__, fplcore, groundstate, gyration, identities, lattice, linkpat, sampling
 from .errors import FplrsError
-from .fplcore import asm_count_formula, count_configs, enumerate_configs, refined_counts
-from .gyration import (
-    apply_h,
-    generalized_gyration_check,
-    orbit_faces,
-    orbit_partition,
-    pair_link_data,
-    square_rotation_direction,
-)
-from .groundstate import stationary_vector, verify_rs
-from .identities import (
-    run_identity_suite,
-    shat_c_rectangle,
-)
-from .lattice import build_square, glue_and_gamma
-from .linkpat import (
-    LinkPattern,
-    all_patterns,
-    add_a,
-    close_c,
-    lp_vector_to_json,
-    rotate,
-    tl_e,
-)
-from .sampling import random_glueable
 
 DEFAULT_MAX_N = 7
 
 
 # ---------------------------------------------------------------------------
 # Cache
-
-
-@dataclass(frozen=True)
-class CacheEntry:
-    key: str
-    payload_path: Path
-    checksum: str
 
 
 class Cache:
@@ -87,27 +63,27 @@ class Cache:
         return self.root / f"{digest}.json", self.root / f"{digest}.meta"
 
     def get(self, key: str) -> str | None:
+        """The payload stored under key, or None on a miss.  A missing,
+        unreadable, undecodable or corrupt entry is a miss, so the
+        caller recomputes it and overwrites the entry."""
         payload_path, meta_path = self._paths(key)
-        if not payload_path.exists() or not meta_path.exists():
-            return None
         try:
             meta = json.loads(meta_path.read_text())
-            entry = CacheEntry(meta["key"], payload_path, meta["checksum"])
-        except (ValueError, KeyError, TypeError):  # corrupt or incomplete meta
+            if meta["key"] != key:
+                return None
+            checksum = meta["checksum"]
+            text = payload_path.read_text()
+        except (OSError, ValueError, KeyError, TypeError):
             return None
-        if entry.key != key:
-            return None
-        text = payload_path.read_text()
-        if hashlib.sha256(text.encode()).hexdigest() != entry.checksum:
+        if hashlib.sha256(text.encode()).hexdigest() != checksum:
             return None
         return text
 
-    def put(self, key: str, text: str) -> CacheEntry:
+    def put(self, key: str, text: str) -> None:
         payload_path, meta_path = self._paths(key)
         checksum = hashlib.sha256(text.encode()).hexdigest()
         _write_atomic(payload_path, text)
         _write_atomic(meta_path, json.dumps({"key": key, "checksum": checksum}))
-        return CacheEntry(key, payload_path, checksum)
 
 
 def _cached(args, command: str, compute, **params) -> str:
@@ -219,7 +195,7 @@ def _report(lines: list[CheckLine], fmt: str, out: str | None) -> int:
 def _suite_rs(n_max: int) -> list[CheckLine]:
     lines = []
     for n in range(1, n_max + 1):
-        r = verify_rs(n)
+        r = groundstate.verify_rs(n)
         lines.append(
             CheckLine(
                 "rs",
@@ -245,18 +221,19 @@ def _suite_rs(n_max: int) -> list[CheckLine]:
 def _suite_wieland(n_max: int) -> list[CheckLine]:
     lines = []
     for n in range(1, n_max + 1):
-        plus = refined_counts(n, "+")
-        minus = refined_counts(n, "-")
+        plus = fplcore.refined_counts(n, "+")
+        minus = fplcore.refined_counts(n, "-")
         lines.append(
             CheckLine("wieland", f"plus table equals minus table, n={n}", plus.counts == minus.counts)
         )
         rotated = {
-            rotate(LinkPattern.from_word(w), 1).word: v for w, v in plus.counts.items()
+            linkpat.rotate(linkpat.LinkPattern.from_word(w), 1).word: v
+            for w, v in plus.counts.items()
         }
         lines.append(
             CheckLine("wieland", f"table invariant under rotation, n={n}", rotated == plus.counts)
         )
-    k = square_rotation_direction()
+    k = gyration.square_rotation_direction()
     lines.append(
         CheckLine("wieland", f"gyration rotates patterns by R^{k}", k in (1, -1))
     )
@@ -266,13 +243,13 @@ def _suite_wieland(n_max: int) -> list[CheckLine]:
 def _suite_orbits(n_max: int) -> list[CheckLine]:
     lines = []
     for n in range(1, n_max + 1):
-        orbits = orbit_partition(n)
+        orbits = gyration.orbit_partition(n)
         total = sum(o.period for o in orbits)
         lines.append(
             CheckLine(
                 "orbits",
                 f"orbits partition the ensemble, n={n}",
-                total == asm_count_formula(n),
+                total == fplcore.asm_count_formula(n),
                 f"{len(orbits)} orbits, {total} configs",
             )
         )
@@ -280,7 +257,7 @@ def _suite_orbits(n_max: int) -> list[CheckLine]:
         class_pm: dict[tuple[str, tuple[int, int]], list[int]] = {}
         coherent = True
         for o in orbits:
-            classes, faces = orbit_faces(o)
+            classes, faces = gyration.orbit_faces(o)
             coherent &= len(classes) == 1
             for alpha, (plus, minus) in faces.items():
                 bad_sum += plus != minus
@@ -310,7 +287,7 @@ def _suite_orbits(n_max: int) -> list[CheckLine]:
 
 
 def _suite_identities(n_max: int) -> list[CheckLine]:
-    results = run_identity_suite(range(1, n_max + 1))
+    results = identities.run_identity_suite(range(1, n_max + 1))
     return [
         CheckLine(
             "identities",
@@ -336,9 +313,9 @@ def _tl_operators():
     """
 
     def memo(op):
-        by_index: dict[int, dict[LinkPattern, LinkPattern]] = {}
+        by_index: dict[int, dict[linkpat.LinkPattern, linkpat.LinkPattern]] = {}
 
-        def call(p: LinkPattern, j: int) -> LinkPattern:
+        def call(p: linkpat.LinkPattern, j: int) -> linkpat.LinkPattern:
             results = by_index.get(j)
             if results is None:
                 results = by_index[j] = {}
@@ -349,7 +326,7 @@ def _tl_operators():
 
         return call
 
-    return tuple(memo(op) for op in (tl_e, rotate, close_c, add_a))
+    return tuple(memo(op) for op in (linkpat.tl_e, linkpat.rotate, linkpat.close_c, linkpat.add_a))
 
 
 def _check_tl_relations(n: int, samples, lines: list[CheckLine], label: str, ops) -> None:
@@ -402,13 +379,13 @@ def _suite_tl(n_max: int, seed: int) -> list[CheckLine]:
         size = 2 * n
         samples = [
             (p, i, j)
-            for p in all_patterns(n)
+            for p in linkpat.all_patterns(n)
             for i in range(1, size + 1)
             for j in range(1, size + 1)
         ]
         _check_tl_relations(n, samples, lines, f"exhaustive n={n}", ops)
         ok_prod = True
-        for p in all_patterns(n):
+        for p in linkpat.all_patterns(n):
             for js in _nonconsecutive_sets(size):
                 lhs = p
                 for j in sorted(js, reverse=True):
@@ -425,7 +402,7 @@ def _suite_tl(n_max: int, seed: int) -> list[CheckLine]:
     if n_max >= 5:
         rng = random.Random(seed)
         for n in range(5, min(n_max, 7) + 1):
-            pats = all_patterns(n)
+            pats = linkpat.all_patterns(n)
             size = 2 * n
             samples = [
                 (rng.choice(pats), rng.randint(1, size), rng.randint(1, size))
@@ -436,23 +413,23 @@ def _suite_tl(n_max: int, seed: int) -> list[CheckLine]:
 
 
 def _conservation_lines(d, t, parity, lines, label) -> None:
-    g = glue_and_gamma(d, t, parity, allow_swaps=True)
+    g = lattice.glue_and_gamma(d, t, parity, allow_swaps=True)
     ok_inv = ok_triplet = ok_bc = True
     count = 0
     complement = t.complemented()
-    for phi in enumerate_configs(d, t):
+    for phi in fplcore.enumerate_configs(d, t):
         count += 1
-        psi = apply_h(phi, g)
+        psi = gyration.apply_h(phi, g)
         ok_bc &= psi.boundary() == complement
-        ok_inv &= apply_h(psi, g).bits == phi.bits
-        ok_triplet &= pair_link_data(phi, g) == pair_link_data(psi, g)
+        ok_inv &= gyration.apply_h(psi, g).bits == phi.bits
+        ok_triplet &= gyration.pair_link_data(phi, g) == gyration.pair_link_data(psi, g)
     lines.append(
         CheckLine(
             "gyration-general",
             f"pass is an involution onto the complement, {label}",
             # the walk and the sweep, which merges the same transitions
             # by state, must also agree on the ensemble's size
-            ok_inv and ok_bc and count == count_configs(d, t),
+            ok_inv and ok_bc and count == fplcore.count_configs(d, t),
             f"{count} configs, swaps={g.swaps}",
         )
     )
@@ -468,20 +445,20 @@ def _conservation_lines(d, t, parity, lines, label) -> None:
 def _suite_gyration_general(n_max: int, seed: int) -> list[CheckLine]:
     lines: list[CheckLine] = []
     for n in range(1, min(n_max, 4) + 1):
-        d, t = build_square(n, "+")
+        d, t = lattice.build_square(n, "+")
         for parity in ("plus", "minus"):
             _conservation_lines(d, t, parity, lines, f"square n={n} {parity}")
     rng = random.Random(seed)
     for k in range(50):
         n_cells = rng.randint(6, 24)
         parity = "plus" if k % 2 == 0 else "minus"
-        d, t = random_glueable(rng, n_cells, parity)
+        d, t = sampling.random_glueable(rng, n_cells, parity)
         _conservation_lines(d, t, parity, lines, f"random domain #{k} ({len(d.cells)} cells, {parity})")
     for n in range(3, min(n_max, 5) + 1):
         for j in range(2, (n + 1) // 2 + 1):
-            d, t = shat_c_rectangle(n, j)
+            d, t = identities.shat_c_rectangle(n, j)
             for parity in ("plus", "minus"):
-                r = generalized_gyration_check(d, t, parity)
+                r = gyration.generalized_gyration_check(d, t, parity)
                 lines.append(
                     CheckLine(
                         "gyration-general",
@@ -491,8 +468,8 @@ def _suite_gyration_general(n_max: int, seed: int) -> list[CheckLine]:
                     )
                 )
     for k in range(15):
-        d, t = random_glueable(rng, rng.randint(6, 16), "plus")
-        r = generalized_gyration_check(d, t, "plus")
+        d, t = sampling.random_glueable(rng, rng.randint(6, 16), "plus")
+        r = gyration.generalized_gyration_check(d, t, "plus")
         lines.append(
             CheckLine(
                 "gyration-general",
@@ -544,21 +521,21 @@ def _check_size(args) -> None:
 def cmd_enumerate(args) -> int:
     _check_size(args)
     jobs = _threads(args)
-    table = lambda: refined_counts(args.n, args.sign, jobs=jobs).to_json()
+    table = lambda: fplcore.refined_counts(args.n, args.sign, jobs=jobs).to_json()
     _emit(_cached(args, "enumerate", table, n=args.n, sign=args.sign), args.out)
     return 0
 
 
 def cmd_groundstate(args) -> int:
     _check_size(args)
-    vector = lambda: lp_vector_to_json(stationary_vector(args.n))
+    vector = lambda: linkpat.lp_vector_to_json(groundstate.stationary_vector(args.n))
     text = _cached(args, "groundstate", vector, n=args.n)
     _emit(text, args.out)
     data = json.loads(text)
     values = [int(v.split("/")[0]) for v in data["entries"].values()]
     print(
         f"n={args.n}: max component {max(values)}, sum {sum(values)}"
-        f" (product formula {asm_count_formula(args.n)})",
+        f" (product formula {fplcore.asm_count_formula(args.n)})",
         file=sys.stderr,
     )
     return 0
@@ -584,8 +561,8 @@ def _orbit_rows(n: int, sign: str, f) -> None:
     """Write the orbit-report CSV to f row by row, as the orbits come."""
     writer = csv.writer(f)
     writer.writerow(["orbit_id", "period", "link_class", "plaquette", "sum"])
-    for oid, o in enumerate(orbit_partition(n, sign)):
-        classes, faces = orbit_faces(o)
+    for oid, o in enumerate(gyration.orbit_partition(n, sign)):
+        classes, faces = gyration.orbit_faces(o)
         for (x, y), (plus, minus) in faces.items():
             writer.writerow([oid, o.period, classes[0], f"{x},{y}", plus - minus])
 

@@ -20,8 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import fplcore
 from .errors import KernelDimensionError
-from .fplcore import asm_count_formula, refined_counts
 from .linkpat import (
     LinkPattern,
     LpVector,
@@ -195,7 +195,7 @@ def verify_rs(n: int) -> RsReport:
     *is* the vector :func:`stationary_vector` returns.  The component
     sum must match the product formula.
     """
-    counts = refined_counts(n, "+").as_vector()
+    counts = fplcore.refined_counts(n, "+").as_vector()
     h = build_h_matrix(n)
     x = [counts.entries.get(p, 0) for p in h.basis]
     violation = _pf_violation(h, n, x)
@@ -208,7 +208,7 @@ def verify_rs(n: int) -> RsReport:
         rs_is_zero=rs_zero,
         kernel_matches_counts=not violation,
         total=int(counts.total()),
-        expected_total=asm_count_formula(n),
+        expected_total=fplcore.asm_count_formula(n),
         first_violation=violation,
     )
 

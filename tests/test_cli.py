@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import fplrs
-from fplrs import cli
+from fplrs import cli, fplcore, gyration, linkpat
 from fplrs.cli import Cache, main
 from fplrs.linkpat import all_patterns, tl_e
 
@@ -99,6 +99,28 @@ class TestEnumerate:
         code, out2, _ = run(capsys, *args)
         assert code == 0 and out1 == out2
 
+    def test_undecodable_payload_is_recomputed(self, capsys, tmp_path):
+        args = ("enumerate", "--n", "3", "--cache-dir", str(tmp_path))
+        _, out1, _ = run(capsys, *args)
+        stored = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        for p in tmp_path.glob("*.json"):
+            p.write_bytes(b"\xff\xfe garbage")
+        code, out2, _ = run(capsys, *args)
+        assert code == 0 and out1 == out2
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == stored
+
+    def test_unreadable_meta_is_a_miss_whose_write_fails(self, capsys, tmp_path):
+        # a directory at the meta path cannot be read, so the table is
+        # recomputed; storing it then fails as any unwritable path does
+        args = ("enumerate", "--n", "3", "--cache-dir", str(tmp_path))
+        run(capsys, *args)
+        (meta,) = tmp_path.glob("*.meta")
+        meta.unlink()
+        meta.mkdir()
+        code, out, err = run(capsys, *args)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {meta}: ")
+
 
 class TestCache:
     def test_concurrent_puts_to_one_key(self, tmp_path):
@@ -176,7 +198,7 @@ class TestVerify:
         d, t = build_square(3, "+")
         lines = []
         cli._conservation_lines(d, t, "plus", lines, "square n=3 plus")
-        monkeypatch.setattr(cli, "count_configs", lambda d, t: 6)
+        monkeypatch.setattr(fplcore, "count_configs", lambda d, t: 6)
         cli._conservation_lines(d, t, "plus", lines, "square n=3 plus")
         honest, miscounted = lines[0], lines[2]
         assert honest.status and not miscounted.status
@@ -208,8 +230,8 @@ def test_tl_fault_reached_by_one_sample_fails_its_line(monkeypatch, repeats):
         if key[0].n == 6 and len(by) == 1 and times[next(iter(by))] == repeats
         and tl_e(*key) != key[0]
     )
-    real = cli.tl_e
-    monkeypatch.setattr(cli, "tl_e", lambda q, k: q if (q, k) == key else real(q, k))
+    real = linkpat.tl_e
+    monkeypatch.setattr(linkpat, "tl_e", lambda q, k: q if (q, k) == key else real(q, k))
     failed = [line.check for line in cli._suite_tl(5, seed) if not line.status]
     assert failed == ["caps commute with distant generators, 10^4 samples n=5"]
 
@@ -228,7 +250,7 @@ class TestOrbitReport:
         def broken(o):
             raise AssertionError("gyration left the ensemble")
 
-        monkeypatch.setattr(cli, "orbit_faces", broken)
+        monkeypatch.setattr(gyration, "orbit_faces", broken)
         with pytest.raises(AssertionError):
             main(["orbit-report", "--n", "3", "--out", str(tmp_path / "orbits.csv")])
         assert not list(tmp_path.iterdir())
@@ -427,32 +449,64 @@ def test_stdout_is_the_same_in_fresh_interpreters(argv):
     assert first and _fresh_stdout(argv, "2") == first
 
 
-def _numpy_loaded_after(probe: str) -> bool:
-    """Whether a fresh interpreter has numpy loaded after running probe."""
+def _modules_after(probe: str) -> dict[str, bool]:
+    """The modules a fresh interpreter holds after running probe, each
+    mapped to whether its code has run.  A layer the package registered
+    lazily and nothing has touched yet is in sys.modules, but is not yet
+    a plain module."""
     src = str(Path(fplrs.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
+    report = (
+        "import json, sys, types; print(json.dumps("
+        "{name: type(m) is types.ModuleType for name, m in list(sys.modules.items())}))"
+    )
     result = subprocess.run(
-        [sys.executable, "-c", probe + "; import sys; print('numpy' in sys.modules)"],
+        [sys.executable, "-c", f"{probe}\n{report}"],
         env=env, capture_output=True, text=True, check=True,
     )
-    return result.stdout.strip().splitlines()[-1] == "True"
+    return json.loads(result.stdout.strip().splitlines()[-1])
 
 
 def test_cli_import_leaves_numpy_unloaded():
     # the package does not depend on numpy, so nothing may pull it in
     # at start-up
-    assert not _numpy_loaded_after("import fplrs.cli")
+    assert "numpy" not in _modules_after("import fplrs.cli")
 
 
 def test_rs_certificate_leaves_numpy_unloaded():
     # the Perron-Frobenius certificate is a graph search and the
     # stationary vector an echelon on lists, so no path of groundstate
     # needs numpy
-    assert not _numpy_loaded_after(
+    assert "numpy" not in _modules_after(
         "from fplrs.groundstate import kernel_dimension_certificate, stationary_vector, verify_rs; "
         "assert kernel_dimension_certificate(7); assert verify_rs(5).passed; "
         "assert stationary_vector(7).total() == 218348"
     )
+
+
+LAYERS = ("lattice", "linkpat", "fplcore", "gyration", "groundstate", "identities", "sampling")
+
+
+@pytest.mark.parametrize(
+    "probe, executed, idle",
+    [
+        ("import fplrs.cli", set(), set(LAYERS)),
+        ("from fplrs import cli; cli.main(['verify', 'tl', '--n-max', '2'])",
+         {"linkpat"}, set(LAYERS) - {"linkpat"}),
+        ("from fplrs import cli; cli.main(['enumerate', '--n', '3'])",
+         {"lattice", "linkpat", "fplcore"}, {"gyration", "groundstate", "identities", "sampling"}),
+        ("from fplrs.groundstate import kernel_dimension_certificate; "
+         "assert kernel_dimension_certificate(5)",
+         {"linkpat", "groundstate"}, {"fplcore", "lattice"}),
+    ],
+    ids=["import", "verify-tl", "enumerate", "certificate"],
+)
+def test_each_command_executes_only_the_layers_it_calls(probe, executed, idle):
+    # every layer is registered in sys.modules at import, as a tracer
+    # that wraps the layers' functions expects, but runs only when used
+    modules = _modules_after(probe)
+    assert {f"fplrs.{layer}" for layer in LAYERS} <= set(modules)
+    assert {layer for layer in executed | idle if modules[f"fplrs.{layer}"]} == executed
 
 
 class TestReportContract:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from fplrs import groundstate
+from fplrs import fplcore, groundstate
 from fplrs.cli import main
 from fplrs.errors import KernelDimensionError
 from fplrs.fplcore import asm_count_formula, refined_counts
@@ -208,7 +208,7 @@ def _patched_table(monkeypatch, edit):
     table = refined_counts(4, "+")
     counts = dict(table.counts)
     edit(counts)
-    monkeypatch.setattr(groundstate, "refined_counts", lambda n, sign: replace(table, counts=counts))
+    monkeypatch.setattr(fplcore, "refined_counts", lambda n, sign: replace(table, counts=counts))
 
 
 def _bump(counts):

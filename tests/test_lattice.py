@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fplrs import cli, lattice
+from fplrs import cli, lattice, sampling
 from fplrs.errors import InvalidTriplet, NonUniqueGamma
 from fplrs.lattice import (
     DIRS,
@@ -387,7 +387,7 @@ def test_rejected_draws_build_no_plaquette_cover(monkeypatch):
     # 364 pass the colour test; only those build a plaquette cover
     drawing = []
     counts = {"draws": 0, "covers": 0}
-    real_draw, real_glue, real_cover = cli.random_glueable, lattice.glue_and_gamma, lattice._plaquette_cover
+    real_draw, real_glue, real_cover = sampling.random_glueable, lattice.glue_and_gamma, lattice._plaquette_cover
 
     def draw(*args, **kwargs):
         drawing.append(True)
@@ -404,7 +404,7 @@ def test_rejected_draws_build_no_plaquette_cover(monkeypatch):
         counts["covers"] += bool(drawing)
         return real_cover(*args)
 
-    monkeypatch.setattr(cli, "random_glueable", draw)
+    monkeypatch.setattr(sampling, "random_glueable", draw)
     monkeypatch.setattr(lattice, "glue_and_gamma", glue)
     monkeypatch.setattr(lattice, "_plaquette_cover", cover)
     cli._suite_gyration_general(5, 1)
