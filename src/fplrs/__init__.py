@@ -50,9 +50,11 @@ _EXPORTS = {
         "BoundaryCondition", "BoundaryString", "Domain", "GluedGraph",
         "boundary_string", "build_square", "glue_and_gamma",
     ),
-    "linkpat": ("LinkPattern", "LpVector", "RotationClass", "all_patterns", "catalan"),
+    "linkpat": (
+        "LinkPattern", "LpVector", "RotationClass", "all_patterns", "asm_count_formula", "catalan",
+    ),
     "fplcore": (
-        "FplConfig", "LinkData", "PsiTable", "asm_count_formula", "count_configs",
+        "FplConfig", "LinkData", "PsiTable", "count_configs",
         "enumerate_configs", "link_data", "plaquette_indicator", "refined_counts",
         "vertex_type",
     ),

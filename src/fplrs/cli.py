@@ -249,7 +249,7 @@ def _suite_orbits(n_max: int) -> list[CheckLine]:
             CheckLine(
                 "orbits",
                 f"orbits partition the ensemble, n={n}",
-                total == fplcore.asm_count_formula(n),
+                total == linkpat.asm_count_formula(n),
                 f"{len(orbits)} orbits, {total} configs",
             )
         )
@@ -535,7 +535,7 @@ def cmd_groundstate(args) -> int:
     values = [int(v.split("/")[0]) for v in data["entries"].values()]
     print(
         f"n={args.n}: max component {max(values)}, sum {sum(values)}"
-        f" (product formula {fplcore.asm_count_formula(args.n)})",
+        f" (product formula {linkpat.asm_count_formula(args.n)})",
         file=sys.stderr,
     )
     return 0

@@ -10,7 +10,7 @@ class InvalidTriplet(FplrsError):
 
 
 class NonUniqueGamma(FplrsError):
-    """Cycle-partition propagation found an ambiguity; the domain is malformed."""
+    """The glued cycles do not partition the edge set; the domain is malformed."""
 
 
 class ArityMismatch(FplrsError):

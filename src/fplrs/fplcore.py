@@ -37,7 +37,6 @@ and 3 reads b..bca..a, asserted unique, then cached.
 from __future__ import annotations
 
 import json
-import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -45,7 +44,7 @@ from itertools import combinations
 from typing import Iterator, Mapping, Sequence
 
 from .lattice import BoundaryCondition, Cell, Domain, build_square
-from .linkpat import LinkPattern, LpVector
+from .linkpat import LinkPattern, LpVector, asm_count_formula
 
 __all__ = [
     "FplConfig",
@@ -129,18 +128,6 @@ def count_configs(d: Domain, t: BoundaryCondition, jobs: int = 1) -> int:
     nothing about which configurations are counted.
     """
     return sum(_patterns(d, t, jobs).values())
-
-
-def asm_count_formula(n: int) -> int:
-    """1, 2, 7, 42, 429, ... via the running-ratio form of the product."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    a = 1
-    for k in range(1, n):
-        a, rem = divmod(a * math.comb(3 * k + 1, k), math.comb(2 * k, k))
-        if rem:
-            raise AssertionError("running product left the integers")
-    return a
 
 
 # ---------------------------------------------------------------------------

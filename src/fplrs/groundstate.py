@@ -26,6 +26,7 @@ from .linkpat import (
     LinkPattern,
     LpVector,
     all_patterns,
+    asm_count_formula,
     reflect,
     rotate,
     tl_e,
@@ -208,7 +209,7 @@ def verify_rs(n: int) -> RsReport:
         rs_is_zero=rs_zero,
         kernel_matches_counts=not violation,
         total=int(counts.total()),
-        expected_total=fplcore.asm_count_formula(n),
+        expected_total=asm_count_formula(n),
         first_violation=violation,
     )
 

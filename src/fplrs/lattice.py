@@ -19,14 +19,15 @@ Gluing: terminations are paired consecutively, pairs (1,2),(3,4),...
 for the plus parity and (2N,1),(2,3),... for the minus parity.  Each
 pair forces a short boundary cycle (a digon over a convex corner, a
 triangle over a straight stretch, a 4-cycle over a concave corner), and
-the remaining internal edges are forced into lattice plaquettes by
-propagation; the resulting cycle partition is unique or the domain is
-rejected.  A pairing is valid when every cycle has length at most 4 and
-every cycle through a bichromatic glued vertex has length at most 3;
-when a concave corner breaks this, the two terminations over an
-adjacent convex corner may be interchanged (a count-preserving swap)
-and the test repeated.  The turn between two glued terminations already
-fixes the length of their cycle, so this test runs on the boundary walk
+the remaining internal edges are covered by the lattice plaquettes of
+one chequerboard colour, the colour of the face above the lowest of
+them.  The cycles must partition the edges, or the gluing is rejected.
+A pairing is valid when every cycle has length at most 4 and every
+cycle through a bichromatic glued vertex has length at most 3; when a
+concave corner breaks this, the two terminations over an adjacent
+convex corner may be interchanged (a count-preserving swap) and the
+test repeated.  The turn between two glued terminations already fixes
+the length of their cycle, so this test runs on the boundary walk
 alone, before any edge ids or plaquettes are built.
 """
 
@@ -399,15 +400,6 @@ class GluedGraph:
         return tuple(cols[a] != cols[b] for a, b in self.pairs)
 
     @cached_property
-    def edge_cycle(self) -> tuple[int, ...]:
-        """Cycle index covering each edge (the cycles partition all edges)."""
-        owner = [-1] * len(self.domain.edges)
-        for ci, cyc in enumerate(self.cycles):
-            for e in cyc:
-                owner[e] = ci
-        return tuple(owner)
-
-    @cached_property
     def cycle_masks(self) -> tuple[int, tuple[tuple[int, int, int], ...]]:
         """The bitmask of all edges, which the cycles partition, and for
         every 4-cycle its edge mask plus its two alternating colourings
@@ -430,98 +422,58 @@ def _pairing(n_terms: int, parity: str) -> tuple[tuple[int, int], ...]:
     raise ValueError("parity must be 'plus' or 'minus'")
 
 
-def _pair_paths(d: Domain, pairs) -> tuple[tuple[Cell, ...], ...]:
-    """The vertices that the forced cycle through each glued pair visits,
-    read off the turn between its two terminations.
+def _boundary_cycles(d: Domain, pairs) -> tuple[tuple[int, ...], ...]:
+    """The forced cycle through each glued pair as canonical edge ids,
+    read off the turn between its two terminations: the first
+    termination, the internal edges between them, the second.
 
     Consecutive terminations attach at the same vertex over a convex
     corner (turn +1: a digon), at adjacent vertices over a straight
-    stretch (turn 0: a triangle) and at diagonal vertices over a concave
-    corner (turn -1: a 4-cycle).  The concave corner's vertex is in the
-    domain, since the walk turned right there, and it is the only common
-    neighbour of the two, so each cycle is unique.  Raises
-    :class:`InvalidTriplet` when two cycles share an internal edge.
+    stretch (turn 0: a triangle, through the edge along the walk's
+    heading) and at diagonal vertices over a concave corner (turn -1: a
+    4-cycle through the corner's vertex, which is in the domain since
+    the walk turned right there, and is the only common neighbour of
+    the two), so each cycle is unique.
     """
-    terms, steps = d.terminations, d.steps
-    paths: list[tuple[Cell, ...]] = []
-    used: set[tuple[Cell, Cell]] = set()
+    terms, steps, slots = d.terminations, d.steps, d.vertex_edges
+    out = []
     for a, b in pairs:
-        (va, leg), (vb, _) = terms[a], terms[b]
-        turn = steps[a]
-        if turn == 1:
-            path: tuple[Cell, ...] = (va,)
-        elif turn == 0:
-            path = (va, vb)
-        else:
-            # the walk passes va heading along leg + 1 and turns right
-            # at the next vertex
-            path = (va, _neighbour(va, (leg + 1) % 4), vb)
-        for v, w in zip(path, path[1:]):
-            link = (v, w) if v < w else (w, v)
-            if link in used:
-                raise InvalidTriplet("boundary cycles overlap")
-            used.add(link)
-        paths.append(path)
-    return tuple(paths)
-
-
-def _boundary_cycles(d: Domain, pairs, paths) -> tuple[tuple[int, ...], ...]:
-    """The forced cycle through each glued vertex as canonical edge ids:
-    the first termination, the internal edges along the pair's path,
-    the second termination."""
-    idx = d.edge_index
-    return tuple(
-        (d.termination_id(a),)
-        + tuple(idx[("i", v, w) if v < w else ("i", w, v)] for v, w in zip(path, path[1:]))
-        + (d.termination_id(b),)
-        for (a, b), path in zip(pairs, paths)
-    )
+        va, leg = terms[a]
+        # the walk passes va heading along leg + 1; over a concave
+        # corner it turns right at the next vertex
+        heading = (leg + 1) % 4
+        inner: tuple[int, ...] = ()
+        if steps[a] == 0:
+            inner = (slots[va][heading],)
+        elif steps[a] == -1:
+            corner = _neighbour(va, heading)
+            inner = (slots[va][heading], slots[corner][(heading + 3) % 4])
+        out.append((d.termination_id(a),) + inner + (d.termination_id(b),))
+    return tuple(out)
 
 
 def _plaquette_cover(d: Domain, used: set[int]) -> tuple[tuple[int, ...], ...]:
-    """Partition the remaining internal edges into lattice plaquettes.
+    """The plaquettes that cover the internal edges outside the boundary
+    cycles (``used``): every face that shares no edge with a boundary
+    cycle and has the chequerboard colour ``(x + y) % 2`` of the face
+    above the lowest free internal edge, in ``faces`` order.
 
-    Forced faces are selected by propagation from edges with a single
-    candidate; a stall with every open edge ambiguous means the domain
-    is malformed.
+    The choice is forced wherever any plaquette set partitions the free
+    edges R.  Faces of one colour never share an edge.  The lowest edge
+    of R is an east edge: a north edge at v lies on the face at v or on
+    the face to its west, and either face's bottom edge is a lower edge
+    of R.  Only the face above it can cover it, since the face below
+    holds a lower edge of R, so the colour is that face's.  That the partition then takes the
+    whole free part of that colour class is not proved here; the
+    caller's partition certificate rejects any gluing where it fails.
     """
-    remaining = {e for e in range(len(d.internal_edges)) if e not in used}
-    if not remaining:
+    lowest = next((e for e in range(len(d.internal_edges)) if e not in used), None)
+    if lowest is None:
         return ()
-    edges_of_face = {f: d.face_edges(f) for f in d.faces}
-    alive = {f for f, fe in edges_of_face.items() if not used.intersection(fe)}
-    candidates: dict[int, set[Cell]] = {e: set() for e in remaining}
-    for f in alive:
-        for e in edges_of_face[f]:
-            candidates[e].add(f)
-
-    def discard(f: Cell) -> None:
-        alive.discard(f)
-        for fe in edges_of_face[f]:
-            candidates[fe].discard(f)
-            if fe not in covered and len(candidates[fe]) <= 1:
-                queue.append(fe)
-
-    chosen: list[Cell] = []
-    covered: set[int] = set()
-    queue = [e for e, fs in candidates.items() if len(fs) <= 1]
-    while covered != remaining:
-        if not queue:
-            raise NonUniqueGamma("plaquette parity not forced by the boundary")
-        e = queue.pop()
-        if e in covered or len(candidates[e]) > 1:
-            continue
-        if not candidates[e]:
-            raise InvalidTriplet("an internal edge cannot be covered by a plaquette")
-        (f,) = candidates[e]
-        chosen.append(f)
-        alive.discard(f)
-        covered.update(edges_of_face[f])
-        for fe in edges_of_face[f]:
-            for g in list(candidates[fe]):
-                if g != f:
-                    discard(g)
-    return tuple(edges_of_face[f] for f in chosen)
+    x, y = d.edges[lowest][1]
+    colour = (x + y) % 2
+    faces = (d.face_edges(f) for f in d.faces if sum(f) % 2 == colour)
+    return tuple(fe for fe in faces if used.isdisjoint(fe))
 
 
 def _validity_offence(pairs, steps, cols) -> int | None:
@@ -545,21 +497,20 @@ def glue_and_gamma(
 ) -> GluedGraph:
     """Glue terminations pairwise and compute the forced cycle partition.
 
-    Raises :class:`InvalidTriplet` when no valid partition exists (even
+    Raises :class:`InvalidTriplet` when the colour test fails (even
     after permitted convex-corner swaps) and :class:`NonUniqueGamma`
-    when propagation cannot decide the plaquette parity.
+    when the boundary cycles and the plaquettes of
+    :func:`_plaquette_cover` do not partition the edge set.
 
-    The checks run from cheap to dear.  The pair geometry and the colour
-    test (with its swaps) need only the boundary walk's terminations and
-    turns; edge ids, cycles and the plaquette cover are built only for
-    a pairing that passes both.  So a pairing that fails the colour test
-    raises its colour :class:`InvalidTriplet` even where the plaquette
-    cover would also have failed.
+    The colour test (with its swaps) needs only the boundary walk's
+    terminations and turns; edge ids, cycles and plaquettes are built
+    only for a pairing that passes it.  So a pairing that fails the
+    colour test raises its colour :class:`InvalidTriplet` even where the
+    partition would also have failed.
     """
     if len(t.colours) != d.perimeter:
         raise ValueError("boundary condition length mismatch")
     pairs = _pairing(d.perimeter, parity)
-    paths = _pair_paths(d, pairs)
     cols, swaps = list(t.colours), []
     steps, n_terms = d.steps, d.perimeter
     while (offence := _validity_offence(pairs, steps, cols)) is not None:
@@ -582,14 +533,12 @@ def glue_and_gamma(
                 f"no convex-corner swap fixes pair {pairs[offence]}"
             )
 
-    b_cycles = _boundary_cycles(d, pairs, paths)
-    used = {e for cyc in b_cycles for e in cyc}
-    cycles = b_cycles + _plaquette_cover(d, used)
+    b_cycles = _boundary_cycles(d, pairs)
+    cycles = b_cycles + _plaquette_cover(d, {e for cyc in b_cycles for e in cyc})
     covered = sorted(e for cyc in cycles for e in cyc)
     if covered != list(range(len(d.edges))):
         raise NonUniqueGamma("cycle partition does not cover the edge set")
-
-    graph = GluedGraph(
+    return GluedGraph(
         domain=d,
         bc=t,
         parity=parity,
@@ -597,11 +546,4 @@ def glue_and_gamma(
         cycles=cycles,
         swaps=tuple(swaps),
     )
-    # 2-cycles away from the border would be ambiguous for the gyration
-    # map; our construction only builds digons from glued terminations.
-    n_internal = len(d.internal_edges)
-    assert all(
-        any(e >= n_internal for e in cyc) for cyc in cycles if len(cyc) == 2
-    )
-    return graph
 

@@ -36,6 +36,7 @@ Vectors over link-pattern space (:class:`LpVector`) carry exact
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -50,6 +51,7 @@ __all__ = [
     "RotationClass",
     "all_patterns",
     "catalan",
+    "asm_count_formula",
     "rotate",
     "reflect",
     "tl_e",
@@ -187,6 +189,18 @@ def catalan(n: int) -> int:
     for k in range(n):
         value = value * 2 * (2 * k + 1) // (k + 2)
     return value
+
+
+def asm_count_formula(n: int) -> int:
+    """1, 2, 7, 42, 429, ... via the running-ratio form of the product."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    a = 1
+    for k in range(1, n):
+        a, rem = divmod(a * math.comb(3 * k + 1, k), math.comb(2 * k, k))
+        if rem:
+            raise AssertionError("running product left the integers")
+    return a
 
 
 @lru_cache(maxsize=None)

@@ -65,7 +65,7 @@ def random_glueable(
     Each try draws a domain (traced once, when it is built) and its
     colours, then glues.  :func:`glue_and_gamma` runs the colour test on
     the boundary walk alone, so a rejected try builds no edge ids and no
-    plaquette cover; only a glueable pair is then counted.  The rejected
+    plaquettes; only a glueable pair is then counted.  The rejected
     tries still consume their random numbers, so the stream depends on
     the seed alone."""
     from .errors import InvalidTriplet, NonUniqueGamma

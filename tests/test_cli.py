@@ -498,8 +498,10 @@ LAYERS = ("lattice", "linkpat", "fplcore", "gyration", "groundstate", "identitie
         ("from fplrs.groundstate import kernel_dimension_certificate; "
          "assert kernel_dimension_certificate(5)",
          {"linkpat", "groundstate"}, {"fplcore", "lattice"}),
+        ("from fplrs import cli; cli.main(['groundstate', '--n', '3'])",
+         {"linkpat", "groundstate"}, set(LAYERS) - {"linkpat", "groundstate"}),
     ],
-    ids=["import", "verify-tl", "enumerate", "certificate"],
+    ids=["import", "verify-tl", "enumerate", "certificate", "groundstate"],
 )
 def test_each_command_executes_only_the_layers_it_calls(probe, executed, idle):
     # every layer is registered in sys.modules at import, as a tracer

@@ -499,16 +499,18 @@ class TestInversionStrings:
             for e in d.face_edges(alpha):
                 counts.setdefault(e, []).append(alpha)
         border = {e: faces[0] for e, faces in counts.items() if len(faces) == 1}
+        cycle_plus = {e: cyc for cyc in g_plus.cycles for e in cyc}
+        cycle_minus = {e: cyc for cyc in g_minus.cycles for e in cyc}
         checked = 0
         for o in orbit_partition(n):
             configs = list(o.configs())
             for e, alpha in border.items():
-                cyc = g_plus.cycles[g_plus.edge_cycle[e]]
+                cyc = cycle_plus[e]
                 in_plus = len(cyc) == 4 and all(x < n_internal for x in cyc)
                 if in_plus:
                     samples = configs
                 else:
-                    cyc_m = g_minus.cycles[g_minus.edge_cycle[e]]
+                    cyc_m = cycle_minus[e]
                     assert len(cyc_m) == 4 and all(x < n_internal for x in cyc_m)
                     samples = [apply_h(phi, g_plus).complemented() for phi in configs]
                 v, w = d.edges[e][1], d.edges[e][2]

@@ -6,8 +6,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import glue_oracle
 from fplrs import cli, lattice, sampling
-from fplrs.errors import InvalidTriplet, NonUniqueGamma
+from fplrs.errors import FplrsError, InvalidTriplet, NonUniqueGamma
 from fplrs.lattice import (
     DIRS,
     EAST,
@@ -409,3 +410,131 @@ def test_rejected_draws_build_no_plaquette_cover(monkeypatch):
     monkeypatch.setattr(lattice, "_plaquette_cover", cover)
     cli._suite_gyration_general(5, 1)
     assert counts == {"draws": 897, "covers": 364}
+
+
+@pytest.mark.parametrize("fault", ["dropped", "doubled"])
+def test_partition_certificate_rejects_a_faulty_cover(monkeypatch, fault):
+    # the coverage check is the gluing's one gate after the colour test:
+    # a cover that leaves a face's edges out, or covers them twice,
+    # fails it
+    real_cover = lattice._plaquette_cover
+
+    def faulty_cover(d, used):
+        cover = real_cover(d, used)
+        assert cover
+        return cover[1:] if fault == "dropped" else cover + cover[:1]
+
+    monkeypatch.setattr(lattice, "_plaquette_cover", faulty_cover)
+    d, t = build_square(4, "+")
+    with pytest.raises(NonUniqueGamma, match="does not cover the edge set"):
+        glue_and_gamma(d, t, "plus")
+
+
+def _polyominoes(max_cells):
+    """Every fixed polyomino of at most max_cells cells, once each, as
+    the cells grown from (0, 0), its lowest-then-leftmost cell
+    (Redelmeier's enumeration)."""
+
+    def grow(cells, untried, seen):
+        untried = list(untried)
+        while untried:
+            x, y = untried.pop()
+            grown = cells + ((x, y),)
+            yield grown
+            if len(grown) < max_cells:
+                new = [
+                    c for c in ((x + 1, y), (x, y + 1), (x - 1, y), (x, y - 1))
+                    if (c[1], c[0]) > (0, 0) and c not in seen
+                ]
+                yield from grow(grown, untried + new, seen | set(new))
+
+    return grow((), [(0, 0)], {(0, 0)})
+
+
+def _glue_outcome(glue, d, t, parity):
+    """The exception type a gluing raises, or its pairs, swaps, boundary
+    cycles in order and set of plaquettes."""
+    try:
+        out = glue(d, t, parity, allow_swaps=True)
+    except FplrsError as exc:
+        return type(exc)
+    if isinstance(out, lattice.GluedGraph):
+        n_pairs = len(out.pairs)
+        out = out.pairs, out.swaps, out.cycles[:n_pairs], out.cycles[n_pairs:]
+    pairs, swaps, boundary, plaquettes = out
+    return pairs, swaps, boundary, frozenset(plaquettes)
+
+
+def _compare_with_the_oracle(domains_and_colours):
+    """Glue each domain and colouring under both parities, with swaps
+    allowed, and check that the construction matches the propagation
+    oracle; returns how many gluings ran, how many were accepted with
+    plaquettes and how many raised."""
+    tally = {"gluings": 0, "plaquettes": 0, "raised": 0}
+    for d, t in domains_and_colours:
+        for parity in ("plus", "minus"):
+            tally["gluings"] += 1
+            want = _glue_outcome(glue_oracle.glue, d, t, parity)
+            assert _glue_outcome(glue_and_gamma, d, t, parity) == want, (sorted(d.cells), t, parity)
+            if isinstance(want, type):
+                tally["raised"] += 1
+            elif want[3]:
+                tally["plaquettes"] += 1
+    return tally
+
+
+def _polyomino_gluings(min_cells, max_cells, seed):
+    """Every simply-connected polyomino of min_cells to max_cells cells,
+    coloured all white, alternating and at random, with the last colour
+    flipped wherever the black count would be odd."""
+    rng = random.Random(seed)
+    for cells in _polyominoes(max_cells):
+        if len(cells) < min_cells:
+            continue
+        try:
+            d = Domain(frozenset(cells))
+        except ValueError:
+            continue
+        size = d.perimeter
+        for cols in (
+            [0] * size,
+            [k % 2 for k in range(size)],
+            [rng.randint(0, 1) for _ in range(size)],
+        ):
+            cols[-1] ^= sum(cols) % 2
+            yield d, BoundaryCondition(tuple(cols))
+
+
+def test_polyomino_enumeration_counts():
+    # the numbers of fixed polyominoes (OEIS A001168)
+    sizes = [0] * 11
+    for cells in _polyominoes(10):
+        sizes[len(cells)] += 1
+    assert sizes[1:] == [1, 2, 6, 19, 63, 216, 760, 2725, 9910, 36446]
+
+
+def test_glue_matches_the_propagation_oracle_up_to_8_cells():
+    # 3,747 simply-connected polyominoes, 3 colourings, 2 parities
+    tally = _compare_with_the_oracle(_polyomino_gluings(1, 8, seed=8))
+    assert tally == {"gluings": 22482, "plaquettes": 3244, "raised": 5181}
+
+
+@pytest.mark.slow
+def test_glue_matches_the_propagation_oracle_on_9_and_10_cells():
+    tally = _compare_with_the_oracle(_polyomino_gluings(9, 10, seed=10))
+    assert tally["gluings"] == 267408 and tally["plaquettes"] and tally["raised"]
+
+
+@pytest.mark.slow
+def test_glue_matches_the_propagation_oracle_on_random_domains():
+    # 6,000 random domains of 1-30 cells, each with its drawn colours
+    # and all white, under both parities: 24,000 gluings
+    def draws():
+        rng = random.Random(14)
+        for _ in range(6000):
+            d = random_domain(rng, rng.randint(1, 30))
+            yield d, random_boundary(rng, d)
+            yield d, BoundaryCondition((0,) * d.perimeter)
+
+    tally = _compare_with_the_oracle(draws())
+    assert tally["gluings"] == 24000 and tally["plaquettes"] and tally["raised"]

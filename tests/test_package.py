@@ -8,7 +8,7 @@ import pytest
 import fplrs
 
 # Every name the package root re-exported when it imported its layers
-# eagerly, by the module that defines it.
+# eagerly, by the module that defined it then.
 ROOT_NAMES = {
     "errors": (
         "ArityMismatch", "FplrsError", "GeometryMismatch", "IndexOutOfRange",
@@ -39,6 +39,15 @@ def test_root_name_is_its_layer_object(layer, name):
     module = importlib.import_module(f"fplrs.{layer}")
     assert getattr(fplrs, name) is getattr(module, name)
     assert name in dir(fplrs)
+
+
+def test_product_formula_is_one_object():
+    # defined in linkpat, so that groundstate need not load fplcore for
+    # it; fplcore and the package root still name it
+    from fplrs import fplcore, linkpat
+
+    assert fplrs.asm_count_formula is fplcore.asm_count_formula is linkpat.asm_count_formula
+    assert [linkpat.asm_count_formula(n) for n in range(1, 6)] == [1, 2, 7, 42, 429]
 
 
 def test_from_import_of_a_root_name():
