@@ -427,8 +427,9 @@ def _conservation_lines(d, t, parity, lines, label) -> None:
         CheckLine(
             "gyration-general",
             f"pass is an involution onto the complement, {label}",
-            # the walk and the sweep, which merges the same transitions
-            # by state, must also agree on the ensemble's size
+            # the walk and the sweep share one transition function, so
+            # this size check covers only the sweep's merge of its runs;
+            # tests/dfs_oracle.py is the independent check of both
             ok_inv and ok_bc and count == fplcore.count_configs(d, t),
             f"{count} configs, swaps={g.swaps}",
         )
@@ -532,7 +533,7 @@ def cmd_groundstate(args) -> int:
     text = _cached(args, "groundstate", vector, n=args.n)
     _emit(text, args.out)
     data = json.loads(text)
-    values = [int(v.split("/")[0]) for v in data["entries"].values()]
+    values = [int(v) for v in data["entries"].values()]
     print(
         f"n={args.n}: max component {max(values)}, sum {sum(values)}"
         f" (product formula {linkpat.asm_count_formula(args.n)})",

@@ -9,17 +9,19 @@ One engine counts and enumerates: a frontier sweep, the connectivity
 transfer matrix of Batchelor, Blöte, Nienhuis & Yung (1996), visits the
 vertices in canonical order and carries the colours and black
 connectivity of the edges cut between visited and unvisited vertices.
-Counting adds up the configurations that share a state, so it visits
-none of them; it can also count by the colours of chosen internal
-edges, and with jobs > 1 runs once per decision prefix in a process
-pool.  Enumeration walks the same per-vertex transitions depth first,
-one state at a time, with every internal edge's colour kept.  Internal
-edge ids run in vertex order, E before N, and each vertex tries E white
-first, so the stream is the lexicographic order of canonical
-bitstrings; each leaf's closed termination pairs are its black link
-pattern, which the walk hands out with it.  The transitions from one
-decision to the next depend on the cut alone, so the walk follows them
-once per cut and afterwards only ORs in what they add.
+From a cut, the transitions up to the next decision (a vertex whose path
+may go on by E or by N) leave no choice; both traversals follow them by
+one function, once per cut, and afterwards only OR in what they added.
+Counting merges the states that reach a decision by cut and adds up
+their configurations, so it visits none of them; it can also count by
+the colours of chosen internal edges, and with jobs > 1 runs once per
+decision prefix in a process pool.  Enumeration walks the same
+transitions depth first, one state at a time, with every internal
+edge's colour kept.  Internal edge ids run in vertex order, E before N,
+and each decision tries E white first, so the stream is the
+lexicographic order of canonical bitstrings; each leaf's closed
+termination pairs are its black link pattern, which the walk hands out
+with it.
 
 Open monochromatic paths end at terminations; the black ones, labelled
 cyclically from the anchor, give the configuration's link pattern.
@@ -123,9 +125,10 @@ def split_prefixes(
 
 def count_configs(d: Domain, t: BoundaryCondition, jobs: int = 1) -> int:
     """Number of configurations: the sum of the frontier sweep's
-    pattern counts.  With jobs > 1 the sweep is split over the walk's
-    decision prefixes as :func:`_patterns` does; the split changes
-    nothing about which configurations are counted.
+    pattern counts, which merge the walk's runs by cut.  With jobs > 1
+    the sweep is split over the walk's decision prefixes as
+    :func:`_patterns` does; the split changes nothing about which
+    configurations are counted.
     """
     return sum(_patterns(d, t, jobs).values())
 
@@ -429,6 +432,17 @@ def refined_counts(n: int, sign: str = "+", jobs: int = 1) -> PsiTable:
 # with ``off = width * n_black``, the same int holds the black edges e
 # the caller asked to keep; once coloured an edge never changes, so
 # states differing only there are counted apart to the end.
+#
+# A vertex with one black in-edge and both out-edges internal and free
+# is a decision.  Elsewhere a state has at most one successor, so the
+# states form a graph of runs, each from a decision to the next one, a
+# leaf or a dead end.  ``_runs`` builds it; the sweep merges its states
+# by cut at each decision vertex, which is the transfer matrix with the
+# forced vertices between decisions multiplied out, and the walk follows
+# it depth first.
+
+
+_UNSEEN = object()  # a memo miss; a run's own result may be None
 
 
 @lru_cache(maxsize=128)
@@ -450,57 +464,20 @@ def _schedule(d: Domain) -> tuple[tuple[int, int, int, int, int, int], ...]:
     return tuple(plan)
 
 
-def _out_options(
-    n_: int, e_: int, allowed: list[tuple[int, ...]], tag: list, bit: list, n_internal: int
-) -> tuple:
-    """What a vertex's allowed N, E colourings put on the cut, by number
-    of black out-edges: the entries inserted when both are white; the
-    entries (or the termination pair to close) when both are black,
-    with their kept-edge bits; and one (before, after, termination tag,
-    kept-edge bit) per colouring with one black out-edge, whose path end
-    goes between before and after when the tag is 0."""
-    zero_n = (0,) if n_ < n_internal else ()
-    zero_e = (0,) if e_ < n_internal else ()
-    white, black, singles = None, None, []
-    for cn in allowed[n_]:
-        for ce in allowed[e_]:
-            if not cn and not ce:
-                white = zero_n + zero_e
-            elif cn and ce:
-                entries = tuple(tag[e] for e in (n_, e_) if e >= n_internal) or (1, 2)
-                black = entries, bit[n_] | bit[e_]
-            elif cn:
-                singles.append(((), zero_e, tag[n_], bit[n_]))
-            else:
-                singles.append((zero_n, (), tag[e_], bit[e_]))
-    return white, black, singles
-
-
 def _partner(tags: tuple[int, ...], i: int, end: int) -> int:
     """Cut index of the partner of a path end removed at index i: right
     of i for a left end (1), left of i for a right end (2)."""
-    depth = 0
-    if end == 1:
-        j = i
-        while True:
-            x = tags[j]
-            if x == 2:
-                if not depth:
-                    return j
-                depth -= 1
-            elif x == 1:
-                depth += 1
-            j += 1
-    j = i - 1
+    j, step = (i, 1) if end == 1 else (i - 1, -1)
+    other, depth = 3 - end, 0
     while True:
         x = tags[j]
-        if x == 1:
+        if x == other:
             if not depth:
                 return j
             depth -= 1
-        elif x == 2:
+        elif x == end:
             depth += 1
-        j -= 1
+        j += step
 
 
 def _join(
@@ -529,7 +506,8 @@ def _narrow(d: Domain, allowed: list[tuple[int, ...]]) -> bool:
     queue = list(d.vertices)
     while queue:
         slots = slots_of[queue.pop()]
-        fixed = [allowed[e] for e in slots]
+        e, n, w, s = slots  # unrolled: a comprehension is a call per vertex
+        fixed = allowed[e], allowed[n], allowed[w], allowed[s]
         black, white = fixed.count((1,)), fixed.count((0,))
         if black > 2 or white > 2:
             return False
@@ -542,13 +520,21 @@ def _narrow(d: Domain, allowed: list[tuple[int, ...]]) -> bool:
     return True
 
 
-def _setup(
+def _runs(
     d: Domain, t: BoundaryCondition, forced: Sequence[tuple[int, int]], keep: Sequence[int]
 ) -> tuple | None:
-    """What the sweep and the walk start from: the allowed colours of
-    every edge, narrowed by the ice rule (None when nothing is allowed),
-    the tag and kept-edge bit of every edge, and the bit width of one
-    closed pair."""
+    """The transition graph that the sweep merges and the walk follows,
+    keeping the black internal edges in ``keep``: ``(run, decode)``, or
+    None when the ice rule leaves no colour to some edge.
+
+    ``run(k, tags)`` follows the transitions that leave no choice from
+    the cut ``tags`` at vertex k.  It returns what they OR into a state's
+    closed pairs and kept bits, as an int, when they reach a leaf; None
+    at a dead end; or, at the next decision, its E edge and per E colour,
+    white first, the state ``(k + 1, tags)`` after it and what was OR-ed
+    in up to there.  ``decode`` splits a leaf's int into its black
+    pattern and the bitmask (bit e set = black) of the kept edges.
+    """
     if len(t.colours) != d.perimeter:
         raise ValueError("boundary condition length mismatch")
     n_internal = len(d.internal_edges)
@@ -558,7 +544,7 @@ def _setup(
     if not all(allowed) or not _narrow(d, allowed):
         return None
     n_black = t.n_black
-    width = max(1, n_black.bit_length())
+    width = max(1, n_black.bit_length())  # of one closed pair
     off = width * n_black
     bit = [0] * len(allowed)
     for e in keep:
@@ -569,132 +555,45 @@ def _setup(
         if c:
             tag[n_internal + k] = label
             label += 1
-    return allowed, tag, bit, width
+    schedule = _schedule(d)
+    last = len(schedule)
+    steps: list = [None] * last
 
-
-def _decode(pairs: int, width: int, n_black: int) -> LinkPattern:
-    """The black pattern of a state's packed closed pairs."""
-    mask = (1 << width) - 1
-    return LinkPattern(tuple(((pairs >> (width * k)) & mask) - 1 for k in range(n_black)))
-
-
-def _transfer(
-    d: Domain, t: BoundaryCondition, forced: Sequence[tuple[int, int]] = (), keep: Sequence[int] = ()
-) -> dict[tuple[LinkPattern, int], int]:
-    """Counts of every ice-rule colouring extending t that gives each
-    edge in ``forced`` its colour, by one frontier sweep, keyed by black
-    pattern and by the bitmask (bit e set = black) of the internal edges
-    e in ``keep``.
-
-    The counts equal those of the leaves of ``_walk(d, t, forced)``,
-    patterns included, with the kept edges read off their bits.
-    """
-    setup = _setup(d, t, forced, keep)
-    if setup is None:
-        return {}
-    allowed, tag, bit, width = setup
-    n_internal = len(d.internal_edges)
-
-    # Only internal edges are kept, so a join at a termination out-edge
-    # adds no kept bit.  A bit is or-ed in only when set: ``closed | 0``
-    # would still copy a multi-digit int on every transition.
-    states: dict = {((), 0): 1}
-    for i, r, w_, s_, n_, e_ in _schedule(d):
-        wp, wt, sp, st = w_ < n_internal, tag[w_], s_ < n_internal, tag[s_]
-        white, black, singles = _out_options(n_, e_, allowed, tag, bit, n_internal)
-        if black is not None:
-            black, both = black
-        nxt: dict = {}
-        for (tags, closed), cnt in states.items():
-            a = tags[i] if wp else wt
-            b = tags[i + wp] if sp else st
-            left, right = tags[:i], tags[i + r:]
-            if a and b:
-                if white is None:
-                    continue
-                key = _join(left + white + right, i, a, b, closed, width)
-                nxt[key] = nxt.get(key, 0) + cnt
-            elif a or b:
-                c = a or b
-                for pre, post, term, one in singles:
-                    if term:
-                        key = _join(left + pre + post + right, i, c, term, closed, width)
-                    else:
-                        key = (left + pre + (c,) + post + right, closed | one if one else closed)
-                    nxt[key] = nxt.get(key, 0) + cnt
-            elif black is not None:
-                if len(black) == 2 and black[0] >= 3:
-                    key = _join(left + right, i, black[0], black[1], closed, width)
+    def build(k: int) -> tuple:
+        """Vertex k's schedule entry with what its allowed N, E colourings
+        put on the cut, by number of black out-edges: the entries inserted
+        when both are white; the entries, with their kept-edge bits or the
+        termination pair they close, when both are black; and one (before,
+        after, termination tag, kept-edge bit) per colouring with one
+        black out-edge, E white first, whose path end goes between before
+        and after when the tag is 0."""
+        i, r, w_, s_, n_, e_ = schedule[k]
+        zero_n = (0,) if n_ < n_internal else ()
+        zero_e = (0,) if e_ < n_internal else ()
+        white, black, singles = None, None, []
+        for ce in allowed[e_]:
+            for cn in allowed[n_]:
+                if not cn and not ce:
+                    white = zero_n + zero_e
+                elif cn and ce:
+                    entries = tuple(tag[e] for e in (n_, e_) if e >= n_internal) or (1, 2)
+                    black = entries, bit[n_] | bit[e_]
+                    if len(entries) == 2 and entries[0] >= 3:
+                        black = _join((), 0, *entries, 0, width)
+                elif cn:
+                    singles.append(((), zero_e, tag[n_], bit[n_]))
                 else:
-                    key = (left + black + right, closed | both if both else closed)
-                nxt[key] = nxt.get(key, 0) + cnt
-        if not nxt:
-            return {}
-        states = nxt
-
-    n_black = t.n_black
-    off = width * n_black
-    low = (1 << off) - 1
-    patterns: dict[int, LinkPattern] = {}
-    out: dict[tuple[LinkPattern, int], int] = {}
-    for (tags, closed), cnt in states.items():
-        assert not tags
-        pairs = closed & low
-        p = patterns.get(pairs)
-        if p is None:
-            p = patterns[pairs] = _decode(pairs, width, n_black)
-        out[p, closed >> off] = cnt
-    return out
-
-
-def _walk(
-    d: Domain,
-    t: BoundaryCondition,
-    forced: Sequence[tuple[int, int]] = (),
-    split_depth: int | None = None,
-) -> Iterator[tuple]:
-    """Every ice-rule colouring extending t that gives each edge in
-    ``forced`` its colour, as ``(bits, black pattern)``, by walking the
-    sweep's transitions depth first: one state at a time, every
-    internal edge kept.
-
-    Internal edge ids run in vertex order, E before N, and each vertex
-    tries its out-edge colourings with E white first, so the leaves come
-    in lexicographic bit order.  A vertex with one black in-edge and two
-    free out-edges is a decision on its E edge.  When ``split_depth`` is
-    given, a decision met with that many above it yields
-    ``(None, decisions)`` as (edge, colour) pairs instead, and its
-    subtree is skipped.
-    """
-    setup = _setup(d, t, forced, range(len(d.internal_edges)))
-    if setup is None:
-        return
-    allowed, tag, bit, width = setup
-    n_internal = len(d.internal_edges)
-    n_black = t.n_black
-    off = width * n_black
-    low = (1 << off) - 1
-    ends = sum(1 << d.termination_id(k) for k, c in enumerate(t.colours) if c)
-    steps = []
-    for i, r, w_, s_, n_, e_ in _schedule(d):
-        white, black, singles = _out_options(n_, e_, allowed, tag, bit, n_internal)
-        # singles come N white first; the walk tries E white first
-        steps.append((i, r, w_ < n_internal, tag[w_], s_ < n_internal, tag[s_],
-                      white, black, singles[::-1], e_))
-    last = len(steps)
+                    singles.append((zero_n, (), tag[e_], bit[e_]))
+        return i, r, w_ < n_internal, tag[w_], s_ < n_internal, tag[s_], e_, white, black, singles
 
     def run(k: int, tags: tuple) -> int | tuple | None:
-        """Follow the transitions from the cut ``tags`` at vertex k that
-        leave no choice.  Returns, as an int, what they OR into a
-        state's closed pairs and kept bits when they reach a leaf; or
-        the next decision as its E edge and, per E colour, the state
-        after it with what was OR-ed in up to there; or None when they
-        reach a dead end."""
-        # Every internal edge is kept, so a single black out-edge adds
-        # its bit unless it is a termination, which joins its path.
         closed = 0
         while k < last:
-            i, r, wp, wt, sp, st, white, black, singles, e_ = steps[k]
+            step = steps[k]
+            if step is None:
+                # built on first reach: a sweep that dies early builds no more
+                step = steps[k] = build(k)
+            i, r, wp, wt, sp, st, e_, white, black, singles = step
             a = tags[i] if wp else wt
             b = tags[i + wp] if sp else st
             if a and b:
@@ -707,8 +606,8 @@ def _walk(
                 if len(singles) == 2:
                     # both out-edges are internal and free
                     (pre0, post0, _, one0), (pre1, post1, _, one1) = singles
-                    return (e_, ((k + 1, left + pre0 + (c,) + post0 + right), closed | one0),
-                            ((k + 1, left + pre1 + (c,) + post1 + right), closed | one1))
+                    return (e_, (k + 1, left + pre0 + (c,) + post0 + right), closed | one0,
+                            (k + 1, left + pre1 + (c,) + post1 + right), closed | one1)
                 if not singles:
                     return None
                 (pre, post, term, one), = singles
@@ -717,40 +616,109 @@ def _walk(
                 else:
                     tags, closed = left + pre + (c,) + post + right, closed | one
             elif black is not None:
-                entries, both = black
-                if len(entries) == 2 and entries[0] >= 3:
-                    tags, closed = _join(tags[:i] + tags[i + r:], i, entries[0], entries[1],
-                                         closed, width)
-                else:
-                    tags, closed = tags[:i] + entries + tags[i + r:], closed | both
+                tags, closed = tags[:i] + black[0] + tags[i + r:], closed | black[1]
             else:
                 return None
             k += 1
         return closed
 
+    low, mask = (1 << off) - 1, (1 << width) - 1
+    patterns: dict[int, LinkPattern] = {}
+
+    def decode(closed: int) -> tuple[LinkPattern, int]:
+        pairs = closed & low
+        p = patterns.get(pairs)
+        if p is None:
+            p = patterns[pairs] = LinkPattern(
+                tuple(((pairs >> (width * k)) & mask) - 1 for k in range(n_black))
+            )
+        return p, closed >> off
+
+    return run, decode
+
+
+def _transfer(
+    d: Domain, t: BoundaryCondition, forced: Sequence[tuple[int, int]] = (), keep: Sequence[int] = ()
+) -> dict[tuple[LinkPattern, int], int]:
+    """Counts of every ice-rule colouring extending t that gives each
+    edge in ``forced`` its colour, by one frontier sweep, keyed by black
+    pattern and by the bitmask (bit e set = black) of the internal edges
+    e in ``keep``.
+
+    The runs of :func:`_runs` are merged by state at each decision: the
+    states that start a run at vertex k wait in bucket k with their
+    counts, and the buckets go in increasing k, each running its
+    distinct cuts once.  The counts equal those of the leaves of
+    ``_walk(d, t, forced)``, patterns included, with the kept edges read
+    off their bits.
+    """
+    built = _runs(d, t, forced, keep)
+    if built is None:
+        return {}
+    run, decode = built
+    leaves: dict[int, int] = {}
+    pending: dict[int, dict] = {0: {((), 0): 1}}
+    while pending:
+        k = min(pending)
+        memo: dict = {}
+        for (tags, closed), cnt in pending.pop(k).items():
+            out = memo.get(tags, _UNSEEN)
+            if out is _UNSEEN:
+                out = memo[tags] = run(k, tags)
+            if out is None:
+                continue
+            if type(out) is int:
+                key = closed | out
+                leaves[key] = leaves.get(key, 0) + cnt
+                continue
+            _, (k1, tags0), one0, (_, tags1), one1 = out
+            bucket = pending.setdefault(k1, {})
+            key = tags0, closed | one0
+            bucket[key] = bucket.get(key, 0) + cnt
+            key = tags1, closed | one1
+            bucket[key] = bucket.get(key, 0) + cnt
+    return {decode(closed): cnt for closed, cnt in leaves.items()}
+
+
+def _walk(
+    d: Domain,
+    t: BoundaryCondition,
+    forced: Sequence[tuple[int, int]] = (),
+    split_depth: int | None = None,
+) -> Iterator[tuple]:
+    """Every ice-rule colouring extending t that gives each edge in
+    ``forced`` its colour, as ``(bits, black pattern)``, by walking the
+    runs of :func:`_runs` depth first: one state at a time, every
+    internal edge kept.
+
+    Internal edge ids run in vertex order, E before N, and each decision
+    tries E white first, so the leaves come in lexicographic bit order.
+    When ``split_depth`` is given, a decision met with that many above
+    it yields ``(None, decisions)`` as (edge, colour) pairs instead, and
+    its subtree is skipped.
+    """
+    built = _runs(d, t, forced, range(len(d.internal_edges)))
+    if built is None:
+        return
+    run, decode = built
+    ends = sum(1 << d.termination_id(k) for k, c in enumerate(t.colours) if c)
     # What a run adds depends on its start state alone, not on the
     # edges coloured before it, so each start state is run once.
     runs: dict = {}
-    unseen = object()
-    patterns: dict[int, LinkPattern] = {}
     splitting = split_depth is not None
     stack = [((0, ()), 0, ())]
     while stack:
         state, closed, decisions = stack.pop()
-        out = runs.get(state, unseen)
-        if out is unseen:
+        out = runs.get(state, _UNSEEN)
+        if out is _UNSEEN:
             out = runs[state] = run(*state)
         if out is None:
             continue
         if type(out) is int:
-            closed |= out
-            pairs = closed & low
-            p = patterns.get(pairs)
-            if p is None:
-                p = patterns[pairs] = _decode(pairs, width, n_black)
-            yield (closed >> off) | ends, p
+            p, kept = decode(closed | out)
+            yield kept | ends, p
             continue
-        e_, (first, one0), (second, one1) = out
+        e_, first, one0, second, one1 = out
         later = decisions
         if splitting:
             if len(decisions) == split_depth:

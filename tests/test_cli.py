@@ -164,6 +164,11 @@ class TestGroundstate:
         values = [int(v) for v in json.loads(out)["entries"].values()]
         assert sum(values) == 7
 
+    def test_summary_line_n4(self, capsys):
+        code, _, err = run(capsys, "groundstate", "--n", "4")
+        assert code == 0
+        assert err == "n=4: max component 7, sum 42 (product formula 42)\n"
+
 
 class TestVerify:
     def test_rs_passes(self, capsys):

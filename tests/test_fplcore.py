@@ -13,6 +13,7 @@ from fplrs.fplcore import (
     PsiTable,
     _patterns,
     _trace_colour,
+    _transfer,
     _walk,
     asm_count_formula,
     count_configs,
@@ -474,6 +475,43 @@ class TestFrontierSweep:
         (d, t), = _random_ensembles("plus", count=1, seed=7)
         assert _patterns(d, t, jobs=2) == _patterns(d, t)
         assert count_configs(d, t, jobs=2) == count_configs(d, t)
+
+
+def _walk_tally(d, t, forced, keep):
+    """The walk's leaves counted by black pattern and by the bitmask of
+    the black edges in ``keep``, as the sweep keys its counts."""
+    mask = sum(1 << e for e in keep)
+    return dict(Counter((p, bits & mask) for bits, p in _walk(d, t, forced)))
+
+
+class TestSweepMergesTheWalk:
+    """The sweep merges the walk's runs by cut, so its counts are the
+    walk's leaves tallied by pattern and kept-edge colours.  Both share
+    one transition function: this checks the merge alone, and the DFS
+    oracle above checks the transitions."""
+
+    @pytest.mark.parametrize("seed", [20100615, 10216, 10314, 10404])
+    def test_suite_ensembles_with_random_keep_and_forced_edge(self, seed):
+        rng = random.Random(f"merge-{seed}")
+        populated = 0
+        for d, t in _suite_ensembles(seed):
+            edges = range(len(d.internal_edges))
+            keep = rng.sample(edges, rng.randint(0, len(edges)))
+            forced = [(rng.choice(edges), rng.randint(0, 1))]
+            expected = _walk_tally(d, t, forced, keep)
+            assert _transfer(d, t, forced, keep) == expected
+            populated += bool(expected)
+        assert populated > 25
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("sign", "+-")
+    def test_squares_with_the_census_keep(self, n, sign):
+        d, t = build_square(n, sign)
+        rows = [(x, y) for y in (1, 2) if y <= n for x in range(1, n + 1)]
+        keep = sorted({e for v in rows for e in d.vertex_edges[v] if e < len(d.internal_edges)})
+        expected = _walk_tally(d, t, (), keep)
+        assert sum(expected.values()) == asm_count_formula(n)
+        assert _transfer(d, t, keep=keep) == expected
 
 
 def _walks_like_the_oracle(d, t, forced=()):
