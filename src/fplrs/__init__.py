@@ -4,13 +4,14 @@ pattern space, the plaquette-flipping bijection and its orbits, and the
 exact stationary vector of the loop-model Hamiltonian, together with
 verification suites that certify their interrelations at small sizes.
 
-Every layer module is in ``sys.modules`` and is an attribute of the
-package from the start, but its code runs only when one of its
-attributes is first read (``importlib.util.LazyLoader``), so a command
-compiles and executes only the layers it calls.  The names re-exported
-here resolve through the module ``__getattr__`` and load their layer
-the same way.  The first load of a layer is not thread-safe: touch it
-before starting threads that use it.
+Every layer module, and ``suites`` with the verification suites, is in
+``sys.modules`` and is an attribute of the package from the start, but
+its code runs only when one of its attributes is first read
+(``importlib.util.LazyLoader``), so a command compiles and executes only
+the layers it calls.  The names re-exported here resolve through the
+module ``__getattr__`` and load their layer the same way.  The first
+load of a layer is not thread-safe: touch it before starting threads
+that use it.
 """
 
 import importlib.util
@@ -31,7 +32,9 @@ __version__ = "0.1.0"
 
 # cli is left out: ``python -m fplrs.cli`` would find it already in
 # sys.modules, which runpy warns about.
-_LAYERS = ("lattice", "linkpat", "fplcore", "gyration", "groundstate", "identities", "sampling")
+_LAYERS = (
+    "lattice", "linkpat", "fplcore", "gyration", "groundstate", "identities", "sampling", "suites",
+)
 
 
 def _register(name: str):

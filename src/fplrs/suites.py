@@ -1,0 +1,323 @@
+"""The verification suites behind ``fplrs verify``: each returns the
+check lines of one suite, which the command line reports.
+
+    rs                the RS certificate of the stationary vector
+    wieland           both signs' tables agree and are rotation invariant
+    orbits            gyration orbits and their plaquette sums
+    identities        the identity census of the proof
+    tl                Temperley-Lieb and add/cap relations
+    gyration-general  the gyration pass on glued domains
+
+Like ``fplrs.cli``, this module binds the layers as modules and calls
+them through their attributes, so a suite executes only the layers it
+calls.  The package registers this module lazily too, so the command
+line loads it only for ``verify``.  It must not import ``fplrs.cli``:
+under ``python -m fplrs.cli`` that module runs as ``__main__``, and an
+import of it by name would execute it a second time.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import dataclass
+
+from . import fplcore, groundstate, gyration, identities, lattice, linkpat, sampling
+
+
+@dataclass(frozen=True)
+class CheckLine:
+    suite: str
+    check: str
+    status: bool
+    detail: str = ""
+
+
+def _suite_rs(n_max: int) -> list[CheckLine]:
+    lines = []
+    for n in range(1, n_max + 1):
+        r = groundstate.verify_rs(n)
+        lines.append(
+            CheckLine(
+                "rs",
+                f"(H-2n) kills the count vector, n={n}",
+                r.rs_is_zero,
+                r.first_violation,
+            )
+        )
+        lines.append(
+            CheckLine("rs", f"kernel equals counts, n={n}", r.kernel_matches_counts)
+        )
+        lines.append(
+            CheckLine(
+                "rs",
+                f"component sum, n={n}",
+                r.total == r.expected_total,
+                f"{r.total} vs {r.expected_total}",
+            )
+        )
+    return lines
+
+
+def _suite_wieland(n_max: int) -> list[CheckLine]:
+    lines = []
+    for n in range(1, n_max + 1):
+        plus = fplcore.refined_counts(n, "+")
+        minus = fplcore.refined_counts(n, "-")
+        lines.append(
+            CheckLine("wieland", f"plus table equals minus table, n={n}", plus.counts == minus.counts)
+        )
+        rotated = {
+            linkpat.rotate(linkpat.LinkPattern.from_word(w), 1).word: v
+            for w, v in plus.counts.items()
+        }
+        lines.append(
+            CheckLine("wieland", f"table invariant under rotation, n={n}", rotated == plus.counts)
+        )
+    k = gyration.square_rotation_direction()
+    lines.append(
+        CheckLine("wieland", f"gyration rotates patterns by R^{k}", k in (1, -1))
+    )
+    return lines
+
+
+def _suite_orbits(n_max: int) -> list[CheckLine]:
+    lines = []
+    for n in range(1, n_max + 1):
+        orbits = gyration.orbit_partition(n)
+        total = sum(o.period for o in orbits)
+        lines.append(
+            CheckLine(
+                "orbits",
+                f"orbits partition the ensemble, n={n}",
+                total == linkpat.asm_count_formula(n),
+                f"{len(orbits)} orbits, {total} configs",
+            )
+        )
+        bad_sum = 0
+        class_pm: dict[tuple[str, tuple[int, int]], list[int]] = {}
+        coherent = True
+        for o in orbits:
+            classes, faces = gyration.orbit_faces(o)
+            coherent &= len(classes) == 1
+            for alpha, (plus, minus) in faces.items():
+                bad_sum += plus != minus
+                pm = class_pm.setdefault((classes[0], alpha), [0, 0])
+                pm[0] += plus
+                pm[1] += minus
+        bad_class = sum(1 for pm in class_pm.values() if pm[0] != pm[1])
+        lines.append(
+            CheckLine("orbits", f"orbit face sums vanish, n={n}", bad_sum == 0)
+        )
+        lines.append(
+            CheckLine("orbits", f"class face sums vanish, n={n}", bad_class == 0)
+        )
+        lines.append(
+            CheckLine("orbits", f"orbits stay in one rotation class, n={n}", coherent)
+        )
+        if n == 4:
+            balanced = all(
+                pm[0] == pm[1]
+                for (word, alpha), pm in class_pm.items()
+                if alpha == (3, 2)
+            )
+            lines.append(
+                CheckLine("orbits", "per-class +1/-1 counts balance at face (3,2), n=4", balanced)
+            )
+    return lines
+
+
+def _suite_identities(n_max: int) -> list[CheckLine]:
+    results = identities.run_identity_suite(range(1, n_max + 1))
+    return [
+        CheckLine(
+            "identities",
+            f"{r.identity} n={r.n}" + (f" j={r.j}" if r.j is not None else ""),
+            r.status,
+            r.witness,
+        )
+        for r in results
+    ]
+
+
+def _tl_operators():
+    """tl_e, rotate, close_c and add_a, each memoised for one suite call.
+
+    The relations check each distinct sample once, with about 17
+    operator calls each: 6 x 10^4 calls at n = 5 (3,792 distinct
+    samples of 10^4) up to 1.6 x 10^5 at n = 7 (9,434), yet they meet
+    only a few thousand distinct (pattern, index) pairs.  Patterns are
+    interned, so every result is the one object for its matching and
+    the memo holds each pattern once.  The memo lives only as long as
+    the suite: the Hamiltonian calls the same operators at sizes where a
+    lasting cache would hold millions of (pattern, index) pairs.
+    """
+
+    def memo(op):
+        by_index: dict[int, dict[linkpat.LinkPattern, linkpat.LinkPattern]] = {}
+
+        def call(p: linkpat.LinkPattern, j: int) -> linkpat.LinkPattern:
+            results = by_index.get(j)
+            if results is None:
+                results = by_index[j] = {}
+            q = results.get(p)
+            if q is None:
+                q = results[p] = op(p, j)
+            return q
+
+        return call
+
+    return tuple(memo(op) for op in (linkpat.tl_e, linkpat.rotate, linkpat.close_c, linkpat.add_a))
+
+
+def _check_tl_relations(n: int, samples, lines: list[CheckLine], label: str, ops) -> None:
+    tl_e, rotate, close_c, add_a = ops
+    size = 2 * n
+    wrap = lambda j: ((j - 1) % size) + 1
+    ok_a = ok_b = ok_c = ok_d = True
+    ok_ca = ok_ac = ok_comm = True
+    # each check is an AND, so a repeated sample adds nothing: check
+    # every distinct one once, in first-seen order
+    for p, i, j in dict.fromkeys(samples):
+        ei = tl_e(p, i)
+        ok_a &= ei == rotate(tl_e(rotate(p, -1), wrap(i + 1)), 1)
+        ok_b &= tl_e(ei, i) == ei
+        dist = min((i - j) % size, (j - i) % size)
+        if dist > 1:
+            ok_c &= tl_e(tl_e(p, j), i) == tl_e(ei, j)
+        ok_d &= tl_e(tl_e(ei, wrap(i + 1)), i) == ei
+        ok_d &= tl_e(tl_e(ei, wrap(i - 1)), i) == ei
+        if i <= size - 1:
+            ok_ca &= close_c(add_a(p, i), i) == p
+            ok_ac &= add_a(close_c(p, i), i) == ei
+        if j - i >= 2:
+            if j <= size - 1 and i <= size - 3:
+                ok_comm &= close_c(ei, j) == tl_e(close_c(p, j), i)
+            if j <= size + 1:
+                ok_comm &= add_a(ei, j) == tl_e(add_a(p, j), i)
+    lines.append(CheckLine("tl", f"conjugation by rotation shifts indices, {label}", ok_a))
+    lines.append(CheckLine("tl", f"generators are idempotent, {label}", ok_b))
+    lines.append(CheckLine("tl", f"distant generators commute, {label}", ok_c))
+    lines.append(CheckLine("tl", f"braid-like contraction, {label}", ok_d))
+    lines.append(CheckLine("tl", f"cap after add is the identity, {label}", ok_ca))
+    lines.append(CheckLine("tl", f"add after cap is the generator, {label}", ok_ac))
+    lines.append(CheckLine("tl", f"caps commute with distant generators, {label}", ok_comm))
+
+
+def _nonconsecutive_sets(size: int):
+    """All subsets of 1..size-1 with no two consecutive members."""
+    out = [()]
+    for j in range(1, size):
+        out += [s + (j,) for s in out if not s or s[-1] < j - 1]
+    return out
+
+
+def _suite_tl(n_max: int, seed: int) -> list[CheckLine]:
+    lines: list[CheckLine] = []
+    ops = _tl_operators()
+    tl_e, _, close_c, add_a = ops
+    for n in range(1, min(n_max, 4) + 1):
+        size = 2 * n
+        samples = [
+            (p, i, j)
+            for p in linkpat.all_patterns(n)
+            for i in range(1, size + 1)
+            for j in range(1, size + 1)
+        ]
+        _check_tl_relations(n, samples, lines, f"exhaustive n={n}", ops)
+        ok_prod = True
+        for p in linkpat.all_patterns(n):
+            for js in _nonconsecutive_sets(size):
+                lhs = p
+                for j in sorted(js, reverse=True):
+                    lhs = close_c(lhs, j)
+                for j in sorted(js):
+                    lhs = add_a(lhs, j)
+                rhs = p
+                for j in js:
+                    rhs = tl_e(rhs, j)
+                ok_prod &= lhs == rhs
+        lines.append(
+            CheckLine("tl", f"add/cap ladders reproduce generator products, exhaustive n={n}", ok_prod)
+        )
+    if n_max >= 5:
+        rng = random.Random(seed)
+        for n in range(5, min(n_max, 7) + 1):
+            pats = linkpat.all_patterns(n)
+            size = 2 * n
+            samples = [
+                (rng.choice(pats), rng.randint(1, size), rng.randint(1, size))
+                for _ in range(10_000)
+            ]
+            _check_tl_relations(n, samples, lines, f"10^4 samples n={n}", ops)
+    return lines
+
+
+def _conservation_lines(d, t, parity, lines, label) -> None:
+    g = lattice.glue_and_gamma(d, t, parity, allow_swaps=True)
+    ok_inv = ok_triplet = ok_bc = True
+    count = 0
+    complement = t.complemented()
+    for phi in fplcore.enumerate_configs(d, t):
+        count += 1
+        psi = gyration.apply_h(phi, g)
+        ok_bc &= psi.boundary() == complement
+        ok_inv &= gyration.apply_h(psi, g).bits == phi.bits
+        ok_triplet &= gyration.pair_link_data(phi, g) == gyration.pair_link_data(psi, g)
+    lines.append(
+        CheckLine(
+            "gyration-general",
+            f"pass is an involution onto the complement, {label}",
+            # the walk and the sweep share one transition function, so
+            # this size check covers only the sweep's merge of its runs;
+            # tests/dfs_oracle.py is the independent check of both
+            ok_inv and ok_bc and count == fplcore.count_configs(d, t),
+            f"{count} configs, swaps={g.swaps}",
+        )
+    )
+    lines.append(
+        CheckLine(
+            "gyration-general",
+            f"glued link data conserved, {label}",
+            ok_triplet,
+        )
+    )
+
+
+def _suite_gyration_general(n_max: int, seed: int) -> list[CheckLine]:
+    lines: list[CheckLine] = []
+    for n in range(1, min(n_max, 4) + 1):
+        d, t = lattice.build_square(n, "+")
+        for parity in ("plus", "minus"):
+            _conservation_lines(d, t, parity, lines, f"square n={n} {parity}")
+    rng = random.Random(seed)
+    for k in range(50):
+        n_cells = rng.randint(6, 24)
+        parity = "plus" if k % 2 == 0 else "minus"
+        d, t = sampling.random_glueable(rng, n_cells, parity)
+        _conservation_lines(d, t, parity, lines, f"random domain #{k} ({len(d.cells)} cells, {parity})")
+    for n in range(3, min(n_max, 5) + 1):
+        for j in range(2, (n + 1) // 2 + 1):
+            d, t = identities.shat_c_rectangle(n, j)
+            for parity in ("plus", "minus"):
+                r = gyration.generalized_gyration_check(d, t, parity)
+                lines.append(
+                    CheckLine(
+                        "gyration-general",
+                        f"capped tables agree on the c-state rectangle n={n} j={j} {parity}",
+                        r.passed,
+                        f"J1={list(r.j_left)} J2={list(r.j_right)}",
+                    )
+                )
+    for k in range(15):
+        d, t = sampling.random_glueable(rng, rng.randint(6, 16), "plus")
+        r = gyration.generalized_gyration_check(d, t, "plus")
+        lines.append(
+            CheckLine(
+                "gyration-general",
+                f"capped tables agree on random domain #{k} ({len(d.cells)} cells)",
+                r.passed,
+                f"J1={list(r.j_left)} J2={list(r.j_right)} swaps={list(r.swaps)}",
+            )
+        )
+    return lines
+

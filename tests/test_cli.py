@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import fplrs
-from fplrs import cli, fplcore, gyration, linkpat
+from fplrs import cli, fplcore, gyration, linkpat, suites
 from fplrs.cli import Cache, main
 from fplrs.linkpat import all_patterns, tl_e
 
@@ -202,9 +202,9 @@ class TestVerify:
 
         d, t = build_square(3, "+")
         lines = []
-        cli._conservation_lines(d, t, "plus", lines, "square n=3 plus")
+        suites._conservation_lines(d, t, "plus", lines, "square n=3 plus")
         monkeypatch.setattr(fplcore, "count_configs", lambda d, t: 6)
-        cli._conservation_lines(d, t, "plus", lines, "square n=3 plus")
+        suites._conservation_lines(d, t, "plus", lines, "square n=3 plus")
         honest, miscounted = lines[0], lines[2]
         assert honest.status and not miscounted.status
         assert (honest.check, honest.detail) == (miscounted.check, miscounted.detail)
@@ -221,14 +221,14 @@ def test_tl_fault_reached_by_one_sample_fails_its_line(monkeypatch, repeats):
     rng = random.Random(seed)
     pats = all_patterns(5)
     samples = [(rng.choice(pats), rng.randint(1, 10), rng.randint(1, 10)) for _ in range(10_000)]
-    ops = cli._tl_operators()
+    ops = suites._tl_operators()
     reached = {}
     for sample in dict.fromkeys(samples):
         def spy(q, k, sample=sample):
             reached.setdefault((q, k), set()).add(sample)
             return ops[0](q, k)
 
-        cli._check_tl_relations(5, [sample], [], "", (spy, *ops[1:]))
+        suites._check_tl_relations(5, [sample], [], "", (spy, *ops[1:]))
     times = Counter(samples)
     key = next(
         key for key, by in reached.items()
@@ -237,7 +237,7 @@ def test_tl_fault_reached_by_one_sample_fails_its_line(monkeypatch, repeats):
     )
     real = linkpat.tl_e
     monkeypatch.setattr(linkpat, "tl_e", lambda q, k: q if (q, k) == key else real(q, k))
-    failed = [line.check for line in cli._suite_tl(5, seed) if not line.status]
+    failed = [line.check for line in suites._suite_tl(5, seed) if not line.status]
     assert failed == ["caps commute with distant generators, 10^4 samples n=5"]
 
 
@@ -381,7 +381,8 @@ class TestUnwritablePaths:
 class TestPinnedOutputs:
     """SHA-256 of stdout payloads that refactors of the orbit code, of
     the identity census, of the RS certificate, of the gyration pass, of
-    the glued tracer and of the TL suite must keep byte for byte."""
+    the glued tracer, of the suites and of the reports must keep byte for
+    byte."""
 
     @pytest.mark.parametrize(
         "argv, digest",
@@ -416,6 +417,10 @@ class TestPinnedOutputs:
              "92f2e64e3a0111b39e640d8e2c875bb3a1ffa4d39ae0c432d6d6ea1edd3fb80b"),
             (("verify", "tl", "--n-max", "7", "--seed", "5"),
              "2d38c801e59db71539ed2d9339c15c92a758bd470977ae6f0a13072bea953c21"),
+            (("verify", "wieland", "--n-max", "6"),
+             "a48fb5feddc2b9073502709430f9860ff7d47daa0079d70393a01e6cd888d1d4"),
+            (("verify", "rs", "--n-max", "4", "--format", "csv"),
+             "867a62906223a97f1019791c1dfbc8554b395bd15620282f171fdda79db84457"),
         ],
         ids=[
             "orbit-report-plus", "orbit-report-minus", "verify-orbits", "verify-identities",
@@ -423,6 +428,7 @@ class TestPinnedOutputs:
             "verify-gyration-general-n5", "orbit-report-n6-plus", "orbit-report-n6-minus",
             "verify-gyration-general-n5-seed10216", "verify-gyration-general-n5-seed10314",
             "verify-gyration-general-n5-seed10404", "verify-tl-n7-seed5",
+            "verify-wieland-n6", "verify-rs-csv",
         ],
     )
     def test_stdout_digest(self, capsys, argv, digest):
@@ -458,12 +464,13 @@ def _modules_after(probe: str) -> dict[str, bool]:
     """The modules a fresh interpreter holds after running probe, each
     mapped to whether its code has run.  A layer the package registered
     lazily and nothing has touched yet is in sys.modules, but is not yet
-    a plain module."""
+    a plain module.  The modules are listed before the report imports
+    json to print them."""
     src = str(Path(fplrs.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     report = (
-        "import json, sys, types; print(json.dumps("
-        "{name: type(m) is types.ModuleType for name, m in list(sys.modules.items())}))"
+        "import sys; modules = {name: type(m) is type(sys) for name, m in list(sys.modules.items())}\n"
+        "import json; print(json.dumps(modules))"
     )
     result = subprocess.run(
         [sys.executable, "-c", f"{probe}\n{report}"],
@@ -489,7 +496,38 @@ def test_rs_certificate_leaves_numpy_unloaded():
     )
 
 
-LAYERS = ("lattice", "linkpat", "fplcore", "gyration", "groundstate", "identities", "sampling")
+def test_cli_import_carries_only_the_dispatcher():
+    # every fplrs process imports the cli first; the standard-library
+    # modules that only some commands use are imported where they are
+    # used, so the import adds none of them to a bare interpreter
+    added = set(_modules_after("import fplrs.cli")) - set(_modules_after("pass"))
+    assert "fplrs.cli" in added
+    assert added.isdisjoint({"argparse", "json", "hashlib", "csv", "dataclasses"})
+
+
+def test_module_run_executes_the_cli_once():
+    # under ``python -m fplrs.cli`` the cli runs as __main__.  A package
+    # that registered it would make runpy warn, which -W error turns
+    # into a failed run; a suite that imported it by name would execute
+    # it a second time, as fplrs.cli
+    src = str(Path(fplrs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["verify", "tl", "--n-max", "1"]
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "fplrs.cli", *argv],
+        env=env, capture_output=True, text=True,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.endswith("OK: 8/8 checks passed\n")
+    probe = (
+        f"import runpy, sys\nsys.argv[1:] = {argv!r}\n"
+        "try:\n    runpy.run_module('fplrs.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n    assert exc.code == 0, exc.code"
+    )
+    assert "fplrs.cli" not in _modules_after(probe)
+
+
+LAYERS = ("lattice", "linkpat", "fplcore", "gyration", "groundstate", "identities", "sampling", "suites")
 
 
 @pytest.mark.parametrize(
@@ -497,12 +535,13 @@ LAYERS = ("lattice", "linkpat", "fplcore", "gyration", "groundstate", "identitie
     [
         ("import fplrs.cli", set(), set(LAYERS)),
         ("from fplrs import cli; cli.main(['verify', 'tl', '--n-max', '2'])",
-         {"linkpat"}, set(LAYERS) - {"linkpat"}),
+         {"linkpat", "suites"}, set(LAYERS) - {"linkpat", "suites"}),
         ("from fplrs import cli; cli.main(['enumerate', '--n', '3'])",
-         {"lattice", "linkpat", "fplcore"}, {"gyration", "groundstate", "identities", "sampling"}),
+         {"lattice", "linkpat", "fplcore"},
+         {"gyration", "groundstate", "identities", "sampling", "suites"}),
         ("from fplrs.groundstate import kernel_dimension_certificate; "
          "assert kernel_dimension_certificate(5)",
-         {"linkpat", "groundstate"}, {"fplcore", "lattice"}),
+         {"linkpat", "groundstate"}, {"fplcore", "lattice", "suites"}),
         ("from fplrs import cli; cli.main(['groundstate', '--n', '3'])",
          {"linkpat", "groundstate"}, set(LAYERS) - {"linkpat", "groundstate"}),
     ],
@@ -518,7 +557,8 @@ def test_each_command_executes_only_the_layers_it_calls(probe, executed, idle):
 
 class TestReportContract:
     def test_any_failing_line_flips_the_exit_code(self, capsys):
-        from fplrs.cli import CheckLine, _report
+        from fplrs.cli import _report
+        from fplrs.suites import CheckLine
 
         good = CheckLine("demo", "fine", True)
         bad = CheckLine("demo", "broken", False, "witness")
@@ -531,7 +571,7 @@ class TestReportContract:
 def test_tl_memo_agrees_with_the_operators():
     # the suite's memoised operators give the operators' own results,
     # and a repeated call returns the stored object
-    from fplrs.cli import _tl_operators
+    from fplrs.suites import _tl_operators
     from fplrs.linkpat import add_a, all_patterns, close_c, rotate, tl_e
 
     memo = _tl_operators()

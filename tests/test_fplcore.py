@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 from dfs_oracle import oracle_configs, search
+from fplrs import fplcore
 from fplrs.fplcore import (
     FplConfig,
     LinkData,
@@ -484,6 +485,41 @@ def _walk_tally(d, t, forced, keep):
     return dict(Counter((p, bits & mask) for bits, p in _walk(d, t, forced)))
 
 
+def _record_run_starts(monkeypatch) -> list:
+    """A list that, from now on, gets the start state ``(k, tags)`` of
+    every call of the ``run`` that ``fplcore._runs`` builds."""
+    starts = []
+    real = fplcore._runs
+
+    def counting(*args):
+        built = real(*args)
+        if built is None:
+            return None
+        run, decode = built
+
+        def counted(k, tags):
+            starts.append((k, tags))
+            return run(k, tags)
+
+        return counted, decode
+
+    monkeypatch.setattr(fplcore, "_runs", counting)
+    return starts
+
+
+def _assert_each_state_runs_once(starts: list, d, t) -> None:
+    """The sweep runs each state the walk reaches exactly once: a sweep
+    that re-created a bucket it had already run would run its states
+    again.  ``starts`` is the list of :func:`_record_run_starts`."""
+    starts.clear()
+    _transfer(d, t)
+    swept = list(starts)
+    starts.clear()
+    list(_walk(d, t))
+    assert len(swept) == len(set(swept))
+    assert set(swept) == set(starts)
+
+
 class TestSweepMergesTheWalk:
     """The sweep merges the walk's runs by cut, so its counts are the
     walk's leaves tallied by pattern and kept-edge colours.  Both share
@@ -512,6 +548,16 @@ class TestSweepMergesTheWalk:
         expected = _walk_tally(d, t, (), keep)
         assert sum(expected.values()) == asm_count_formula(n)
         assert _transfer(d, t, keep=keep) == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("sign", "+-")
+    def test_squares_run_each_state_once(self, monkeypatch, n, sign):
+        _assert_each_state_runs_once(_record_run_starts(monkeypatch), *build_square(n, sign))
+
+    def test_suite_ensembles_run_each_state_once(self, monkeypatch):
+        starts = _record_run_starts(monkeypatch)
+        for d, t in _suite_ensembles(20100615):
+            _assert_each_state_runs_once(starts, d, t)
 
 
 def _walks_like_the_oracle(d, t, forced=()):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import glue_oracle
-from fplrs import cli, lattice, sampling
+from fplrs import lattice, sampling, suites
 from fplrs.errors import FplrsError, InvalidTriplet, NonUniqueGamma
 from fplrs.lattice import (
     DIRS,
@@ -408,7 +408,7 @@ def test_rejected_draws_build_no_plaquette_cover(monkeypatch):
     monkeypatch.setattr(sampling, "random_glueable", draw)
     monkeypatch.setattr(lattice, "glue_and_gamma", glue)
     monkeypatch.setattr(lattice, "_plaquette_cover", cover)
-    cli._suite_gyration_general(5, 1)
+    suites._suite_gyration_general(5, 1)
     assert counts == {"draws": 897, "covers": 364}
 
 

@@ -28,7 +28,7 @@ ROOT_NAMES = {
     "groundstate": ("build_h_matrix", "stationary_vector", "verify_rs"),
     "identities": ("aux_state", "check_identity", "check_spr", "run_identity_suite"),
 }
-LAYERS = ("lattice", "linkpat", "fplcore", "gyration", "groundstate", "identities", "sampling")
+LAYERS = ("lattice", "linkpat", "fplcore", "gyration", "groundstate", "identities", "sampling", "suites")
 
 
 @pytest.mark.parametrize(
