@@ -21,15 +21,18 @@ registers each of them lazily, and a from-import of a name executes its
 module at once; an attribute call executes it only when the command
 reaches it, so ``--help`` or ``verify tl`` compiles no layer it does not
 use.  A test or tracer that replaces a layer function therefore patches
-the layer module, which is where this module looks it up.  Each
-standard-library module beyond ``os``, ``sys``, ``contextlib`` and
-``pathlib`` is imported in the function that uses it, so importing this
-module, which every ``fplrs`` process does first, costs only the
-dispatcher.
+the layer module, which is where this module looks it up.  ``json``,
+``hashlib`` and ``csv`` are imported in the functions that use them:
+many commands need none of them (``verify tl`` without a cache, say),
+and importing this module is the first thing every ``fplrs`` process
+does.
 """
 
 from __future__ import annotations
 
+import argparse
+import errno
+import io
 import os
 import sys
 from contextlib import contextmanager
@@ -142,8 +145,6 @@ def _check_out(out: str | None) -> None:
     and its parent must be an existing, writable directory."""
     if not out:
         return
-    import errno
-
     path = Path(out)
     if path.is_dir():
         code = errno.EISDIR
@@ -171,7 +172,6 @@ def _report(lines: list[suites.CheckLine], fmt: str, out: str | None) -> int:
     ok = all(line.status for line in lines)
     if fmt == "csv":
         import csv
-        import io
 
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -240,12 +240,12 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_groundstate(args) -> int:
+    import json
+
     _check_size(args)
     vector = lambda: linkpat.lp_vector_to_json(groundstate.stationary_vector(args.n))
     text = _cached(args, "groundstate", vector, n=args.n)
     _emit(text, args.out)
-    import json
-
     data = json.loads(text)
     values = [int(v) for v in data["entries"].values()]
     print(
@@ -295,8 +295,6 @@ def cmd_orbit_report(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    import argparse
-
     parser = argparse.ArgumentParser(
         prog="fplrs",
         description="Exact loop-model combinatorics: tables, ground states, verification.",
