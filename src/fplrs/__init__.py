@@ -57,7 +57,7 @@ _EXPORTS = {
         "LinkPattern", "LpVector", "RotationClass", "all_patterns", "asm_count_formula", "catalan",
     ),
     "fplcore": (
-        "FplConfig", "LinkData", "PsiTable", "count_configs",
+        "FplConfig", "LinkData", "count_configs",
         "enumerate_configs", "link_data", "plaquette_indicator", "refined_counts",
         "vertex_type",
     ),

@@ -234,7 +234,13 @@ def _check_size(args) -> None:
 def cmd_enumerate(args) -> int:
     _check_size(args)
     jobs = _threads(args)
-    table = lambda: fplcore.refined_counts(args.n, args.sign, jobs=jobs).to_json()
+
+    def table() -> dict:
+        counts = fplcore.refined_counts(args.n, args.sign, jobs=jobs)
+        # build_square anchors every square at termination 0
+        entries = linkpat.lp_vector_to_json(counts)["entries"]
+        return {"n": args.n, "sign": args.sign, "anchor": 0, "counts": entries}
+
     _emit(_cached(args, "enumerate", table, n=args.n, sign=args.sign), args.out)
     return 0
 

@@ -38,9 +38,8 @@ and 3 reads b..bca..a, asserted unique, then cached.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Mapping, Sequence
@@ -51,7 +50,6 @@ from .linkpat import LinkPattern, LpVector, asm_count_formula
 __all__ = [
     "FplConfig",
     "LinkData",
-    "PsiTable",
     "enumerate_configs",
     "count_configs",
     "split_prefixes",
@@ -307,63 +305,10 @@ def plaquette_indicator(phi: FplConfig, alpha: Cell) -> int:
 # Refined counts
 
 
-@dataclass
-class PsiTable:
-    """Exact per-link-pattern counts with provenance metadata."""
-
-    n: int
-    sign: str
-    anchor: int
-    counts: dict[str, int] = field(default_factory=dict)
-
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def add(self, word: str, amount: int = 1) -> None:
-        self.counts[word] = self.counts.get(word, 0) + amount
-
-    def merge(self, other: "PsiTable") -> "PsiTable":
-        if (self.n, self.sign, self.anchor) != (other.n, other.sign, other.anchor):
-            raise ValueError("tables describe different ensembles")
-        out = PsiTable(self.n, self.sign, self.anchor, dict(self.counts))
-        for word, v in other.counts.items():
-            out.add(word, v)
-        return out
-
-    def value(self, p: LinkPattern) -> int:
-        return self.counts.get(p.word, 0)
-
-    def as_vector(self) -> LpVector:
-        return LpVector.from_counts(
-            self.n,
-            {LinkPattern.from_word(w): v for w, v in self.counts.items()},
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "sign": self.sign,
-            "anchor": self.anchor,
-            "counts": {w: str(v) for w, v in sorted(self.counts.items())},
-        }
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "PsiTable":
-        return cls(
-            n=int(data["n"]),
-            sign=data["sign"],
-            anchor=int(data["anchor"]),
-            counts={w: int(v) for w, v in data["counts"].items()},
-        )
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=0, sort_keys=True)
-
-
 def _add_patterns(counts: dict, swept: Mapping) -> dict[LinkPattern, int]:
-    """Add sweep counts into ``counts`` with the kept-edge bitmask summed
-    out of their (pattern, bitmask) keys."""
-    for (p, _), v in swept.items():
+    """Add sweep counts into ``counts`` with the bitmask summed out of
+    their (bitmask, pattern) keys."""
+    for (_, p), v in swept.items():
         counts[p] = counts.get(p, 0) + v
     return counts
 
@@ -396,18 +341,16 @@ def psi_counts(
     return _add_patterns({}, _transfer(d, t, forced))
 
 
-def refined_counts(n: int, sign: str = "+", jobs: int = 1) -> PsiTable:
-    """Per-link-pattern counts over the square ensemble.
+def refined_counts(n: int, sign: str = "+", jobs: int = 1) -> LpVector:
+    """The count vector of the square ensemble: its configurations
+    counted by black link pattern, as integers.
 
     With jobs > 1 the sweep is split over the walk's earliest decisions
     and the per-prefix counts merged; merging is commutative so the
     result is identical.
     """
     d, t = build_square(n, sign)
-    table = PsiTable(n=n, sign=sign, anchor=d.anchor)
-    for p, v in _patterns(d, t, jobs).items():
-        table.add(p.word, v)
-    return table
+    return LpVector(n, _patterns(d, t, jobs))
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +475,9 @@ def _runs(
     closed pairs and kept bits, as an int, when they reach a leaf; None
     at a dead end; or, at the next decision, its E edge and per E colour,
     white first, the state ``(k + 1, tags)`` after it and what was OR-ed
-    in up to there.  ``decode`` splits a leaf's int into its black
-    pattern and the bitmask (bit e set = black) of the kept edges.
+    in up to there.  ``decode`` splits a leaf's int into the bitmask
+    (bit e set = black) of the kept edges and the black terminations,
+    and its black pattern.
     """
     if len(t.colours) != d.perimeter:
         raise ValueError("boundary condition length mismatch")
@@ -551,10 +495,12 @@ def _runs(
         bit[e] = 1 << (off + e)
     tag = [0] * len(allowed)
     label = 3
+    ends = 0  # the black terminations, as edge bits
     for k, c in enumerate(t.colours):
         if c:
             tag[n_internal + k] = label
             label += 1
+            ends |= 1 << (n_internal + k)
     schedule = _schedule(d)
     last = len(schedule)
     steps: list = [None] * last
@@ -625,32 +571,32 @@ def _runs(
     low, mask = (1 << off) - 1, (1 << width) - 1
     patterns: dict[int, LinkPattern] = {}
 
-    def decode(closed: int) -> tuple[LinkPattern, int]:
+    def decode(closed: int) -> tuple[int, LinkPattern]:
         pairs = closed & low
         p = patterns.get(pairs)
         if p is None:
             p = patterns[pairs] = LinkPattern(
                 tuple(((pairs >> (width * k)) & mask) - 1 for k in range(n_black))
             )
-        return p, closed >> off
+        return (closed >> off) | ends, p
 
     return run, decode
 
 
 def _transfer(
     d: Domain, t: BoundaryCondition, forced: Sequence[tuple[int, int]] = (), keep: Sequence[int] = ()
-) -> dict[tuple[LinkPattern, int], int]:
+) -> dict[tuple[int, LinkPattern], int]:
     """Counts of every ice-rule colouring extending t that gives each
-    edge in ``forced`` its colour, by one frontier sweep, keyed by black
-    pattern and by the bitmask (bit e set = black) of the internal edges
-    e in ``keep``.
+    edge in ``forced`` its colour, by one frontier sweep, keyed by the
+    bitmask (bit e set = black) of the internal edges e in ``keep`` and
+    the black terminations, and by black pattern.
 
     The runs of :func:`_runs` are merged by state at each decision: the
     states that start a run at vertex k wait in bucket k with their
     counts, and the buckets go in increasing k, each running its
     distinct cuts once.  The counts equal those of the leaves of
-    ``_walk(d, t, forced)``, patterns included, with the kept edges read
-    off their bits.
+    ``_walk(d, t, forced)``, patterns included, with the kept edges and
+    the terminations read off their bits.
     """
     built = _runs(d, t, forced, keep)
     if built is None:
@@ -701,7 +647,6 @@ def _walk(
     if built is None:
         return
     run, decode = built
-    ends = sum(1 << d.termination_id(k) for k, c in enumerate(t.colours) if c)
     # What a run adds depends on its start state alone, not on the
     # edges coloured before it, so each start state is run once.
     runs: dict = {}
@@ -715,8 +660,7 @@ def _walk(
         if out is None:
             continue
         if type(out) is int:
-            p, kept = decode(closed | out)
-            yield kept | ends, p
+            yield decode(closed | out)
             continue
         e_, first, one0, second, one1 = out
         later = decisions

@@ -189,26 +189,25 @@ class RsReport:
 def verify_rs(n: int) -> RsReport:
     """Certify that the refined counts are stationary and match the kernel.
 
-    Builds the sparse H once.  The count vector, read over the basis,
-    must pass :func:`_pf_violation` (a malformed H fails the report
-    instead of raising), which makes it a positive vector spanning the
-    kernel; with integer, coprime entries and none outside the basis it
-    *is* the vector :func:`stationary_vector` returns.  The component
-    sum must match the product formula.
+    Builds the sparse H once.  The integer count vector, read over the
+    basis, must pass :func:`_pf_violation` (a malformed H fails the
+    report instead of raising), which makes it a positive vector
+    spanning the kernel; with coprime entries and none outside the
+    basis it *is* the vector :func:`stationary_vector` returns.  The
+    component sum must match the product formula.
     """
-    counts = fplcore.refined_counts(n, "+").as_vector()
+    counts = fplcore.refined_counts(n, "+")
     h = build_h_matrix(n)
-    x = [counts.entries.get(p, 0) for p in h.basis]
+    x = [counts.coeff(p) for p in h.basis]
     violation = _pf_violation(h, n, x)
     rs_zero = violation in ("", _NOT_THE_KERNEL)
-    whole = len(counts.entries) == len(x) and all(v.denominator == 1 for v in x)
-    if not violation and not (whole and math.gcd(*(int(v) for v in x)) == 1):
+    if not violation and not (len(counts.entries) == len(x) and math.gcd(*x) == 1):
         violation = _NOT_THE_KERNEL
     return RsReport(
         n=n,
         rs_is_zero=rs_zero,
         kernel_matches_counts=not violation,
-        total=int(counts.total()),
+        total=counts.total(),
         expected_total=asm_count_formula(n),
         first_violation=violation,
     )

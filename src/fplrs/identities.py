@@ -45,7 +45,6 @@ from .linkpat import (
 )
 
 __all__ = [
-    "AuxState",
     "IdentityResult",
     "SprReport",
     "aux_state",
@@ -76,17 +75,16 @@ def _census(n: int) -> Mapping:
     rows and the bottom-face indicators.
 
     One sweep keeps the internal edges of the two bottom rows; with the
-    black terminations they fix every edge those keys read.  Read-only,
-    since every caller shares it.
+    black terminations, which the sweep's bits carry, they fix every
+    edge those keys read.  Read-only, since every caller shares it.
     """
     d, t = build_square(n, "+")
     rows = [(x, y) for y in (1, 2) if y <= n for x in range(1, n + 1)]
     n_internal = len(d.internal_edges)
     keep = sorted({e for v in rows for e in d.vertex_edges[v] if e < n_internal})
-    ends = sum(1 << d.termination_id(k) for k, c in enumerate(t.colours) if c)
     census: dict = {}
-    for (pattern, bits), v in _transfer(d, t, keep=keep).items():
-        phi = FplConfig(d, bits | ends)
+    for (bits, pattern), v in _transfer(d, t, keep=keep).items():
+        phi = FplConfig(d, bits)
         row = lambda y: "".join(vertex_type(phi, (x, y)) for x in range(1, n + 1))
         alphas = tuple(plaquette_indicator(phi, (2 * j - 1, 1)) for j in range(1, n // 2 + 1))
         key = pattern, row(1), row(2) if n >= 2 else "", alphas
@@ -112,21 +110,11 @@ def s_vector(n: int) -> LpVector:
     return _vector(n, lambda bottom, row2, alphas: 1)
 
 
-@dataclass(frozen=True)
-class AuxState:
-    """A bottom-row refined state: parity picks the site column."""
-
-    n: int
-    parity: str  # "odd" -> column 2j-1, "even" -> column 2j
-    j: int
-    vtype: str
-    value: LpVector
-
-
 @lru_cache(maxsize=None)
-def aux_state(n: int, parity: str, j: int, vtype: str) -> AuxState:
+def aux_state(n: int, parity: str, j: int, vtype: str) -> LpVector:
     """The count vector restricted by one bottom-row site type; cached,
-    so every identity that reads a state shares one vector.
+    so every identity that reads a state shares one vector.  Parity
+    picks the site column: "odd" is column 2j-1, "even" column 2j.
 
     For ``vtype`` "cb"/"cx" (odd parity only) the site must be a c and
     the site above it is constrained to b, respectively to a or c.
@@ -138,20 +126,18 @@ def aux_state(n: int, parity: str, j: int, vtype: str) -> AuxState:
         raise IndexOutOfRange(f"j={j} outside [1, {limit}] for parity {parity}")
     col = 2 * j - 1 if parity == "odd" else 2 * j
     if vtype in ("a", "b", "c"):
-        value = _vector(n, lambda bottom, row2, alphas: bottom[col - 1] == vtype)
-    elif vtype in ("cb", "cx"):
+        return _vector(n, lambda bottom, row2, alphas: bottom[col - 1] == vtype)
+    if vtype in ("cb", "cx"):
         if parity != "odd":
             raise IndexOutOfRange("the c-state split refines odd sites only")
         if n < 2:
             raise IndexOutOfRange("the c-state split needs a second row")
         above = "b" if vtype == "cb" else "ac"
-        value = _vector(
+        return _vector(
             n,
             lambda bottom, row2, alphas: bottom[col - 1] == "c" and row2[col - 1] in above,
         )
-    else:
-        raise ValueError(f"unknown vertex type {vtype!r}")
-    return AuxState(n, parity, j, vtype, value)
+    raise ValueError(f"unknown vertex type {vtype!r}")
 
 
 def nalpha_vector(n: int, j: int) -> LpVector:
@@ -201,7 +187,7 @@ def gyration_directions() -> dict[str, int]:
         for name, (parity, letter, off) in _GYR_FAMILIES.items():
             limit = n_odd_sites(n) if parity == "odd" else n_even_sites(n)
             for j in range(1, limit + 1):
-                v = aux_state(n, parity, j, letter).value
+                v = aux_state(n, parity, j, letter)
                 lhs = _e_cyclic(v, j)
                 rhs = _e_cyclic(v, j + off)
                 candidates[name] = {
@@ -330,9 +316,9 @@ def _check_ose(n: int, j: int) -> tuple[bool, str]:
         if j > limit:
             continue
         total = (
-            aux_state(n, parity, j, "a").value
-            + aux_state(n, parity, j, "b").value
-            + aux_state(n, parity, j, "c").value
+            aux_state(n, parity, j, "a")
+            + aux_state(n, parity, j, "b")
+            + aux_state(n, parity, j, "c")
         )
         ok, witness = _pair(s, total)
         if not ok:
@@ -343,38 +329,38 @@ def _check_ose(n: int, j: int) -> tuple[bool, str]:
 def _check_lrd(n: int, _j) -> tuple[bool, str]:
     total = LpVector.zero(n)
     for j in range(1, n_odd_sites(n) + 1):
-        total = total + aux_state(n, "odd", j, "c").value
+        total = total + aux_state(n, "odd", j, "c")
     for j in range(1, n_even_sites(n) + 1):
-        total = total + aux_state(n, "even", j, "c").value
+        total = total + aux_state(n, "even", j, "c")
     return _pair(s_vector(n), total)
 
 
 def _check_ec(n: int, j: int) -> tuple[bool, str]:
-    v = aux_state(n, "even", j, "c").value
+    v = aux_state(n, "even", j, "c")
     return _pair(apply_e(v, j), v)
 
 
 def _check_rec_a1(n: int, j: int) -> tuple[bool, str]:
-    lhs = aux_state(n, "odd", j, "a").value
-    rhs = aux_state(n, "even", j - 1, "c").value + aux_state(n, "even", j - 1, "a").value
+    lhs = aux_state(n, "odd", j, "a")
+    rhs = aux_state(n, "even", j - 1, "c") + aux_state(n, "even", j - 1, "a")
     return _pair(lhs, rhs)
 
 
 def _check_rec_b1(n: int, j: int) -> tuple[bool, str]:
-    lhs = aux_state(n, "odd", j, "b").value
-    rhs = aux_state(n, "even", j, "c").value + aux_state(n, "even", j, "b").value
+    lhs = aux_state(n, "odd", j, "b")
+    rhs = aux_state(n, "even", j, "c") + aux_state(n, "even", j, "b")
     return _pair(lhs, rhs)
 
 
 def _check_rec_a2(n: int, j: int) -> tuple[bool, str]:
-    lhs = aux_state(n, "even", j, "a").value
-    rhs = aux_state(n, "odd", j, "c").value + aux_state(n, "odd", j, "a").value
+    lhs = aux_state(n, "even", j, "a")
+    rhs = aux_state(n, "odd", j, "c") + aux_state(n, "odd", j, "a")
     return _pair(lhs, rhs)
 
 
 def _check_rec_b2(n: int, j: int) -> tuple[bool, str]:
-    lhs = aux_state(n, "even", j, "b").value
-    rhs = aux_state(n, "odd", j + 1, "c").value + aux_state(n, "odd", j + 1, "b").value
+    lhs = aux_state(n, "even", j, "b")
+    rhs = aux_state(n, "odd", j + 1, "c") + aux_state(n, "odd", j + 1, "b")
     return _pair(lhs, rhs)
 
 
@@ -383,7 +369,7 @@ def _make_gyr_check(name: str):
 
     def check(n: int, j: int) -> tuple[bool, str]:
         direction = gyration_directions()[name]
-        v = aux_state(n, parity, j, letter).value
+        v = aux_state(n, parity, j, letter)
         lhs = _e_cyclic(v, j)
         rhs = apply_rotation(_e_cyclic(v, j + off), direction)
         return _pair(lhs, rhs)
@@ -392,13 +378,13 @@ def _make_gyr_check(name: str):
 
 
 def _check_split_c(n: int, j: int) -> tuple[bool, str]:
-    lhs = aux_state(n, "odd", j, "c").value
-    rhs = aux_state(n, "odd", j, "cb").value + aux_state(n, "odd", j, "cx").value
+    lhs = aux_state(n, "odd", j, "c")
+    rhs = aux_state(n, "odd", j, "cb") + aux_state(n, "odd", j, "cx")
     return _pair(lhs, rhs)
 
 
 def _check_ncx(n: int, j: int) -> tuple[bool, str]:
-    v = aux_state(n, "odd", j, "cx").value
+    v = aux_state(n, "odd", j, "cx")
     lhs = apply_e(v, j) - v
     rhs = nalpha_vector(n, j) if j <= n // 2 else LpVector.zero(n)
     return _pair(lhs, rhs)

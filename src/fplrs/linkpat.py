@@ -30,15 +30,14 @@ The loop weight is fixed at 1 (the cube-root-of-unity point), so a cap
 landing on an existing arc detaches a circle of weight one and the
 coefficient is unchanged.
 
-Vectors over link-pattern space (:class:`LpVector`) carry exact
-``fractions.Fraction`` coefficients; no floating point anywhere.
+Vectors over link-pattern space (:class:`LpVector`) carry integer
+coefficients; no floating point anywhere.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
@@ -340,33 +339,34 @@ def rotation_class_of(p: LinkPattern) -> LinkPattern:
 
 
 # ---------------------------------------------------------------------------
-# Exact vectors over link-pattern space
+# Integer vectors over link-pattern space
 
 
-def _exact(x) -> int | Fraction:
-    """An exact coefficient: ints stay ints, Fractions stay Fractions."""
-    if type(x) is int or isinstance(x, Fraction):
+def _exact(x) -> int:
+    """An integer coefficient: ints stay ints, int subclasses (bool)
+    become plain ints, and anything else is refused."""
+    if type(x) is int:
         return x
     if isinstance(x, int):
         return int(x)
-    raise TypeError(f"coefficients must be exact rationals, got {type(x)!r}")
+    raise TypeError(f"coefficients must be integers, got {type(x)!r}")
 
 
 @dataclass(frozen=True)
 class LpVector:
-    """A sparse exact-rational vector indexed by link patterns of one size.
+    """A sparse integer vector indexed by link patterns of one size.
 
-    Coefficients are ints or Fractions.  Zero coefficients are dropped
-    at construction, so equality of vectors is plain dataclass
-    equality; the entries are read-only, since cached vectors are
-    shared by every caller.
+    Coefficients are ints.  Zero coefficients are dropped at
+    construction, so equality of vectors is plain dataclass equality;
+    the entries are read-only, since cached vectors are shared by every
+    caller.
     """
 
     n: int
-    entries: Mapping[LinkPattern, int | Fraction] = field(default_factory=dict)
+    entries: Mapping[LinkPattern, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        clean: dict[LinkPattern, int | Fraction] = {}
+        clean: dict[LinkPattern, int] = {}
         for p, coeff in self.entries.items():
             if p.n != self.n:
                 raise ArityMismatch(
@@ -400,14 +400,14 @@ class LpVector:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def coeff(self, p: LinkPattern) -> int | Fraction:
+    def coeff(self, p: LinkPattern) -> int:
         return self.entries.get(p, 0)
 
-    def total(self) -> int | Fraction:
+    def total(self) -> int:
         return sum(self.entries.values(), 0)
 
     def map_patterns(self, f: Callable[[LinkPattern], LinkPattern], n_out: int) -> "LpVector":
-        out: dict[LinkPattern, int | Fraction] = {}
+        out: dict[LinkPattern, int] = {}
         for p, coeff in self.entries.items():
             q = f(p)
             out[q] = out.get(q, 0) + coeff

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import random
 
-from .errors import FplrsError
-from .lattice import BoundaryCondition, Domain
+from .errors import FplrsError, InvalidTriplet, NonUniqueGamma
+from .fplcore import count_configs
+from .lattice import BoundaryCondition, Domain, glue_and_gamma
 
 __all__ = ["random_domain", "random_boundary", "random_glueable"]
 
@@ -68,10 +69,6 @@ def random_glueable(
     plaquettes; only a glueable pair is then counted.  The rejected
     tries still consume their random numbers, so the stream depends on
     the seed alone."""
-    from .errors import InvalidTriplet, NonUniqueGamma
-    from .fplcore import count_configs
-    from .lattice import glue_and_gamma
-
     for _ in range(tries):
         d = random_domain(rng, n_cells)
         t = random_boundary(rng, d)

@@ -381,8 +381,8 @@ class TestUnwritablePaths:
 class TestPinnedOutputs:
     """SHA-256 of stdout payloads that refactors of the orbit code, of
     the identity census, of the RS certificate, of the gyration pass, of
-    the glued tracer, of the suites and of the reports must keep byte for
-    byte."""
+    the glued tracer, of the suites, of the reports and of the count
+    vectors must keep byte for byte."""
 
     @pytest.mark.parametrize(
         "argv, digest",
@@ -421,6 +421,12 @@ class TestPinnedOutputs:
              "a48fb5feddc2b9073502709430f9860ff7d47daa0079d70393a01e6cd888d1d4"),
             (("verify", "rs", "--n-max", "4", "--format", "csv"),
              "867a62906223a97f1019791c1dfbc8554b395bd15620282f171fdda79db84457"),
+            (("enumerate", "--n", "5", "--sign", "+"),
+             "ca5d6c9bc46da1413664238b8e74f43e9ea54dd91fca9251d06154421595a47d"),
+            (("enumerate", "--n", "6", "--sign", "-"),
+             "287bfa2c4c14d374fc8641eb30d7a7e0cb9d18510b3c1f9aaa5ecd42b0140fa1"),
+            (("groundstate", "--n", "6"),
+             "bf621ed9c313c44bfc69956676d30e8c84bdd784228316b2463eef42e400b2dc"),
         ],
         ids=[
             "orbit-report-plus", "orbit-report-minus", "verify-orbits", "verify-identities",
@@ -428,7 +434,8 @@ class TestPinnedOutputs:
             "verify-gyration-general-n5", "orbit-report-n6-plus", "orbit-report-n6-minus",
             "verify-gyration-general-n5-seed10216", "verify-gyration-general-n5-seed10314",
             "verify-gyration-general-n5-seed10404", "verify-tl-n7-seed5",
-            "verify-wieland-n6", "verify-rs-csv",
+            "verify-wieland-n6", "verify-rs-csv", "enumerate-n5-plus", "enumerate-n6-minus",
+            "groundstate-n6",
         ],
     )
     def test_stdout_digest(self, capsys, argv, digest):

@@ -26,21 +26,21 @@ from fplrs.linkpat import LpVector
 class TestAuxStates:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_left_corner_cannot_be_a(self, n):
-        assert aux_state(n, "odd", 1, "a").value.is_zero()
+        assert aux_state(n, "odd", 1, "a").is_zero()
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_even_sizes_right_edge_zero(self, n):
-        assert aux_state(n, "even", n_even_sites(n), "b").value.is_zero()
+        assert aux_state(n, "even", n_even_sites(n), "b").is_zero()
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_odd_sizes_right_edge_zero(self, n):
-        assert aux_state(n, "odd", n_odd_sites(n), "b").value.is_zero()
+        assert aux_state(n, "odd", n_odd_sites(n), "b").is_zero()
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_odd_sizes_last_cx_state_vanishes(self, n):
         # the corner column forces the site above the last black leg to
         # b, so the a-or-c refinement there is empty
-        assert aux_state(n, "odd", n_odd_sites(n), "cx").value.is_zero()
+        assert aux_state(n, "odd", n_odd_sites(n), "cx").is_zero()
 
     def test_index_bounds(self):
         with pytest.raises(IndexOutOfRange):
@@ -56,7 +56,7 @@ class TestAuxStates:
         # every pattern supporting the even c-state links legs j, j+1
         for n in (3, 4, 5):
             for j in range(1, n_even_sites(n) + 1):
-                v = aux_state(n, "even", j, "c").value
+                v = aux_state(n, "even", j, "c")
                 assert not v.is_zero()
                 for p in v.entries:
                     assert p.partner(j) == j + 1
@@ -113,7 +113,7 @@ class TestFrozenRectangle:
         for j in range(1, n_odd_sites(n) + 1):
             d, t = shat_c_rectangle(n, j)
             rect = LpVector.from_counts(n, psi_counts(d, t))
-            assert rect == aux_state(n, "odd", j, "c").value
+            assert rect == aux_state(n, "odd", j, "c")
 
     def test_three_consecutive_black_legs(self):
         n, j = 4, 2
@@ -205,7 +205,7 @@ class TestVectors:
         assert s_vector(4) is s
         assert aux_state(4, "odd", 1, "c") is state
         p = next(iter(s.entries))
-        for v in (s, state.value):
+        for v in (s, state):
             with pytest.raises(TypeError):
                 v.entries[p] = 0
         assert s_vector(4) is s and s.total() == 42
@@ -238,7 +238,7 @@ class TestSizeSeven:
         results = run_identity_suite([7])
         assert len(results) == 50
         assert [r for r in results if not r.status] == []
-        assert s_vector(7) == refined_counts(7).as_vector()
+        assert s_vector(7) == refined_counts(7)
 
 
 class TestFrozenRegions:

@@ -388,7 +388,7 @@ def test_rejected_draws_build_no_plaquette_cover(monkeypatch):
     # 364 pass the colour test; only those build a plaquette cover
     drawing = []
     counts = {"draws": 0, "covers": 0}
-    real_draw, real_glue, real_cover = sampling.random_glueable, lattice.glue_and_gamma, lattice._plaquette_cover
+    real_draw, real_glue, real_cover = sampling.random_glueable, sampling.glue_and_gamma, lattice._plaquette_cover
 
     def draw(*args, **kwargs):
         drawing.append(True)
@@ -406,7 +406,8 @@ def test_rejected_draws_build_no_plaquette_cover(monkeypatch):
         return real_cover(*args)
 
     monkeypatch.setattr(sampling, "random_glueable", draw)
-    monkeypatch.setattr(lattice, "glue_and_gamma", glue)
+    # random_glueable calls the name that sampling imported
+    monkeypatch.setattr(sampling, "glue_and_gamma", glue)
     monkeypatch.setattr(lattice, "_plaquette_cover", cover)
     suites._suite_gyration_general(5, 1)
     assert counts == {"draws": 897, "covers": 364}

@@ -416,13 +416,13 @@ class TestRotationClasses:
 class TestLpVector:
     def test_zero_entries_dropped(self):
         p, q = all_patterns(2)
-        v = LpVector(2, {p: Fraction(1), q: Fraction(0)})
+        v = LpVector(2, {p: 1, q: 0})
         assert q not in v.entries and v.coeff(p) == 1
 
     def test_arity_checked(self):
         p = all_patterns(2)[0]
         with pytest.raises(ArityMismatch):
-            LpVector(3, {p: Fraction(1)})
+            LpVector(3, {p: 1})
         with pytest.raises(ArityMismatch):
             apply_e(LpVector.basis(p), 5)
 
@@ -448,30 +448,30 @@ class TestLpVector:
 
     def test_exact_arithmetic(self):
         p, q = all_patterns(2)
-        v = LpVector(2, {p: Fraction(1, 3)})
-        w = LpVector(2, {p: Fraction(2, 3), q: Fraction(5)})
+        v = LpVector(2, {p: 10**30 + 1})
+        w = LpVector(2, {p: -10**30, q: 5})
         total = v + w
         assert total.coeff(p) == 1 and total.coeff(q) == 5
         assert (v - v).is_zero()
 
     def test_json_round_trip(self):
         p, q = all_patterns(2)
-        v = LpVector(2, {p: Fraction(7, 2), q: Fraction(-3)})
+        v = LpVector(2, {p: 7, q: -3})
         data = lp_vector_to_json(v)
-        assert data["entries"][p.word] == "7/2"
+        assert data == {"n": 2, "entries": {p.word: "7", q.word: "-3"}}
 
-    def test_ints_stay_ints_and_print_as_fractions_did(self):
+    def test_coefficients_are_ints_only(self):
         p, q = all_patterns(2)
         v = LpVector.from_counts(2, {p: 3, q: -2})
-        w = LpVector(2, {p: Fraction(3), q: Fraction(-2)})
         assert type(v.coeff(p)) is int and type(v.total()) is int
         assert type((2 * v + v).coeff(q)) is int
-        assert v == w
-        assert lp_vector_to_json(v) == lp_vector_to_json(w)
-        assert first_difference(v, 2 * w) == first_difference(w, 2 * w)
+        assert first_difference(v, 2 * v) == f"{p.word}: 3 != 6"
         assert type(LpVector(2, {p: True}).coeff(p)) is int
-        with pytest.raises(TypeError):
-            LpVector(2, {p: 0.5})
+        for bad in (0.5, Fraction(1)):
+            with pytest.raises(TypeError):
+                LpVector(2, {p: bad})
+            with pytest.raises(TypeError):
+                bad * v
 
     def test_entries_are_read_only(self):
         p, q = all_patterns(2)
@@ -483,8 +483,8 @@ class TestLpVector:
     def test_first_difference_names_the_least_word(self):
         a = LinkPattern.from_word("(())()")
         b = LinkPattern.from_word("()()()")
-        lhs = LpVector(3, {a: Fraction(2), b: Fraction(1)})
-        rhs = LpVector(3, {a: Fraction(3), b: Fraction(4)})
+        lhs = LpVector(3, {a: 2, b: 1})
+        rhs = LpVector(3, {a: 3, b: 4})
         assert first_difference(lhs, rhs) == "(())(): 2 != 3"
 
     def test_first_difference_of_different_sizes(self):

@@ -20,7 +20,7 @@ ROOT_NAMES = {
     ),
     "linkpat": ("LinkPattern", "LpVector", "RotationClass", "all_patterns", "catalan"),
     "fplcore": (
-        "FplConfig", "LinkData", "PsiTable", "asm_count_formula", "count_configs",
+        "FplConfig", "LinkData", "asm_count_formula", "count_configs",
         "enumerate_configs", "link_data", "plaquette_indicator", "refined_counts",
         "vertex_type",
     ),
