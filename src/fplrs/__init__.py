@@ -50,18 +50,16 @@ globals().update({name: _register(name) for name in _LAYERS})
 
 _EXPORTS = {
     "lattice": (
-        "BoundaryCondition", "BoundaryString", "Domain", "GluedGraph",
-        "boundary_string", "build_square", "glue_and_gamma",
+        "BoundaryCondition", "Domain", "GluedGraph", "build_square", "glue_and_gamma",
     ),
     "linkpat": (
-        "LinkPattern", "LpVector", "RotationClass", "all_patterns", "asm_count_formula", "catalan",
+        "LinkPattern", "LpVector", "RotationClass", "all_patterns", "asm_count_formula",
     ),
     "fplcore": (
-        "FplConfig", "LinkData", "count_configs",
-        "enumerate_configs", "link_data", "plaquette_indicator", "refined_counts",
-        "vertex_type",
+        "FplConfig", "count_configs", "enumerate_configs", "plaquette_indicator",
+        "refined_counts", "vertex_type",
     ),
-    "gyration": ("Orbit", "apply_h", "gyrate", "orbit", "orbit_partition"),
+    "gyration": ("Orbit", "apply_h", "gyrate", "orbit_partition"),
     "groundstate": ("build_h_matrix", "stationary_vector", "verify_rs"),
     "identities": ("aux_state", "check_identity", "check_spr", "run_identity_suite"),
 }

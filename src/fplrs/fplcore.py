@@ -49,12 +49,10 @@ from .linkpat import LinkPattern, LpVector, asm_count_formula
 
 __all__ = [
     "FplConfig",
-    "LinkData",
     "enumerate_configs",
     "count_configs",
     "split_prefixes",
     "asm_count_formula",
-    "link_data",
     "vertex_type",
     "vertex_type_table",
     "plaquette_indicator",
@@ -78,19 +76,6 @@ class FplConfig:
         return BoundaryCondition(
             tuple(self.colour(base + k) for k in range(self.domain.perimeter))
         )
-
-    def complemented(self) -> "FplConfig":
-        mask = (1 << len(self.domain.edges)) - 1
-        return FplConfig(self.domain, self.bits ^ mask)
-
-    def bitstring(self) -> str:
-        return "".join(str(self.colour(e)) for e in range(len(self.domain.edges)))
-
-    def check_ice_rule(self) -> bool:
-        for v, slots in self.domain.vertex_edges.items():
-            if sum(self.colour(e) for e in slots) != 2:
-                return False
-        return True
 
 
 def enumerate_configs(
@@ -133,20 +118,6 @@ def count_configs(d: Domain, t: BoundaryCondition, jobs: int = 1) -> int:
 
 # ---------------------------------------------------------------------------
 # Path tracing
-
-
-@dataclass(frozen=True)
-class LinkData:
-    """Black and white link patterns plus closed-cycle counts."""
-
-    black: LinkPattern
-    white: LinkPattern
-    loops_black: int
-    loops_white: int
-
-    @property
-    def loops(self) -> int:
-        return self.loops_black + self.loops_white
 
 
 def _walk_paths(
@@ -221,18 +192,6 @@ def _trace_colour(phi: FplConfig, want: int) -> tuple[LinkPattern, int]:
         if (bits >> e) & 1:
             ends[e] = len(ends)
     return _walk_paths(d, bits, ends, {})
-
-
-def link_data(phi: FplConfig) -> LinkData:
-    """Trace all open paths and closed cycles of both colours.
-
-    Black endpoints are labelled cyclically counter-clockwise starting
-    from the first black termination at or after the anchor, white ones
-    likewise.
-    """
-    black, lb = _trace_colour(phi, 1)
-    white, lw = _trace_colour(phi, 0)
-    return LinkData(black, white, lb, lw)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
 
 from .errors import InvalidTriplet
 from .fplcore import (
@@ -68,7 +67,6 @@ __all__ = [
     "PairLinkData",
     "apply_h",
     "gyrate",
-    "orbit",
     "orbit_partition",
     "orbit_faces",
     "pair_link_data",
@@ -153,10 +151,6 @@ class Orbit:
     def period(self) -> int:
         return len(self.hashes)
 
-    def configs(self) -> Iterator[FplConfig]:
-        for bits in self.hashes:
-            yield FplConfig(self.seed.domain, bits)
-
 
 def _cycle(start: int, plus: GluedGraph, minus: GluedGraph) -> tuple[int, ...]:
     """The gyration cycle through a bitmask, stepped on plain ints."""
@@ -166,15 +160,6 @@ def _cycle(start: int, plus: GluedGraph, minus: GluedGraph) -> tuple[int, ...]:
         hashes.append(cur)
         cur = _pass(_pass(cur, plus), minus)
     return tuple(hashes)
-
-
-def orbit(phi: FplConfig) -> Orbit:
-    """The gyration cycle through phi, each configuration's pattern
-    traced."""
-    d = phi.domain
-    hashes = _cycle(phi.bits, *_square_gluings(d))
-    patterns = tuple(_trace_colour(FplConfig(d, bits), 1)[0] for bits in hashes)
-    return Orbit(phi, hashes, patterns)
 
 
 def orbit_partition(n: int, sign: str = "+") -> list[Orbit]:
@@ -327,7 +312,7 @@ def _black_label_sets(t: BoundaryCondition) -> tuple[int, ...]:
 def _capped_vector(d: Domain, t: BoundaryCondition, caps: tuple[int, ...]) -> LpVector:
     counts = psi_counts(d, t)
     n = sum(t.colours) // 2
-    vec = LpVector.from_counts(n, counts)
+    vec = LpVector(n, counts)
     for j in sorted(caps, reverse=True):
         vec = apply_c(vec, j)
     return vec

@@ -100,7 +100,7 @@ def _vector(n: int, weight: Callable[[str, str, tuple[int, ...]], int]) -> LpVec
         w = weight(bottom, row2, alphas)
         if w:
             counts[pattern] = counts.get(pattern, 0) + w * v
-    return LpVector.from_counts(n, counts)
+    return LpVector(n, counts)
 
 
 @lru_cache(maxsize=None)
@@ -279,8 +279,8 @@ def check_spr(d: Domain, t1: BoundaryCondition) -> SprReport:
     t2 = BoundaryCondition(tuple(cols))
     side1 = psi_counts(d, t1, [(e, 0)])
     side2 = psi_counts(d, t2, [(e, 1)])
-    v1 = LpVector.from_counts(m, side1)
-    v2 = LpVector.from_counts(m - 1, side2)
+    v1 = LpVector(m, side1)
+    v2 = LpVector(m - 1, side2)
     e_ok = apply_e(v1, 2 * m - 1) == apply_a(v2, 2 * m - 1)
     c_ok = apply_c(v1, 2 * m - 1) == v2
     return SprReport(

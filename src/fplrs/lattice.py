@@ -6,7 +6,7 @@ slots, one per direction E, N, W, S; a slot towards another cell is an
 internal edge, a slot towards the outside is a termination.  Walking
 the polyomino boundary counter-clockwise visits every termination once
 and turns left (+1), straight (0) or right (-1) between consecutive
-ones; the turn sequence is the boundary string and always sums to 4.
+ones; the turn sequence is ``Domain.steps`` and always sums to 4.
 
 Canonical edge order: internal edges row-major over vertices (sorted by
 (y, x)), per vertex first the east then the north edge; terminations
@@ -46,10 +46,8 @@ __all__ = [
     "DIRS",
     "Domain",
     "BoundaryCondition",
-    "BoundaryString",
     "GluedGraph",
     "build_square",
-    "boundary_string",
     "glue_and_gamma",
 ]
 
@@ -288,13 +286,6 @@ class Domain:
         """Canonical edge id of the k-th termination (0-based, anchored)."""
         return len(self.internal_edges) + k
 
-    def to_json(self) -> dict:
-        return {"cells": sorted([list(c) for c in self.cells]), "anchor": self.anchor}
-
-    @classmethod
-    def from_json(cls, data) -> "Domain":
-        return cls(frozenset(tuple(c) for c in data["cells"]), int(data["anchor"]))
-
 
 @dataclass(frozen=True)
 class BoundaryCondition:
@@ -326,28 +317,6 @@ class BoundaryCondition:
         a, b = k % len(cols), (k + 1) % len(cols)
         cols[a], cols[b] = cols[b], cols[a]
         return BoundaryCondition(tuple(cols))
-
-    def to_string(self) -> str:
-        return "".join("b" if c else "w" for c in self.colours)
-
-    @classmethod
-    def from_string(cls, text: str) -> "BoundaryCondition":
-        return cls(tuple(1 if ch == "b" else 0 for ch in text))
-
-
-@dataclass(frozen=True)
-class BoundaryString:
-    """Turn sequence of the boundary walk; always four more +1 than -1."""
-
-    steps: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if sum(self.steps) != 4:
-            raise ValueError("boundary steps must sum to 4")
-
-
-def boundary_string(d: Domain) -> BoundaryString:
-    return BoundaryString(d.steps)
 
 
 def build_square(n: int, sign: str = "+") -> tuple[Domain, BoundaryCondition]:

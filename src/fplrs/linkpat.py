@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 from .errors import ArityMismatch
 
@@ -49,7 +49,6 @@ __all__ = [
     "LpVector",
     "RotationClass",
     "all_patterns",
-    "catalan",
     "asm_count_formula",
     "rotate",
     "reflect",
@@ -137,16 +136,6 @@ class LinkPattern:
     def word(self) -> str:
         return "".join("(" if i < j else ")" for i, j in enumerate(self.match))
 
-    def partner(self, i: int) -> int:
-        """1-based partner of the 1-based point i (cyclic)."""
-        return self.match[(i - 1) % len(self.match)] + 1
-
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        """The arcs as sorted 1-based pairs, ordered by smaller endpoint."""
-        return tuple(
-            (i + 1, j + 1) for i, j in enumerate(self.match) if i < j
-        )
-
     @classmethod
     def from_word(cls, word: str) -> "LinkPattern":
         match = [-1] * len(word)
@@ -165,29 +154,8 @@ class LinkPattern:
             raise ValueError(f"unbalanced word {word!r}")
         return cls(tuple(match))
 
-    @classmethod
-    def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "LinkPattern":
-        """Build from 1-based arc pairs."""
-        match = [-1] * (2 * n)
-        for i, j in pairs:
-            match[i - 1], match[j - 1] = j - 1, i - 1
-        return cls(tuple(match))
-
-    @classmethod
-    def serial_arcs(cls, n: int) -> "LinkPattern":
-        """The pattern ((1,2),(3,4),...) of n adjacent arcs."""
-        return cls.from_pairs(n, [(2 * k + 1, 2 * k + 2) for k in range(n)])
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"LinkPattern({self.word!r})"
-
-
-def catalan(n: int) -> int:
-    """The n-th Catalan number (1, 1, 2, 5, 14, ...)."""
-    value = 1
-    for k in range(n):
-        value = value * 2 * (2 * k + 1) // (k + 2)
-    return value
 
 
 def asm_count_formula(n: int) -> int:
@@ -302,10 +270,6 @@ class RotationClass:
     stabilizer_order: int
     members: tuple[LinkPattern, ...]
 
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
 
 @lru_cache(maxsize=None)
 def rotation_classes(n: int) -> tuple[RotationClass, ...]:
@@ -416,10 +380,6 @@ class LpVector:
     @classmethod
     def basis(cls, p: LinkPattern) -> "LpVector":
         return cls(p.n, {p: 1})
-
-    @classmethod
-    def from_counts(cls, n: int, counts: Mapping[LinkPattern, int]) -> "LpVector":
-        return cls(n, counts)
 
     @classmethod
     def zero(cls, n: int) -> "LpVector":

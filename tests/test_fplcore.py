@@ -9,7 +9,6 @@ from dfs_oracle import oracle_configs, search
 from fplrs import fplcore
 from fplrs.fplcore import (
     FplConfig,
-    LinkData,
     _patterns,
     _trace_colour,
     _transfer,
@@ -17,7 +16,6 @@ from fplrs.fplcore import (
     asm_count_formula,
     count_configs,
     enumerate_configs,
-    link_data,
     plaquette_indicator,
     psi_counts,
     refined_counts,
@@ -30,8 +28,14 @@ from fplrs.identities import _census, aux_state, s_vector
 from fplrs.lattice import BoundaryCondition, build_square
 from fplrs.linkpat import LinkPattern, LpVector, apply_rotation, lp_vector_to_json
 from fplrs.sampling import random_glueable
+from trace_oracle import LinkData, link_data, obeys_ice_rule
 
 ASM_NUMBERS = [1, 2, 7, 42, 429, 7436, 218348]
+
+
+def _complement(phi: FplConfig) -> FplConfig:
+    """Every edge's colour flipped."""
+    return FplConfig(phi.domain, phi.bits ^ ((1 << len(phi.domain.edges)) - 1))
 
 
 def _site(col: int) -> tuple[str, int]:
@@ -62,8 +66,10 @@ class TestEnumerate:
 
     def test_stream_is_lexicographic_and_deterministic(self):
         d, t = build_square(3, "+")
-        first = [phi.bitstring() for phi in enumerate_configs(d, t)]
-        second = [phi.bitstring() for phi in enumerate_configs(d, t)]
+        # edge 0 first, so that string order is the walk's order
+        width = len(d.edges)
+        first = [format(phi.bits, f"0{width}b")[::-1] for phi in enumerate_configs(d, t)]
+        second = [format(phi.bits, f"0{width}b")[::-1] for phi in enumerate_configs(d, t)]
         assert first == second == sorted(first)
         assert len(set(first)) == len(first)
 
@@ -71,12 +77,12 @@ class TestEnumerate:
     def test_ice_rule_everywhere(self, n):
         d, t = build_square(n, "+")
         for phi in enumerate_configs(d, t):
-            assert phi.check_ice_rule()
+            assert obeys_ice_rule(phi)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_complement_bijection(self, n):
         d, t = build_square(n, "+")
-        plus = {phi.complemented().bits for phi in enumerate_configs(d, t)}
+        plus = {_complement(phi).bits for phi in enumerate_configs(d, t)}
         minus = {phi.bits for phi in enumerate_configs(d, t.complemented())}
         assert plus == minus
 
@@ -117,7 +123,7 @@ class TestEnumerate:
         for d, t in _suite_ensembles(seed):
             configs = list(oracle_configs(d, t))
             assert len(configs) == count_configs(d, t)
-            assert all(phi.check_ice_rule() for phi in configs)
+            assert all(obeys_ice_rule(phi) for phi in configs)
 
 
 class TestLinkData:
@@ -138,7 +144,7 @@ class TestLinkData:
         d, t = build_square(n, "+")
         for phi in enumerate_configs(d, t):
             ld = link_data(phi)
-            ld_bar = link_data(phi.complemented())
+            ld_bar = link_data(_complement(phi))
             assert ld.black == ld_bar.white
             assert ld.white == ld_bar.black
             assert ld.loops_black == ld_bar.loops_white
@@ -303,7 +309,7 @@ class TestPlaquetteIndicator:
                 v = plaquette_indicator(phi, alpha)
                 seen.add(v)
                 assert v in (-1, 0, 1)
-                assert plaquette_indicator(phi.complemented(), alpha) == -v
+                assert plaquette_indicator(_complement(phi), alpha) == -v
         assert seen == {-1, 0, 1}
 
     def test_class_balance_at_fig3_face(self):
@@ -342,7 +348,7 @@ class TestRefinedCounts:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_propp_serial_arcs(self, n):
         table = refined_counts(n)
-        serial = LinkPattern.serial_arcs(n)
+        serial = LinkPattern.from_word("()" * n)
         assert table.coeff(serial) == asm_count_formula(n - 1)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -623,14 +629,14 @@ class TestLargeCounts:
         table = refined_counts(7, "+", jobs=2)
         assert table.total() == 218348
         assert apply_rotation(table, 1) == table
-        assert table.coeff(LinkPattern.serial_arcs(7)) == asm_count_formula(6)
+        assert table.coeff(LinkPattern.from_word("()" * 7)) == asm_count_formula(6)
         # the Razumov-Stroganov identity at n=7, on the same table
         assert stationary_vector(7) == table
 
     def test_n8_table(self):
         plus = refined_counts(8, "+")
         assert plus.total() == 10850216 == asm_count_formula(8)
-        assert plus.coeff(LinkPattern.serial_arcs(8)) == asm_count_formula(7)
+        assert plus.coeff(LinkPattern.from_word("()" * 8)) == asm_count_formula(7)
         assert apply_rotation(plus, 1) == plus
         assert refined_counts(8, "-") == plus
 

@@ -1,5 +1,6 @@
 """Hamiltonian matrix, exact kernels, and the stationarity identity."""
 
+import math
 from collections import Counter
 
 import pytest
@@ -22,7 +23,6 @@ from fplrs.linkpat import (
     all_patterns,
     apply_hamiltonian,
     apply_rotation,
-    catalan,
     reflect,
     rotate,
 )
@@ -96,20 +96,18 @@ class TestStationaryVector:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 7])
     def test_normalization(self, n):
-        import math
-
         values = [int(c) for c in stationary_vector(n).entries.values()]
         assert all(v > 0 for v in values)
         assert math.gcd(*values) == 1
-        assert len(values) == catalan(n)
+        assert len(values) == math.comb(2 * n, n) // (n + 1)
 
     def test_n8(self):
         # the smallest size whose largest entry, A_7 = 218348 on the
         # serial arcs, needs more than 17 bits of the prime
         vec = stationary_vector(8)
-        assert len(vec.entries) == catalan(8) == 1430
+        assert len(vec.entries) == math.comb(16, 8) // 9 == 1430
         assert vec.total() == asm_count_formula(8) == 10850216
-        assert vec.coeff(LinkPattern.serial_arcs(8)) == asm_count_formula(7)
+        assert vec.coeff(LinkPattern.from_word("()" * 8)) == asm_count_formula(7)
         assert vec.coeff(LinkPattern.from_word("(" * 8 + ")" * 8)) == 1
         assert apply_rotation(vec, 1) == vec
         # the Razumov-Stroganov identity at n=8, against the refined table
@@ -124,10 +122,10 @@ class TestStationaryVector:
         # the refined table at n=10 is too slow to compare against, so
         # the sum rule, the two pinned entries and the symmetries
         vec = stationary_vector(10)
-        assert len(vec.entries) == catalan(10) == 16796
+        assert len(vec.entries) == math.comb(20, 10) // 11 == 16796
         assert vec.total() == asm_count_formula(10)
         assert vec.coeff(LinkPattern.from_word("(" * 10 + ")" * 10)) == 1
-        assert vec.coeff(LinkPattern.serial_arcs(10)) == asm_count_formula(9)
+        assert vec.coeff(LinkPattern.from_word("()" * 10)) == asm_count_formula(9)
         assert apply_rotation(vec, 1) == vec
         assert vec.map_patterns(reflect, 10) == vec
 
@@ -184,7 +182,7 @@ class TestVerifyRs:
             return y
 
         def through_operator(x):
-            vec = LpVector.from_counts(n, dict(zip(h.basis, x)))
+            vec = LpVector(n, dict(zip(h.basis, x)))
             residual = apply_hamiltonian(vec) - 2 * n * vec
             return [residual.coeff(p) for p in h.basis]
 
@@ -209,7 +207,7 @@ def _patched_table(monkeypatch, edit):
 
 
 def _bump(counts):
-    counts[LinkPattern.serial_arcs(4)] += 1
+    counts[LinkPattern.from_word("()" * 4)] += 1
 
 
 class TestVerifyRsRejects:
@@ -325,7 +323,7 @@ class TestVerifyRsOneH:
         monkeypatch.setattr(linkpat, "tl_e", counted)
         monkeypatch.setattr(groundstate, "tl_e", counted)
         assert verify_rs(5).passed
-        assert len(calls) == catalan(5) * 10 == 420
+        assert len(calls) == math.comb(10, 5) // 6 * 10 == 420
 
     @pytest.mark.parametrize(
         "n, cols",

@@ -11,7 +11,6 @@ from fplrs.fplcore import (
     asm_count_formula,
     count_configs,
     enumerate_configs,
-    link_data,
     plaquette_indicator,
     refined_counts,
 )
@@ -20,7 +19,6 @@ from fplrs.gyration import (
     apply_h,
     generalized_gyration_check,
     gyrate,
-    orbit,
     orbit_faces,
     orbit_partition,
     PairLinkData,
@@ -31,6 +29,12 @@ from fplrs.gyration import (
 from fplrs.lattice import build_square, glue_and_gamma
 from fplrs.linkpat import LinkPattern, LpVector, rotate, rotation_class_of
 from fplrs.sampling import random_glueable
+from trace_oracle import link_data, obeys_ice_rule
+
+
+def _members(o):
+    """The orbit's configurations in gyration order from its seed."""
+    return [FplConfig(o.seed.domain, bits) for bits in o.hashes]
 
 
 def _reference_apply_h(phi, g):
@@ -273,7 +277,7 @@ class TestPass:
         g = glue_and_gamma(d, t, parity)
         for phi in enumerate_configs(d, t):
             psi = apply_h(phi, g)
-            assert psi.check_ice_rule()
+            assert obeys_ice_rule(psi)
             assert psi.boundary() == t.complemented()
             assert apply_h(psi, g).bits == phi.bits
 
@@ -325,7 +329,8 @@ class TestGyrate:
     def test_single_vertex_orbit(self):
         d, t = build_square(1, "+")
         phi = next(enumerate_configs(d, t))
-        assert orbit(phi).period == 1
+        assert gyrate(phi) == phi
+        assert [o.period for o in orbit_partition(1)] == [1]
 
     def test_rejects_non_square_domains(self):
         from fplrs.errors import InvalidTriplet
@@ -356,10 +361,10 @@ class TestGyrate:
             assert gyrate(phi).bits == o.seed.bits
 
     def test_replayed_orbit_is_a_gyration_cycle(self):
-        # configs() rebuilds the orbit from its stored hashes; each one
-        # must still be the gyration image of the one before it
+        # the stored hashes rebuild the orbit; each configuration must
+        # still be the gyration image of the one before it
         for o in orbit_partition(4):
-            c = list(o.configs())
+            c = _members(o)
             assert c[0] == o.seed
             for i in range(o.period):
                 assert gyrate(c[i]).bits == c[(i + 1) % o.period].bits
@@ -383,7 +388,7 @@ class TestGyrate:
         for o in orbit_partition(n):
             reps = {
                 rotation_class_of(link_data(phi).black).word
-                for phi in o.configs()
+                for phi in _members(o)
             }
             assert len(reps) == 1
 
@@ -420,7 +425,7 @@ class TestOrbitSums:
     def test_every_orbit_and_face(self, n):
         d, _ = build_square(n, "+")
         for o in orbit_partition(n):
-            configs = list(o.configs())
+            configs = _members(o)
             for alpha in d.faces:
                 assert sum(plaquette_indicator(phi, alpha) for phi in configs) == 0
 
@@ -432,7 +437,7 @@ class TestOrbitSums:
         orbits = orbit_partition(n, "-")
         assert sum(o.period for o in orbits) == asm_count_formula(n)
         for o in orbits:
-            configs = list(o.configs())
+            configs = _members(o)
             for alpha in d.faces:
                 assert sum(plaquette_indicator(phi, alpha) for phi in configs) == 0
 
@@ -444,22 +449,22 @@ class TestOrbitSums:
             assert classes == (rotation_class_of(link_data(o.seed).black).word,)
             assert set(faces) == set(d.faces)
             for alpha, (plus, minus) in faces.items():
-                values = [plaquette_indicator(phi, alpha) for phi in o.configs()]
+                values = [plaquette_indicator(phi, alpha) for phi in _members(o)]
                 assert (plus, minus) == (values.count(1), values.count(-1))
                 assert plus == minus
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("sign", ["+", "-"])
     def test_orbit_patterns_are_the_traced_ones(self, n, sign):
-        # the partition takes its patterns from the walk, orbit() traces
-        # them; both must be each configuration's black pattern
+        # the partition takes its patterns from the walk; each must be
+        # the traced black pattern of its configuration, and the members
+        # the gyration cycle through the seed
         for o in orbit_partition(n, sign):
             assert len(o.patterns) == o.period
-            for phi, p in zip(o.configs(), o.patterns):
+            members = _members(o)
+            for i, (phi, p) in enumerate(zip(members, o.patterns)):
                 assert p is _trace_colour(phi, 1)[0]
-            traced = orbit(o.seed)
-            assert traced == o
-            assert orbit_faces(traced) == orbit_faces(o)
+                assert gyrate(phi) == members[(i + 1) % o.period]
 
     def test_a_cycle_leaving_the_ensemble_is_an_error(self, monkeypatch):
         # one flipped edge breaks the ice rule, so the walk never meets
@@ -499,9 +504,10 @@ class TestInversionStrings:
         border = {e: faces[0] for e, faces in counts.items() if len(faces) == 1}
         cycle_plus = {e: cyc for cyc in g_plus.cycles for e in cyc}
         cycle_minus = {e: cyc for cyc in g_minus.cycles for e in cyc}
+        full = (1 << len(d.edges)) - 1
         checked = 0
         for o in orbit_partition(n):
-            configs = list(o.configs())
+            configs = _members(o)
             for e, alpha in border.items():
                 cyc = cycle_plus[e]
                 in_plus = len(cyc) == 4 and all(x < n_internal for x in cyc)
@@ -510,7 +516,7 @@ class TestInversionStrings:
                 else:
                     cyc_m = cycle_minus[e]
                     assert len(cyc_m) == 4 and all(x < n_internal for x in cyc_m)
-                    samples = [apply_h(phi, g_plus).complemented() for phi in configs]
+                    samples = [FplConfig(d, apply_h(phi, g_plus).bits ^ full) for phi in configs]
                 v, w = d.edges[e][1], d.edges[e][2]
                 sign = 1 if v[1] == w[1] else -1
                 mu = [phi.colour(e) for phi in samples]

@@ -59,7 +59,7 @@ class TestAuxStates:
                 v = aux_state(n, "even", j, "c")
                 assert not v.is_zero()
                 for p in v.entries:
-                    assert p.partner(j) == j + 1
+                    assert p.match[j - 1] == j  # 0-based: legs j and j + 1
 
 
 class TestRegistry:
@@ -112,7 +112,7 @@ class TestFrozenRectangle:
     def test_reduction_reproduces_filtered_table(self, n):
         for j in range(1, n_odd_sites(n) + 1):
             d, t = shat_c_rectangle(n, j)
-            rect = LpVector.from_counts(n, psi_counts(d, t))
+            rect = LpVector(n, psi_counts(d, t))
             assert rect == aux_state(n, "odd", j, "c")
 
     def test_three_consecutive_black_legs(self):
@@ -143,7 +143,7 @@ class TestSimplePathReversal:
         # configuration routes around the square (edge white), one
         # straight through (edge black), matching across the reversal
         d = Domain(frozenset({(1, 1), (2, 1), (1, 2), (2, 2)}))
-        t1 = BoundaryCondition.from_string("wwwwwwbb")
+        t1 = BoundaryCondition((0, 0, 0, 0, 0, 0, 1, 1))
         report = check_spr(d, t1)
         assert report.passed
         assert report.m == 1
@@ -153,7 +153,7 @@ class TestSimplePathReversal:
         # a 1x2 strip forces the path through the edge; both filtered
         # sides are empty and the identities hold vacuously
         d = Domain(frozenset({(1, 1), (1, 2)}))
-        report = check_spr(d, BoundaryCondition.from_string("wwwwbb"))
+        report = check_spr(d, BoundaryCondition((0, 0, 0, 0, 1, 1)))
         assert report.passed
         assert report.side1 == 0
 
@@ -161,10 +161,10 @@ class TestSimplePathReversal:
         d = Domain(frozenset({(1, 1), (2, 1)}))
         # last two legs share the attachment vertex here
         with pytest.raises(GeometryMismatch):
-            check_spr(d, BoundaryCondition.from_string("wwwwbb"))
+            check_spr(d, BoundaryCondition((0, 0, 0, 0, 1, 1)))
         d2 = Domain(frozenset({(1, 1), (1, 2)}))
         with pytest.raises(GeometryMismatch):
-            check_spr(d2, BoundaryCondition.from_string("bbwwww"))
+            check_spr(d2, BoundaryCondition((1, 1, 0, 0, 0, 0)))
 
     def test_random_two_row_strips(self):
         rng = random.Random(23)

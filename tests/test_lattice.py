@@ -19,7 +19,6 @@ from fplrs.lattice import (
     Domain,
     _neighbour,
     _trace_boundary,
-    boundary_string,
     build_square,
     glue_and_gamma,
 )
@@ -47,7 +46,7 @@ class TestDomain:
         d, t = build_square(1, "+")
         # south, east, north, west in counter-clockwise order
         assert [dir_ for _, dir_ in d.terminations] == [3, 0, 1, 2]
-        assert t.to_string() == "bwbw"
+        assert t.colours == (1, 0, 1, 0)
 
     def test_minus_is_complement(self):
         _, plus = build_square(2, "+")
@@ -73,12 +72,6 @@ class TestDomain:
         hook = {(0, 0), (0, -1), (1, -1), (2, -1), (2, 0), (2, 1), (1, 1)}
         with pytest.raises(ValueError):
             Domain(frozenset(hook))
-
-    def test_json_round_trip(self):
-        d = Domain(l_shape().cells, anchor=3)
-        again = Domain.from_json(d.to_json())
-        assert again == d
-        assert again.terminations == d.terminations
 
     def test_boundary_traced_once(self, monkeypatch):
         # the anchor check at construction reads the cached trace that
@@ -165,20 +158,20 @@ def test_domain_acceptance_matches_the_searches():
 class TestBoundaryString:
     def test_square_is_four_left_turns(self):
         for n in (1, 2, 5):
-            steps = boundary_string(build_square(n, "+")[0]).steps
+            steps = build_square(n, "+")[0].steps
             assert steps.count(1) == 4
             assert steps.count(-1) == 0
             assert steps.count(0) == len(steps) - 4
 
     def test_notched_square_has_one_right_turn(self):
-        steps = boundary_string(l_shape()).steps
+        steps = l_shape().steps
         assert steps.count(-1) == 1
 
     def test_step_sum_on_random_domains(self):
         rng = random.Random(7)
         for _ in range(40):
             d = random_domain(rng, rng.randint(1, 20))
-            assert sum(boundary_string(d).steps) == 4
+            assert sum(d.steps) == 4
 
 
 class TestBoundaryCondition:
@@ -186,16 +179,15 @@ class TestBoundaryCondition:
         with pytest.raises(ValueError):
             BoundaryCondition((1, 0, 0, 0))
 
-    def test_string_round_trip(self):
-        t = BoundaryCondition.from_string("bwwb")
-        assert t.to_string() == "bwwb"
-        assert t.complemented().to_string() == "wbbw"
+    def test_complement(self):
+        t = BoundaryCondition((1, 0, 0, 1))
+        assert t.complemented().colours == (0, 1, 1, 0)
 
     def test_swap(self):
-        t = BoundaryCondition.from_string("bwwb")
-        assert t.swapped(0).to_string() == "wbwb"
-        assert t.swapped(2).to_string() == "bwbw"
-        assert t.swapped(3).to_string() == "bwwb"  # cyclic wrap, both legs equal
+        t = BoundaryCondition((1, 0, 0, 1))
+        assert t.swapped(0).colours == (0, 1, 0, 1)
+        assert t.swapped(2).colours == (1, 0, 1, 0)
+        assert t.swapped(3).colours == (1, 0, 0, 1)  # cyclic wrap, both legs equal
 
 
 class TestGlueAndGamma:

@@ -1,0 +1,48 @@
+"""Both colours of a configuration traced, and the ice rule checked
+edge by edge: the tests' oracles for what the walk and the sweep hand
+out with every configuration.
+
+:func:`link_data` runs ``fplcore._trace_colour``, the flat tracer, once
+per colour; :func:`obeys_ice_rule` reads the colours off the bits one
+edge at a time.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from fplrs.fplcore import FplConfig, _trace_colour
+from fplrs.linkpat import LinkPattern
+
+
+@dataclass(frozen=True)
+class LinkData:
+    """Black and white link patterns plus closed-cycle counts."""
+
+    black: LinkPattern
+    white: LinkPattern
+    loops_black: int
+    loops_white: int
+
+    @property
+    def loops(self) -> int:
+        return self.loops_black + self.loops_white
+
+
+def link_data(phi: FplConfig) -> LinkData:
+    """Trace all open paths and closed cycles of both colours.
+
+    Black endpoints are labelled cyclically counter-clockwise starting
+    from the first black termination at or after the anchor, white ones
+    likewise.
+    """
+    black, lb = _trace_colour(phi, 1)
+    white, lw = _trace_colour(phi, 0)
+    return LinkData(black, white, lb, lw)
+
+
+def obeys_ice_rule(phi: FplConfig) -> bool:
+    """Whether every vertex has exactly two black edges."""
+    return all(
+        sum(phi.colour(e) for e in slots) == 2 for slots in phi.domain.vertex_edges.values()
+    )
