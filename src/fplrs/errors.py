@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the guard of its immutable classes."""
+
+
+def immutable(self, name: str, *value) -> None:
+    """``__setattr__`` and ``__delattr__`` of an immutable class."""
+    raise AttributeError(f"{type(self).__name__} is immutable; cannot change {name!r}")
 
 
 class FplrsError(Exception):

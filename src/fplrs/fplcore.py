@@ -39,10 +39,9 @@ and 3 reads b..bca..a, asserted unique, then cached.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .lattice import BoundaryCondition, Cell, Domain, build_square
 from .linkpat import LinkPattern, LpVector, asm_count_formula
@@ -61,8 +60,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FplConfig:
+class FplConfig(NamedTuple):
     """One ice-rule colouring; bit e of ``bits`` set means edge e is black."""
 
     domain: Domain
@@ -277,7 +275,8 @@ def _patterns(d: Domain, t: BoundaryCondition, jobs: int = 1) -> dict[LinkPatter
     decision prefix of the walk in a pool, leaves above the split traced."""
     if jobs <= 1:
         return _add_patterns({}, _transfer(d, t))
-    depth = max(1, (jobs * 4 - 1).bit_length())
+    # every prefix sweeps the whole square, so split no finer than jobs
+    depth = max(1, (jobs - 1).bit_length())
     leaves, prefixes = split_prefixes(d, t, depth)
     counts: dict[LinkPattern, int] = {}
     for bits in leaves:

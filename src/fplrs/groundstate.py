@@ -18,7 +18,7 @@ tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import fplcore
 from .errors import KernelDimensionError
@@ -44,8 +44,7 @@ __all__ = [
 _PRIME = 2**61 - 1
 
 
-@dataclass(frozen=True)
-class HamiltonianMatrix:
+class HamiltonianMatrix(NamedTuple):
     """Sparse integer matrix of H in the lexicographic word basis.
 
     cols[j] lists the index of tl_e(basis[j], k) for k = 1..2n, so the
@@ -166,8 +165,7 @@ def stationary_vector(n: int) -> LpVector:
     )
 
 
-@dataclass(frozen=True)
-class RsReport:
+class RsReport(NamedTuple):
     """Outcome of the stationary-state comparison at one size."""
 
     n: int

@@ -34,8 +34,8 @@ assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import InvalidTriplet
 from .fplcore import (
@@ -138,8 +138,7 @@ def gyrate(phi: FplConfig) -> FplConfig:
     return FplConfig(phi.domain, _pass(_pass(phi.bits, plus), minus))
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(NamedTuple):
     """One cycle of repeated gyration: the config bitmasks in gyration
     order from the seed, and the black pattern of each."""
 
@@ -240,8 +239,7 @@ def square_rotation_direction() -> int:
 # Link data on the glued graph
 
 
-@dataclass(frozen=True)
-class PairLinkData:
+class PairLinkData(NamedTuple):
     """Triplet read over the bichromatic glued vertices."""
 
     black: LinkPattern
@@ -278,8 +276,7 @@ def pair_link_data(phi: FplConfig, g: GluedGraph) -> PairLinkData:
 # Generalized gyration (monochromatic pairs capped by diagram operators)
 
 
-@dataclass(frozen=True)
-class GyrationReport:
+class GyrationReport(NamedTuple):
     """Outcome of one generalized-gyration comparison."""
 
     parity: str

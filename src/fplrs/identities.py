@@ -24,10 +24,9 @@ pins them by brute force at sizes 3 and 4 and exposes the result via
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .errors import GeometryMismatch, IndexOutOfRange, UnknownIdentity
 from .fplcore import FplConfig, _transfer, plaquette_indicator, psi_counts, vertex_type
@@ -242,8 +241,7 @@ def spr_instance(n: int, j: int) -> tuple[Domain, BoundaryCondition]:
     return d2, t2
 
 
-@dataclass(frozen=True)
-class SprReport:
+class SprReport(NamedTuple):
     """Outcome of one simple-path-reversal check."""
 
     m: int
@@ -296,8 +294,7 @@ def check_spr(d: Domain, t1: BoundaryCondition) -> SprReport:
 # The registry
 
 
-@dataclass(frozen=True)
-class IdentityResult:
+class IdentityResult(NamedTuple):
     identity: str
     n: int
     j: int | None

@@ -33,10 +33,9 @@ alone, before any edge ids or plaquettes are built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import InvalidTriplet, NonUniqueGamma
+from .errors import InvalidTriplet, NonUniqueGamma, immutable
 
 __all__ = [
     "EAST",
@@ -132,20 +131,21 @@ def _trace_boundary(cells: frozenset[Cell]) -> tuple[tuple[tuple[Cell, int], ...
     return tuple(terms), tuple(turns)
 
 
-@dataclass(frozen=True)
 class Domain:
     """A simply-connected polyomino of lattice vertices with an anchor.
 
     ``anchor`` indexes into the canonical boundary order produced by
     :func:`_trace_boundary`; the public termination order starts there.
+    Immutable, and equal by cells and anchor.
     """
 
     cells: frozenset[Cell]
-    anchor: int = 0
+    anchor: int
+    __setattr__ = __delattr__ = immutable
 
-    def __post_init__(self) -> None:
-        cells = frozenset((int(x), int(y)) for x, y in self.cells)
-        object.__setattr__(self, "cells", cells)
+    def __init__(self, cells, anchor: int = 0) -> None:
+        cells = frozenset((int(x), int(y)) for x, y in cells)
+        self.__dict__.update(cells=cells, anchor=anchor)
         if not cells:
             raise ValueError("domain needs at least one cell")
         # traced once here and cached; a pinched boundary raises.  A
@@ -157,6 +157,14 @@ class Domain:
             raise ValueError("cells are not edge-connected or enclose a hole; not simply connected")
         if not 0 <= self.anchor < len(canon_terms):
             raise ValueError("anchor out of range")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Domain:
+            return NotImplemented
+        return self.cells == other.cells and self.anchor == other.anchor
+
+    def __hash__(self) -> int:
+        return hash((self.cells, self.anchor))
 
     @cached_property
     def vertices(self) -> tuple[Cell, ...]:
@@ -287,22 +295,32 @@ class Domain:
         return len(self.internal_edges) + k
 
 
-@dataclass(frozen=True)
 class BoundaryCondition:
     """Colours of the terminations, indexed parallel to the anchored order.
 
     1 is black, 0 is white.  The number of black entries must be even,
     and so is the number of white ones on any closed boundary.
+    Immutable, and equal by colours.
     """
 
     colours: tuple[int, ...]
+    __setattr__ = __delattr__ = immutable
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "colours", tuple(int(c) for c in self.colours))
-        if any(c not in (0, 1) for c in self.colours):
+    def __init__(self, colours) -> None:
+        colours = self.__dict__["colours"] = tuple(int(c) for c in colours)
+        if any(c not in (0, 1) for c in colours):
             raise ValueError("colours must be 0 (white) or 1 (black)")
-        if len(self.colours) % 2 or sum(self.colours) % 2:
+        if len(colours) % 2 or sum(colours) % 2:
             raise ValueError("termination and black counts must both be even")
+
+    def __eq__(self, other) -> bool:
+        return self.colours == other.colours if type(other) is BoundaryCondition else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.colours,))
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"BoundaryCondition(colours={self.colours!r})"
 
     @property
     def n_black(self) -> int:
@@ -337,7 +355,6 @@ def build_square(n: int, sign: str = "+") -> tuple[Domain, BoundaryCondition]:
     return d, BoundaryCondition(colours)
 
 
-@dataclass(frozen=True)
 class GluedGraph:
     """A domain with terminations glued in consecutive pairs, plus the
     forced cycle partition.
@@ -346,7 +363,7 @@ class GluedGraph:
     from ``bc`` exactly at the recorded convex-corner swaps.  Cycles
     list canonical edge ids in cyclic order.  ``bichromatic[i]`` marks
     pairs whose two legs carry different colours (the glued vertex then
-    counts as a path endpoint).
+    counts as a path endpoint).  Immutable, and equal by its fields.
     """
 
     domain: Domain
@@ -354,7 +371,22 @@ class GluedGraph:
     parity: str
     pairs: tuple[tuple[int, int], ...]
     cycles: tuple[tuple[int, ...], ...]
-    swaps: tuple[int, ...] = ()
+    swaps: tuple[int, ...]
+    __setattr__ = __delattr__ = immutable
+
+    def __init__(self, domain, bc, parity, pairs, cycles, swaps=()) -> None:
+        self.__dict__.update(
+            domain=domain, bc=bc, parity=parity, pairs=pairs, cycles=cycles, swaps=swaps
+        )
+
+    def _key(self) -> tuple:
+        return self.domain, self.bc, self.parity, self.pairs, self.cycles, self.swaps
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if type(other) is GluedGraph else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @cached_property
     def swapped_bc(self) -> BoundaryCondition:

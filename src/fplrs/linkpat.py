@@ -37,12 +37,11 @@ coefficients; no floating point anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
-from .errors import ArityMismatch
+from .errors import ArityMismatch, immutable
 
 __all__ = [
     "LinkPattern",
@@ -107,6 +106,7 @@ class LinkPattern:
 
     __slots__ = ("match",)
     match: tuple[int, ...]
+    __setattr__ = __delattr__ = immutable
 
     def __new__(cls, match: tuple[int, ...]) -> "LinkPattern":
         p = _interned.get(match)
@@ -118,12 +118,6 @@ class LinkPattern:
             # get the object that was stored first
             p = _interned.setdefault(match, p)
         return p
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"LinkPattern is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"LinkPattern is immutable; cannot delete {name!r}")
 
     def __reduce__(self):
         return (LinkPattern, (self.match,))
@@ -262,8 +256,7 @@ def add_a(p: LinkPattern, j: int) -> LinkPattern:
     return LinkPattern(shift[: j - 1] + (j, j - 1) + shift[j - 1 :])
 
 
-@dataclass(frozen=True)
-class RotationClass:
+class RotationClass(NamedTuple):
     """An orbit of LP(n) under the rotation R."""
 
     representative: LinkPattern
@@ -316,30 +309,36 @@ def _exact(x) -> int:
     raise TypeError(f"coefficients must be integers, got {type(x)!r}")
 
 
-@dataclass(frozen=True)
 class LpVector:
     """A sparse integer vector indexed by link patterns of one size.
 
     Coefficients are ints.  Zero coefficients are dropped at
-    construction, so equality of vectors is plain dataclass equality;
-    the entries are read-only, since cached vectors are shared by every
-    caller.
+    construction, so two vectors are equal when their sizes and entries
+    are; the vector and its entries are read-only, since cached vectors
+    are shared by every caller, and it is not hashable.
     """
 
+    __slots__ = ("n", "entries")
     n: int
-    entries: Mapping[LinkPattern, int] = field(default_factory=dict)
+    entries: Mapping[LinkPattern, int]
+    __setattr__ = __delattr__ = immutable
 
-    def __post_init__(self) -> None:
+    def __init__(self, n: int, entries: Mapping[LinkPattern, int]) -> None:
         clean: dict[LinkPattern, int] = {}
-        for p, coeff in self.entries.items():
-            if p.n != self.n:
-                raise ArityMismatch(
-                    f"pattern on 2n={2 * p.n} points in a size-{self.n} vector"
-                )
+        for p, coeff in entries.items():
+            if p.n != n:
+                raise ArityMismatch(f"pattern on 2n={2 * p.n} points in a size-{n} vector")
             value = _exact(coeff)
             if value:
                 clean[p] = value
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "entries", MappingProxyType(clean))
+
+    def __reduce__(self):
+        return (LpVector, (self.n, dict(self.entries)))
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"LpVector(n={self.n!r}, entries={self.entries!r})"
 
     def __add__(self, other: "LpVector") -> "LpVector":
         if self.n != other.n:

@@ -19,13 +19,12 @@ import of it by name would execute it a second time.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import fplcore, groundstate, gyration, identities, lattice, linkpat, sampling
 
 
-@dataclass(frozen=True)
-class CheckLine:
+class CheckLine(NamedTuple):
     suite: str
     check: str
     status: bool
@@ -142,14 +141,14 @@ def _suite_identities(n_max: int) -> list[CheckLine]:
 def _tl_operators():
     """tl_e, rotate, close_c and add_a, each memoised for one suite call.
 
-    The relations check each distinct sample once, with about 17
-    operator calls each: 6 x 10^4 calls at n = 5 (3,792 distinct
-    samples of 10^4) up to 1.6 x 10^5 at n = 7 (9,434), yet they meet
-    only a few thousand distinct (pattern, index) pairs.  Patterns are
-    interned, so every result is the one object for its matching and
-    the memo holds each pattern once.  The memo lives only as long as
-    the suite: the Hamiltonian calls the same operators at sizes where a
-    lasting cache would hold millions of (pattern, index) pairs.
+    The relations check each distinct (p, i) once and, the two that
+    read j, each distinct sample (p, i, j): 420 and 3,803 of 10^4 at
+    n = 5, up to 4,853 and 9,445 at n = 7 with the default seed.  They
+    meet only a few thousand distinct (pattern, index) pairs.  Patterns
+    are interned, so every result is the one object for its matching
+    and the memo holds each pattern once.  The memo lives only as long
+    as the suite: the Hamiltonian calls the same operators at sizes
+    where a lasting cache would hold millions of (pattern, index) pairs.
     """
 
     def memo(op):
@@ -175,20 +174,22 @@ def _check_tl_relations(n: int, samples, lines: list[CheckLine], label: str, ops
     wrap = lambda j: ((j - 1) % size) + 1
     ok_a = ok_b = ok_c = ok_d = True
     ok_ca = ok_ac = ok_comm = True
-    # each check is an AND, so a repeated sample adds nothing: check
-    # every distinct one once, in first-seen order
-    for p, i, j in dict.fromkeys(samples):
+    # each check is an AND, so a repeated sample adds nothing: check every
+    # distinct one once, and the relations that do not read j per (p, i)
+    samples = dict.fromkeys(samples)
+    for p, i in dict.fromkeys((p, i) for p, i, _ in samples):
         ei = tl_e(p, i)
         ok_a &= ei == rotate(tl_e(rotate(p, -1), wrap(i + 1)), 1)
         ok_b &= tl_e(ei, i) == ei
-        dist = min((i - j) % size, (j - i) % size)
-        if dist > 1:
-            ok_c &= tl_e(tl_e(p, j), i) == tl_e(ei, j)
         ok_d &= tl_e(tl_e(ei, wrap(i + 1)), i) == ei
         ok_d &= tl_e(tl_e(ei, wrap(i - 1)), i) == ei
         if i <= size - 1:
             ok_ca &= close_c(add_a(p, i), i) == p
             ok_ac &= add_a(close_c(p, i), i) == ei
+    for p, i, j in samples:
+        ei = tl_e(p, i)
+        if min((i - j) % size, (j - i) % size) > 1:
+            ok_c &= tl_e(tl_e(p, j), i) == tl_e(ei, j)
         if j - i >= 2:
             if j <= size - 1 and i <= size - 3:
                 ok_comm &= close_c(ei, j) == tl_e(close_c(p, j), i)

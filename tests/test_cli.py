@@ -513,6 +513,27 @@ def test_cli_import_carries_only_the_dispatcher():
     assert added.isdisjoint({"json", "hashlib", "csv", "dataclasses"})
 
 
+_VERIFY = ("rs", "wieland", "orbits", "identities", "tl", "gyration-general")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["enumerate", "--n", "3"], ["groundstate", "--n", "3"], ["orbit-report", "--n", "2"]]
+    + [
+        ["verify", suite, "--n-max", "2"] + (["--seed", "7"] if suite in ("tl", "gyration-general") else [])
+        for suite in _VERIFY
+    ],
+    ids=["enumerate", "groundstate", "orbit-report"] + [f"verify-{suite}" for suite in _VERIFY],
+)
+def test_commands_load_neither_dataclasses_nor_inspect(argv):
+    # the package's records are NamedTuples and plain classes, so no
+    # command pays for dataclasses, which imports inspect, ast, dis and
+    # tokenize, nor for inspect alone
+    modules = _modules_after(f"from fplrs import cli; assert cli.main({argv!r}) == 0")
+    assert modules["fplrs.linkpat"]  # the command ran the package's code
+    assert "dataclasses" not in modules and "inspect" not in modules
+
+
 def test_module_run_executes_the_cli_once():
     # under ``python -m fplrs.cli`` the cli runs as __main__.  A package
     # that registered it would make runpy warn, which -W error turns

@@ -1,6 +1,7 @@
 """Domains, boundary walks, and termination gluing."""
 
 import hashlib
+import pickle
 import random
 
 import pytest
@@ -188,6 +189,42 @@ class TestBoundaryCondition:
         assert t.swapped(0).colours == (0, 1, 0, 1)
         assert t.swapped(2).colours == (1, 0, 1, 0)
         assert t.swapped(3).colours == (1, 0, 0, 1)  # cyclic wrap, both legs equal
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: l_shape(),
+        lambda: Domain(l_shape().cells, anchor=3),
+        lambda: BoundaryCondition((1, 0, 0, 1, 1, 1)),
+        lambda: glue_and_gamma(*build_square(3, "+"), "minus"),
+        lambda: glue_and_gamma(*sampling.random_glueable(random.Random(5), 12, "plus"), "plus", True),
+    ],
+    ids=["domain", "anchored-domain", "boundary", "square-gluing", "swapped-gluing"],
+)
+def test_lattice_values_compare_hash_and_stay_immutable(make):
+    # built twice, equal values are equal objects with equal hashes; a
+    # field cannot be set or deleted, nor a new attribute added
+    a, b = make(), make()
+    assert a is not b and a == b and hash(a) == hash(b)
+    fields = ("cells", "anchor", "colours", "domain", "bc", "swaps")
+    for name in [f for f in fields if hasattr(a, f)] + ["extra"]:
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert a == b
+
+
+@pytest.mark.parametrize("make", [l_shape, lambda: build_square(4, "-")[1]], ids=["domain", "boundary"])
+def test_domain_and_boundary_survive_a_pickle(make):
+    # the pool ships both to its workers
+    a = make()
+    if isinstance(a, Domain):
+        a.walk  # a cached property travels with the domain
+    back = pickle.loads(pickle.dumps(a))
+    assert back == a and hash(back) == hash(a) and back is not a
+    assert vars(back).keys() == vars(a).keys()
 
 
 class TestGlueAndGamma:

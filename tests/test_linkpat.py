@@ -489,3 +489,18 @@ class TestLpVector:
     def test_first_difference_of_different_sizes(self):
         # no word tells two zero vectors of different sizes apart
         assert first_difference(LpVector.zero(2), LpVector.zero(3)) == "sizes differ"
+
+    def test_vector_is_an_immutable_unhashable_value(self):
+        p, q = all_patterns(2)
+        v = LpVector(2, {p: 3, q: -1})
+        back = pickle.loads(pickle.dumps(v))
+        assert back == v and back is not v and type(back.entries) is type(v.entries)
+        assert back.entries == {p: 3, q: -1} and back != LpVector(2, {p: 3})
+        for name in ("n", "entries", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(v, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(v, name)
+        assert v.n == 2 and v.entries == {p: 3, q: -1}
+        with pytest.raises(TypeError):
+            hash(v)

@@ -149,3 +149,20 @@ def test_an_unreached_definition_is_found(tmp_path):
     (tmp_path / "b.py").write_text("from .a import used as go\n")
     # a local or a parameter of the same name does not reach a method
     assert _unreached(tmp_path) == ["a.Box.spare", "a.Box.width", "a.area", "a.unused"]
+
+
+def test_the_package_does_not_import_dataclasses():
+    # importing dataclasses costs every command about 12 ms of start-up
+    # (it pulls in inspect, ast, dis and tokenize); the records are
+    # NamedTuples or plain classes.  Tests and the benchmark may use it
+    found = []
+    for path in sorted(Path(fplrs.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names if name.split(".")[0] == "dataclasses"]
+    assert found == []
