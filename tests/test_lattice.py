@@ -194,7 +194,7 @@ class TestBoundaryCondition:
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: l_shape(),
+        l_shape,
         lambda: Domain(l_shape().cells, anchor=3),
         lambda: BoundaryCondition((1, 0, 0, 1, 1, 1)),
         lambda: glue_and_gamma(*build_square(3, "+"), "minus"),
