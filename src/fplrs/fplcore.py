@@ -70,7 +70,7 @@ class FplConfig(NamedTuple):
         return (self.bits >> edge_id) & 1
 
     def boundary(self) -> BoundaryCondition:
-        base = len(self.domain.internal_edges)
+        base = self.domain.n_internal
         return BoundaryCondition(
             tuple(self.colour(base + k) for k in range(self.domain.perimeter))
         )
@@ -130,7 +130,7 @@ def _walk_paths(
     Visited edges are kept in one int; the loops are what is left of
     the colour, over all edges, so two glued legs alone close a loop.
     """
-    n_internal = len(d.internal_edges)
+    n_internal = d.n_internal
     walk = d.walk
     seen = 0
     match = [-1] * len(ends)
@@ -157,7 +157,7 @@ def _walk_paths(
                 seen |= 1 << eid
                 state = 2 * eid
     loops = 0
-    rest = bits & ~seen & ((1 << len(d.edges)) - 1)
+    rest = bits & ~seen & ((1 << len(d.edge_vertices)) - 1)
     while rest:
         loops += 1
         first = (rest & -rest).bit_length() - 1
@@ -186,7 +186,7 @@ def _trace_colour(phi: FplConfig, want: int) -> tuple[LinkPattern, int]:
     d = phi.domain
     bits = phi.bits if want else ~phi.bits
     ends: dict[int, int] = {}
-    for e in range(len(d.internal_edges), len(d.edges)):
+    for e in range(d.n_internal, len(d.edge_vertices)):
         if (bits >> e) & 1:
             ends[e] = len(ends)
     return _walk_paths(d, bits, ends, {})
@@ -351,7 +351,7 @@ def _schedule(d: Domain) -> tuple[tuple[int, int, int, int, int, int], ...]:
     """Per vertex in (y, x) order: the cut index of its first internal
     in-edge, the number of internal in-edges, and its W, S, N, E edge
     ids.  Depends on the domain only, so it is built once per domain."""
-    n_internal = len(d.internal_edges)
+    n_internal = d.n_internal
     keys: list[int] = []  # the cut's keys, in order
     plan = []
     for v in d.vertices:
@@ -439,7 +439,7 @@ def _runs(
     """
     if len(t.colours) != d.perimeter:
         raise ValueError("boundary condition length mismatch")
-    n_internal = len(d.internal_edges)
+    n_internal = d.n_internal
     allowed = [(0, 1)] * n_internal + [(c,) for c in t.colours]
     for e, c in forced:
         allowed[e] = tuple(x for x in allowed[e] if x == c)
@@ -601,7 +601,7 @@ def _walk(
     it yields ``(None, decisions)`` as (edge, colour) pairs instead, and
     its subtree is skipped.
     """
-    built = _runs(d, t, forced, range(len(d.internal_edges)))
+    built = _runs(d, t, forced, range(d.n_internal))
     if built is None:
         return
     run, decode = built

@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .errors import GeometryMismatch, IndexOutOfRange, UnknownIdentity
 from .fplcore import FplConfig, _transfer, plaquette_indicator, psi_counts, vertex_type
-from .lattice import BoundaryCondition, Domain, build_square
+from .lattice import EAST, NORTH, BoundaryCondition, Domain, build_square
 from .linkpat import (
     LinkPattern,
     LpVector,
@@ -79,8 +79,7 @@ def _census(n: int) -> Mapping:
     """
     d, t = build_square(n, "+")
     rows = [(x, y) for y in (1, 2) if y <= n for x in range(1, n + 1)]
-    n_internal = len(d.internal_edges)
-    keep = sorted({e for v in rows for e in d.vertex_edges[v] if e < n_internal})
+    keep = sorted({e for v in rows for e in d.vertex_edges[v] if e < d.n_internal})
     census: dict = {}
     for (bits, pattern), v in _transfer(d, t, keep=keep).items():
         phi = FplConfig(d, bits)
@@ -269,8 +268,8 @@ def check_spr(d: Domain, t1: BoundaryCondition) -> SprReport:
     vb = d.terminations[size - 1][0]
     if abs(va[0] - vb[0]) + abs(va[1] - vb[1]) != 1:
         raise GeometryMismatch("the last two legs must attach to adjacent sites")
-    lo, hi = (va, vb) if va < vb else (vb, va)
-    e = d.edge_index[("i", lo, hi)]
+    lo, hi = sorted((va, vb))
+    e = d.vertex_edges[lo][EAST if lo[1] == hi[1] else NORTH]
     m = t1.n_black // 2
     cols = list(t1.colours)
     cols[size - 2] = cols[size - 1] = 0

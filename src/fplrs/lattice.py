@@ -8,10 +8,11 @@ the polyomino boundary counter-clockwise visits every termination once
 and turns left (+1), straight (0) or right (-1) between consecutive
 ones; the turn sequence is ``Domain.steps`` and always sums to 4.
 
-Canonical edge order: internal edges row-major over vertices (sorted by
-(y, x)), per vertex first the east then the north edge; terminations
-appended in boundary order starting at the anchor.  Configurations are
-stored as bitmasks over this order, so streams and caches are
+Canonical edge order: ``Domain.vertex_edges`` builds it in one pass,
+numbering the internal edges row-major over vertices (sorted by (y, x)),
+per vertex first the east then the north edge, and then the
+terminations in boundary order starting at the anchor.  Configurations
+are stored as bitmasks over this order, so streams and caches are
 bit-exact.  Domains and gluings cache what the bit-level code reads:
 per-face edge masks, the path-tracing table and the cycle masks.
 
@@ -54,9 +55,6 @@ EAST, NORTH, WEST, SOUTH = 0, 1, 2, 3
 DIRS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 Cell = tuple[int, int]
-
-# Internal edges are ("i", v, w) with v < w; terminations ("t", v, dir).
-Edge = tuple
 
 
 def _neighbour(v: Cell, d: int) -> Cell:
@@ -191,52 +189,39 @@ class Domain:
     def perimeter(self) -> int:
         return len(self.terminations)
 
-    @cached_property
-    def internal_edges(self) -> tuple[Edge, ...]:
-        out: list[Edge] = []
-        for v in self.vertices:
-            e = _neighbour(v, EAST)
-            if e in self.cells:
-                out.append(("i", v, e) if v < e else ("i", e, v))
-            nb = _neighbour(v, NORTH)
-            if nb in self.cells:
-                out.append(("i", v, nb) if v < nb else ("i", nb, v))
-        return tuple(out)
-
-    @cached_property
-    def edges(self) -> tuple[Edge, ...]:
-        return self.internal_edges + tuple(("t", v, d) for v, d in self.terminations)
-
-    @cached_property
-    def edge_index(self) -> dict[Edge, int]:
-        return {e: i for i, e in enumerate(self.edges)}
+    @property
+    def n_internal(self) -> int:
+        """The number of internal edges, which ``__init__`` counts as adjacent pairs."""
+        return (4 * len(self.cells) - self.perimeter) // 2
 
     @cached_property
     def vertex_edges(self) -> dict[Cell, tuple[int, int, int, int]]:
-        """Edge ids of the four slots of each vertex, in E, N, W, S order."""
-        index = self.edge_index
-        table: dict[Cell, tuple[int, int, int, int]] = {}
-        for v in self.cells:
-            ids = []
-            for d in range(4):
+        """Edge ids of the four slots of each vertex, in E, N, W, S order:
+        the canonical edge order, built here.  Each vertex in ``vertices``
+        order numbers its E and then its N internal edge, a neighbour's W
+        or S slot too; the terminations follow in anchored order."""
+        slots = {v: [0, 0, 0, 0] for v in self.cells}
+        e = 0
+        for v in self.vertices:
+            for d in (EAST, NORTH):
                 w = _neighbour(v, d)
-                if w in self.cells:
-                    key = ("i", v, w) if v < w else ("i", w, v)
-                else:
-                    key = ("t", v, d)
-                ids.append(index[key])
-            table[v] = tuple(ids)
-        return table
+                if w in slots:
+                    slots[v][d] = slots[w][d + 2] = e
+                    e += 1
+        for k, (v, d) in enumerate(self.terminations, e):
+            slots[v][d] = k
+        return {v: tuple(ids) for v, ids in slots.items()}
 
     @cached_property
     def edge_vertices(self) -> tuple[tuple[Cell, ...], ...]:
-        """The incident domain vertices of every edge (two or one)."""
-        out: list[tuple[Cell, ...]] = []
-        for e in self.edges:
-            if e[0] == "i":
-                out.append((e[1], e[2]))
-            else:
-                out.append((e[1],))
+        """The incident domain vertices of every edge (two or one): an
+        internal edge lists first the vertex whose E or N slot it is."""
+        slots, n = self.vertex_edges, self.n_internal
+        out: list[tuple[Cell, ...]] = [()] * n + [(v,) for v, _ in self.terminations]
+        for v in self.vertices:
+            for d in (EAST, NORTH):
+                if (e := slots[v][d]) < n:
+                    out[e] = (v, _neighbour(v, d))
         return tuple(out)
 
     @cached_property
@@ -252,12 +237,12 @@ class Domain:
     def face_edges(self, face: Cell) -> tuple[int, int, int, int]:
         """Edge ids around a face in cyclic order: bottom, right, top, left."""
         x, y = face
-        idx = self.edge_index
+        slots = self.vertex_edges
         return (
-            idx[("i", (x, y), (x + 1, y))],
-            idx[("i", (x + 1, y), (x + 1, y + 1))],
-            idx[("i", (x, y + 1), (x + 1, y + 1))],
-            idx[("i", (x, y), (x, y + 1))],
+            slots[face][EAST],
+            slots[(x + 1, y)][NORTH],
+            slots[(x, y + 1)][EAST],
+            slots[face][NORTH],
         )
 
     @cached_property
@@ -292,7 +277,7 @@ class Domain:
 
     def termination_id(self, k: int) -> int:
         """Canonical edge id of the k-th termination (0-based, anchored)."""
-        return len(self.internal_edges) + k
+        return self.n_internal + k
 
 
 class BoundaryCondition:
@@ -410,7 +395,7 @@ class GluedGraph:
             if len(cyc) == 4:
                 a, b, c, d = (1 << e for e in cyc)
                 quads.append((a | b | c | d, a | c, b | d))
-        return (1 << len(self.domain.edges)) - 1, tuple(quads)
+        return (1 << len(self.domain.edge_vertices)) - 1, tuple(quads)
 
 
 def _pairing(n_terms: int, parity: str) -> tuple[tuple[int, int], ...]:
@@ -468,10 +453,10 @@ def _plaquette_cover(d: Domain, used: set[int]) -> tuple[tuple[int, ...], ...]:
     whole free part of that colour class is not proved here; the
     caller's partition certificate rejects any gluing where it fails.
     """
-    lowest = next((e for e in range(len(d.internal_edges)) if e not in used), None)
+    lowest = next((e for e in range(d.n_internal) if e not in used), None)
     if lowest is None:
         return ()
-    x, y = d.edges[lowest][1]
+    x, y = d.edge_vertices[lowest][0]
     colour = (x + y) % 2
     faces = (d.face_edges(f) for f in d.faces if sum(f) % 2 == colour)
     return tuple(fe for fe in faces if used.isdisjoint(fe))
@@ -537,7 +522,7 @@ def glue_and_gamma(
     b_cycles = _boundary_cycles(d, pairs)
     cycles = b_cycles + _plaquette_cover(d, {e for cyc in b_cycles for e in cyc})
     covered = sorted(e for cyc in cycles for e in cyc)
-    if covered != list(range(len(d.edges))):
+    if covered != list(range(len(d.edge_vertices))):
         raise NonUniqueGamma("cycle partition does not cover the edge set")
     return GluedGraph(
         domain=d,

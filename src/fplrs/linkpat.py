@@ -377,10 +377,6 @@ class LpVector:
         return LpVector(n_out, out)
 
     @classmethod
-    def basis(cls, p: LinkPattern) -> "LpVector":
-        return cls(p.n, {p: 1})
-
-    @classmethod
     def zero(cls, n: int) -> "LpVector":
         return cls(n, {})
 

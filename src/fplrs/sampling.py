@@ -17,10 +17,14 @@ from .lattice import BoundaryCondition, Domain, glue_and_gamma
 
 __all__ = ["random_domain", "random_boundary", "random_glueable"]
 
+DOMAIN_TRIES = 200  # growths per domain before giving up
+GLUEABLE_TRIES = 2000  # draws per glueable pair before giving up
+MIN_CONFIGS, MAX_CONFIGS = 2, 4000  # the ensemble sizes a glueable pair may have
 
-def random_domain(rng: random.Random, n_cells: int, tries: int = 200) -> Domain:
+
+def random_domain(rng: random.Random, n_cells: int) -> Domain:
     """A random simply-connected polyomino with the given cell count."""
-    for _ in range(tries):
+    for _ in range(DOMAIN_TRIES):
         cells = {(0, 0)}
         while len(cells) < n_cells:
             x, y = rng.choice(tuple(cells))
@@ -53,12 +57,7 @@ def random_boundary(rng: random.Random, d: Domain) -> BoundaryCondition:
 
 
 def random_glueable(
-    rng: random.Random,
-    n_cells: int,
-    parity: str = "plus",
-    tries: int = 2000,
-    min_configs: int = 2,
-    max_configs: int = 4000,
+    rng: random.Random, n_cells: int, parity: str = "plus"
 ) -> tuple[Domain, BoundaryCondition]:
     """A random domain and colours whose gluing is valid (swaps allowed)
     and whose ensemble is populated but small enough to enumerate.
@@ -69,13 +68,13 @@ def random_glueable(
     plaquettes; only a glueable pair is then counted.  The rejected
     tries still consume their random numbers, so the stream depends on
     the seed alone."""
-    for _ in range(tries):
+    for _ in range(GLUEABLE_TRIES):
         d = random_domain(rng, n_cells)
         t = random_boundary(rng, d)
         try:
             glue_and_gamma(d, t, parity, allow_swaps=True)
         except (InvalidTriplet, NonUniqueGamma):
             continue
-        if min_configs <= count_configs(d, t) <= max_configs:
+        if MIN_CONFIGS <= count_configs(d, t) <= MAX_CONFIGS:
             return d, t
     raise FplrsError("no glueable pair with a populated ensemble found")

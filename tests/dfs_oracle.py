@@ -31,9 +31,8 @@ def search(
     """
     if len(bc.colours) != domain.perimeter:
         raise ValueError("boundary condition length mismatch")
-    edges = domain.edges
-    n_edges = len(edges)
-    n_internal = len(domain.internal_edges)
+    n_edges = len(domain.edge_vertices)
+    n_internal = domain.n_internal
     verts = domain.vertices
     v_index = {v: i for i, v in enumerate(verts)}
     edges_of_vert = [tuple(domain.vertex_edges[v]) for v in verts]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fplrs.errors import InvalidTriplet, NonUniqueGamma
 from fplrs.lattice import (
+    DIRS,
     BoundaryCondition,
     Cell,
     Domain,
@@ -61,10 +62,10 @@ def _boundary_cycles(d: Domain, pairs, paths) -> tuple[tuple[int, ...], ...]:
     """The forced cycle through each glued vertex as canonical edge ids:
     the first termination, the internal edges along the pair's path,
     the second termination."""
-    idx = d.edge_index
+    slots = d.vertex_edges
     return tuple(
         (d.termination_id(a),)
-        + tuple(idx[("i", v, w) if v < w else ("i", w, v)] for v, w in zip(path, path[1:]))
+        + tuple(slots[v][DIRS.index((w[0] - v[0], w[1] - v[1]))] for v, w in zip(path, path[1:]))
         + (d.termination_id(b),)
         for (a, b), path in zip(pairs, paths)
     )
@@ -77,7 +78,7 @@ def _plaquette_cover(d: Domain, used: set[int]) -> tuple[tuple[int, ...], ...]:
     candidate; a stall with every open edge ambiguous means the domain
     is malformed.
     """
-    remaining = {e for e in range(len(d.internal_edges)) if e not in used}
+    remaining = {e for e in range(d.n_internal) if e not in used}
     if not remaining:
         return ()
     edges_of_face = {f: d.face_edges(f) for f in d.faces}
@@ -154,6 +155,6 @@ def glue(
     used = {e for cyc in b_cycles for e in cyc}
     plaquettes = _plaquette_cover(d, used)
     covered = sorted(e for cyc in b_cycles + plaquettes for e in cyc)
-    if covered != list(range(len(d.edges))):
+    if covered != list(range(len(d.edge_vertices))):
         raise NonUniqueGamma("cycle partition does not cover the edge set")
     return pairs, tuple(swaps), b_cycles, plaquettes

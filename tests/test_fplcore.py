@@ -35,7 +35,7 @@ ASM_NUMBERS = [1, 2, 7, 42, 429, 7436, 218348]
 
 def _complement(phi: FplConfig) -> FplConfig:
     """Every edge's colour flipped."""
-    return FplConfig(phi.domain, phi.bits ^ ((1 << len(phi.domain.edges)) - 1))
+    return FplConfig(phi.domain, phi.bits ^ ((1 << len(phi.domain.edge_vertices)) - 1))
 
 
 def _site(col: int) -> tuple[str, int]:
@@ -67,7 +67,7 @@ class TestEnumerate:
     def test_stream_is_lexicographic_and_deterministic(self):
         d, t = build_square(3, "+")
         # edge 0 first, so that string order is the walk's order
-        width = len(d.edges)
+        width = len(d.edge_vertices)
         first = [format(phi.bits, f"0{width}b")[::-1] for phi in enumerate_configs(d, t)]
         second = [format(phi.bits, f"0{width}b")[::-1] for phi in enumerate_configs(d, t)]
         assert first == second == sorted(first)
@@ -155,7 +155,7 @@ class TestLinkData:
         # white edge (which looped for ever on some of these)
         d, t = build_square(4, "+")
         phi = next(p for p in enumerate_configs(d, t) if link_data(p).loops_black)
-        inner = [e for e in range(len(d.internal_edges)) if phi.colour(e)]
+        inner = [e for e in range(d.n_internal) if phi.colour(e)]
         assert len(inner) == 12
         for e in inner:
             with pytest.raises(ValueError, match="stops at an inner vertex"):
@@ -174,7 +174,7 @@ def _reference_trace(phi, want):
     vertices as cells, visited edges in a set.  Kept as the oracle for
     the table-driven ``_trace_colour``."""
     d = phi.domain
-    n_internal = len(d.internal_edges)
+    n_internal = d.n_internal
     terms = [
         k for k in range(d.perimeter) if phi.colour(d.termination_id(k)) == want
     ]
@@ -446,7 +446,7 @@ class TestFrontierSweep:
     def test_forced_edges_match_the_oracle(self, parity):
         rng = random.Random(parity)
         for d, t in _random_ensembles(parity):
-            e = rng.randrange(len(d.internal_edges))
+            e = rng.randrange(d.n_internal)
             for c in (0, 1):
                 assert psi_counts(d, t, [(e, c)]) == _oracle(d, t, [(e, c)])
 
@@ -533,7 +533,7 @@ class TestSweepMergesTheWalk:
         rng = random.Random(f"merge-{seed}")
         populated = 0
         for d, t in _suite_ensembles(seed):
-            edges = range(len(d.internal_edges))
+            edges = range(d.n_internal)
             keep = rng.sample(edges, rng.randint(0, len(edges)))
             forced = [(rng.choice(edges), rng.randint(0, 1))]
             expected = _walk_tally(d, t, forced, keep)
@@ -546,7 +546,7 @@ class TestSweepMergesTheWalk:
     def test_squares_with_the_census_keep(self, n, sign):
         d, t = build_square(n, sign)
         rows = [(x, y) for y in (1, 2) if y <= n for x in range(1, n + 1)]
-        keep = sorted({e for v in rows for e in d.vertex_edges[v] if e < len(d.internal_edges)})
+        keep = sorted({e for v in rows for e in d.vertex_edges[v] if e < d.n_internal})
         expected = _walk_tally(d, t, (), keep)
         assert sum(expected.values()) == asm_count_formula(n)
         assert _transfer(d, t, keep=keep) == expected

@@ -119,7 +119,7 @@ def _reference_pair_link_data(phi, g):
     the shared walker."""
     d = g.domain
     work = FplConfig(d, _swap_legs(phi.bits, g))
-    n_internal = len(d.internal_edges)
+    n_internal = d.n_internal
     # generalized endpoints: internal edges join two vertices, a
     # termination joins its vertex to its glued pair node ("p", i)
     pair_node: dict[int, tuple] = {}
@@ -129,7 +129,7 @@ def _reference_pair_link_data(phi, g):
         pair_node[ta] = pair_node[tb] = ("p", i)
         legs_of_pair.append((ta, tb))
     ends: list[tuple] = []
-    for e in range(len(d.edges)):
+    for e in range(len(d.edge_vertices)):
         if e < n_internal:
             ends.append(d.edge_vertices[e])
         else:
@@ -181,7 +181,7 @@ def _reference_pair_link_data(phi, g):
     for colour in (1, 0):
         todo = {
             e
-            for e in range(len(d.edges))
+            for e in range(len(d.edge_vertices))
             if work.colour(e) == colour and (e, colour) not in seen
         }
         while todo:
@@ -202,7 +202,7 @@ def _glued_components(phi, g):
     joined, and so are the two legs of every monochromatic pair."""
     d = g.domain
     bits = _swap_legs(phi.bits, g)
-    parent = list(range(len(d.edges)))
+    parent = list(range(len(d.edge_vertices)))
 
     def find(e):
         while parent[e] != e:
@@ -217,7 +217,7 @@ def _glued_components(phi, g):
         if not bichromatic:
             parent[find(d.termination_id(a))] = find(d.termination_id(b))
     comps: dict[int, list[int]] = {}
-    for e in range(len(d.edges)):
+    for e in range(len(d.edge_vertices)):
         comps.setdefault(find(e), []).append(e)
     return list(comps.values())
 
@@ -243,7 +243,7 @@ class TestGluedWalkerOracle:
             d, t = random_glueable(rng, rng.randint(6, 20), parity)
             g = glue_and_gamma(d, t, parity, allow_swaps=True)
             swapped += bool(g.swaps)
-            n_internal = len(d.internal_edges)
+            n_internal = d.n_internal
             ends = {
                 d.termination_id(k)
                 for (a, b), bichromatic in zip(g.pairs, g.bichromatic)
@@ -496,7 +496,7 @@ class TestInversionStrings:
         d, t = build_square(n, "+")
         g_plus = glue_and_gamma(d, t, "plus")
         g_minus = glue_and_gamma(d, t, "minus")
-        n_internal = len(d.internal_edges)
+        n_internal = d.n_internal
         counts: dict[int, list] = {}
         for alpha in d.faces:
             for e in d.face_edges(alpha):
@@ -504,7 +504,7 @@ class TestInversionStrings:
         border = {e: faces[0] for e, faces in counts.items() if len(faces) == 1}
         cycle_plus = {e: cyc for cyc in g_plus.cycles for e in cyc}
         cycle_minus = {e: cyc for cyc in g_minus.cycles for e in cyc}
-        full = (1 << len(d.edges)) - 1
+        full = (1 << len(d.edge_vertices)) - 1
         checked = 0
         for o in orbit_partition(n):
             configs = _members(o)
@@ -517,7 +517,7 @@ class TestInversionStrings:
                     cyc_m = cycle_minus[e]
                     assert len(cyc_m) == 4 and all(x < n_internal for x in cyc_m)
                     samples = [FplConfig(d, apply_h(phi, g_plus).bits ^ full) for phi in configs]
-                v, w = d.edges[e][1], d.edges[e][2]
+                v, w = d.edge_vertices[e]
                 sign = 1 if v[1] == w[1] else -1
                 mu = [phi.colour(e) for phi in samples]
                 nu = [plaquette_indicator(phi, alpha) for phi in samples]

@@ -19,7 +19,7 @@ from fplrs.identities import (
     shat_c_rectangle,
     spr_instance,
 )
-from fplrs.lattice import BoundaryCondition, Domain
+from fplrs.lattice import EAST, NORTH, BoundaryCondition, Domain
 from fplrs.linkpat import LpVector
 
 
@@ -268,8 +268,8 @@ class TestFrozenRegions:
                 h_claim = range(max(col - 1, 1), n)
                 v_claim = range(col, n + 1)
             for x in h_claim:
-                e = d.edge_index[("i", (x, 1), (x + 1, 1))]
+                e = d.vertex_edges[(x, 1)][EAST]
                 assert len({phi.colour(e) for phi in configs}) == 1
             for x in v_claim:
-                e = d.edge_index[("i", (x, 1), (x, 2))]
+                e = d.vertex_edges[(x, 1)][NORTH]
                 assert len({phi.colour(e) for phi in configs}) == 1

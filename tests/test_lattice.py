@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import edge_oracle
 import glue_oracle
 from fplrs import lattice, sampling, suites
 from fplrs.errors import FplrsError, InvalidTriplet, NonUniqueGamma
@@ -58,7 +59,8 @@ class TestDomain:
         d = l_shape()
         for v in d.cells:
             assert len(d.vertex_edges[v]) == 4
-        assert 2 * len(d.internal_edges) + d.perimeter == 4 * len(d.cells)
+        # n_internal is defined by this count; the oracle counts the edges
+        assert d.n_internal == edge_oracle.numbering(d)[0] == 10
 
     def test_rejects_disconnected(self):
         with pytest.raises(ValueError):
@@ -236,7 +238,7 @@ class TestGlueAndGamma:
             g = glue_and_gamma(d, t, parity)
             assert g.swaps == ()
             covered = sorted(e for cyc in g.cycles for e in cyc)
-            assert covered == list(range(len(d.edges)))
+            assert covered == list(range(len(d.edge_vertices)))
             for cyc, flag in zip(g.cycles[: len(g.pairs)], g.bichromatic):
                 assert len(cyc) <= (3 if flag else 4)
 
@@ -278,7 +280,7 @@ class TestGlueAndGamma:
                 continue
             assert all(len(c) <= 4 for c in g.cycles)
             covered = sorted(e for cyc in g.cycles for e in cyc)
-            assert covered == list(range(len(d.edges)))
+            assert covered == list(range(len(d.edge_vertices)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -541,6 +543,30 @@ def test_polyomino_enumeration_counts():
     for cells in _polyominoes(10):
         sizes[len(cells)] += 1
     assert sizes[1:] == [1, 2, 6, 19, 63, 216, 760, 2725, 9910, 36446]
+
+
+def _numbering(d):
+    """What the domain reads off its edge numbering, as the oracle
+    returns it, with the key order of its dicts."""
+    return d.n_internal, list(d.vertex_edges.items()), d.edge_vertices, list(d.face_masks.items())
+
+
+def test_edge_numbering_matches_the_tuple_oracle():
+    # every simply-connected polyomino of at most 7 cells under every
+    # anchor, and of 8 cells at anchor 0
+    domains = anchors = 0
+    for cells in _polyominoes(8):
+        try:
+            d = Domain(frozenset(cells))
+        except ValueError:
+            continue
+        domains += 1
+        for anchor in range(d.perimeter if len(cells) <= 7 else 1):
+            da = Domain(d.cells, anchor)
+            n, slots, ends, masks = edge_oracle.numbering(da)
+            assert _numbering(da) == (n, list(slots.items()), ends, list(masks.items())), (cells, anchor)
+            anchors += 1
+    assert (domains, anchors) == (3747, 18284)
 
 
 def test_glue_matches_the_propagation_oracle_up_to_8_cells():

@@ -84,21 +84,29 @@ def _unreached(src: Path) -> list[str]:
     ``module.Class.name``.  Dunders are the interpreter's to call.
 
     A use of a method is an ``Attribute``; a use of a function or class
-    is also a loaded ``Name`` or an import alias.  Matching by name
-    alone can miss a dead method that shares its name with a live
-    attribute, but never flags a live definition."""
+    is also a loaded ``Name`` or an import alias.  A class or static
+    method is reached only as an attribute of its own class's name or of
+    ``cls``.  Matching by name alone can miss a dead method that shares
+    its name with a live attribute, but never flags a live definition."""
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
-    defs = []  # (qualified name, node, the kinds of use that reach it)
+    defs = []  # (qualified name, node, the (kind, name) uses that reach it)
     for module, tree in trees.items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defs.append((f"{module}.{node.name}", node, ("name", "attr")))
+                defs.append((f"{module}.{node.name}", node, (("name", node.name), ("attr", node.name))))
             if isinstance(node, ast.ClassDef):
-                defs.extend(
-                    (f"{module}.{node.name}.{item.name}", item, ("attr",))
-                    for item in node.body if isinstance(item, ast.FunctionDef)
-                )
-    # (kind, name) -> for each use, the ids of the definitions it sits in
+                for item in node.body:
+                    if not isinstance(item, ast.FunctionDef):
+                        continue
+                    keys = (("attr", item.name),)
+                    if any(
+                        isinstance(dec, ast.Name) and dec.id in ("classmethod", "staticmethod")
+                        for dec in item.decorator_list
+                    ):
+                        keys = (("attr", f"{node.name}.{item.name}"), ("attr", f"cls.{item.name}"))
+                    defs.append((f"{module}.{node.name}.{item.name}", item, keys))
+    # (kind, name) -> for each use, the ids of the definitions it sits in;
+    # an attribute of a plain name is also kept as "owner.name"
     uses: dict[tuple[str, str], list[set[int]]] = {}
 
     def visit(node, inside: set[int]) -> None:
@@ -112,6 +120,8 @@ def _unreached(src: Path) -> list[str]:
             uses.setdefault(("name", node.id), []).append(inside)
         elif isinstance(node, ast.Attribute):
             uses.setdefault(("attr", node.attr), []).append(inside)
+            if isinstance(node.value, ast.Name):
+                uses.setdefault(("attr", f"{node.value.id}.{node.attr}"), []).append(inside)
         elif isinstance(node, ast.alias):
             uses.setdefault(("name", node.name.rpartition(".")[2]), []).append(inside)
         for child in ast.iter_child_nodes(node):
@@ -120,11 +130,9 @@ def _unreached(src: Path) -> list[str]:
     for tree in trees.values():
         visit(tree, set())
     return sorted(
-        qualname for qualname, node, kinds in defs
+        qualname for qualname, node, keys in defs
         if not (node.name.startswith("__") and node.name.endswith("__"))
-        and not any(
-            id(node) not in inside for kind in kinds for inside in uses.get((kind, node.name), ())
-        )
+        and not any(id(node) not in inside for key in keys for inside in uses.get(key, ()))
     )
 
 
@@ -137,18 +145,27 @@ def test_every_definition_is_reached_from_the_package():
 def test_an_unreached_definition_is_found(tmp_path):
     (tmp_path / "a.py").write_text(
         "__all__ = ['used', 'unused', 'Box']\n"
-        "def used(): return Box().size()\n"
+        "def used(other): return Box().size() + Box.empty() + other.basis\n"
         "def unused(): return unused()\n"
         "class Box:\n"
         "    def __len__(self): return 0\n"
         "    def size(self): return 1\n"
         "    def spare(self): return self.spare()\n"
         "    def width(self): return 2\n"
+        "    @staticmethod\n"
+        "    def empty(): return Box.make()\n"
+        "    @classmethod\n"
+        "    def make(cls): return cls.zero()\n"
+        "    @classmethod\n"
+        "    def zero(cls): return cls()\n"
+        "    @classmethod\n"
+        "    def basis(cls): return cls.basis()\n"
         "def area(width): return width\n"
     )
     (tmp_path / "b.py").write_text("from .a import used as go\n")
-    # a local or a parameter of the same name does not reach a method
-    assert _unreached(tmp_path) == ["a.Box.spare", "a.Box.width", "a.area", "a.unused"]
+    # a local or a parameter of the same name does not reach a method,
+    # and an attribute of another object does not reach a class method
+    assert _unreached(tmp_path) == ["a.Box.basis", "a.Box.spare", "a.Box.width", "a.area", "a.unused"]
 
 
 def test_the_package_does_not_import_dataclasses():
