@@ -8,25 +8,14 @@ Every layer module, and ``suites`` with the verification suites, is in
 ``sys.modules`` and is an attribute of the package from the start, but
 its code runs only when one of its attributes is first read
 (``importlib.util.LazyLoader``), so a command compiles and executes only
-the layers it calls.  The names re-exported here resolve through the
-module ``__getattr__`` and load their layer the same way.  The first
+the layers it calls.  Each name is reached through its layer
+(``fplrs.lattice.build_square``); the root re-exports none.  The first
 load of a layer is not thread-safe: touch it before starting threads
 that use it.
 """
 
 import importlib.util
 import sys
-
-from .errors import (
-    ArityMismatch,
-    FplrsError,
-    GeometryMismatch,
-    IndexOutOfRange,
-    InvalidTriplet,
-    KernelDimensionError,
-    NonUniqueGamma,
-    UnknownIdentity,
-)
 
 __version__ = "0.1.0"
 
@@ -47,31 +36,3 @@ def _register(name: str):
 
 
 globals().update({name: _register(name) for name in _LAYERS})
-
-_EXPORTS = {
-    "lattice": (
-        "BoundaryCondition", "Domain", "GluedGraph", "build_square", "glue_and_gamma",
-    ),
-    "linkpat": (
-        "LinkPattern", "LpVector", "RotationClass", "all_patterns", "asm_count_formula",
-    ),
-    "fplcore": (
-        "FplConfig", "count_configs", "enumerate_configs", "plaquette_indicator",
-        "refined_counts", "vertex_type",
-    ),
-    "gyration": ("Orbit", "apply_h", "gyrate", "orbit_partition"),
-    "groundstate": ("build_h_matrix", "stationary_vector", "verify_rs"),
-    "identities": ("aux_state", "check_identity", "check_spr", "run_identity_suite"),
-}
-_LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names}
-
-
-def __getattr__(name: str):
-    layer = _LAYER_OF.get(name)
-    if layer is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(globals()[layer], name)
-
-
-def __dir__():
-    return sorted({*globals(), *_LAYER_OF})

@@ -198,24 +198,6 @@ def _report(lines: list[suites.CheckLine], fmt: str, out: str | None) -> int:
 # Commands
 
 
-def _threads(args) -> int:
-    """The worker count: --threads, else FPLRS_THREADS, else 1.  A count
-    below 1 is a usage error, not a quiet serial run."""
-    if args.threads is not None:
-        jobs, source = args.threads, "--threads"
-    else:
-        env = os.environ.get("FPLRS_THREADS")
-        if not env:
-            return 1
-        try:
-            jobs, source = int(env), "FPLRS_THREADS"
-        except ValueError:
-            raise FplrsError(f"FPLRS_THREADS must be an integer, got {env!r}") from None
-    if jobs < 1:
-        raise FplrsError(f"{source} must be positive, got {jobs}")
-    return jobs
-
-
 class _AboveCap(FplrsError):
     """A size above the soft cap: exit code 3, not a usage error."""
 
@@ -223,20 +205,20 @@ class _AboveCap(FplrsError):
 def _check_size(args) -> None:
     if args.n < 1:
         raise FplrsError(f"--n must be positive, got {args.n}")
-    if args.max_n < 1:
-        raise FplrsError(f"--max-n must be positive, got {args.max_n}")
-    if args.n > args.max_n and not args.allow_large:
+    if args.n > DEFAULT_MAX_N and not args.allow_large:
         raise _AboveCap(
-            f"n={args.n} exceeds the default cap {args.max_n}; pass --allow-large"
+            f"n={args.n} exceeds the default cap {DEFAULT_MAX_N}; pass --allow-large"
         )
 
 
 def cmd_enumerate(args) -> int:
     _check_size(args)
-    jobs = _threads(args)
+    # checked before the cache, so a bad count is refused on a hit too
+    if args.threads < 1:
+        raise FplrsError(f"--threads must be positive, got {args.threads}")
 
     def table() -> dict:
-        counts = fplcore.refined_counts(args.n, args.sign, jobs=jobs)
+        counts = fplcore.refined_counts(args.n, args.sign, jobs=args.threads)
         # build_square anchors every square at termination 0
         entries = linkpat.lp_vector_to_json(counts)["entries"]
         return {"n": args.n, "sign": args.sign, "anchor": 0, "counts": entries}
@@ -312,17 +294,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, required=True, help="system size")
         p.add_argument("--out", help="output path (stdout when omitted)")
         p.add_argument("--allow-large", action="store_true")
-        p.add_argument(
-            "--max-n",
-            type=int,
-            default=DEFAULT_MAX_N,
-            help=f"soft size cap (default {DEFAULT_MAX_N})",
-        )
 
     p_enum = sub.add_parser("enumerate", help="write a per-pattern count table")
     sized(p_enum)
     p_enum.add_argument("--sign", choices=["+", "-"], default="+")
-    p_enum.add_argument("--threads", type=int, help="worker count (FPLRS_THREADS)")
+    p_enum.add_argument("--threads", type=int, default=1, help="worker count")
     p_enum.add_argument("--cache-dir", help="cache directory (FPLRS_CACHE_DIR)")
     p_enum.set_defaults(func=cmd_enumerate)
 

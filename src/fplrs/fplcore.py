@@ -44,14 +44,13 @@ from itertools import combinations
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .lattice import BoundaryCondition, Cell, Domain, build_square
-from .linkpat import LinkPattern, LpVector, asm_count_formula
+from .linkpat import LinkPattern, LpVector
 
 __all__ = [
     "FplConfig",
     "enumerate_configs",
     "count_configs",
     "split_prefixes",
-    "asm_count_formula",
     "vertex_type",
     "vertex_type_table",
     "plaquette_indicator",
@@ -179,12 +178,10 @@ def _walk_paths(
     return LinkPattern(tuple(match)), loops
 
 
-def _trace_colour(phi: FplConfig, want: int) -> tuple[LinkPattern, int]:
-    """The link pattern and closed-loop count of one colour (white by
-    complementing the bits), every termination of it a path end,
-    labelled in anchor order."""
-    d = phi.domain
-    bits = phi.bits if want else ~phi.bits
+def _trace_colour(phi: FplConfig) -> tuple[LinkPattern, int]:
+    """The black link pattern and closed black-loop count, every black
+    termination a path end, labelled in anchor order."""
+    d, bits = phi.domain, phi.bits
     ends: dict[int, int] = {}
     for e in range(d.n_internal, len(d.edge_vertices)):
         if (bits >> e) & 1:
@@ -280,7 +277,7 @@ def _patterns(d: Domain, t: BoundaryCondition, jobs: int = 1) -> dict[LinkPatter
     leaves, prefixes = split_prefixes(d, t, depth)
     counts: dict[LinkPattern, int] = {}
     for bits in leaves:
-        p = _trace_colour(FplConfig(d, bits), 1)[0]
+        p = _trace_colour(FplConfig(d, bits))[0]
         counts[p] = counts.get(p, 0) + 1
     if prefixes:
         import multiprocessing as mp

@@ -91,9 +91,9 @@ def _quotient(h: HamiltonianMatrix, n: int) -> tuple[list[int], list[dict[int, i
     return class_of, [{c: v for c, v in row.items() if v} for row in rows]
 
 
-def _kernel_mod(rows: list[dict[int, int]], prime: int) -> list[int] | None:
+def _kernel_mod(rows: list[dict[int, int]]) -> list[int] | None:
     """The kernel vector of the square sparse matrix ``rows`` modulo
-    ``prime`` with x_0 = 1, or None unless the rank is size - 1 with
+    ``_PRIME`` with x_0 = 1, or None unless the rank is size - 1 with
     x_0 free.
 
     Eliminates the columns from the last down to 1, each on the
@@ -101,6 +101,7 @@ def _kernel_mod(rows: list[dict[int, int]], prime: int) -> list[int] | None:
     column and lower ones only; the one row left over must vanish.
     Back substitution then runs upwards from x_0.
     """
+    prime = _PRIME
     pending = [{c: v % prime for c, v in row.items() if v % prime} for row in rows]
     pivots: list[tuple[int, dict[int, int]]] = []
     for col in range(len(rows) - 1, 0, -1):
@@ -154,7 +155,7 @@ def stationary_vector(n: int) -> LpVector:
     """
     h = build_h_matrix(n)
     class_of, rows = _quotient(h, n)
-    x = _kernel_mod(rows, _PRIME)
+    x = _kernel_mod(rows)
     if x is not None:
         lifted = [v - _PRIME if 2 * v > _PRIME else v for v in x]
         ints = [lifted[c] for c in class_of]

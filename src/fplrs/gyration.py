@@ -38,14 +38,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import InvalidTriplet
-from .fplcore import (
-    FplConfig,
-    _trace_colour,
-    _walk,
-    _walk_paths,
-    enumerate_configs,
-    psi_counts,
-)
+from .fplcore import FplConfig, _walk, _walk_paths, psi_counts
 from .lattice import (
     BoundaryCondition,
     Domain,
@@ -66,7 +59,6 @@ __all__ = [
     "Orbit",
     "PairLinkData",
     "apply_h",
-    "gyrate",
     "orbit_partition",
     "orbit_faces",
     "pair_link_data",
@@ -112,30 +104,10 @@ def apply_h(phi: FplConfig, g: GluedGraph) -> FplConfig:
 
 @lru_cache(maxsize=None)
 def _square_glued(n: int, parity: str) -> GluedGraph:
+    """The plus or minus gluing of the anchored n x n square, which both
+    square ensembles share."""
     d, t = build_square(n, "+")
     return glue_and_gamma(d, t, parity)
-
-
-def _square_gluings(d: Domain) -> tuple[GluedGraph, GluedGraph]:
-    """The plus and minus gluings of an anchored square domain."""
-    n2 = len(d.cells)
-    n = int(round(n2 ** 0.5))
-    if n * n != n2:
-        raise InvalidTriplet("gyrate is defined on square domains")
-    plus = _square_glued(n, "plus")
-    if d is not plus.domain and d != plus.domain:
-        raise InvalidTriplet("gyrate needs the anchored square domain")
-    return plus, _square_glued(n, "minus")
-
-
-def gyrate(phi: FplConfig) -> FplConfig:
-    """The full gyration: the plus pass followed by the minus pass.
-
-    Acts within each of the two alternating square ensembles; the
-    domain must be an anchored square.
-    """
-    plus, minus = _square_gluings(phi.domain)
-    return FplConfig(phi.domain, _pass(_pass(phi.bits, plus), minus))
 
 
 class Orbit(NamedTuple):
@@ -152,7 +124,8 @@ class Orbit(NamedTuple):
 
 
 def _cycle(start: int, plus: GluedGraph, minus: GluedGraph) -> tuple[int, ...]:
-    """The gyration cycle through a bitmask, stepped on plain ints."""
+    """The gyration cycle through a bitmask, stepped on plain ints: the
+    full gyration is the plus pass followed by the minus pass."""
     hashes = [start]
     cur = _pass(_pass(start, plus), minus)
     while cur != start:
@@ -171,7 +144,7 @@ def orbit_partition(n: int, sign: str = "+") -> list[Orbit]:
     ``pattern`` also tells which configurations an orbit already holds.
     """
     d, t = build_square(n, sign)
-    plus, minus = _square_gluings(d)
+    plus, minus = _square_glued(n, "plus"), _square_glued(n, "minus")
     pattern: dict[int, LinkPattern | None] = {}
     cycles: list[tuple[int, ...]] = []
     for bits, p in _walk(d, t):
@@ -217,19 +190,18 @@ def square_rotation_direction() -> int:
     """The empirical k with pattern(G phi) = R^k pattern(phi) on squares.
 
     Determined at sizes 2 and 3 and asserted to be consistent; the two
-    candidate directions first differ at size 3.
+    candidate directions first differ at size 3.  An orbit lists
+    pattern(phi) and pattern(G phi) next to each other, cyclically.
     """
     candidates = {1, -1}
     for n in (2, 3):
-        d, t = build_square(n, "+")
-        for phi in enumerate_configs(d, t):
-            before = _trace_colour(phi, 1)[0]
-            after = _trace_colour(gyrate(phi), 1)[0]
-            candidates = {
-                k for k in candidates if rotate(before, k) == after
-            }
-            if not candidates:
-                raise AssertionError("gyration does not rotate patterns uniformly")
+        for o in orbit_partition(n):
+            for before, after in zip(o.patterns, o.patterns[1:] + o.patterns[:1]):
+                candidates = {
+                    k for k in candidates if rotate(before, k) == after
+                }
+                if not candidates:
+                    raise AssertionError("gyration does not rotate patterns uniformly")
     if len(candidates) != 1:
         raise AssertionError("rotation direction still ambiguous at size 3")
     return candidates.pop()
@@ -332,7 +304,7 @@ def generalized_gyration_check(
         return GyrationReport(
             "minus", inner.j_left, inner.j_right, inner.swaps, inner.passed, inner.detail
         )
-    g = glue_and_gamma(d, t, "plus", allow_swaps=True)
+    g = glue_and_gamma(d, t, "plus")
     t1 = g.swapped_bc
     t2 = t1.complemented()
     j1 = _black_label_sets(t1)

@@ -26,10 +26,11 @@ them.  The cycles must partition the edges, or the gluing is rejected.
 A pairing is valid when every cycle has length at most 4 and every
 cycle through a bichromatic glued vertex has length at most 3; when a
 concave corner breaks this, the two terminations over an adjacent
-convex corner may be interchanged (a count-preserving swap) and the
-test repeated.  The turn between two glued terminations already fixes
-the length of their cycle, so this test runs on the boundary walk
-alone, before any edge ids or plaquettes are built.
+convex corner are interchanged (a count-preserving swap; swaps are
+always tried) and the test repeated.  The turn between two glued
+terminations already fixes the length of their cycle, so this test runs
+on the boundary walk alone, before any edge ids or plaquettes are
+built.
 """
 
 from __future__ import annotations
@@ -475,16 +476,12 @@ def _validity_offence(pairs, steps, cols) -> int | None:
     return None
 
 
-def glue_and_gamma(
-    d: Domain,
-    t: BoundaryCondition,
-    parity: str = "plus",
-    allow_swaps: bool = False,
-) -> GluedGraph:
+def glue_and_gamma(d: Domain, t: BoundaryCondition, parity: str = "plus") -> GluedGraph:
     """Glue terminations pairwise and compute the forced cycle partition.
 
-    Raises :class:`InvalidTriplet` when the colour test fails (even
-    after permitted convex-corner swaps) and :class:`NonUniqueGamma`
+    A bichromatic pair over a concave corner is always tried with a
+    convex-corner swap next to it.  Raises :class:`InvalidTriplet` when
+    no such swap fixes the pair and :class:`NonUniqueGamma`
     when the boundary cycles and the plaquettes of
     :func:`_plaquette_cover` do not partition the edge set.
 
@@ -500,10 +497,6 @@ def glue_and_gamma(
     cols, swaps = list(t.colours), []
     steps, n_terms = d.steps, d.perimeter
     while (offence := _validity_offence(pairs, steps, cols)) is not None:
-        if not allow_swaps:
-            raise InvalidTriplet(
-                f"bichromatic pair {pairs[offence]} sits over a concave corner"
-            )
         a, b = pairs[offence]
         for k in ((a - 1) % n_terms, b % n_terms):
             # the swap at k (as BoundaryCondition.swapped) moves a new

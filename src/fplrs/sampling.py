@@ -72,7 +72,7 @@ def random_glueable(
         d = random_domain(rng, n_cells)
         t = random_boundary(rng, d)
         try:
-            glue_and_gamma(d, t, parity, allow_swaps=True)
+            glue_and_gamma(d, t, parity)
         except (InvalidTriplet, NonUniqueGamma):
             continue
         if MIN_CONFIGS <= count_configs(d, t) <= MAX_CONFIGS:

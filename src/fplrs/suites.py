@@ -254,7 +254,7 @@ def _suite_tl(n_max: int, seed: int) -> list[CheckLine]:
 
 
 def _conservation_lines(d, t, parity, lines, label) -> None:
-    g = lattice.glue_and_gamma(d, t, parity, allow_swaps=True)
+    g = lattice.glue_and_gamma(d, t, parity)
     ok_inv = ok_triplet = ok_bc = True
     count = 0
     complement = t.complemented()

@@ -121,7 +121,6 @@ def glue(
     d: Domain,
     t: BoundaryCondition,
     parity: str = "plus",
-    allow_swaps: bool = False,
 ):
     """``(pairs, swaps, boundary cycles, plaquettes)`` of the gluing, or
     the exception ``glue_and_gamma`` raised for it."""
@@ -132,10 +131,6 @@ def glue(
     cols, swaps = list(t.colours), []
     steps, n_terms = d.steps, d.perimeter
     while (offence := _validity_offence(pairs, steps, cols)) is not None:
-        if not allow_swaps:
-            raise InvalidTriplet(
-                f"bichromatic pair {pairs[offence]} sits over a concave corner"
-            )
         a, b = pairs[offence]
         for k in ((a - 1) % n_terms, b % n_terms):
             # the swap at k (as BoundaryCondition.swapped) moves a new

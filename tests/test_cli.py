@@ -284,22 +284,35 @@ class TestUsage:
         assert code == 2 and out == ""
         assert len(err.strip().splitlines()) == 1
 
+    @staticmethod
+    def _rejected_by_the_parser(capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(list(argv))
+        out, err = capsys.readouterr()
+        assert info.value.code == 2 and out == "" and err.startswith("usage: ")
+        return [line for line in err.splitlines() if "error:" in line]
+
     @pytest.mark.parametrize("cap", ["0", "-1"])
     def test_nonpositive_cap_is_usage_error(self, capsys, cap):
-        code, out, err = run(capsys, "enumerate", "--n", "3", "--max-n", cap)
-        assert code == 2 and out == ""
-        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        # there is no cap to set: the parser refuses --max-n outright
+        errors = self._rejected_by_the_parser(capsys, ("enumerate", "--n", "3", "--max-n", cap))
+        assert errors == [f"fplrs: error: unrecognized arguments: --max-n {cap}"]
+
+    @pytest.mark.parametrize("command", ["enumerate", "groundstate", "orbit-report"])
+    def test_max_n_is_no_option(self, capsys, command):
+        # the cap is DEFAULT_MAX_N; --allow-large is the one way past it
+        errors = self._rejected_by_the_parser(capsys, (command, "--n", "3", "--max-n", "3"))
+        assert errors == ["fplrs: error: unrecognized arguments: --max-n 3"]
 
     def test_empty_verify_range_is_usage_error(self, capsys):
         code, out, err = run(capsys, "verify", "rs", "--n-max", "0")
         assert code == 2 and "OK" not in out
         assert len(err.strip().splitlines()) == 1
 
-    def test_non_integer_threads_env_is_usage_error(self, capsys, monkeypatch):
+    def test_threads_env_is_not_read(self, capsys, monkeypatch):
+        _, want, _ = run(capsys, "enumerate", "--n", "3")
         monkeypatch.setenv("FPLRS_THREADS", "abc")
-        code, out, err = run(capsys, "enumerate", "--n", "2")
-        assert code == 2 and out == ""
-        assert len(err.strip().splitlines()) == 1
+        assert run(capsys, "enumerate", "--n", "3") == (0, want, "")
 
     @pytest.mark.parametrize("threads", ["0", "-4"])
     def test_nonpositive_threads_is_usage_error(self, capsys, threads):
@@ -307,15 +320,14 @@ class TestUsage:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
-    def test_nonpositive_threads_env_is_usage_error(self, capsys, monkeypatch, tmp_path):
+    def test_nonpositive_threads_on_a_cache_hit_is_usage_error(self, capsys, tmp_path):
         # rejected on a cache hit too, not only when the table is computed
         args = ("enumerate", "--n", "2", "--cache-dir", str(tmp_path))
         assert run(capsys, *args)[0] == 0
-        monkeypatch.setenv("FPLRS_THREADS", "-2")
-        for argv in (args[:3], args):
-            code, out, err = run(capsys, *argv)
-            assert code == 2 and out == ""
-            assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert any(tmp_path.iterdir())
+        code, out, err = run(capsys, *args, "--threads", "0")
+        assert code == 2 and out == ""
+        assert err == "error: --threads must be positive, got 0\n"
 
     @pytest.mark.parametrize(
         "argv",

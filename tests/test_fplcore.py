@@ -13,7 +13,6 @@ from fplrs.fplcore import (
     _trace_colour,
     _transfer,
     _walk,
-    asm_count_formula,
     count_configs,
     enumerate_configs,
     plaquette_indicator,
@@ -26,7 +25,7 @@ from fplrs.fplcore import (
 from fplrs.groundstate import stationary_vector
 from fplrs.identities import _census, aux_state, s_vector
 from fplrs.lattice import BoundaryCondition, build_square
-from fplrs.linkpat import LinkPattern, LpVector, apply_rotation, lp_vector_to_json
+from fplrs.linkpat import LinkPattern, LpVector, apply_rotation, asm_count_formula, lp_vector_to_json
 from fplrs.sampling import random_glueable
 from trace_oracle import LinkData, link_data, obeys_ice_rule
 
@@ -159,7 +158,7 @@ class TestLinkData:
         assert len(inner) == 12
         for e in inner:
             with pytest.raises(ValueError, match="stops at an inner vertex"):
-                _trace_colour(FplConfig(d, phi.bits & ~(1 << e)), 1)
+                _trace_colour(FplConfig(d, phi.bits & ~(1 << e)))
 
     def test_patterns_are_valid_involutions(self):
         # LinkPattern construction rejects crossings and fixed points,
@@ -570,7 +569,7 @@ def _walks_like_the_oracle(d, t, forced=()):
     assert stream == list(search(d, t, forced))
     assert [phi.bits for phi in enumerate_configs(d, t, forced)] == stream
     for bits, p in walked:
-        assert p is _trace_colour(FplConfig(d, bits), 1)[0]
+        assert p is _trace_colour(FplConfig(d, bits))[0]
     return stream
 
 

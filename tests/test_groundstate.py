@@ -8,7 +8,7 @@ import pytest
 from fplrs import fplcore, groundstate
 from fplrs.cli import main
 from fplrs.errors import KernelDimensionError
-from fplrs.fplcore import asm_count_formula, refined_counts
+from fplrs.fplcore import refined_counts
 from fplrs.groundstate import (
     HamiltonianMatrix,
     _quotient,
@@ -23,6 +23,7 @@ from fplrs.linkpat import (
     all_patterns,
     apply_hamiltonian,
     apply_rotation,
+    asm_count_formula,
     reflect,
     rotate,
 )

@@ -195,7 +195,7 @@ class TestSimplePathReversal:
 class TestVectors:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_s_vector_totals(self, n):
-        from fplrs.fplcore import asm_count_formula
+        from fplrs.linkpat import asm_count_formula
 
         assert s_vector(n).total() == asm_count_formula(n)
 
@@ -220,7 +220,7 @@ class TestSizeSix:
     132-dimensional pattern space end to end."""
 
     def test_decompositions_scale(self):
-        from fplrs.fplcore import asm_count_formula
+        from fplrs.linkpat import asm_count_formula
 
         assert check_identity("lrd", 6, None).status
         assert check_identity("rs_decomposition", 6, None).status

@@ -200,7 +200,7 @@ class TestBoundaryCondition:
         lambda: Domain(l_shape().cells, anchor=3),
         lambda: BoundaryCondition((1, 0, 0, 1, 1, 1)),
         lambda: glue_and_gamma(*build_square(3, "+"), "minus"),
-        lambda: glue_and_gamma(*sampling.random_glueable(random.Random(5), 12, "plus"), "plus", True),
+        lambda: glue_and_gamma(*sampling.random_glueable(random.Random(5), 12, "plus"), "plus"),
     ],
     ids=["domain", "anchored-domain", "boundary", "square-gluing", "swapped-gluing"],
 )
@@ -252,10 +252,10 @@ class TestGlueAndGamma:
         # the lone concave corner sits at an odd step index, so it is
         # glued by the minus pairing; alternating colours make the pair
         # bichromatic there
-        glue_and_gamma(d, t, "plus")  # fine as is
-        with pytest.raises(InvalidTriplet):
-            glue_and_gamma(d, t, "minus", allow_swaps=False)
-        g = glue_and_gamma(d, t, "minus", allow_swaps=True)
+        assert glue_and_gamma(d, t, "plus").swaps == ()  # fine as is
+        pairs = lattice._pairing(d.perimeter, "minus")
+        assert lattice._validity_offence(pairs, d.steps, t.colours) is not None
+        g = glue_and_gamma(d, t, "minus")
         assert len(g.swaps) == 1
         step = g.swaps[0]
         assert d.steps[step] == 1  # swapped over a convex corner
@@ -275,7 +275,7 @@ class TestGlueAndGamma:
             d = random_domain(rng, rng.randint(2, 18))
             t = random_boundary(rng, d)
             try:
-                g = glue_and_gamma(d, t, "plus", allow_swaps=True)
+                g = glue_and_gamma(d, t, "plus")
             except InvalidTriplet:
                 continue
             assert all(len(c) <= 4 for c in g.cycles)
@@ -361,23 +361,21 @@ def test_boundary_walk_matches_the_reference():
 
 
 def _draw_outcomes(seed, draws=300):
-    """Per random draw: the swaps when glued with swaps allowed, and
-    without, or "x" where the gluing raises."""
+    """Per random draw: the swaps of its gluing, or "x" where the gluing
+    raises; then the same for a gluing that may not swap, as the digests
+    were computed with one, which is the first outcome where no swap was
+    needed and "x" where one was."""
     rng = random.Random(seed)
     out = []
     for k in range(draws):
         d = random_domain(rng, rng.randint(6, 24))
         t = random_boundary(rng, d)
         parity = "plus" if k % 2 == 0 else "minus"
-        row = []
-        for allow in (True, False):
-            try:
-                g = glue_and_gamma(d, t, parity, allow_swaps=allow)
-            except (InvalidTriplet, NonUniqueGamma):
-                row.append("x")
-            else:
-                row.append(",".join(map(str, g.swaps)))
-        out.append("|".join(row))
+        try:
+            swaps = ",".join(map(str, glue_and_gamma(d, t, parity).swaps))
+        except (InvalidTriplet, NonUniqueGamma):
+            swaps = "x"
+        out.append(f"{swaps}|{swaps if swaps in ('', 'x') else 'x'}")
     return out
 
 
@@ -400,18 +398,24 @@ def test_glue_accepts_and_rejects_the_same_draws(seed, accepted, digest):
 
 
 def test_colour_fault_is_raised_before_the_plaquette_cover(monkeypatch):
-    # a pairing with a colour fault raises the colour InvalidTriplet,
-    # and the cover, which might have failed too, is never built
+    # a pairing with a colour fault that no swap fixes raises the colour
+    # InvalidTriplet, and the cover, which might have failed too, is
+    # never built; a fault that a swap fixes goes on to the cover
     def broken_cover(d, used):
         raise NonUniqueGamma("plaquette parity not forced by the boundary")
 
     monkeypatch.setattr(lattice, "_plaquette_cover", broken_cover)
     d = l_shape()
-    t = BoundaryCondition(tuple(k % 2 for k in range(d.perimeter)))
-    with pytest.raises(InvalidTriplet, match="sits over a concave corner"):
-        glue_and_gamma(d, t, "minus", allow_swaps=False)
+    # the minus pair (5, 6) sits over the concave corner, between the
+    # convex corners 4 and 6; repeating colour 5 at 4 and colour 6 at 7
+    # leaves neither swap anything to exchange
+    assert (d.steps[4], d.steps[5], d.steps[6]) == (1, -1, 1)
+    stuck = BoundaryCondition((1, 0, 1, 0, 0, 0, 1, 1, 0, 1, 0, 1))
+    with pytest.raises(InvalidTriplet, match=r"no convex-corner swap fixes pair \(5, 6\)"):
+        glue_and_gamma(d, stuck, "minus")
+    alternating = BoundaryCondition(tuple(k % 2 for k in range(d.perimeter)))
     with pytest.raises(NonUniqueGamma):
-        glue_and_gamma(d, t, "minus", allow_swaps=True)
+        glue_and_gamma(d, alternating, "minus")
 
 
 def test_rejected_draws_build_no_plaquette_cover(monkeypatch):
@@ -487,7 +491,7 @@ def _glue_outcome(glue, d, t, parity):
     """The exception type a gluing raises, or its pairs, swaps, boundary
     cycles in order and set of plaquettes."""
     try:
-        out = glue(d, t, parity, allow_swaps=True)
+        out = glue(d, t, parity)
     except FplrsError as exc:
         return type(exc)
     if isinstance(out, lattice.GluedGraph):

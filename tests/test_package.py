@@ -1,6 +1,6 @@
-"""The package root: its re-exported names and its layer modules; and
-the package's surface, every name of which some code in the package
-reaches."""
+"""The package root and its layer modules; the package's surface, every
+name of which some code in the package reaches; and the settable
+surface, the options and environment variables a run can set."""
 
 import ast
 import importlib
@@ -10,8 +10,12 @@ from pathlib import Path
 import pytest
 
 import fplrs
+from fplrs import cli
 
-# Every name the package root re-exports, by the module that defines it.
+# Every name the package root once re-exported, by the layer it read
+# the name from.  The root re-exports none now: each is reached one way,
+# through the module that defines it.  Two left their layer as well:
+# gyrate went, and the product formula is linkpat's alone.
 ROOT_NAMES = {
     "errors": (
         "ArityMismatch", "FplrsError", "GeometryMismatch", "IndexOutOfRange",
@@ -29,6 +33,7 @@ ROOT_NAMES = {
     "groundstate": ("build_h_matrix", "stationary_vector", "verify_rs"),
     "identities": ("aux_state", "check_identity", "check_spr", "run_identity_suite"),
 }
+LEFT_THEIR_LAYER = {("fplcore", "asm_count_formula"), ("gyration", "gyrate")}
 LAYERS = ("lattice", "linkpat", "fplcore", "gyration", "groundstate", "identities", "sampling", "suites")
 
 
@@ -37,25 +42,28 @@ LAYERS = ("lattice", "linkpat", "fplcore", "gyration", "groundstate", "identitie
     [(layer, name) for layer, names in ROOT_NAMES.items() for name in names],
 )
 def test_root_name_is_its_layer_object(layer, name):
+    # the layer's object has no second spelling at the root
     module = importlib.import_module(f"fplrs.{layer}")
-    assert getattr(fplrs, name) is getattr(module, name)
-    assert name in dir(fplrs)
+    assert not hasattr(fplrs, name) and name not in dir(fplrs)
+    assert hasattr(module, name) == ((layer, name) not in LEFT_THEIR_LAYER)
 
 
 def test_product_formula_is_one_object():
     # defined in linkpat, so that groundstate need not load fplcore for
-    # it; fplcore and the package root still name it
-    from fplrs import fplcore, linkpat
+    # it; no other module names it for others to import
+    from fplrs import linkpat
 
-    assert fplrs.asm_count_formula is fplcore.asm_count_formula is linkpat.asm_count_formula
+    assert not hasattr(fplrs.fplcore, "asm_count_formula")
+    assert "asm_count_formula" not in fplrs.fplcore.__all__
     assert [linkpat.asm_count_formula(n) for n in range(1, 6)] == [1, 2, 7, 42, 429]
 
 
 def test_from_import_of_a_root_name():
-    from fplrs import build_square, verify_rs
-
-    assert build_square is sys.modules["fplrs.lattice"].build_square
-    assert verify_rs is sys.modules["fplrs.groundstate"].verify_rs
+    # a layer name is imported from its layer, not from the root
+    with pytest.raises(ImportError, match="build_square"):
+        from fplrs import build_square  # noqa: F401
+    with pytest.raises(ImportError, match="verify_rs"):
+        from fplrs import verify_rs  # noqa: F401
 
 
 def test_layers_are_package_attributes():
@@ -80,7 +88,7 @@ ENTRY_POINTS = ("groundstate.kernel_dimension_certificate",)
 def _unreached(src: Path) -> list[str]:
     """Every module-level function and class, and every method, of the
     modules in ``src`` whose name no code there uses outside its own
-    definition, ``__all__`` and ``_EXPORTS``, as ``module.name`` or
+    definition and ``__all__``, as ``module.name`` or
     ``module.Class.name``.  Dunders are the interpreter's to call.
 
     A use of a method is an ``Attribute``; a use of a function or class
@@ -111,7 +119,7 @@ def _unreached(src: Path) -> list[str]:
 
     def visit(node, inside: set[int]) -> None:
         if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id in ("__all__", "_EXPORTS") for t in node.targets
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
             return
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -183,3 +191,59 @@ def test_the_package_does_not_import_dataclasses():
                 continue
             found += [f"{path.name}:{node.lineno}" for name in names if name.split(".")[0] == "dataclasses"]
     assert found == []
+
+
+# The settable surface.  A new option or environment variable edits
+# these lists, which is where a review asks who sets it to a second value.
+OPTIONS = {
+    "enumerate": ["--allow-large", "--cache-dir", "--n", "--out", "--sign", "--threads"],
+    "groundstate": ["--allow-large", "--cache-dir", "--n", "--out"],
+    "verify": ["--format", "--n-max", "--out", "--seed"],
+    "orbit-report": ["--allow-large", "--n", "--out", "--sign"],
+}
+
+
+def test_the_options_of_each_command_are_pinned():
+    (sub,) = [a for a in cli.build_parser()._actions if a.choices and a.dest == "command"]
+    found = {
+        command: sorted(s for a in parser._actions for s in a.option_strings if s not in ("-h", "--help"))
+        for command, parser in sub.choices.items()
+    }
+    assert found == OPTIONS
+
+
+def _environment_reads(src: Path) -> set[str]:
+    """The string constants that code in ``src`` reads from the
+    environment, as ``os.environ.get(...)`` or ``os.environ[...]``."""
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "get"
+                and ast.unparse(node.func.value) == "os.environ"
+                and node.args
+            ):
+                key = node.args[0]
+            elif isinstance(node, ast.Subscript) and ast.unparse(node.value) == "os.environ":
+                key = node.slice
+            else:
+                continue
+            found.add(key.value if isinstance(key, ast.Constant) else ast.unparse(key))
+    return found
+
+
+def test_the_environment_the_package_reads_is_pinned():
+    assert _environment_reads(Path(fplrs.__file__).parent) == {"FPLRS_CACHE_DIR"}
+
+
+def test_an_environment_read_is_found(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import os\n"
+        "a = os.environ.get('ONE')\n"
+        "b = os.environ['TWO']\n"
+        "c = os.environ.get(name, '1')\n"
+        "d = os.getcwd()\n"
+    )
+    assert _environment_reads(tmp_path) == {"ONE", "TWO", "name"}

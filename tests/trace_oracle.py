@@ -2,8 +2,8 @@
 edge by edge: the tests' oracles for what the walk and the sweep hand
 out with every configuration.
 
-:func:`link_data` runs ``fplcore._trace_colour``, the flat tracer, once
-per colour; :func:`obeys_ice_rule` reads the colours off the bits one
+:func:`link_data` runs ``fplcore._trace_colour``, the flat tracer, on
+the black edges and on the complemented bits; :func:`obeys_ice_rule` reads the colours off the bits one
 edge at a time.
 """
 
@@ -36,8 +36,9 @@ def link_data(phi: FplConfig) -> LinkData:
     from the first black termination at or after the anchor, white ones
     likewise.
     """
-    black, lb = _trace_colour(phi, 1)
-    white, lw = _trace_colour(phi, 0)
+    mask = (1 << len(phi.domain.edge_vertices)) - 1
+    black, lb = _trace_colour(phi)
+    white, lw = _trace_colour(FplConfig(phi.domain, phi.bits ^ mask))
     return LinkData(black, white, lb, lw)
 
 
