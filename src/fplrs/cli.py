@@ -293,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     def sized(p):
         p.add_argument("--n", type=int, required=True, help="system size")
         p.add_argument("--out", help="output path (stdout when omitted)")
-        p.add_argument("--allow-large", action="store_true")
+        p.add_argument("--allow-large", action="store_true", help=f"allow --n above {DEFAULT_MAX_N}")
 
     p_enum = sub.add_parser("enumerate", help="write a per-pattern count table")
     sized(p_enum)
