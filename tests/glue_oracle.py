@@ -117,11 +117,7 @@ def _plaquette_cover(d: Domain, used: set[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(edges_of_face[f] for f in chosen)
 
 
-def glue(
-    d: Domain,
-    t: BoundaryCondition,
-    parity: str = "plus",
-):
+def glue(d: Domain, t: BoundaryCondition, parity: str = "plus"):
     """``(pairs, swaps, boundary cycles, plaquettes)`` of the gluing, or
     the exception ``glue_and_gamma`` raised for it."""
     if len(t.colours) != d.perimeter:
