@@ -216,6 +216,9 @@ def cmd_enumerate(args) -> int:
     # checked before the cache, so a bad count is refused on a hit too
     if args.threads < 1:
         raise FplrsError(f"--threads must be positive, got {args.threads}")
+    # each thread is a pool process
+    if args.threads > (cpus := os.cpu_count() or 1):
+        raise FplrsError(f"--threads must be at most the {cpus} CPUs, got {args.threads}")
 
     def table() -> dict:
         counts = fplcore.refined_counts(args.n, args.sign, jobs=args.threads)

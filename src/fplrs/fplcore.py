@@ -12,9 +12,11 @@ connectivity of the edges cut between visited and unvisited vertices.
 From a cut, the transitions up to the next decision (a vertex whose path
 may go on by E or by N) leave no choice; both traversals follow them by
 one function, once per cut, and afterwards only OR in what they added.
-Counting merges the states that reach a decision by cut and adds up
-their configurations, so it visits none of them; it can also count by
-the colours of chosen internal edges, and with jobs > 1 runs once per
+That function is the one place the ice rule is applied, at each vertex
+as it is reached; no colour is propagated ahead of it.  Counting merges
+the states that reach a decision by cut and adds up their
+configurations, so it visits none of them; it can also count by the
+colours of chosen internal edges, and with jobs > 1 runs once per
 decision prefix in a process pool.  Enumeration walks the same
 transitions depth first, one state at a time, with every internal
 edge's colour kept.  Internal edge ids run in vertex order, E before N,
@@ -290,10 +292,11 @@ def _patterns(d: Domain, t: BoundaryCondition, jobs: int = 1) -> dict[LinkPatter
 
 def psi_counts(
     d: Domain, t: BoundaryCondition, forced: Sequence[tuple[int, int]] = ()
-) -> dict[LinkPattern, int]:
-    """Black-pattern counts over an arbitrary ensemble, restricted to the
-    configurations that give each edge in ``forced`` its colour."""
-    return _add_patterns({}, _transfer(d, t, forced))
+) -> LpVector:
+    """The count vector of an arbitrary ensemble by black pattern,
+    restricted to the configurations that give each edge in ``forced``
+    its colour."""
+    return LpVector(t.n_black // 2, _add_patterns({}, _transfer(d, t, forced)))
 
 
 def refined_counts(n: int, sign: str = "+", jobs: int = 1) -> LpVector:
@@ -396,34 +399,14 @@ def _join(
     return tags[:j] + (tag,) + tags[j + 1:], closed
 
 
-def _narrow(d: Domain, allowed: list[tuple[int, ...]]) -> bool:
-    """Narrow the allowed colours by the ice rule: a vertex with two
-    edges of one colour forces its others to the other colour.  False
-    on a contradiction, which leaves no configuration."""
-    slots_of, ends = d.vertex_edges, d.edge_vertices
-    queue = list(d.vertices)
-    while queue:
-        slots = slots_of[queue.pop()]
-        e, n, w, s = slots  # unrolled: a comprehension is a call per vertex
-        fixed = allowed[e], allowed[n], allowed[w], allowed[s]
-        black, white = fixed.count((1,)), fixed.count((0,))
-        if black > 2 or white > 2:
-            return False
-        if black == 2 or white == 2:
-            rest = (1,) if white == 2 else (0,)
-            for e in slots:
-                if len(allowed[e]) == 2:
-                    allowed[e] = rest
-                    queue.extend(ends[e])
-    return True
-
-
 def _runs(
     d: Domain, t: BoundaryCondition, forced: Sequence[tuple[int, int]], keep: Sequence[int]
 ) -> tuple | None:
     """The transition graph that the sweep merges and the walk follows,
     keeping the black internal edges in ``keep``: ``(run, decode)``, or
-    None when the ice rule leaves no colour to some edge.
+    None when the forced colours contradict each other or the boundary.
+    Nothing is propagated ahead: ``run`` applies the ice rule at each
+    vertex as it reaches it.
 
     ``run(k, tags)`` follows the transitions that leave no choice from
     the cut ``tags`` at vertex k.  It returns what they OR into a state's
@@ -440,7 +423,7 @@ def _runs(
     allowed = [(0, 1)] * n_internal + [(c,) for c in t.colours]
     for e, c in forced:
         allowed[e] = tuple(x for x in allowed[e] if x == c)
-    if not all(allowed) or not _narrow(d, allowed):
+    if not all(allowed):
         return None
     n_black = t.n_black
     width = max(1, n_black.bit_length())  # of one closed pair

@@ -8,9 +8,12 @@ balance along every orbit and the triplet conservation across one pass
 are the facts the verification suites certify.
 
 Swapped gluings conjugate: when the gluing recorded convex-corner
-swaps, the map exchanges the two leg colours at each swapped corner,
-applies the cycle rule, and swaps back, so it still sends the original
-boundary condition to its complement.
+swaps, the map reads the two legs at each swapped corner exchanged,
+applies the cycle rule, and writes them back, so it still sends the
+original boundary condition to its complement.  The swaps are disjoint
+exchanges of two legs at one vertex, so this is a relabelling of leg
+bits, which the gluing applies once to its cycle masks and pair legs;
+the pass itself is the bare cycle rule.
 
 The pass works on bitmasks: the gluing caches each 4-cycle's edge mask
 and its two alternating colourings, so a pass is one masked test per
@@ -68,27 +71,15 @@ __all__ = [
 ]
 
 
-def _swap_legs(bits: int, g: GluedGraph) -> int:
-    """Exchange the colours of the two legs over every recorded swap."""
-    d = g.domain
-    for k in g.swaps:
-        a = d.termination_id(k)
-        b = d.termination_id((k + 1) % d.perimeter)
-        if ((bits >> a) ^ (bits >> b)) & 1:
-            bits ^= (1 << a) | (1 << b)
-    return bits
-
-
 def _pass(bits: int, g: GluedGraph) -> int:
     """The cycle rule on a bitmask: complement every cycle except the
     4-cycles that read one of their two alternating colourings."""
-    bits = _swap_legs(bits, g)
     flip, quads = g.cycle_masks
     for mask, alt0, alt1 in quads:
         s = bits & mask
         if s == alt0 or s == alt1:
             flip ^= mask
-    return _swap_legs(bits ^ flip, g)
+    return bits ^ flip
 
 
 def apply_h(phi: FplConfig, g: GluedGraph) -> FplConfig:
@@ -186,25 +177,20 @@ def orbit_faces(o: Orbit) -> tuple[tuple[str, ...], dict[tuple[int, int], tuple[
 
 
 @lru_cache(maxsize=None)
-def square_rotation_direction() -> int:
-    """The empirical k with pattern(G phi) = R^k pattern(phi) on squares.
+def square_rotation_direction() -> int | None:
+    """The empirical k with pattern(G phi) = R^k pattern(phi) on squares,
+    or None when not exactly one of k = 1, -1 fits every step.
 
-    Determined at sizes 2 and 3 and asserted to be consistent; the two
-    candidate directions first differ at size 3.  An orbit lists
-    pattern(phi) and pattern(G phi) next to each other, cyclically.
+    Determined at sizes 2 and 3; the two candidate directions first
+    differ at size 3.  An orbit lists pattern(phi) and pattern(G phi)
+    next to each other, cyclically.
     """
     candidates = {1, -1}
     for n in (2, 3):
         for o in orbit_partition(n):
             for before, after in zip(o.patterns, o.patterns[1:] + o.patterns[:1]):
-                candidates = {
-                    k for k in candidates if rotate(before, k) == after
-                }
-                if not candidates:
-                    raise AssertionError("gyration does not rotate patterns uniformly")
-    if len(candidates) != 1:
-        raise AssertionError("rotation direction still ambiguous at size 3")
-    return candidates.pop()
+                candidates = {k for k in candidates if rotate(before, k) == after}
+    return candidates.pop() if len(candidates) == 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -220,19 +206,17 @@ class PairLinkData(NamedTuple):
 
 
 def pair_link_data(phi: FplConfig, g: GluedGraph) -> PairLinkData:
-    """Trace paths on the glued graph of the (swap-conjugated) config.
+    """Trace paths on the glued graph, the legs read through the swaps.
 
     Endpoints are the bichromatic pairs, labelled by their order in the
     pairing; monochromatic pairs are passed through.  Loops of both
     colours are counted together.
     """
-    d = g.domain
-    bits = _swap_legs(phi.bits, g)
+    d, bits = g.domain, phi.bits
     white: dict[int, int] = {}
     black: dict[int, int] = {}
     glue: dict[int, int] = {}
-    for (a, b), bichromatic in zip(g.pairs, g.bichromatic):
-        ta, tb = d.termination_id(a), d.termination_id(b)
+    for (ta, tb), bichromatic in zip(g.legs, g.bichromatic):
         if bichromatic:
             if (bits >> ta) & 1:
                 ta, tb = tb, ta
@@ -279,9 +263,7 @@ def _black_label_sets(t: BoundaryCondition) -> tuple[int, ...]:
 
 
 def _capped_vector(d: Domain, t: BoundaryCondition, caps: tuple[int, ...]) -> LpVector:
-    counts = psi_counts(d, t)
-    n = sum(t.colours) // 2
-    vec = LpVector(n, counts)
+    vec = psi_counts(d, t)
     for j in sorted(caps, reverse=True):
         vec = apply_c(vec, j)
     return vec

@@ -270,22 +270,18 @@ def check_spr(d: Domain, t1: BoundaryCondition) -> SprReport:
         raise GeometryMismatch("the last two legs must attach to adjacent sites")
     lo, hi = sorted((va, vb))
     e = d.vertex_edges[lo][EAST if lo[1] == hi[1] else NORTH]
-    m = t1.n_black // 2
     cols = list(t1.colours)
     cols[size - 2] = cols[size - 1] = 0
     t2 = BoundaryCondition(tuple(cols))
-    side1 = psi_counts(d, t1, [(e, 0)])
-    side2 = psi_counts(d, t2, [(e, 1)])
-    v1 = LpVector(m, side1)
-    v2 = LpVector(m - 1, side2)
-    e_ok = apply_e(v1, 2 * m - 1) == apply_a(v2, 2 * m - 1)
-    c_ok = apply_c(v1, 2 * m - 1) == v2
+    v1 = psi_counts(d, t1, [(e, 0)])
+    v2 = psi_counts(d, t2, [(e, 1)])
+    last = 2 * v1.n - 1
     return SprReport(
-        m=m,
-        side1=sum(side1.values()),
-        side2=sum(side2.values()),
-        e_identity=e_ok,
-        c_identity=c_ok,
+        m=v1.n,
+        side1=v1.total(),
+        side2=v2.total(),
+        e_identity=apply_e(v1, last) == apply_a(v2, last),
+        c_identity=apply_c(v1, last) == v2,
     )
 
 

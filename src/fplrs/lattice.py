@@ -350,6 +350,10 @@ class GluedGraph:
     list canonical edge ids in cyclic order.  ``bichromatic[i]`` marks
     pairs whose two legs carry different colours (the glued vertex then
     counts as a path endpoint).  Immutable, and equal by its fields.
+    The swaps are disjoint exchanges of the two legs at one vertex
+    (their indices share one parity); ``legs`` and ``cycle_masks`` carry
+    them as a relabelling of leg ids, so a configuration's own bits are
+    read through the swaps.
     """
 
     domain: Domain
@@ -387,14 +391,32 @@ class GluedGraph:
         return tuple(cols[a] != cols[b] for a, b in self.pairs)
 
     @cached_property
+    def _swapped_ids(self) -> tuple[int, ...]:
+        """Every edge id, with the two legs of each swap exchanged."""
+        d = self.domain
+        ids = list(range(len(d.edge_vertices)))
+        for k in self.swaps:
+            a, b = d.termination_id(k), d.termination_id((k + 1) % d.perimeter)
+            ids[a], ids[b] = b, a
+        return tuple(ids)
+
+    @cached_property
+    def legs(self) -> tuple[tuple[int, int], ...]:
+        """The edge ids of each pair's two legs, read through the swaps."""
+        ids, d = self._swapped_ids, self.domain
+        return tuple((ids[d.termination_id(a)], ids[d.termination_id(b)]) for a, b in self.pairs)
+
+    @cached_property
     def cycle_masks(self) -> tuple[int, tuple[tuple[int, int, int], ...]]:
         """The bitmask of all edges, which the cycles partition, and for
         every 4-cycle its edge mask plus its two alternating colourings
-        (cycle positions 0 and 2 black, or 1 and 3) as masks."""
+        (cycle positions 0 and 2 black, or 1 and 3) as masks, read
+        through the swaps."""
+        ids = self._swapped_ids
         quads = []
         for cyc in self.cycles:
             if len(cyc) == 4:
-                a, b, c, d = (1 << e for e in cyc)
+                a, b, c, d = (1 << ids[e] for e in cyc)
                 quads.append((a | b | c | d, a | c, b | d))
         return (1 << len(self.domain.edge_vertices)) - 1, tuple(quads)
 

@@ -73,9 +73,8 @@ def _suite_wieland(n_max: int) -> list[CheckLine]:
             )
         )
     k = gyration.square_rotation_direction()
-    lines.append(
-        CheckLine("wieland", f"gyration rotates patterns by R^{k}", k in (1, -1))
-    )
+    power = "one power of R" if k is None else f"R^{k}"
+    lines.append(CheckLine("wieland", f"gyration rotates patterns by {power}", k is not None))
     return lines
 
 

@@ -194,6 +194,19 @@ class TestVerify:
             main(["verify", "nonsense"])
         assert info.value.code == 2
 
+    def test_rotation_fault_is_a_fail_line(self, capsys, monkeypatch):
+        # a gyration that rotates patterns by no one power of R fails
+        # the wieland line and exits 1, without raising
+        monkeypatch.setattr(gyration, "rotate", lambda p, k: None)
+        gyration.square_rotation_direction.cache_clear()
+        try:
+            code, out, _ = run(capsys, "verify", "wieland", "--n-max", "2")
+        finally:
+            monkeypatch.undo()
+            gyration.square_rotation_direction.cache_clear()
+        assert code == 1
+        assert "[FAIL] wieland: gyration rotates patterns by one power of R" in out.splitlines()
+
 
     def test_conservation_line_checks_the_count(self, monkeypatch):
         # the involution line also fails when the DFS and the sweep
@@ -314,8 +327,11 @@ class TestUsage:
         monkeypatch.setenv("FPLRS_THREADS", "abc")
         assert run(capsys, "enumerate", "--n", "3") == (0, want, "")
 
-    @pytest.mark.parametrize("threads", ["0", "-4"])
+    @pytest.mark.parametrize(
+        "threads", ["0", "-4", pytest.param(str((os.cpu_count() or 1) + 1), id="cpus+1")]
+    )
     def test_nonpositive_threads_is_usage_error(self, capsys, threads):
+        # a count above the CPUs is refused before any pool starts
         code, out, err = run(capsys, "enumerate", "--n", "2", "--threads", threads)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
@@ -328,6 +344,10 @@ class TestUsage:
         code, out, err = run(capsys, *args, "--threads", "0")
         assert code == 2 and out == ""
         assert err == "error: --threads must be positive, got 0\n"
+        cpus = os.cpu_count() or 1
+        code, out, err = run(capsys, *args, "--threads", str(cpus + 1))
+        assert code == 2 and out == ""
+        assert err == f"error: --threads must be at most the {cpus} CPUs, got {cpus + 1}\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -95,7 +95,7 @@ class TestEnumerate:
             t = BoundaryCondition(bits)
             if count_configs(d, t) == 0:
                 assert list(enumerate_configs(d, t)) == []
-                assert psi_counts(d, t) == {}
+                assert psi_counts(d, t).is_zero()
                 empty += 1
         assert empty > 0
 
@@ -438,7 +438,7 @@ class TestFrontierSweep:
     def test_random_domains_match_the_oracle(self, parity):
         for d, t in _random_ensembles(parity):
             expected = _oracle(d, t)
-            assert psi_counts(d, t) == expected
+            assert psi_counts(d, t) == LpVector(t.n_black // 2, expected)
             assert count_configs(d, t) == sum(expected.values())
 
     @pytest.mark.parametrize("parity", ["plus", "minus"])
@@ -447,7 +447,7 @@ class TestFrontierSweep:
         for d, t in _random_ensembles(parity):
             e = rng.randrange(d.n_internal)
             for c in (0, 1):
-                assert psi_counts(d, t, [(e, c)]) == _oracle(d, t, [(e, c)])
+                assert psi_counts(d, t, [(e, c)]) == LpVector(t.n_black // 2, _oracle(d, t, [(e, c)]))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_census_matches_the_oracle(self, n):
@@ -461,15 +461,15 @@ class TestFrontierSweep:
         assert prefixes
         for prefix in prefixes:
             leaves = sum(1 for _ in oracle_configs(d, t, prefix))
-            assert sum(psi_counts(d, t, prefix).values()) == leaves
-        total = len(done) + sum(sum(psi_counts(d, t, p).values()) for p in prefixes)
+            assert psi_counts(d, t, prefix).total() == leaves
+        total = len(done) + sum(psi_counts(d, t, p).total() for p in prefixes)
         assert total == asm_count_formula(5)
 
     def test_contradictory_forced_edges_leave_nothing(self):
         d, t = build_square(3, "+")
         for forced in ([(0, 0), (0, 1)], [(d.termination_id(0), 0)]):
             assert list(enumerate_configs(d, t, forced)) == []
-            assert psi_counts(d, t, forced) == {}
+            assert psi_counts(d, t, forced).is_zero()
 
     def test_pooled_sweep_agrees(self):
         (d, t), = _random_ensembles("plus", count=1, seed=7)

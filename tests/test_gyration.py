@@ -21,7 +21,6 @@ from fplrs.gyration import (
     orbit_partition,
     PairLinkData,
     _square_glued,
-    _swap_legs,
     pair_link_data,
     square_rotation_direction,
 )
@@ -43,28 +42,30 @@ def _gyrate(phi):
     return apply_h(apply_h(phi, _square_glued(n, "plus")), _square_glued(n, "minus"))
 
 
+def _swap_legs(bits, g):
+    """Exchange the colours of the two legs over every recorded swap, one
+    swap after the other; the package folds this into the gluing."""
+    d = g.domain
+    for k in g.swaps:
+        a = d.termination_id(k)
+        b = d.termination_id((k + 1) % d.perimeter)
+        if (bits >> a) & 1 != (bits >> b) & 1:
+            bits ^= (1 << a) | (1 << b)
+    return bits
+
+
 def _reference_apply_h(phi, g):
     """The pass as first written: swap the legs, walk the cycles one by
     one, keep an alternating 4-cycle and complement every other cycle
     edge by edge, swap back.  Kept as the oracle for the mask pass."""
-    d = g.domain
-
-    def swap_legs(bits):
-        for k in g.swaps:
-            a = d.termination_id(k)
-            b = d.termination_id((k + 1) % d.perimeter)
-            if (bits >> a) & 1 != (bits >> b) & 1:
-                bits ^= (1 << a) | (1 << b)
-        return bits
-
-    bits = swap_legs(phi.bits)
+    bits = _swap_legs(phi.bits, g)
     for cyc in g.cycles:
         cols = [(bits >> e) & 1 for e in cyc]
         if len(cyc) == 4 and cols[0] != cols[1] and cols[1] != cols[2] and cols[2] != cols[3]:
             continue
         for e in cyc:
             bits ^= 1 << e
-    return swap_legs(bits)
+    return _swap_legs(bits, g)
 
 
 class TestPassOracle:

@@ -112,7 +112,7 @@ class TestFrozenRectangle:
     def test_reduction_reproduces_filtered_table(self, n):
         for j in range(1, n_odd_sites(n) + 1):
             d, t = shat_c_rectangle(n, j)
-            rect = LpVector(n, psi_counts(d, t))
+            rect = psi_counts(d, t)
             assert rect == aux_state(n, "odd", j, "c")
 
     def test_three_consecutive_black_legs(self):

@@ -505,8 +505,8 @@ def _compare_with_the_oracle(domains_and_colours):
     """Glue each domain and colouring under both parities, with swaps
     allowed, and check that the construction matches the propagation
     oracle; returns how many gluings ran, how many were accepted with
-    plaquettes and how many raised."""
-    tally = {"gluings": 0, "plaquettes": 0, "raised": 0}
+    plaquettes, how many were accepted with swaps and how many raised."""
+    tally = {"gluings": 0, "plaquettes": 0, "swapped": 0, "raised": 0}
     for d, t in domains_and_colours:
         for parity in ("plus", "minus"):
             tally["gluings"] += 1
@@ -514,8 +514,13 @@ def _compare_with_the_oracle(domains_and_colours):
             assert _glue_outcome(glue_and_gamma, d, t, parity) == want, (sorted(d.cells), t, parity)
             if isinstance(want, type):
                 tally["raised"] += 1
-            elif want[3]:
-                tally["plaquettes"] += 1
+                continue
+            # every swap index is odd under the plus pairing and even
+            # under the minus one, so the swaps (k, k + 1) are disjoint
+            # and GluedGraph reads them as one relabelling of leg ids
+            assert all(k % 2 == (parity == "plus") for k in want[1]), (sorted(d.cells), t, parity)
+            tally["plaquettes"] += bool(want[3])
+            tally["swapped"] += bool(want[1])
     return tally
 
 
@@ -576,7 +581,7 @@ def test_edge_numbering_matches_the_tuple_oracle():
 def test_glue_matches_the_propagation_oracle_up_to_8_cells():
     # 3,747 simply-connected polyominoes, 3 colourings, 2 parities
     tally = _compare_with_the_oracle(_polyomino_gluings(1, 8, seed=8))
-    assert tally == {"gluings": 22482, "plaquettes": 3244, "raised": 5181}
+    assert tally == {"gluings": 22482, "plaquettes": 3244, "swapped": 6339, "raised": 5181}
 
 
 @pytest.mark.slow
