@@ -152,6 +152,10 @@ def stationary_vector(n: int) -> LpVector:
     quotient nor the modular step needs trusting.  Raises
     :class:`KernelDimensionError` otherwise (a failure means a bug
     upstream, or entries past p/2).
+
+    With p = 2^61 - 1 the lift is exact for n <= 13: A_12 is about
+    1.26e16, below p/2 (about 1.15e18).  At n = 14, A_13 is about
+    8.64e18, past p/2, so the checks reject the lift and this raises.
     """
     h = build_h_matrix(n)
     class_of, rows = _quotient(h, n)

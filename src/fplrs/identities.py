@@ -4,8 +4,13 @@ Every configuration of the alternating square has exactly one c vertex
 in its bottom row, with b's to the left and a's to the right.  The
 auxiliary states refine the count vector by the type letter at one
 bottom-row site: odd-column sites (positions 2j-1) and even-column
-sites (positions 2j) get separate families.  Each identity in the
-registry is an exact vector equation between such states.  All of them
+sites (positions 2j) get separate families.  One rule, :func:`_sites`,
+gives the sites of each parity; the bottom faces are the even sites,
+and every site or face bound below reads that rule.  Each identity in
+the registry is an exact vector equation between such states, checked
+at each of its admissible sites.  The recursions and the gyration
+relations are one family table each, and a recursion is admissible
+wherever both of the sites it relates exist.  All of them
 read one cached census per size: the counting engine tallies the
 configurations by black pattern, the type words of the two bottom rows
 and the bottom-face indicators, and every state is a weighted sum over
@@ -59,12 +64,11 @@ __all__ = [
 ]
 
 
-def n_odd_sites(n: int) -> int:
-    return (n + 1) // 2
-
-
-def n_even_sites(n: int) -> int:
-    return n // 2
+def _sites(n: int, parity: str) -> range:
+    """The bottom-row sites of one parity: odd site j is column 2j-1,
+    even site j is column 2j.  The bottom faces (columns 2j-1 and 2j)
+    are exactly the even sites."""
+    return range(1, (n + (parity == "odd")) // 2 + 1)
 
 
 @lru_cache(maxsize=None)
@@ -84,7 +88,7 @@ def _census(n: int) -> Mapping:
     for (bits, pattern), v in _transfer(d, t, keep=keep).items():
         phi = FplConfig(d, bits)
         row = lambda y: "".join(vertex_type(phi, (x, y)) for x in range(1, n + 1))
-        alphas = tuple(plaquette_indicator(phi, (2 * j - 1, 1)) for j in range(1, n // 2 + 1))
+        alphas = tuple(plaquette_indicator(phi, (2 * j - 1, 1)) for j in _sites(n, "even"))
         key = pattern, row(1), row(2) if n >= 2 else "", alphas
         census[key] = census.get(key, 0) + v
     return MappingProxyType(census)
@@ -119,9 +123,9 @@ def aux_state(n: int, parity: str, j: int, vtype: str) -> LpVector:
     """
     if parity not in ("odd", "even"):
         raise ValueError("parity must be 'odd' or 'even'")
-    limit = n_odd_sites(n) if parity == "odd" else n_even_sites(n)
-    if not 1 <= j <= limit:
-        raise IndexOutOfRange(f"j={j} outside [1, {limit}] for parity {parity}")
+    sites = _sites(n, parity)
+    if j not in sites:
+        raise IndexOutOfRange(f"j={j} outside [1, {len(sites)}] for parity {parity}")
     col = 2 * j - 1 if parity == "odd" else 2 * j
     if vtype in ("a", "b", "c"):
         return _vector(n, lambda bottom, row2, alphas: bottom[col - 1] == vtype)
@@ -144,7 +148,7 @@ def nalpha_vector(n: int, j: int) -> LpVector:
     Exists for 2j <= n; the callers treat the missing last face of odd
     sizes as the zero vector (its would-be coefficient class is empty).
     """
-    if not 1 <= j <= n // 2:
+    if j not in _sites(n, "even"):
         raise IndexOutOfRange(f"no bottom face at column {2 * j - 1} for n={n}")
     return _vector(n, lambda bottom, row2, alphas: alphas[j - 1])
 
@@ -161,13 +165,23 @@ def _e_cyclic(v: LpVector, j: int) -> LpVector:
     return apply_e(v, ((j - 1) % size) + 1)
 
 
+_REC_FAMILIES = {
+    # name -> (parity, letter, other parity, offset): the state at site j
+    # splits into the c- and same-letter states of the other parity at
+    # site j + offset, wherever both sites exist
+    "rec_a1": ("odd", "a", "even", -1),  # over the site to its left
+    "rec_b1": ("odd", "b", "even", 0),  # over the site to its right
+    "rec_a2": ("even", "a", "odd", 0),  # over the site to its left
+    "rec_b2": ("even", "b", "odd", +1),  # over the site to its right
+}
+
 _GYR_FAMILIES = {
     # name -> (parity, letter, neighbour offset)
     "gyr_a_odd": ("odd", "a", -1),
     "gyr_b_odd": ("odd", "b", -1),
     "gyr_c_odd": ("odd", "c", -1),
     "gyr_a_even": ("even", "a", -1),
-    "gyr_b_even": ("even", "b", +1),
+    "gyr_b_even": ("even", "b", +1),  # rotates opposite to the other four
 }
 
 
@@ -183,8 +197,7 @@ def gyration_directions() -> dict[str, int]:
     candidates = {name: {1, -1} for name in _GYR_FAMILIES}
     for n in (3, 4):
         for name, (parity, letter, off) in _GYR_FAMILIES.items():
-            limit = n_odd_sites(n) if parity == "odd" else n_even_sites(n)
-            for j in range(1, limit + 1):
+            for j in _sites(n, parity):
                 v = aux_state(n, parity, j, letter)
                 lhs = _e_cyclic(v, j)
                 rhs = _e_cyclic(v, j + off)
@@ -211,8 +224,9 @@ def shat_c_rectangle(n: int, j: int) -> tuple[Domain, BoundaryCondition]:
     black legs at bottom columns 2j-2, 2j-1, 2j (labels j-1, j, j+1)."""
     if n < 2:
         raise IndexOutOfRange("the reduction needs at least two rows")
-    if not 1 <= j <= n_odd_sites(n):
-        raise IndexOutOfRange(f"j={j} outside [1, {n_odd_sites(n)}]")
+    sites = _sites(n, "odd")
+    if j not in sites:
+        raise IndexOutOfRange(f"j={j} outside [1, {len(sites)}]")
     h = n - 1
     cells = frozenset((x, y) for x in range(1, n + 1) for y in range(1, h + 1))
     d = Domain(cells, anchor=0)
@@ -231,7 +245,7 @@ def shat_c_rectangle(n: int, j: int) -> tuple[Domain, BoundaryCondition]:
 def spr_instance(n: int, j: int) -> tuple[Domain, BoundaryCondition]:
     """The c-state rectangle re-anchored so the adjacent black legs at
     bottom columns 2j-1, 2j become the last two boundary positions."""
-    if not 1 <= j <= n_even_sites(n):
+    if j not in _sites(n, "even"):
         raise IndexOutOfRange(f"need column 2j <= n, got j={j} for n={n}")
     d, t = shat_c_rectangle(n, j)
     shift = 2 * j  # old position of bottom column 2j, plus one
@@ -304,8 +318,8 @@ def _pair(lhs: LpVector, rhs: LpVector) -> tuple[bool, str]:
 
 def _check_ose(n: int, j: int) -> tuple[bool, str]:
     s = s_vector(n)
-    for parity, limit in (("odd", n_odd_sites(n)), ("even", n_even_sites(n))):
-        if j > limit:
+    for parity in ("odd", "even"):
+        if j not in _sites(n, parity):
             continue
         total = (
             aux_state(n, parity, j, "a")
@@ -320,10 +334,9 @@ def _check_ose(n: int, j: int) -> tuple[bool, str]:
 
 def _check_lrd(n: int, _j) -> tuple[bool, str]:
     total = LpVector.zero(n)
-    for j in range(1, n_odd_sites(n) + 1):
-        total = total + aux_state(n, "odd", j, "c")
-    for j in range(1, n_even_sites(n) + 1):
-        total = total + aux_state(n, "even", j, "c")
+    for parity in ("odd", "even"):
+        for j in _sites(n, parity):
+            total = total + aux_state(n, parity, j, "c")
     return _pair(s_vector(n), total)
 
 
@@ -332,31 +345,21 @@ def _check_ec(n: int, j: int) -> tuple[bool, str]:
     return _pair(apply_e(v, j), v)
 
 
-def _check_rec_a1(n: int, j: int) -> tuple[bool, str]:
-    lhs = aux_state(n, "odd", j, "a")
-    rhs = aux_state(n, "even", j - 1, "c") + aux_state(n, "even", j - 1, "a")
-    return _pair(lhs, rhs)
+def _rec_family(name: str):
+    parity, letter, other, off = _REC_FAMILIES[name]
+
+    def sites(n: int) -> list[int]:
+        return [j for j in _sites(n, parity) if j + off in _sites(n, other)]
+
+    def check(n: int, j: int) -> tuple[bool, str]:
+        lhs = aux_state(n, parity, j, letter)
+        rhs = aux_state(n, other, j + off, "c") + aux_state(n, other, j + off, letter)
+        return _pair(lhs, rhs)
+
+    return sites, check
 
 
-def _check_rec_b1(n: int, j: int) -> tuple[bool, str]:
-    lhs = aux_state(n, "odd", j, "b")
-    rhs = aux_state(n, "even", j, "c") + aux_state(n, "even", j, "b")
-    return _pair(lhs, rhs)
-
-
-def _check_rec_a2(n: int, j: int) -> tuple[bool, str]:
-    lhs = aux_state(n, "even", j, "a")
-    rhs = aux_state(n, "odd", j, "c") + aux_state(n, "odd", j, "a")
-    return _pair(lhs, rhs)
-
-
-def _check_rec_b2(n: int, j: int) -> tuple[bool, str]:
-    lhs = aux_state(n, "even", j, "b")
-    rhs = aux_state(n, "odd", j + 1, "c") + aux_state(n, "odd", j + 1, "b")
-    return _pair(lhs, rhs)
-
-
-def _make_gyr_check(name: str):
+def _gyr_family(name: str):
     parity, letter, off = _GYR_FAMILIES[name]
 
     def check(n: int, j: int) -> tuple[bool, str]:
@@ -366,7 +369,7 @@ def _make_gyr_check(name: str):
         rhs = apply_rotation(_e_cyclic(v, j + off), direction)
         return _pair(lhs, rhs)
 
-    return check
+    return lambda n: _sites(n, parity), check
 
 
 def _check_split_c(n: int, j: int) -> tuple[bool, str]:
@@ -378,14 +381,14 @@ def _check_split_c(n: int, j: int) -> tuple[bool, str]:
 def _check_ncx(n: int, j: int) -> tuple[bool, str]:
     v = aux_state(n, "odd", j, "cx")
     lhs = apply_e(v, j) - v
-    rhs = nalpha_vector(n, j) if j <= n // 2 else LpVector.zero(n)
+    rhs = nalpha_vector(n, j) if j in _sites(n, "even") else LpVector.zero(n)
     return _pair(lhs, rhs)
 
 
 def _check_rs_decomposition(n: int, _j) -> tuple[bool, str]:
     lhs = rs_vector(n)
     rhs = LpVector.zero(n)
-    for j in range(1, n // 2 + 1):
+    for j in _sites(n, "even"):
         rhs = rhs + apply_sym(nalpha_vector(n, j))
     ok, witness = _pair(lhs, rhs)
     if ok and not lhs.is_zero():
@@ -401,95 +404,25 @@ def _check_spr_registry(n: int, j: int) -> tuple[bool, str]:
     return False, f"e:{report.e_identity} c:{report.c_identity} m={report.m}"
 
 
-def _range_odd(n: int) -> tuple[int, ...]:
-    return tuple(range(1, n_odd_sites(n) + 1))
-
-
-def _range_even(n: int) -> tuple[int, ...]:
-    return tuple(range(1, n_even_sites(n) + 1))
-
-
-_REGISTRY: dict[str, tuple[str, Callable[[int], tuple[int, ...]], Callable]] = {
-    "ose": (
-        "site expansion: s = a + b + c at one bottom site (both parities)",
-        _range_odd,
-        _check_ose,
-    ),
-    "lrd": (
-        "last-row decomposition: s = sum of all c-states",
-        lambda n: (None,),
-        _check_lrd,
-    ),
-    "ec": (
-        "even c-states are fixed by their capping generator",
-        _range_even,
-        _check_ec,
-    ),
-    "rec_a1": (
-        "odd a-state splits over the site to its left",
-        lambda n: tuple(range(2, n_odd_sites(n) + 1)),
-        _check_rec_a1,
-    ),
-    "rec_b1": (
-        "odd b-state splits over the site to its right",
-        _range_even,
-        _check_rec_b1,
-    ),
-    "rec_a2": (
-        "even a-state splits over the site to its left",
-        _range_even,
-        _check_rec_a2,
-    ),
-    "rec_b2": (
-        "even b-state splits over the site to its right",
-        lambda n: tuple(range(1, n_odd_sites(n))),
-        _check_rec_b2,
-    ),
-    "gyr_a_odd": (
-        "gyration relation for odd a-states",
-        _range_odd,
-        _make_gyr_check("gyr_a_odd"),
-    ),
-    "gyr_b_odd": (
-        "gyration relation for odd b-states",
-        _range_odd,
-        _make_gyr_check("gyr_b_odd"),
-    ),
-    "gyr_c_odd": (
-        "gyration relation for odd c-states",
-        _range_odd,
-        _make_gyr_check("gyr_c_odd"),
-    ),
-    "gyr_a_even": (
-        "gyration relation for even a-states",
-        _range_even,
-        _make_gyr_check("gyr_a_even"),
-    ),
-    "gyr_b_even": (
-        "gyration relation for even b-states (opposite rotation)",
-        _range_even,
-        _make_gyr_check("gyr_b_even"),
-    ),
-    "split_c": (
-        "odd c-state splits by the site above the matching black leg",
-        lambda n: _range_odd(n) if n >= 2 else (),
-        _check_split_c,
-    ),
-    "ncx": (
-        "the cx remainder equals the signed bottom-face projection",
-        lambda n: _range_odd(n) if n >= 2 else (),
-        _check_ncx,
-    ),
-    "rs_decomposition": (
-        "the stationarity defect decomposes over bottom faces and vanishes",
-        lambda n: (None,),
-        _check_rs_decomposition,
-    ),
-    "spr": (
-        "simple path reversal on the re-anchored rectangle",
-        lambda n: _range_even(n) if n >= 2 else (),
-        _check_spr_registry,
-    ),
+# name -> (admissible sites at size n, check); an identity checked once
+# per size has the single site None
+_REGISTRY: dict[str, tuple[Callable[[int], Iterable], Callable]] = {
+    # s = a + b + c at one bottom site, of both parities where they exist
+    "ose": (lambda n: _sites(n, "odd"), _check_ose),
+    # s = the sum of all c-states
+    "lrd": (lambda n: (None,), _check_lrd),
+    # even c-states are fixed by their capping generator
+    "ec": (lambda n: _sites(n, "even"), _check_ec),
+    **{name: _rec_family(name) for name in _REC_FAMILIES},
+    **{name: _gyr_family(name) for name in _GYR_FAMILIES},
+    # the odd c-state splits by the site above it, so needs a second row
+    "split_c": (lambda n: _sites(n, "odd") if n >= 2 else (), _check_split_c),
+    # the cx remainder equals the signed bottom-face projection
+    "ncx": (lambda n: _sites(n, "odd") if n >= 2 else (), _check_ncx),
+    # the stationarity defect decomposes over bottom faces and vanishes
+    "rs_decomposition": (lambda n: (None,), _check_rs_decomposition),
+    # simple path reversal on the re-anchored rectangle
+    "spr": (lambda n: _sites(n, "even"), _check_spr_registry),
 }
 
 
@@ -497,10 +430,8 @@ def check_identity(name: str, n: int, j: int | None = None) -> IdentityResult:
     """Run one registered identity at the given size and site index."""
     if name not in _REGISTRY:
         raise UnknownIdentity(name)
-    _, j_values, check = _REGISTRY[name]
-    if j is None and tuple(j_values(n)) != (None,):
-        raise IndexOutOfRange(f"identity {name} needs a site index at n={n}")
-    if j is not None and j not in j_values(n):
+    sites, check = _REGISTRY[name]
+    if j not in sites(n):
         raise IndexOutOfRange(f"j={j} not admissible for {name} at n={n}")
     ok, witness = check(n, j)
     return IdentityResult(name, n, j, ok, witness)
@@ -510,7 +441,7 @@ def run_identity_suite(n_values: Iterable[int]) -> list[IdentityResult]:
     """Every registered identity at every admissible index."""
     results = []
     for n in n_values:
-        for name, (_, j_values, _check) in _REGISTRY.items():
-            for j in j_values(n):
+        for name, (sites, _check) in _REGISTRY.items():
+            for j in sites(n):
                 results.append(check_identity(name, n, j))
     return results

@@ -427,6 +427,11 @@ class TestPinnedOutputs:
              "faee3b166f47b458dd86ea6c219f2ec07f123e85648f1dd686d1ab753a314fc5"),
             (("verify", "identities", "--n-max", "5"),
              "f8a6acf357040fe8cea4f5c7a05281622c2b897a4e9530a38a9f184a9fd2ebfa"),
+            pytest.param(
+                ("verify", "identities", "--n-max", "7"),
+                "1dadd96cba2cd3b9b9f41ab8ff0bac2b947ad23af4b05f3d9aa7fa4f56dd0468",
+                marks=pytest.mark.slow,
+            ),
             (("verify", "rs", "--n-max", "6"),
              "47edfbd323638f5799e3ed01b1f5b5ff70777ab40827e84fbfd03775354aa560"),
             (("verify", "tl", "--n-max", "7"),
@@ -462,7 +467,7 @@ class TestPinnedOutputs:
         ],
         ids=[
             "orbit-report-plus", "orbit-report-minus", "verify-orbits", "verify-identities",
-            "verify-rs", "verify-tl-n7", "verify-orbits-n6", "verify-gyration-general-seed1",
+            "verify-identities-n7", "verify-rs", "verify-tl-n7", "verify-orbits-n6", "verify-gyration-general-seed1",
             "verify-gyration-general-n5", "orbit-report-n6-plus", "orbit-report-n6-minus",
             "verify-gyration-general-n5-seed10216", "verify-gyration-general-n5-seed10314",
             "verify-gyration-general-n5-seed10404", "verify-tl-n7-seed5",

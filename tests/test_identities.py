@@ -7,12 +7,11 @@ import pytest
 from fplrs.errors import GeometryMismatch, IndexOutOfRange, UnknownIdentity
 from fplrs.fplcore import psi_counts
 from fplrs.identities import (
+    _REGISTRY,
     aux_state,
     check_identity,
     check_spr,
     gyration_directions,
-    n_even_sites,
-    n_odd_sites,
     nalpha_vector,
     run_identity_suite,
     s_vector,
@@ -30,17 +29,17 @@ class TestAuxStates:
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_even_sizes_right_edge_zero(self, n):
-        assert aux_state(n, "even", n_even_sites(n), "b").is_zero()
+        assert aux_state(n, "even", n // 2, "b").is_zero()
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_odd_sizes_right_edge_zero(self, n):
-        assert aux_state(n, "odd", n_odd_sites(n), "b").is_zero()
+        assert aux_state(n, "odd", (n + 1) // 2, "b").is_zero()
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_odd_sizes_last_cx_state_vanishes(self, n):
         # the corner column forces the site above the last black leg to
         # b, so the a-or-c refinement there is empty
-        assert aux_state(n, "odd", n_odd_sites(n), "cx").is_zero()
+        assert aux_state(n, "odd", (n + 1) // 2, "cx").is_zero()
 
     def test_index_bounds(self):
         with pytest.raises(IndexOutOfRange):
@@ -55,7 +54,7 @@ class TestAuxStates:
     def test_even_c_state_forces_the_adjacent_arc(self):
         # every pattern supporting the even c-state links legs j, j+1
         for n in (3, 4, 5):
-            for j in range(1, n_even_sites(n) + 1):
+            for j in range(1, n // 2 + 1):
                 v = aux_state(n, "even", j, "c")
                 assert not v.is_zero()
                 for p in v.entries:
@@ -82,6 +81,45 @@ class TestRegistry:
             check_identity("ec", 3, 5)
         with pytest.raises(IndexOutOfRange):
             check_identity("ose", 3)
+        # a site given to an identity checked once per size
+        with pytest.raises(IndexOutOfRange):
+            check_identity("lrd", 3, 1)
+        with pytest.raises(IndexOutOfRange):
+            check_identity("rs_decomposition", 4, 2)
+        # n = 1 has no even site, so no rectangle
+        with pytest.raises(IndexOutOfRange):
+            check_identity("spr", 1, 1)
+        with pytest.raises(IndexOutOfRange):
+            nalpha_vector(4, 3)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_admissible_sites(self, n):
+        # the sites the registry checks, in suite order, read without
+        # running a check, against each identity's range written out by
+        # hand rather than derived from the site rule
+        odd = range(1, (n + 1) // 2 + 1)
+        even = range(1, n // 2 + 1)
+        once = (None,)
+        table = {
+            "ose": odd,
+            "lrd": once,
+            "ec": even,
+            "rec_a1": range(2, (n + 1) // 2 + 1),
+            "rec_b1": even,
+            "rec_a2": even,
+            "rec_b2": range(1, (n + 1) // 2),
+            "gyr_a_odd": odd,
+            "gyr_b_odd": odd,
+            "gyr_c_odd": odd,
+            "gyr_a_even": even,
+            "gyr_b_even": even,
+            "split_c": odd if n >= 2 else (),
+            "ncx": odd if n >= 2 else (),
+            "rs_decomposition": once,
+            "spr": even if n >= 2 else (),
+        }
+        expected = [(name, j) for name, sites in table.items() for j in sites]
+        assert [(name, j) for name, (sites, _) in _REGISTRY.items() for j in sites(n)] == expected
 
     def test_example_checks(self):
         assert check_identity("ose", 3, 1).status
@@ -110,7 +148,7 @@ class TestRegistry:
 class TestFrozenRectangle:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_reduction_reproduces_filtered_table(self, n):
-        for j in range(1, n_odd_sites(n) + 1):
+        for j in range(1, (n + 1) // 2 + 1):
             d, t = shat_c_rectangle(n, j)
             rect = psi_counts(d, t)
             assert rect == aux_state(n, "odd", j, "c")
@@ -187,7 +225,7 @@ class TestSimplePathReversal:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_rectangle_instances(self, n):
-        for j in range(1, n_even_sites(n) + 1):
+        for j in range(1, n // 2 + 1):
             d, t1 = spr_instance(n, j)
             assert check_spr(d, t1).passed
 
