@@ -14,16 +14,16 @@ may go on by E or by N) leave no choice; both traversals follow them by
 one function, once per cut, and afterwards only OR in what they added.
 That function is the one place the ice rule is applied, at each vertex
 as it is reached; no colour is propagated ahead of it.  Counting merges
-the states that reach a decision by cut and adds up their
-configurations, so it visits none of them; it can also count by the
-colours of chosen internal edges, and with jobs > 1 runs once per
-decision prefix in a process pool.  Enumeration walks the same
-transitions depth first, one state at a time, with every internal
-edge's colour kept.  Internal edge ids run in vertex order, E before N,
-and each decision tries E white first, so the stream is the
-lexicographic order of canonical bitstrings; each leaf's closed
-termination pairs are its black link pattern, which the walk hands out
-with it.
+the states that reach a decision by cut: each cut is one entry, holding
+the counts of its configurations by closed termination pairs, and is run
+once, so no configuration is visited; it can also count by the colours
+of chosen internal edges, and with jobs > 1 runs once per decision
+prefix in a process pool.  Enumeration walks the same transitions depth
+first, one state at a time, with every internal edge's colour kept.
+Internal edge ids run in vertex order, E before N, and each decision
+tries E white first, so the stream is the lexicographic order of
+canonical bitstrings; each leaf's closed termination pairs are its
+black link pattern, which the walk hands out with it.
 
 Open monochromatic paths end at terminations; the black ones, labelled
 cyclically from the anchor, give the configuration's link pattern.
@@ -331,8 +331,16 @@ def refined_counts(n: int, sign: str = "+", jobs: int = 1) -> LpVector:
 # closed pairs are packed into one int, ``width`` bits per black
 # termination holding its partner + 1.  Above them, at bit ``off + e``
 # with ``off = width * n_black``, the same int holds the black edges e
-# the caller asked to keep; once coloured an edge never changes, so
-# states differing only there are counted apart to the end.
+# the caller asked to keep; once coloured an edge never changes.
+#
+# The future of a state depends on its cut tags alone, so the sweep
+# keeps one entry per cut and, inside it, the counts by that int:
+# states that differ only in their closed pairs or kept edges share the
+# entry and are counted apart inside it.  A run from the cut ORs the
+# same int into each of them, and that never merges two: it closes only
+# pairs whose ends are still tagged on the cut, so none is closed yet,
+# and colours only edges not coloured yet, so it sets no bit that a
+# state already has, and ``closed | one`` is ``closed + one``.
 #
 # A vertex with one black in-edge and both out-edges internal and free
 # is a decision.  Elsewhere a state has at most one successor, so the
@@ -529,10 +537,12 @@ def _transfer(
     bitmask (bit e set = black) of the internal edges e in ``keep`` and
     the black terminations, and by black pattern.
 
-    The runs of :func:`_runs` are merged by state at each decision: the
-    states that start a run at vertex k wait in bucket k with their
-    counts, and the buckets go in increasing k, each running its
-    distinct cuts once.  The counts equal those of the leaves of
+    The runs of :func:`_runs` are merged by cut at each decision: the
+    states that start a run at vertex k wait in bucket k, one entry per
+    cut holding their counts by closed pairs and kept edges, and the
+    buckets go in increasing k.  Each entry's cut is run once, and every
+    count in it, stepped by what the run ORs in, is added into the entry
+    of each child cut.  The counts equal those of the leaves of
     ``_walk(d, t, forced)``, patterns included, with the kept edges and
     the terminations read off their bits.
     """
@@ -541,26 +551,23 @@ def _transfer(
         return {}
     run, decode = built
     leaves: dict[int, int] = {}
-    pending: dict[int, dict] = {0: {((), 0): 1}}
+    pending: dict[int, dict] = {0: {(): {0: 1}}}
     while pending:
         k = min(pending)
-        memo: dict = {}
-        for (tags, closed), cnt in pending.pop(k).items():
-            out = memo.get(tags, _UNSEEN)
-            if out is _UNSEEN:
-                out = memo[tags] = run(k, tags)
+        for tags, closeds in pending.pop(k).items():
+            out = run(k, tags)
             if out is None:
                 continue
             if type(out) is int:
-                key = closed | out
-                leaves[key] = leaves.get(key, 0) + cnt
-                continue
-            _, (k1, tags0), one0, (_, tags1), one1 = out
-            bucket = pending.setdefault(k1, {})
-            key = tags0, closed | one0
-            bucket[key] = bucket.get(key, 0) + cnt
-            key = tags1, closed | one1
-            bucket[key] = bucket.get(key, 0) + cnt
+                steps = ((leaves, out),)
+            else:
+                _, (k1, tags0), one0, (_, tags1), one1 = out
+                bucket = pending.setdefault(k1, {})
+                steps = (bucket.setdefault(tags0, {}), one0), (bucket.setdefault(tags1, {}), one1)
+            for into, one in steps:
+                for closed, cnt in closeds.items():
+                    key = closed | one
+                    into[key] = into.get(key, 0) + cnt
     return {decode(closed): cnt for closed, cnt in leaves.items()}
 
 

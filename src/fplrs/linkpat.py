@@ -4,8 +4,8 @@ A link pattern on 2n points is a non-crossing perfect matching of 2n
 points on a circle.  Internally the matching is stored 0-based, as a
 tuple ``match`` with ``match[i]`` the partner of ``i``.  The canonical
 text encoding is the balanced parenthesis word of length 2n carrying
-'(' at the smaller endpoint of every arc; all serialized data and all
-dictionary keys use this word.
+'(' at the smaller endpoint of every arc; all serialized data uses this
+word, while dictionaries in memory are keyed by the patterns themselves.
 
 Patterns are interned: there is one :class:`LinkPattern` object per
 matching, validated once when it is first built, and equality and
@@ -169,7 +169,9 @@ def all_patterns(n: int) -> tuple[LinkPattern, ...]:
     """All of LP(n), sorted lexicographically by parenthesis word.
 
     '(' < ')' in ASCII, so lexicographic order on words starts at the
-    fully nested pattern and ends at the serial-arcs one.
+    fully nested pattern and ends at the serial-arcs one; the recursion
+    tries '(' before ')' at every position, so it emits the words in
+    that order.
     """
     words: list[str] = []
 
@@ -187,7 +189,7 @@ def all_patterns(n: int) -> tuple[LinkPattern, ...]:
             prefix.pop()
 
     grow([], 0, 0)
-    return tuple(LinkPattern.from_word(w) for w in sorted(words))
+    return tuple(LinkPattern.from_word(w) for w in words)
 
 
 def rotate(p: LinkPattern, k: int = 1) -> LinkPattern:
@@ -427,5 +429,5 @@ def apply_hamiltonian(v: LpVector) -> LpVector:
 
 
 def lp_vector_to_json(v: LpVector) -> dict:
-    entries = {p.word: str(c) for p, c in sorted(v.entries.items(), key=lambda kv: kv[0].word)}
+    entries = {w: str(c) for w, c in sorted((p.word, c) for p, c in v.entries.items())}
     return {"n": v.n, "entries": entries}

@@ -464,6 +464,21 @@ class TestPinnedOutputs:
              "287bfa2c4c14d374fc8641eb30d7a7e0cb9d18510b3c1f9aaa5ecd42b0140fa1"),
             (("groundstate", "--n", "6"),
              "bf621ed9c313c44bfc69956676d30e8c84bdd784228316b2463eef42e400b2dc"),
+            pytest.param(
+                ("enumerate", "--n", "8", "--allow-large"),
+                "8f4033f2a348acd34187bdfc1b082e77cfaad2d8a1c2d94ae93a817dabb1d8e0",
+                marks=pytest.mark.slow,
+            ),
+            pytest.param(
+                ("enumerate", "--n", "8", "--allow-large", "--sign", "-"),
+                "5a0e594f51d956902f663bf7cf866bb8692a0c78ad623436107eaada5c252339",
+                marks=pytest.mark.slow,
+            ),
+            pytest.param(
+                ("verify", "identities", "--n-max", "8"),
+                "b2003609dce8297da21735277db7dd93302b29d9bf65e49954244d81e1d9a4a8",
+                marks=pytest.mark.slow,
+            ),
         ],
         ids=[
             "orbit-report-plus", "orbit-report-minus", "verify-orbits", "verify-identities",
@@ -472,7 +487,7 @@ class TestPinnedOutputs:
             "verify-gyration-general-n5-seed10216", "verify-gyration-general-n5-seed10314",
             "verify-gyration-general-n5-seed10404", "verify-tl-n7-seed5",
             "verify-wieland-n6", "verify-rs-csv", "enumerate-n5-plus", "enumerate-n6-minus",
-            "groundstate-n6",
+            "groundstate-n6", "enumerate-n8-plus", "enumerate-n8-minus", "verify-identities-n8",
         ],
     )
     def test_stdout_digest(self, capsys, argv, digest):

@@ -540,7 +540,7 @@ class TestSweepMergesTheWalk:
             populated += bool(expected)
         assert populated > 25
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, pytest.param(7, marks=pytest.mark.slow)])
     @pytest.mark.parametrize("sign", "+-")
     def test_squares_with_the_census_keep(self, n, sign):
         d, t = build_square(n, sign)
@@ -550,7 +550,7 @@ class TestSweepMergesTheWalk:
         assert sum(expected.values()) == asm_count_formula(n)
         assert _transfer(d, t, keep=keep) == expected
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, pytest.param(7, marks=pytest.mark.slow)])
     @pytest.mark.parametrize("sign", "+-")
     def test_squares_run_each_state_once(self, monkeypatch, n, sign):
         _assert_each_state_runs_once(_record_run_starts(monkeypatch), *build_square(n, sign))

@@ -71,6 +71,11 @@ class TestLinkPattern:
         for n in range(8):
             assert len(all_patterns(n)) == math.comb(2 * n, n) // (n + 1)
 
+    def test_listed_in_word_order(self):
+        for n in range(8):
+            words = [p.word for p in all_patterns(n)]
+            assert words == sorted(set(words))
+
     def test_empty_pattern(self):
         empty = LinkPattern(())
         assert empty.n == 0 and empty.word == ""
@@ -458,6 +463,11 @@ class TestLpVector:
         v = LpVector(2, {p: 7, q: -3})
         data = lp_vector_to_json(v)
         assert data == {"n": 2, "entries": {p.word: "7", q.word: "-3"}}
+
+    def test_json_entries_in_word_order(self):
+        patterns = all_patterns(4)
+        v = LpVector(4, {p: k for k, p in enumerate(reversed(patterns), 1)})
+        assert list(lp_vector_to_json(v)["entries"]) == [p.word for p in patterns]
 
     def test_coefficients_are_ints_only(self):
         p, q = all_patterns(2)
