@@ -270,9 +270,9 @@ def _orbit_rows(n: int, sign: str, f) -> None:
     writer = csv.writer(f)
     writer.writerow(["orbit_id", "period", "link_class", "plaquette", "sum"])
     for oid, o in enumerate(gyration.orbit_partition(n, sign)):
-        classes, faces = gyration.orbit_faces(o)
+        word, faces = gyration.orbit_faces(o)
         for (x, y), (plus, minus) in faces.items():
-            writer.writerow([oid, o.period, classes[0], f"{x},{y}", plus - minus])
+            writer.writerow([oid, o.period, word, f"{x},{y}", plus - minus])
 
 
 def cmd_orbit_report(args) -> int:

@@ -31,8 +31,10 @@ the flat tracer's walker in ``fplcore``: a monochromatic pair passes a
 path from one leg to the other, and may close a loop of legs alone.
 One pass preserves this triplet exactly; the rotation of
 anchor-labelled patterns appears only when reading the result back
-through the ungluing, and its direction is pinned empirically, not
-assumed.
+through the ungluing.  Its direction is pinned empirically, not
+assumed: one full gyration sends pattern(phi) to R^k pattern(phi), k is
+read off the orbits at sizes 2 and 3, and the orbits suite checks every
+step of every orbit at each size against that k.
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ __all__ = [
     "orbit_faces",
     "pair_link_data",
     "square_rotation_direction",
+    "step_rotations",
     "generalized_gyration_check",
     "GyrationReport",
 ]
@@ -154,14 +157,14 @@ def orbit_partition(n: int, sign: str = "+") -> list[Orbit]:
     return orbits
 
 
-def orbit_faces(o: Orbit) -> tuple[tuple[str, ...], dict[tuple[int, int], tuple[int, int]]]:
-    """The rotation classes of the black patterns the orbit carries,
-    sorted (one class, by Wieland's theorem), and for every face how
-    many of the orbit's configurations score +1 and -1 on it: the face's
-    horizontal edges black and vertical ones white, or the reverse."""
+def orbit_faces(o: Orbit) -> tuple[str, dict[tuple[int, int], tuple[int, int]]]:
+    """The rotation class of the orbit's seed pattern, as the word of its
+    representative, and for every face how many of the orbit's
+    configurations score +1 and -1 on it: the face's horizontal edges
+    black and vertical ones white, or the reverse.  The class is the
+    orbit's only one when every step rotates its pattern, which
+    :func:`step_rotations` checks."""
     d = o.seed.domain
-    # sorted by word: a set of patterns iterates in identity-hash order
-    classes = tuple(sorted(c.word for c in {rotation_class_of(p) for p in o.patterns}))
     faces = {}
     for alpha, (h, v) in d.face_masks.items():
         both = h | v
@@ -173,24 +176,27 @@ def orbit_faces(o: Orbit) -> tuple[tuple[str, ...], dict[tuple[int, int], tuple[
             elif s == v:
                 minus += 1
         faces[alpha] = (plus, minus)
-    return classes, faces
+    return rotation_class_of(o.patterns[0]).word, faces
+
+
+def step_rotations(orbits: list[Orbit]) -> set[int]:
+    """The k in {1, -1} with pattern(G phi) = R^k pattern(phi) on every
+    step of the orbits.  An orbit lists pattern(phi) and pattern(G phi)
+    next to each other, cyclically.  A repeated step is tested once, so
+    ``rotate`` runs at most twice per distinct step, not per
+    configuration."""
+    steps = {step for o in orbits for step in zip(o.patterns, o.patterns[1:] + o.patterns[:1])}
+    return {k for k in (1, -1) if all(rotate(before, k) == after for before, after in steps)}
 
 
 @lru_cache(maxsize=None)
 def square_rotation_direction() -> int | None:
-    """The empirical k with pattern(G phi) = R^k pattern(phi) on squares,
-    or None when not exactly one of k = 1, -1 fits every step.
-
-    Determined at sizes 2 and 3; the two candidate directions first
-    differ at size 3.  An orbit lists pattern(phi) and pattern(G phi)
-    next to each other, cyclically.
-    """
-    candidates = {1, -1}
-    for n in (2, 3):
-        for o in orbit_partition(n):
-            for before, after in zip(o.patterns, o.patterns[1:] + o.patterns[:1]):
-                candidates = {k for k in candidates if rotate(before, k) == after}
-    return candidates.pop() if len(candidates) == 1 else None
+    """The k with pattern(G phi) = R^k pattern(phi) on every step of the
+    square's orbits at sizes 2 and 3, or None when not exactly one of
+    k = 1, -1 fits.  The two candidates first differ at size 3; the
+    orbits suite checks this k on every step at each size it runs."""
+    fits = step_rotations(orbit_partition(2) + orbit_partition(3))
+    return fits.pop() if len(fits) == 1 else None
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,10 @@ diagram conventions:
   at (j, j+1), one size up.  These two are deliberately not affine:
   close_c takes 1 <= j <= 2n-1 and add_a takes 1 <= j <= 2n+1.
 
+The vector forms ``apply_e``, ``apply_c`` and ``apply_a`` check j
+against the vector's size, so a zero vector, which has no pattern to
+check it on, refuses a bad index too; ``tl_e`` needs n >= 1.
+
 The loop weight is fixed at 1 (the cube-root-of-unity point), so a cap
 landing on an existing arc detaches a circle of weight one and the
 coefficient is unchanged.
@@ -39,14 +43,13 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Mapping
 
 from .errors import ArityMismatch, immutable
 
 __all__ = [
     "LinkPattern",
     "LpVector",
-    "RotationClass",
     "all_patterns",
     "asm_count_formula",
     "rotate",
@@ -54,7 +57,6 @@ __all__ = [
     "tl_e",
     "close_c",
     "add_a",
-    "rotation_classes",
     "rotation_class_of",
     "apply_rotation",
     "apply_e",
@@ -216,6 +218,8 @@ def tl_e(p: LinkPattern, j: int) -> LinkPattern:
     joined to j+1 and their former partners to each other.
     """
     size = len(p.match)
+    if not size:
+        raise ArityMismatch("tl_e on the empty pattern")
     a = (j - 1) % size
     b = j % size
     m = list(p.match)
@@ -258,43 +262,12 @@ def add_a(p: LinkPattern, j: int) -> LinkPattern:
     return LinkPattern(shift[: j - 1] + (j, j - 1) + shift[j - 1 :])
 
 
-class RotationClass(NamedTuple):
-    """An orbit of LP(n) under the rotation R."""
-
-    representative: LinkPattern
-    stabilizer_order: int
-    members: tuple[LinkPattern, ...]
-
-
 @lru_cache(maxsize=None)
-def rotation_classes(n: int) -> tuple[RotationClass, ...]:
-    """Orbit decomposition of LP(n) under R, representatives word-minimal."""
-    seen: set[LinkPattern] = set()
-    classes: list[RotationClass] = []
-    for p in all_patterns(n):
-        if p in seen:
-            continue
-        orbit: list[LinkPattern] = []
-        q = p
-        while q not in seen:
-            seen.add(q)
-            orbit.append(q)
-            q = rotate(q, 1)
-        rep = min(orbit, key=lambda r: r.word)
-        stab = 2 * n // len(orbit)
-        classes.append(RotationClass(rep, stab, tuple(orbit)))
-    return tuple(sorted(classes, key=lambda c: c.representative.word))
-
-
-@lru_cache(maxsize=None)
-def _class_representatives(n: int) -> dict[LinkPattern, LinkPattern]:
-    return {q: c.representative for c in rotation_classes(n) for q in c.members}
-
-
 def rotation_class_of(p: LinkPattern) -> LinkPattern:
-    """Word-minimal representative of p's rotation orbit, looked up in
-    the cached :func:`rotation_classes` of its size."""
-    return _class_representatives(p.n)[p]
+    """The word-least of p's 2n rotations, the representative of its
+    rotation class.  Patterns are interned, so the cache holds each
+    pattern it meets once, at most LP(n) at each size."""
+    return min((rotate(p, k) for k in range(2 * p.n)), key=lambda q: q.word, default=p)
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +299,8 @@ class LpVector:
     __setattr__ = __delattr__ = immutable
 
     def __init__(self, n: int, entries: Mapping[LinkPattern, int]) -> None:
+        if n < 0:
+            raise ArityMismatch(f"vector size {n} is negative")
         clean: dict[LinkPattern, int] = {}
         for p, coeff in entries.items():
             if p.n != n:
@@ -405,10 +380,14 @@ def apply_e(v: LpVector, j: int) -> LpVector:
 
 
 def apply_c(v: LpVector, j: int) -> LpVector:
+    if not 1 <= j <= 2 * v.n - 1:
+        raise ArityMismatch(f"c index {j} out of range for n={v.n}")
     return v.map_patterns(lambda p: close_c(p, j), v.n - 1)
 
 
 def apply_a(v: LpVector, j: int) -> LpVector:
+    if not 1 <= j <= 2 * v.n + 1:
+        raise ArityMismatch(f"a index {j} out of range for n={v.n}")
     return v.map_patterns(lambda p: add_a(p, j), v.n + 1)
 
 

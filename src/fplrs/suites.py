@@ -80,6 +80,7 @@ def _suite_wieland(n_max: int) -> list[CheckLine]:
 
 def _suite_orbits(n_max: int) -> list[CheckLine]:
     lines = []
+    k = gyration.square_rotation_direction()
     for n in range(1, n_max + 1):
         orbits = gyration.orbit_partition(n)
         total = sum(o.period for o in orbits)
@@ -91,15 +92,15 @@ def _suite_orbits(n_max: int) -> list[CheckLine]:
                 f"{len(orbits)} orbits, {total} configs",
             )
         )
+        # every step rotating by the pinned k keeps each orbit in one class
+        coherent = k in gyration.step_rotations(orbits)
         bad_sum = 0
         class_pm: dict[tuple[str, tuple[int, int]], list[int]] = {}
-        coherent = True
         for o in orbits:
-            classes, faces = gyration.orbit_faces(o)
-            coherent &= len(classes) == 1
+            word, faces = gyration.orbit_faces(o)
             for alpha, (plus, minus) in faces.items():
                 bad_sum += plus != minus
-                pm = class_pm.setdefault((classes[0], alpha), [0, 0])
+                pm = class_pm.setdefault((word, alpha), [0, 0])
                 pm[0] += plus
                 pm[1] += minus
         bad_class = sum(1 for pm in class_pm.values() if pm[0] != pm[1])

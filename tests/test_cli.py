@@ -207,6 +207,26 @@ class TestVerify:
         assert code == 1
         assert "[FAIL] wieland: gyration rotates patterns by one power of R" in out.splitlines()
 
+    def test_swapped_orbit_step_is_a_fail_line(self, capsys, monkeypatch):
+        # one n = 4 orbit lists two adjacent patterns swapped; both stay
+        # in the orbit's rotation class, so only the step rule sees it
+        real = gyration.orbit_partition
+
+        def swapped(n, sign="+"):
+            orbits = real(n, sign)
+            if n == 4:
+                i = next(i for i, o in enumerate(orbits) if len(set(o.patterns)) >= 3)
+                ps = orbits[i].patterns
+                assert linkpat.rotation_class_of(ps[0]) is linkpat.rotation_class_of(ps[1])
+                orbits[i] = orbits[i]._replace(patterns=(ps[1], ps[0]) + ps[2:])
+            return orbits
+
+        monkeypatch.setattr(gyration, "orbit_partition", swapped)
+        code, out, _ = run(capsys, "verify", "orbits", "--n-max", "4")
+        failed = [line for line in out.splitlines() if line.startswith("[FAIL]")]
+        assert code == 1
+        assert failed == ["[FAIL] orbits: orbits stay in one rotation class, n=4"]
+
 
     def test_conservation_line_checks_the_count(self, monkeypatch):
         # the involution line also fails when the DFS and the sweep
@@ -479,6 +499,11 @@ class TestPinnedOutputs:
                 "b2003609dce8297da21735277db7dd93302b29d9bf65e49954244d81e1d9a4a8",
                 marks=pytest.mark.slow,
             ),
+            pytest.param(
+                ("verify", "orbits", "--n-max", "7"),
+                "04a23622026fa1e32265f0001e6cbb273336cba8d802141cd8bfff2d2cd6c172",
+                marks=pytest.mark.slow,
+            ),
         ],
         ids=[
             "orbit-report-plus", "orbit-report-minus", "verify-orbits", "verify-identities",
@@ -488,6 +513,7 @@ class TestPinnedOutputs:
             "verify-gyration-general-n5-seed10404", "verify-tl-n7-seed5",
             "verify-wieland-n6", "verify-rs-csv", "enumerate-n5-plus", "enumerate-n6-minus",
             "groundstate-n6", "enumerate-n8-plus", "enumerate-n8-minus", "verify-identities-n8",
+            "verify-orbits-n7",
         ],
     )
     def test_stdout_digest(self, capsys, argv, digest):

@@ -23,6 +23,7 @@ from fplrs.gyration import (
     _square_glued,
     pair_link_data,
     square_rotation_direction,
+    step_rotations,
 )
 from fplrs.lattice import build_square, glue_and_gamma
 from fplrs.linkpat import LinkPattern, LpVector, asm_count_formula, rotate, rotation_class_of
@@ -381,6 +382,12 @@ class TestGyrate:
             after = link_data(_gyrate(phi)).black
             assert after == rotate(before, k)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_orbit_step_rotates_by_the_pinned_power(self, n):
+        # R and R^-1 agree on LP(1) and LP(2); from size 3 on only the
+        # pinned power fits every step
+        assert step_rotations(orbit_partition(n)) == ({1, -1} if n <= 2 else {-1})
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_orbit_stays_in_one_rotation_class(self, n):
         for o in orbit_partition(n):
@@ -443,8 +450,8 @@ class TestOrbitSums:
     def test_orbit_faces_agrees_with_direct_sums(self, sign):
         d, _ = build_square(4, sign)
         for o in orbit_partition(4, sign):
-            classes, faces = orbit_faces(o)
-            assert classes == (rotation_class_of(link_data(o.seed).black).word,)
+            word, faces = orbit_faces(o)
+            assert word == rotation_class_of(link_data(o.seed).black).word
             assert set(faces) == set(d.faces)
             for alpha, (plus, minus) in faces.items():
                 values = [plaquette_indicator(phi, alpha) for phi in _members(o)]

@@ -35,7 +35,6 @@ from fplrs.linkpat import (
     reflect,
     rotate,
     rotation_class_of,
-    rotation_classes,
     tl_e,
 )
 
@@ -220,6 +219,10 @@ class TestGenerators:
     def test_cap_rewires_partners(self):
         assert close_c(pat((1, 4), (2, 3)), 1) == LinkPattern.from_word("()")
 
+    def test_generator_on_the_empty_pattern(self):
+        with pytest.raises(ArityMismatch):
+            tl_e(LinkPattern(()), 1)
+
     def test_index_ranges(self):
         p = pat((1, 2), (3, 4))
         with pytest.raises(ArityMismatch):
@@ -383,35 +386,41 @@ def test_reflection_conjugates_the_generators(n):
             assert reflect(tl_e(p, j)) == tl_e(reflect(p), (size - j - 1) % size + 1)
 
 
+def _rotation_classes(n):
+    """LP(n) grouped by rotation_class_of, as representative -> members."""
+    classes = {}
+    for p in all_patterns(n):
+        classes.setdefault(rotation_class_of(p), []).append(p)
+    return classes
+
+
 class TestRotationClasses:
     def test_orbits_partition(self):
+        # each group is one rotation orbit: closed under R and reached
+        # from its representative; so the groups partition LP(n)
         for n in range(1, 8):
-            classes = rotation_classes(n)
-            assert sum(len(c.members) for c in classes) == math.comb(2 * n, n) // (n + 1)
-            seen = set()
-            for c in classes:
-                assert c.stabilizer_order * len(c.members) == 2 * n
-                assert 2 * n % c.stabilizer_order == 0
-                assert not seen.intersection(c.members)
-                seen.update(c.members)
+            classes = _rotation_classes(n)
+            assert sum(len(m) for m in classes.values()) == math.comb(2 * n, n) // (n + 1)
+            for rep, members in classes.items():
+                assert 2 * n % len(members) == 0
+                assert set(members) == {rotate(rep, k) for k in range(2 * n)}
 
     def test_small_class_counts(self):
         # LP(2) is a single orbit of size 2: the partition identity
         # sum of orbit sizes = catalan(n) leaves no other option.
-        assert [len(c.members) for c in rotation_classes(2)] == [2]
-        assert sorted(len(c.members) for c in rotation_classes(3)) == [2, 3]
+        assert [len(m) for m in _rotation_classes(2).values()] == [2]
+        assert sorted(len(m) for m in _rotation_classes(3).values()) == [2, 3]
         # three classes at size 4, the blocks of the orbit census
-        assert sorted(len(c.members) for c in rotation_classes(4)) == [2, 4, 8]
+        assert sorted(len(m) for m in _rotation_classes(4).values()) == [2, 4, 8]
 
     def test_representative_is_word_minimal(self):
-        for c in rotation_classes(4):
-            assert c.representative.word == min(m.word for m in c.members)
-            for m in c.members:
-                assert rotation_class_of(m) == c.representative
+        for rep, members in _rotation_classes(4).items():
+            assert rep.word == min(m.word for m in members)
+            assert rep in members
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_lookup_matches_brute_force(self, n):
-        # the lookup against the least word over all 2n rotations
+        # the representative against the least word over all 2n rotations
         for p in all_patterns(n):
             best = min((rotate(p, k) for k in range(2 * n)), key=lambda q: q.word)
             assert rotation_class_of(p) == best
@@ -449,6 +458,25 @@ class TestLpVector:
         v = LpVector(2, {LinkPattern.from_word("()()"): 1})
         assert apply_c(v, 1).n == 1
         assert apply_a(v, 1).n == 3
+
+    def test_cap_index_is_checked_on_an_empty_vector(self):
+        # the index is checked against the size, not per pattern, so a
+        # zero vector refuses it too rather than changing size
+        with pytest.raises(ArityMismatch):
+            apply_c(LpVector.zero(3), 99)
+        with pytest.raises(ArityMismatch):
+            apply_c(LpVector.zero(0), 1)
+        assert apply_c(LpVector.zero(3), 5) == LpVector.zero(2)
+
+    def test_add_index_is_checked_on_an_empty_vector(self):
+        with pytest.raises(ArityMismatch):
+            apply_a(LpVector.zero(2), 99)
+        assert apply_a(LpVector.zero(2), 5) == LpVector.zero(3)
+
+    def test_negative_size_is_refused(self):
+        with pytest.raises(ArityMismatch):
+            LpVector.zero(-1)
+        assert LpVector.zero(0).n == 0
 
     def test_exact_arithmetic(self):
         p, q = all_patterns(2)
