@@ -53,9 +53,7 @@ __all__ = [
     "enumerate_configs",
     "count_configs",
     "split_prefixes",
-    "vertex_type",
     "vertex_type_table",
-    "plaquette_indicator",
     "refined_counts",
     "psi_counts",
 ]
@@ -237,24 +235,6 @@ def vertex_type_table() -> dict[frozenset[int], str]:
             f"vertex-type calibration found {len(valid)} assignments"
         )
     return valid[0]
-
-
-def vertex_type(phi: FplConfig, v: Cell) -> str:
-    """Type letter of an internal vertex under the calibrated table."""
-    return vertex_type_table()[_black_dirs(phi, v)]
-
-
-def plaquette_indicator(phi: FplConfig, alpha: Cell) -> int:
-    """+1 for two black horizontal and two white vertical edges around
-    the face whose bottom-left vertex is ``alpha``; -1 for the colour
-    complement; 0 otherwise."""
-    h, v = phi.domain.face_masks[alpha]
-    s = phi.bits & (h | v)
-    if s == h:
-        return 1
-    if s == v:
-        return -1
-    return 0
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,10 @@ at each of its admissible sites.  The recursions and the gyration
 relations are one family table each, and a recursion is admissible
 wherever both of the sites it relates exist.  All of them
 read one cached census per size: the counting engine tallies the
-configurations by black pattern, the type words of the two bottom rows
-and the bottom-face indicators, and every state is a weighted sum over
-those keys.
+configurations by black pattern and by the black edges of the two
+bottom rows, and every state weights a few of those edge bits: the
+slots of one or two vertices read as a type letter, or the edges of one
+bottom face.
 
 All states are computed on the full square with type filters; the
 frozen-region reductions the proofs use become cross-checks (the
@@ -34,8 +35,8 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .errors import GeometryMismatch, IndexOutOfRange, UnknownIdentity
-from .fplcore import FplConfig, _transfer, plaquette_indicator, psi_counts, vertex_type
-from .lattice import EAST, NORTH, BoundaryCondition, Domain, build_square
+from .fplcore import _transfer, psi_counts, vertex_type_table
+from .lattice import EAST, NORTH, BoundaryCondition, Cell, Domain, build_square
 from .linkpat import (
     LinkPattern,
     LpVector,
@@ -73,43 +74,48 @@ def _sites(n: int, parity: str) -> range:
 
 @lru_cache(maxsize=None)
 def _census(n: int) -> Mapping:
-    """The plus ensemble counted by what the identity suite reads of a
-    configuration: its black pattern, the type letters of the two bottom
-    rows and the bottom-face indicators.
-
-    One sweep keeps the internal edges of the two bottom rows; with the
-    black terminations, which the sweep's bits carry, they fix every
-    edge those keys read.  Read-only, since every caller shares it.
+    """The plus ensemble counted by black pattern and by the black edges
+    the states read: the sweep's own counts, keyed ``(bits, pattern)``,
+    keeping the internal edges of the two bottom rows.  ``bits`` carries
+    the black terminations too, so it fixes every slot of a vertex in
+    those rows and every edge of a bottom face.  Read-only, since every
+    caller shares it.
     """
     d, t = build_square(n, "+")
     rows = [(x, y) for y in (1, 2) if y <= n for x in range(1, n + 1)]
     keep = sorted({e for v in rows for e in d.vertex_edges[v] if e < d.n_internal})
-    census: dict = {}
-    for (bits, pattern), v in _transfer(d, t, keep=keep).items():
-        phi = FplConfig(d, bits)
-        row = lambda y: "".join(vertex_type(phi, (x, y)) for x in range(1, n + 1))
-        alphas = tuple(plaquette_indicator(phi, (2 * j - 1, 1)) for j in _sites(n, "even"))
-        key = pattern, row(1), row(2) if n >= 2 else "", alphas
-        census[key] = census.get(key, 0) + v
-    return MappingProxyType(census)
+    return MappingProxyType(_transfer(d, t, keep=keep))
 
 
-def _vector(n: int, weight: Callable[[str, str, tuple[int, ...]], int]) -> LpVector:
+def _vector(n: int, mask: int, weights: Mapping[int, int]) -> LpVector:
     """Census counts summed per pattern, each key weighted by
-    ``weight(bottom, row2, alphas)``."""
+    ``weights.get(bits & mask, 0)``."""
     counts: dict[LinkPattern, int] = {}
-    for (pattern, bottom, row2, alphas), v in _census(n).items():
-        w = weight(bottom, row2, alphas)
+    for (bits, pattern), v in _census(n).items():
+        w = weights.get(bits & mask, 0)
         if w:
             counts[pattern] = counts.get(pattern, 0) + w * v
     return LpVector(n, counts)
+
+
+def _placements(n: int, v: Cell, letters: str) -> tuple[int, list[int]]:
+    """The slot mask of vertex v of the size-n square, and the black
+    edges of each of its placements whose type letter is in ``letters``:
+    the slots' bits fix the placement, and the placement the letter."""
+    slots = build_square(n, "+")[0].vertex_edges[v]
+    placements = [
+        sum(1 << slots[k] for k in dirs)
+        for dirs, letter in vertex_type_table().items()
+        if letter in letters
+    ]
+    return sum(1 << e for e in slots), placements
 
 
 @lru_cache(maxsize=None)
 def s_vector(n: int) -> LpVector:
     """The full refined-count vector of the plus ensemble; cached, and
     read-only like every vector."""
-    return _vector(n, lambda bottom, row2, alphas: 1)
+    return _vector(n, 0, {0: 1})
 
 
 @lru_cache(maxsize=None)
@@ -128,29 +134,32 @@ def aux_state(n: int, parity: str, j: int, vtype: str) -> LpVector:
         raise IndexOutOfRange(f"j={j} outside [1, {len(sites)}] for parity {parity}")
     col = 2 * j - 1 if parity == "odd" else 2 * j
     if vtype in ("a", "b", "c"):
-        return _vector(n, lambda bottom, row2, alphas: bottom[col - 1] == vtype)
+        mask, placements = _placements(n, (col, 1), vtype)
+        return _vector(n, mask, dict.fromkeys(placements, 1))
     if vtype in ("cb", "cx"):
         if parity != "odd":
             raise IndexOutOfRange("the c-state split refines odd sites only")
         if n < 2:
             raise IndexOutOfRange("the c-state split needs a second row")
-        above = "b" if vtype == "cb" else "ac"
-        return _vector(
-            n,
-            lambda bottom, row2, alphas: bottom[col - 1] == "c" and row2[col - 1] in above,
-        )
+        below, cs = _placements(n, (col, 1), "c")
+        above, xs = _placements(n, (col, 2), "b" if vtype == "cb" else "ac")
+        # a union that disagrees on the shared edge matches no key
+        return _vector(n, below | above, {c | x: 1 for c in cs for x in xs})
     raise ValueError(f"unknown vertex type {vtype!r}")
 
 
 def nalpha_vector(n: int, j: int) -> LpVector:
-    """Signed counts under the bottom-row face indicator at column 2j-1.
+    """Signed counts under the bottom-row face indicator at column 2j-1:
+    +1 where the face's two horizontal edges are black and its two
+    vertical ones white, -1 for the colour complement.
 
     Exists for 2j <= n; the callers treat the missing last face of odd
     sizes as the zero vector (its would-be coefficient class is empty).
     """
     if j not in _sites(n, "even"):
         raise IndexOutOfRange(f"no bottom face at column {2 * j - 1} for n={n}")
-    return _vector(n, lambda bottom, row2, alphas: alphas[j - 1])
+    h, v = build_square(n, "+")[0].face_masks[(2 * j - 1, 1)]
+    return _vector(n, h | v, {h: 1, v: -1})
 
 
 def rs_vector(n: int) -> LpVector:

@@ -19,8 +19,8 @@ diagram conventions:
 * ``rotate(p, k)`` shifts every endpoint down by k (cyclically), so one
   application moves the pattern one step counter-clockwise.
 * ``tl_e(p, j)`` caps positions j, j+1 and re-joins their former
-  partners; j is cyclic, so j = 2n acts between 2n and 1 (the affine
-  generator).
+  partners, for 1 <= j <= 2n, not reduced mod 2n; j = 2n acts between
+  2n and 1 (the affine generator).
 * ``close_c(p, j)`` caps positions j, j+1 and drops them, landing in
   the space one size down; ``add_a(p, j)`` inserts a fresh adjacent arc
   at (j, j+1), one size up.  These two are deliberately not affine:
@@ -28,7 +28,7 @@ diagram conventions:
 
 The vector forms ``apply_e``, ``apply_c`` and ``apply_a`` check j
 against the vector's size, so a zero vector, which has no pattern to
-check it on, refuses a bad index too; ``tl_e`` needs n >= 1.
+check it on, refuses a bad index too.
 
 The loop weight is fixed at 1 (the cube-root-of-unity point), so a cap
 landing on an existing arc detaches a circle of weight one and the
@@ -212,15 +212,16 @@ def reflect(p: LinkPattern) -> LinkPattern:
 
 
 def tl_e(p: LinkPattern, j: int) -> LinkPattern:
-    """The Temperley-Lieb generator e_j, cyclic 1 <= j <= 2n.
+    """The Temperley-Lieb generator e_j, 1 <= j <= 2n; e_2n joins 2n
+    to 1 (the affine generator).  j is not reduced mod 2n.
 
     If (j, j+1) is already an arc the pattern is fixed; otherwise j is
     joined to j+1 and their former partners to each other.
     """
     size = len(p.match)
-    if not size:
-        raise ArityMismatch("tl_e on the empty pattern")
-    a = (j - 1) % size
+    if not 1 <= j <= size:
+        raise ArityMismatch(f"e index {j} out of range for 2n={size}")
+    a = j - 1
     b = j % size
     m = list(p.match)
     if m[a] == b:

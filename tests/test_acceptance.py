@@ -14,11 +14,11 @@ import random
 
 import pytest
 
+from census_oracle import plaquette_indicator
 from fplrs.fplcore import (
     FplConfig,
     count_configs,
     enumerate_configs,
-    plaquette_indicator,
     refined_counts,
 )
 from fplrs.groundstate import stationary_vector

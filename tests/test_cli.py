@@ -447,6 +447,8 @@ class TestPinnedOutputs:
              "faee3b166f47b458dd86ea6c219f2ec07f123e85648f1dd686d1ab753a314fc5"),
             (("verify", "identities", "--n-max", "5"),
              "f8a6acf357040fe8cea4f5c7a05281622c2b897a4e9530a38a9f184a9fd2ebfa"),
+            (("verify", "identities", "--n-max", "6"),
+             "5650ae4b90b52294fa410f8bba202b6b85ea7ad97e951975d211496bfef059db"),
             pytest.param(
                 ("verify", "identities", "--n-max", "7"),
                 "1dadd96cba2cd3b9b9f41ab8ff0bac2b947ad23af4b05f3d9aa7fa4f56dd0468",
@@ -507,7 +509,7 @@ class TestPinnedOutputs:
         ],
         ids=[
             "orbit-report-plus", "orbit-report-minus", "verify-orbits", "verify-identities",
-            "verify-identities-n7", "verify-rs", "verify-tl-n7", "verify-orbits-n6", "verify-gyration-general-seed1",
+            "verify-identities-n6", "verify-identities-n7", "verify-rs", "verify-tl-n7", "verify-orbits-n6", "verify-gyration-general-seed1",
             "verify-gyration-general-n5", "orbit-report-n6-plus", "orbit-report-n6-minus",
             "verify-gyration-general-n5-seed10216", "verify-gyration-general-n5-seed10314",
             "verify-gyration-general-n5-seed10404", "verify-tl-n7-seed5",

@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from census_oracle import plaquette_indicator, vertex_type
 from dfs_oracle import oracle_configs, search
 from fplrs import fplcore
 from fplrs.fplcore import (
@@ -15,11 +16,9 @@ from fplrs.fplcore import (
     _walk,
     count_configs,
     enumerate_configs,
-    plaquette_indicator,
     psi_counts,
     refined_counts,
     split_prefixes,
-    vertex_type,
     vertex_type_table,
 )
 from fplrs.groundstate import stationary_vector
@@ -410,14 +409,15 @@ def _oracle(d, t, forced=()):
 
 def _census_oracle(n):
     """The identity census by the DFS: every configuration's black
-    pattern, bottom two type words and bottom-face indicators."""
+    pattern and its black edges among the terminations and the edges
+    that touch the bottom two rows."""
     d, t = build_square(n, "+")
-    keys = Counter()
-    for phi in oracle_configs(d, t):
-        row = lambda y: "".join(vertex_type(phi, (x, y)) for x in range(1, n + 1))
-        alphas = tuple(plaquette_indicator(phi, (2 * j - 1, 1)) for j in range(1, n // 2 + 1))
-        keys[link_data(phi).black, row(1), row(2) if n >= 2 else "", alphas] += 1
-    return keys
+    mask = sum(
+        1 << e
+        for e, ends in enumerate(d.edge_vertices)
+        if e >= d.n_internal or any(y <= 2 for _, y in ends)
+    )
+    return Counter((phi.bits & mask, link_data(phi).black) for phi in oracle_configs(d, t))
 
 
 def _random_ensembles(parity, count=10, seed=20100615):

@@ -5,12 +5,12 @@ from collections import Counter
 
 import pytest
 
+from census_oracle import plaquette_indicator
 from fplrs.fplcore import (
     FplConfig,
     _trace_colour,
     count_configs,
     enumerate_configs,
-    plaquette_indicator,
     refined_counts,
 )
 import fplrs.gyration

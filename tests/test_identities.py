@@ -1,9 +1,12 @@
 """Auxiliary states and the identity registry."""
 
 import random
+from collections import Counter
 
 import pytest
 
+from census_oracle import plaquette_indicator, vertex_type
+from dfs_oracle import oracle_configs
 from fplrs.errors import GeometryMismatch, IndexOutOfRange, UnknownIdentity
 from fplrs.fplcore import psi_counts
 from fplrs.identities import (
@@ -18,8 +21,9 @@ from fplrs.identities import (
     shat_c_rectangle,
     spr_instance,
 )
-from fplrs.lattice import EAST, NORTH, BoundaryCondition, Domain
+from fplrs.lattice import EAST, NORTH, BoundaryCondition, Domain, build_square
 from fplrs.linkpat import LpVector
+from trace_oracle import link_data
 
 
 class TestAuxStates:
@@ -59,6 +63,44 @@ class TestAuxStates:
                 assert not v.is_zero()
                 for p in v.entries:
                     assert p.match[j - 1] == j  # 0-based: legs j and j + 1
+
+
+
+def _states_oracle(n):
+    """Every auxiliary state and bottom-face vector of size n, tallied
+    over the DFS's configurations, one configuration at a time, with the
+    oracle's type letters and face indicators.  Keyed (parity, j, letter)
+    and ("face", j); a missing key is the zero vector."""
+    d, t = build_square(n, "+")
+    tally: dict = {}
+    for phi in oracle_configs(d, t):
+        p = link_data(phi).black
+        for col in range(1, n + 1):
+            site = ("odd" if col % 2 else "even", (col + 1) // 2)
+            letter = vertex_type(phi, (col, 1))
+            letters = [letter]
+            if col % 2 and n >= 2 and letter == "c":
+                letters.append("cb" if vertex_type(phi, (col, 2)) == "b" else "cx")
+            for key in letters:
+                tally.setdefault((*site, key), Counter())[p] += 1
+        for j in range(1, n // 2 + 1):
+            tally.setdefault(("face", j), Counter())[p] += plaquette_indicator(phi, (2 * j - 1, 1))
+    return tally
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_states_match_the_oracle(n):
+    # every state the registry reads, at every site, with every letter
+    # the site admits, against the per-configuration tally
+    tally = _states_oracle(n)
+    expected = lambda key: LpVector(n, tally.get(key, {}))
+    for col in range(1, n + 1):
+        parity, j = ("odd" if col % 2 else "even"), (col + 1) // 2
+        letters = "a b c cb cx".split() if col % 2 and n >= 2 else "abc"
+        for letter in letters:
+            assert aux_state(n, parity, j, letter) == expected((parity, j, letter))
+    for j in range(1, n // 2 + 1):
+        assert nalpha_vector(n, j) == expected(("face", j))
 
 
 class TestRegistry:
@@ -287,7 +329,7 @@ class TestFrozenRegions:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_bottom_row_freezes(self, n):
-        from fplrs.fplcore import enumerate_configs, vertex_type
+        from fplrs.fplcore import enumerate_configs
         from fplrs.lattice import build_square
 
         d, t = build_square(n, "+")

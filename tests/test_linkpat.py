@@ -223,6 +223,17 @@ class TestGenerators:
         with pytest.raises(ArityMismatch):
             tl_e(LinkPattern(()), 1)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_generator_index_is_not_reduced(self, n):
+        # an index outside 1..2n is refused, as the vector form refuses
+        # it, rather than taken mod 2n
+        for p in all_patterns(n):
+            for j in (-1, 0, 2 * n + 1, 99):
+                with pytest.raises(ArityMismatch, match=f"e index {j} out of range"):
+                    tl_e(p, j)
+                with pytest.raises(ArityMismatch, match=f"e index {j} out of range"):
+                    apply_e(LpVector(n, {p: 1}), j)
+
     def test_index_ranges(self):
         p = pat((1, 2), (3, 4))
         with pytest.raises(ArityMismatch):
