@@ -2,8 +2,9 @@
 
 A configuration colours every edge slot (internal edges and
 terminations) black or white so that each vertex sees exactly two of
-each; it is stored as a bitmask over the domain's canonical edge order
-(bit set = black).
+each.  It is a plain int, a bitmask over its domain's canonical edge
+order (bit set = black); the domain is passed beside it, never stored
+in it.
 
 One engine counts and enumerates: a frontier sweep, the connectivity
 transfer matrix of Batchelor, Blöte, Nienhuis & Yung (1996), visits the
@@ -43,13 +44,13 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Iterator, Mapping, Sequence
 
 from .lattice import BoundaryCondition, Cell, Domain, build_square
 from .linkpat import LinkPattern, LpVector
 
 __all__ = [
-    "FplConfig",
     "enumerate_configs",
     "count_configs",
     "split_prefixes",
@@ -59,29 +60,14 @@ __all__ = [
 ]
 
 
-class FplConfig(NamedTuple):
-    """One ice-rule colouring; bit e of ``bits`` set means edge e is black."""
-
-    domain: Domain
-    bits: int
-
-    def colour(self, edge_id: int) -> int:
-        return (self.bits >> edge_id) & 1
-
-    def boundary(self) -> BoundaryCondition:
-        base = self.domain.n_internal
-        return BoundaryCondition(
-            tuple(self.colour(base + k) for k in range(self.domain.perimeter))
-        )
-
-
 def enumerate_configs(
     d: Domain, t: BoundaryCondition, forced: Sequence[tuple[int, int]] = ()
-) -> Iterator[FplConfig]:
+) -> Iterator[int]:
     """Every ice-rule colouring extending t that gives each edge in
-    ``forced`` its colour, in lexicographic bit order."""
+    ``forced`` its colour, as its bitmask over d's edges, in
+    lexicographic bit order."""
     for bits, _ in _walk(d, t, forced):
-        yield FplConfig(d, bits)
+        yield bits
 
 
 def split_prefixes(
@@ -178,10 +164,10 @@ def _walk_paths(
     return LinkPattern(tuple(match)), loops
 
 
-def _trace_colour(phi: FplConfig) -> tuple[LinkPattern, int]:
-    """The black link pattern and closed black-loop count, every black
-    termination a path end, labelled in anchor order."""
-    d, bits = phi.domain, phi.bits
+def _trace_colour(d: Domain, bits: int) -> tuple[LinkPattern, int]:
+    """The black link pattern and closed black-loop count of the
+    bitmask, every black termination a path end, labelled in anchor
+    order."""
     ends: dict[int, int] = {}
     for e in range(d.n_internal, len(d.edge_vertices)):
         if (bits >> e) & 1:
@@ -193,9 +179,9 @@ def _trace_colour(phi: FplConfig) -> tuple[LinkPattern, int]:
 # Vertex types
 
 
-def _black_dirs(phi: FplConfig, v: Cell) -> frozenset[int]:
-    slots = phi.domain.vertex_edges[v]
-    return frozenset(d for d in range(4) if phi.colour(slots[d]) == 1)
+def _black_dirs(d: Domain, bits: int, v: Cell) -> frozenset[int]:
+    slots = d.vertex_edges[v]
+    return frozenset(k for k in range(4) if (bits >> slots[k]) & 1)
 
 
 def _matches_bottom_law(types: Sequence[str]) -> bool:
@@ -206,20 +192,21 @@ def _matches_bottom_law(types: Sequence[str]) -> bool:
 
 
 @lru_cache(maxsize=None)
-def vertex_type_table() -> dict[frozenset[int], str]:
+def vertex_type_table() -> Mapping[frozenset[int], str]:
     """The pinned assignment of the six black-pair placements to a, b, c.
 
     Derived, not guessed: among all ways to split the six placements
     into three labelled pairs, exactly one makes every bottom row of
     the size-2 and size-3 ensembles read b..bca..a.  That unique
-    assignment is returned; ambiguity or failure raises.
+    assignment is returned, read-only since every caller shares it;
+    ambiguity or failure raises.
     """
     keys = [frozenset(p) for p in combinations(range(4), 2)]
     rows: list[tuple[frozenset[int], ...]] = []
     for n in (2, 3):
         d, t = build_square(n, "+")
-        for phi in enumerate_configs(d, t):
-            rows.append(tuple(_black_dirs(phi, (x, 1)) for x in range(1, n + 1)))
+        for bits, _ in _walk(d, t):
+            rows.append(tuple(_black_dirs(d, bits, (x, 1)) for x in range(1, n + 1)))
     valid: list[dict[frozenset[int], str]] = []
     for a_pick in combinations(range(6), 2):
         rest = [i for i in range(6) if i not in a_pick]
@@ -234,7 +221,7 @@ def vertex_type_table() -> dict[frozenset[int], str]:
         raise AssertionError(
             f"vertex-type calibration found {len(valid)} assignments"
         )
-    return valid[0]
+    return MappingProxyType(valid[0])
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +246,7 @@ def _patterns(d: Domain, t: BoundaryCondition, jobs: int = 1) -> dict[LinkPatter
     leaves, prefixes = split_prefixes(d, t, depth)
     counts: dict[LinkPattern, int] = {}
     for bits in leaves:
-        p = _trace_colour(FplConfig(d, bits))[0]
+        p = _trace_colour(d, bits)[0]
         counts[p] = counts.get(p, 0) + 1
     if prefixes:
         import multiprocessing as mp

@@ -15,13 +15,15 @@ exchanges of two legs at one vertex, so this is a relabelling of leg
 bits, which the gluing applies once to its cycle masks and pair legs;
 the pass itself is the bare cycle rule.
 
-The pass works on bitmasks: the gluing caches each 4-cycle's edge mask
-and its two alternating colourings, so a pass is one masked test per
-4-cycle and one XOR over all edges.  Orbits step on plain ints through
-the two cached square gluings, and the face counts along an orbit read
-each face's horizontal and vertical edge masks off the same ints.  The
-orbit partition takes each configuration's black pattern from the
-enumeration walk, which meets it anyway, instead of tracing it.
+A configuration is its bitmask, a plain int; the domain comes from the
+gluing (``g.domain``) or the orbit (``Orbit.domain``).  The gluing
+caches each 4-cycle's edge mask and its two alternating colourings, so
+a pass is one masked test per 4-cycle and one XOR over all edges.
+Orbits step on those ints through the two cached square gluings, and
+the face counts along an orbit read each face's horizontal and
+vertical edge masks off the same ints.  The orbit partition takes each
+configuration's black pattern from the enumeration walk, which meets it
+anyway, instead of tracing it.
 
 Link data on the glued graph is read over the bichromatic glued
 vertices (pairs whose two legs differ), labelled in pair order; both
@@ -42,8 +44,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import InvalidTriplet
-from .fplcore import FplConfig, _walk, _walk_paths, psi_counts
+from .fplcore import _walk, _walk_paths, psi_counts
 from .lattice import (
     BoundaryCondition,
     Domain,
@@ -74,26 +75,20 @@ __all__ = [
 ]
 
 
-def _pass(bits: int, g: GluedGraph) -> int:
-    """The cycle rule on a bitmask: complement every cycle except the
-    4-cycles that read one of their two alternating colourings."""
+def apply_h(bits: int, g: GluedGraph) -> int:
+    """One gyration pass on a configuration of ``g.domain``, given as its
+    bitmask; sends the boundary condition to its complement.
+
+    The cycle rule: alternating 4-cycles, those that read one of their
+    two alternating colourings, are fixed, and all other cycles
+    complemented.  An involution on its domain of definition.
+    """
     flip, quads = g.cycle_masks
     for mask, alt0, alt1 in quads:
         s = bits & mask
         if s == alt0 or s == alt1:
             flip ^= mask
     return bits ^ flip
-
-
-def apply_h(phi: FplConfig, g: GluedGraph) -> FplConfig:
-    """One gyration pass; sends the boundary condition to its complement.
-
-    Alternating 4-cycles are fixed, all other cycles complemented.  An
-    involution on its domain of definition.
-    """
-    if phi.domain is not g.domain and phi.domain != g.domain:
-        raise InvalidTriplet("configuration and gluing live on different domains")
-    return FplConfig(g.domain, _pass(phi.bits, g))
 
 
 @lru_cache(maxsize=None)
@@ -105,10 +100,11 @@ def _square_glued(n: int, parity: str) -> GluedGraph:
 
 
 class Orbit(NamedTuple):
-    """One cycle of repeated gyration: the config bitmasks in gyration
-    order from the seed, and the black pattern of each."""
+    """One cycle of repeated gyration: the domain its configurations
+    live on, their bitmasks in gyration order from the seed
+    ``hashes[0]``, and the black pattern of each."""
 
-    seed: FplConfig
+    domain: Domain
     hashes: tuple[int, ...]
     patterns: tuple[LinkPattern, ...]
 
@@ -121,10 +117,10 @@ def _cycle(start: int, plus: GluedGraph, minus: GluedGraph) -> tuple[int, ...]:
     """The gyration cycle through a bitmask, stepped on plain ints: the
     full gyration is the plus pass followed by the minus pass."""
     hashes = [start]
-    cur = _pass(_pass(start, plus), minus)
+    cur = apply_h(apply_h(start, plus), minus)
     while cur != start:
         hashes.append(cur)
-        cur = _pass(_pass(cur, plus), minus)
+        cur = apply_h(apply_h(cur, plus), minus)
     return tuple(hashes)
 
 
@@ -153,7 +149,7 @@ def orbit_partition(n: int, sign: str = "+") -> list[Orbit]:
         patterns = tuple(pattern[bits] for bits in hashes)
         if None in patterns:
             raise AssertionError("gyration left the ensemble")
-        orbits.append(Orbit(FplConfig(d, hashes[0]), hashes, patterns))
+        orbits.append(Orbit(d, hashes, patterns))
     return orbits
 
 
@@ -161,12 +157,12 @@ def orbit_faces(o: Orbit) -> tuple[str, dict[tuple[int, int], tuple[int, int]]]:
     """The rotation class of the orbit's seed pattern, as the word of its
     representative, and for every face how many of the orbit's
     configurations score +1 and -1 on it: the face's horizontal edges
-    black and vertical ones white, or the reverse.  The class is the
-    orbit's only one when every step rotates its pattern, which
+    black and vertical ones white, or the reverse, read off each
+    configuration's int with the face masks of ``o.domain``.  The class
+    is the orbit's only one when every step rotates its pattern, which
     :func:`step_rotations` checks."""
-    d = o.seed.domain
     faces = {}
-    for alpha, (h, v) in d.face_masks.items():
+    for alpha, (h, v) in o.domain.face_masks.items():
         both = h | v
         plus = minus = 0
         for bits in o.hashes:
@@ -211,14 +207,15 @@ class PairLinkData(NamedTuple):
     loops: int
 
 
-def pair_link_data(phi: FplConfig, g: GluedGraph) -> PairLinkData:
-    """Trace paths on the glued graph, the legs read through the swaps.
+def pair_link_data(bits: int, g: GluedGraph) -> PairLinkData:
+    """Trace the paths of a configuration of ``g.domain``, given as its
+    bitmask, on the glued graph, the legs read through the swaps.
 
     Endpoints are the bichromatic pairs, labelled by their order in the
     pairing; monochromatic pairs are passed through.  Loops of both
     colours are counted together.
     """
-    d, bits = g.domain, phi.bits
+    d = g.domain
     white: dict[int, int] = {}
     black: dict[int, int] = {}
     glue: dict[int, int] = {}
@@ -284,6 +281,7 @@ def generalized_gyration_check(
     operators on each side; the resulting vectors over the bichromatic
     points must agree exactly.  The minus pairing is reduced to the plus
     pairing of the once-rotated anchor, so no affine cap is ever needed.
+    Any other parity is refused with a ValueError, by the gluing.
     """
     if parity == "minus":
         shift = Domain(d.cells, (d.anchor + 1) % d.perimeter)
@@ -292,7 +290,7 @@ def generalized_gyration_check(
         return GyrationReport(
             "minus", inner.j_left, inner.j_right, inner.swaps, inner.passed, inner.detail
         )
-    g = glue_and_gamma(d, t, "plus")
+    g = glue_and_gamma(d, t, parity)
     t1 = g.swapped_bc
     t2 = t1.complemented()
     j1 = _black_label_sets(t1)

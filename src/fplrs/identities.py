@@ -195,8 +195,9 @@ _GYR_FAMILIES = {
 
 
 @lru_cache(maxsize=None)
-def gyration_directions() -> dict[str, int]:
-    """Empirically pinned rotation exponents of the gyration relations.
+def gyration_directions() -> Mapping[str, int]:
+    """Empirically pinned rotation exponents of the gyration relations,
+    read-only since every caller shares them.
 
     For each family the relation reads  e_j s = R^dir e_{j+off} s  and
     the exponent is the unique one consistent across sizes 3 and 4 for
@@ -220,7 +221,7 @@ def gyration_directions() -> dict[str, int]:
             raise AssertionError(
                 f"gyration relation {name} not pinned: candidates {sorted(dirs)}"
             )
-    return {name: dirs.pop() for name, dirs in candidates.items()}
+    return MappingProxyType({name: dirs.pop() for name, dirs in candidates.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,10 @@ check lines of one suite, which the command line reports.
     tl                Temperley-Lieb and add/cap relations
     gyration-general  the gyration pass on glued domains
 
+A configuration is handed round as its bitmask over its domain's
+edges, a plain int, as in the layers; the domain comes with the
+ensemble or the gluing.
+
 Like ``fplrs.cli``, this module binds the layers as modules and calls
 them through their attributes, so a suite executes only the layers it
 calls.  The package registers this module lazily too, so the command
@@ -257,12 +261,15 @@ def _conservation_lines(d, t, parity, lines, label) -> None:
     g = lattice.glue_and_gamma(d, t, parity)
     ok_inv = ok_triplet = ok_bc = True
     count = 0
-    complement = t.complemented()
+    # the termination bits of the complement, and of every configuration
+    base = d.n_internal
+    terminations = ((1 << d.perimeter) - 1) << base
+    complement = sum(1 << (base + k) for k, c in enumerate(t.colours) if not c)
     for phi in fplcore.enumerate_configs(d, t):
         count += 1
         psi = gyration.apply_h(phi, g)
-        ok_bc &= psi.boundary() == complement
-        ok_inv &= gyration.apply_h(psi, g).bits == phi.bits
+        ok_bc &= psi & terminations == complement
+        ok_inv &= gyration.apply_h(psi, g) == phi
         ok_triplet &= gyration.pair_link_data(phi, g) == gyration.pair_link_data(psi, g)
     lines.append(
         CheckLine(

@@ -8,9 +8,8 @@ carries no path tags.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from fplrs.fplcore import FplConfig
 from fplrs.lattice import BoundaryCondition, Domain
 
 
@@ -129,11 +128,3 @@ def search(
                 descending = assign(edge, 1)
             else:
                 decisions.pop()
-
-
-def oracle_configs(
-    d: Domain, t: BoundaryCondition, forced: Sequence[tuple[int, int]] = ()
-) -> Iterator[FplConfig]:
-    """Every configuration by the DFS, in its stream order."""
-    for bits in search(d, t, forced):
-        yield FplConfig(d, bits)

@@ -242,6 +242,21 @@ class TestVerify:
         assert honest.status and not miscounted.status
         assert (honest.check, honest.detail) == (miscounted.check, miscounted.detail)
 
+    def test_conservation_line_checks_the_boundary(self, monkeypatch):
+        # the identity is an involution, keeps the link data and the
+        # count, so only the compare of the termination bits with the
+        # complement's can catch it
+        from fplrs.lattice import build_square
+
+        d, t = build_square(2, "+")
+        monkeypatch.setattr(gyration, "apply_h", lambda bits, g: bits)
+        lines = []
+        suites._conservation_lines(d, t, "plus", lines, "square n=2 plus")
+        involution, link = lines
+        assert involution.check == "pass is an involution onto the complement, square n=2 plus"
+        assert not involution.status
+        assert link.check == "glued link data conserved, square n=2 plus" and link.status
+
 
 @pytest.mark.parametrize("repeats", [1, 2], ids=["once", "repeated"])
 def test_tl_fault_reached_by_one_sample_fails_its_line(monkeypatch, repeats):
@@ -464,6 +479,10 @@ class TestPinnedOutputs:
              "dabfe0f091a605352c5330f933304d5b5370072c82cf10d76f5a44f2cc502107"),
             (("verify", "gyration-general", "--n-max", "5"),
              "513d2fa224209a0e5221c5e70e706334ddda18e98a63eecd0708bf470900857f"),
+            (("verify", "gyration-general", "--n-max", "5", "--seed", "1"),
+             "c55ceb813e907d70feea94c18dfa34daff0336cfa5564833a230f0a8823174ae"),
+            (("verify", "gyration-general", "--n-max", "5", "--seed", "7"),
+             "90020231adebb04cc447517adecfb4f6dc8c173f15aa6e72e67a1a0e107613b9"),
             (("orbit-report", "--n", "6", "--sign", "+"),
              "3e32b56bd4ba397a1c4d69cdc488ade91c97ab3bdce30d52e93e749376ef9da7"),
             (("orbit-report", "--n", "6", "--sign", "-"),
@@ -510,7 +529,8 @@ class TestPinnedOutputs:
         ids=[
             "orbit-report-plus", "orbit-report-minus", "verify-orbits", "verify-identities",
             "verify-identities-n6", "verify-identities-n7", "verify-rs", "verify-tl-n7", "verify-orbits-n6", "verify-gyration-general-seed1",
-            "verify-gyration-general-n5", "orbit-report-n6-plus", "orbit-report-n6-minus",
+            "verify-gyration-general-n5", "verify-gyration-general-n5-seed1",
+            "verify-gyration-general-n5-seed7", "orbit-report-n6-plus", "orbit-report-n6-minus",
             "verify-gyration-general-n5-seed10216", "verify-gyration-general-n5-seed10314",
             "verify-gyration-general-n5-seed10404", "verify-tl-n7-seed5",
             "verify-wieland-n6", "verify-rs-csv", "enumerate-n5-plus", "enumerate-n6-minus",

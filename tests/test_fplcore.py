@@ -6,10 +6,9 @@ from collections import Counter
 import pytest
 
 from census_oracle import plaquette_indicator, vertex_type
-from dfs_oracle import oracle_configs, search
+from dfs_oracle import search
 from fplrs import fplcore
 from fplrs.fplcore import (
-    FplConfig,
     _patterns,
     _trace_colour,
     _transfer,
@@ -26,14 +25,14 @@ from fplrs.identities import _census, aux_state, s_vector
 from fplrs.lattice import BoundaryCondition, build_square
 from fplrs.linkpat import LinkPattern, LpVector, apply_rotation, asm_count_formula, lp_vector_to_json
 from fplrs.sampling import random_glueable
-from trace_oracle import LinkData, link_data, obeys_ice_rule
+from trace_oracle import LinkData, boundary, link_data, obeys_ice_rule
 
 ASM_NUMBERS = [1, 2, 7, 42, 429, 7436, 218348]
 
 
-def _complement(phi: FplConfig) -> FplConfig:
+def _complement(d, bits: int) -> int:
     """Every edge's colour flipped."""
-    return FplConfig(phi.domain, phi.bits ^ ((1 << len(phi.domain.edge_vertices)) - 1))
+    return bits ^ ((1 << len(d.edge_vertices)) - 1)
 
 
 def _site(col: int) -> tuple[str, int]:
@@ -60,14 +59,14 @@ class TestEnumerate:
         d, t = build_square(1, "+")
         configs = list(enumerate_configs(d, t))
         assert len(configs) == 1
-        assert configs[0].boundary() == t
+        assert boundary(d, configs[0]) == t
 
     def test_stream_is_lexicographic_and_deterministic(self):
         d, t = build_square(3, "+")
         # edge 0 first, so that string order is the walk's order
         width = len(d.edge_vertices)
-        first = [format(phi.bits, f"0{width}b")[::-1] for phi in enumerate_configs(d, t)]
-        second = [format(phi.bits, f"0{width}b")[::-1] for phi in enumerate_configs(d, t)]
+        first = [format(phi, f"0{width}b")[::-1] for phi in enumerate_configs(d, t)]
+        second = [format(phi, f"0{width}b")[::-1] for phi in enumerate_configs(d, t)]
         assert first == second == sorted(first)
         assert len(set(first)) == len(first)
 
@@ -75,13 +74,13 @@ class TestEnumerate:
     def test_ice_rule_everywhere(self, n):
         d, t = build_square(n, "+")
         for phi in enumerate_configs(d, t):
-            assert obeys_ice_rule(phi)
+            assert obeys_ice_rule(d, phi)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_complement_bijection(self, n):
         d, t = build_square(n, "+")
-        plus = {_complement(phi).bits for phi in enumerate_configs(d, t)}
-        minus = {phi.bits for phi in enumerate_configs(d, t.complemented())}
+        plus = {_complement(d, phi) for phi in enumerate_configs(d, t)}
+        minus = set(enumerate_configs(d, t.complemented()))
         assert plus == minus
 
     def test_empty_ensemble_is_a_stream_not_an_error(self):
@@ -103,8 +102,8 @@ class TestEnumerate:
         done, prefixes = split_prefixes(d, t, 3)
         merged = list(done)
         for prefix in prefixes:
-            merged.extend(phi.bits for phi in enumerate_configs(d, t, prefix))
-        assert sorted(merged) == sorted(phi.bits for phi in enumerate_configs(d, t))
+            merged.extend(enumerate_configs(d, t, prefix))
+        assert sorted(merged) == sorted(enumerate_configs(d, t))
         assert len(merged) == asm_count_formula(4)
 
     def test_parallel_count_agrees(self):
@@ -119,30 +118,30 @@ class TestEnumerate:
         # then stayed one low, so the DFS yielded configs with three
         # edges of one colour there.
         for d, t in _suite_ensembles(seed):
-            configs = list(oracle_configs(d, t))
+            configs = list(search(d, t))
             assert len(configs) == count_configs(d, t)
-            assert all(obeys_ice_rule(phi) for phi in configs)
+            assert all(obeys_ice_rule(d, phi) for phi in configs)
 
 
 class TestLinkData:
     def test_single_vertex(self):
         d, t = build_square(1, "+")
-        ld = link_data(next(enumerate_configs(d, t)))
+        ld = link_data(d, next(enumerate_configs(d, t)))
         assert ld.black.word == "()"
         assert ld.white.word == "()"
         assert ld.loops == 0
 
     def test_two_by_two_patterns(self):
         d, t = build_square(2, "+")
-        words = sorted(link_data(phi).black.word for phi in enumerate_configs(d, t))
+        words = sorted(link_data(d, phi).black.word for phi in enumerate_configs(d, t))
         assert words == ["(())", "()()"]
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_complement_swaps_colours(self, n):
         d, t = build_square(n, "+")
         for phi in enumerate_configs(d, t):
-            ld = link_data(phi)
-            ld_bar = link_data(_complement(phi))
+            ld = link_data(d, phi)
+            ld_bar = link_data(d, _complement(d, phi))
             assert ld.black == ld_bar.white
             assert ld.white == ld_bar.black
             assert ld.loops_black == ld_bar.loops_white
@@ -152,29 +151,32 @@ class TestLinkData:
         # black edge; a walk reaching one must raise, not leave along a
         # white edge (which looped for ever on some of these)
         d, t = build_square(4, "+")
-        phi = next(p for p in enumerate_configs(d, t) if link_data(p).loops_black)
-        inner = [e for e in range(d.n_internal) if phi.colour(e)]
+        phi = next(p for p in enumerate_configs(d, t) if link_data(d, p).loops_black)
+        inner = [e for e in range(d.n_internal) if (phi >> e) & 1]
         assert len(inner) == 12
         for e in inner:
             with pytest.raises(ValueError, match="stops at an inner vertex"):
-                _trace_colour(FplConfig(d, phi.bits & ~(1 << e)))
+                _trace_colour(d, phi & ~(1 << e))
 
     def test_patterns_are_valid_involutions(self):
         # LinkPattern construction rejects crossings and fixed points,
         # so tracing every configuration is itself the assertion.
         d, t = build_square(4, "+")
         for phi in enumerate_configs(d, t):
-            link_data(phi)
+            link_data(d, phi)
 
 
-def _reference_trace(phi, want):
+def _reference_trace(d, bits, want):
     """The tracer as first written: one colour test per slot per step,
     vertices as cells, visited edges in a set.  Kept as the oracle for
     the table-driven ``_trace_colour``."""
-    d = phi.domain
+
+    def colour(e):
+        return (bits >> e) & 1
+
     n_internal = d.n_internal
     terms = [
-        k for k in range(d.perimeter) if phi.colour(d.termination_id(k)) == want
+        k for k in range(d.perimeter) if colour(d.termination_id(k)) == want
     ]
     label = {k: i for i, k in enumerate(terms)}
     edges_of_vert = d.vertex_edges
@@ -191,7 +193,7 @@ def _reference_trace(phi, want):
             nxt = next(
                 e2
                 for e2 in edges_of_vert[v]
-                if e2 != eid and phi.colour(e2) == want
+                if e2 != eid and colour(e2) == want
             )
             seen.add(nxt)
             if nxt >= n_internal:
@@ -204,7 +206,7 @@ def _reference_trace(phi, want):
             eid = nxt
     loops = 0
     for eid in range(n_internal):
-        if phi.colour(eid) != want or eid in seen:
+        if colour(eid) != want or eid in seen:
             continue
         loops += 1
         v = vert_of_edge[eid][1]
@@ -214,7 +216,7 @@ def _reference_trace(phi, want):
             nxt = next(
                 e2
                 for e2 in edges_of_vert[v]
-                if e2 != cur and phi.colour(e2) == want
+                if e2 != cur and colour(e2) == want
             )
             if nxt == eid:
                 break
@@ -227,9 +229,9 @@ def _reference_trace(phi, want):
 def _assert_tracer_matches_reference(d, t):
     count = 0
     for phi in enumerate_configs(d, t):
-        black, loops_black = _reference_trace(phi, 1)
-        white, loops_white = _reference_trace(phi, 0)
-        assert link_data(phi) == LinkData(black, white, loops_black, loops_white)
+        black, loops_black = _reference_trace(d, phi, 1)
+        white, loops_white = _reference_trace(d, phi, 0)
+        assert link_data(d, phi) == LinkData(black, white, loops_black, loops_white)
         count += 1
     return count
 
@@ -252,7 +254,7 @@ class TestTracerOracle:
         loops = 0
         for d, t in _random_ensembles(parity):
             assert _assert_tracer_matches_reference(d, t) >= 2
-            loops += sum(link_data(phi).loops for phi in enumerate_configs(d, t))
+            loops += sum(link_data(d, phi).loops for phi in enumerate_configs(d, t))
         # closed loops occur, so the loop walk is exercised too
         assert loops > 0
 
@@ -276,13 +278,13 @@ class TestVertexTypes:
     def test_single_vertex_is_c(self):
         d, t = build_square(1, "+")
         phi = next(enumerate_configs(d, t))
-        assert vertex_type(phi, (1, 1)) == "c"
+        assert vertex_type(d, phi, (1, 1)) == "c"
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_bottom_row_reads_b_c_a(self, n):
         d, t = build_square(n, "+")
         for phi in enumerate_configs(d, t):
-            row = [vertex_type(phi, (x, 1)) for x in range(1, n + 1)]
+            row = [vertex_type(d, phi, (x, 1)) for x in range(1, n + 1)]
             assert row.count("c") == 1
             k = row.index("c")
             assert all(v == "b" for v in row[:k])
@@ -293,7 +295,7 @@ class TestVertexTypes:
         d, t = build_square(n, "+")
         per_position = [0] * n
         for phi in enumerate_configs(d, t):
-            row = [vertex_type(phi, (x, 1)) for x in range(1, n + 1)]
+            row = [vertex_type(d, phi, (x, 1)) for x in range(1, n + 1)]
             per_position[row.index("c")] += 1
         assert sum(per_position) == 42
 
@@ -304,10 +306,10 @@ class TestPlaquetteIndicator:
         seen = set()
         for phi in enumerate_configs(d, t):
             for alpha in d.faces:
-                v = plaquette_indicator(phi, alpha)
+                v = plaquette_indicator(d, phi, alpha)
                 seen.add(v)
                 assert v in (-1, 0, 1)
-                assert plaquette_indicator(_complement(phi), alpha) == -v
+                assert plaquette_indicator(d, _complement(d, phi), alpha) == -v
         assert seen == {-1, 0, 1}
 
     def test_class_balance_at_fig3_face(self):
@@ -318,8 +320,8 @@ class TestPlaquetteIndicator:
         d, t = build_square(4, "+")
         tally: dict[str, list[int]] = {}
         for phi in enumerate_configs(d, t):
-            cls = rotation_class_of(link_data(phi).black).word
-            v = plaquette_indicator(phi, (3, 2))
+            cls = rotation_class_of(link_data(d, phi).black).word
+            v = plaquette_indicator(d, phi, (3, 2))
             pm = tally.setdefault(cls, [0, 0])
             if v == 1:
                 pm[0] += 1
@@ -404,7 +406,7 @@ def _suite_ensembles(seed):
 
 def _oracle(d, t, forced=()):
     """Black-pattern counts by tracing every DFS leaf."""
-    return dict(Counter(link_data(phi).black for phi in oracle_configs(d, t, forced)))
+    return dict(Counter(link_data(d, phi).black for phi in search(d, t, forced)))
 
 
 def _census_oracle(n):
@@ -417,7 +419,7 @@ def _census_oracle(n):
         for e, ends in enumerate(d.edge_vertices)
         if e >= d.n_internal or any(y <= 2 for _, y in ends)
     )
-    return Counter((phi.bits & mask, link_data(phi).black) for phi in oracle_configs(d, t))
+    return Counter((phi & mask, link_data(d, phi).black) for phi in search(d, t))
 
 
 def _random_ensembles(parity, count=10, seed=20100615):
@@ -460,7 +462,7 @@ class TestFrontierSweep:
         done, prefixes = split_prefixes(d, t, 3)
         assert prefixes
         for prefix in prefixes:
-            leaves = sum(1 for _ in oracle_configs(d, t, prefix))
+            leaves = sum(1 for _ in search(d, t, prefix))
             assert psi_counts(d, t, prefix).total() == leaves
         total = len(done) + sum(psi_counts(d, t, p).total() for p in prefixes)
         assert total == asm_count_formula(5)
@@ -567,9 +569,9 @@ def _walks_like_the_oracle(d, t, forced=()):
     walked = list(_walk(d, t, forced))
     stream = [bits for bits, _ in walked]
     assert stream == list(search(d, t, forced))
-    assert [phi.bits for phi in enumerate_configs(d, t, forced)] == stream
+    assert list(enumerate_configs(d, t, forced)) == stream
     for bits, p in walked:
-        assert p is _trace_colour(FplConfig(d, bits))[0]
+        assert p is _trace_colour(d, bits)[0]
     return stream
 
 

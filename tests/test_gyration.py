@@ -7,7 +7,6 @@ import pytest
 
 from census_oracle import plaquette_indicator
 from fplrs.fplcore import (
-    FplConfig,
     _trace_colour,
     count_configs,
     enumerate_configs,
@@ -25,21 +24,16 @@ from fplrs.gyration import (
     square_rotation_direction,
     step_rotations,
 )
+from fplrs.identities import shat_c_rectangle
 from fplrs.lattice import build_square, glue_and_gamma
 from fplrs.linkpat import LinkPattern, LpVector, asm_count_formula, rotate, rotation_class_of
 from fplrs.sampling import random_glueable
-from trace_oracle import link_data, obeys_ice_rule
+from trace_oracle import boundary, link_data, obeys_ice_rule
 
 
-def _members(o):
-    """The orbit's configurations in gyration order from its seed."""
-    return [FplConfig(o.seed.domain, bits) for bits in o.hashes]
-
-
-def _gyrate(phi):
-    """The full gyration of a configuration on the anchored square: the
-    plus pass, then the minus pass."""
-    n = round(len(phi.domain.cells) ** 0.5)
+def _gyrate(phi, n):
+    """The full gyration of a configuration on the anchored n x n
+    square: the plus pass, then the minus pass."""
     return apply_h(apply_h(phi, _square_glued(n, "plus")), _square_glued(n, "minus"))
 
 
@@ -59,7 +53,7 @@ def _reference_apply_h(phi, g):
     """The pass as first written: swap the legs, walk the cycles one by
     one, keep an alternating 4-cycle and complement every other cycle
     edge by edge, swap back.  Kept as the oracle for the mask pass."""
-    bits = _swap_legs(phi.bits, g)
+    bits = _swap_legs(phi, g)
     for cyc in g.cycles:
         cols = [(bits >> e) & 1 for e in cyc]
         if len(cyc) == 4 and cols[0] != cols[1] and cols[1] != cols[2] and cols[2] != cols[3]:
@@ -79,7 +73,7 @@ class TestPassOracle:
         d, t = build_square(n, sign)
         g = glue_and_gamma(d, build_square(n, "+")[1], parity)
         for phi in enumerate_configs(d, t):
-            assert apply_h(phi, g).bits == _reference_apply_h(phi, g)
+            assert apply_h(phi, g) == _reference_apply_h(phi, g)
 
     def test_random_domains_with_swaps(self):
         rng = random.Random(20100615)
@@ -90,7 +84,7 @@ class TestPassOracle:
             g = glue_and_gamma(d, t, parity)
             swapped += bool(g.swaps)
             for phi in enumerate_configs(d, t):
-                assert apply_h(phi, g).bits == _reference_apply_h(phi, g)
+                assert apply_h(phi, g) == _reference_apply_h(phi, g)
         # the conjugation by leg swaps is exercised, not only the cycle rule
         assert swapped > 0
 
@@ -113,12 +107,11 @@ class TestPassOracle:
         face = d.face_edges((1, 1))
         assert face in g.cycles
         bits = sum(1 << face[i] for i in black)
-        phi = FplConfig(d, bits)
-        psi = apply_h(phi, g)
-        assert psi.bits == _reference_apply_h(phi, g)
+        psi = apply_h(bits, g)
+        assert psi == _reference_apply_h(bits, g)
         face_mask = sum(1 << e for e in face)
         expected = bits if kept else bits ^ face_mask
-        assert psi.bits & face_mask == expected
+        assert psi & face_mask == expected
 
 
 def _reference_pair_link_data(phi, g):
@@ -126,7 +119,7 @@ def _reference_pair_link_data(phi, g):
     from ``vertex_edges`` and ``edge_vertices``.  Kept as the oracle for
     the shared walker."""
     d = g.domain
-    work = FplConfig(d, _swap_legs(phi.bits, g))
+    work = _swap_legs(phi, g)
     n_internal = d.n_internal
     # generalized endpoints: internal edges join two vertices, a
     # termination joins its vertex to its glued pair node ("p", i)
@@ -154,7 +147,7 @@ def _reference_pair_link_data(phi, g):
             nxt = next(
                 e2
                 for e2 in edges_of_vert[node]
-                if e2 != eid and work.colour(e2) == colour
+                if e2 != eid and (work >> e2) & 1 == colour
             )
         far = ends[nxt][1] if ends[nxt][0] == node else ends[nxt][0]
         return nxt, far
@@ -167,7 +160,7 @@ def _reference_pair_link_data(phi, g):
         match = [-1] * len(bichromatic)
         for i in bichromatic:
             ta, tb = legs_of_pair[i]
-            leg = ta if work.colour(ta) == colour else tb
+            leg = ta if (work >> ta) & 1 == colour else tb
             if (leg, colour) in seen:
                 continue
             seen.add((leg, colour))
@@ -190,7 +183,7 @@ def _reference_pair_link_data(phi, g):
         todo = {
             e
             for e in range(len(d.edge_vertices))
-            if work.colour(e) == colour and (e, colour) not in seen
+            if (work >> e) & 1 == colour and (e, colour) not in seen
         }
         while todo:
             loops += 1
@@ -209,7 +202,7 @@ def _glued_components(phi, g):
     by union-find: the two edges of one colour at every vertex are
     joined, and so are the two legs of every monochromatic pair."""
     d = g.domain
-    bits = _swap_legs(phi.bits, g)
+    bits = _swap_legs(phi, g)
     parent = list(range(len(d.edge_vertices)))
 
     def find(e):
@@ -285,9 +278,9 @@ class TestPass:
         g = glue_and_gamma(d, t, parity)
         for phi in enumerate_configs(d, t):
             psi = apply_h(phi, g)
-            assert obeys_ice_rule(psi)
-            assert psi.boundary() == t.complemented()
-            assert apply_h(psi, g).bits == phi.bits
+            assert obeys_ice_rule(d, psi)
+            assert boundary(d, psi) == t.complemented()
+            assert apply_h(psi, g) == phi
 
     def test_alternating_plaquette_is_fixed(self):
         # the minus gluing of the 2x2 square leaves its single face
@@ -297,9 +290,9 @@ class TestPass:
         face = d.face_edges((1, 1))
         for phi in enumerate_configs(d, t):
             psi = apply_h(phi, g)
-            cols = [phi.colour(e) for e in face]
+            cols = [(phi >> e) & 1 for e in face]
             alternating = cols[0] != cols[1] and cols[1] != cols[2] and cols[2] != cols[3]
-            unchanged = all(phi.colour(e) == psi.colour(e) for e in face)
+            unchanged = all((phi >> e) & 1 == (psi >> e) & 1 for e in face)
             assert unchanged == alternating
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -320,8 +313,8 @@ class TestPass:
             for phi in enumerate_configs(d, t):
                 count += 1
                 psi = apply_h(phi, g)
-                assert psi.boundary() == t.complemented()
-                assert apply_h(psi, g).bits == phi.bits
+                assert boundary(d, psi) == t.complemented()
+                assert apply_h(psi, g) == phi
                 assert pair_link_data(phi, g) == pair_link_data(psi, g)
             assert count >= 2
 
@@ -337,7 +330,7 @@ class TestGyrate:
     def test_single_vertex_orbit(self):
         d, t = build_square(1, "+")
         phi = next(enumerate_configs(d, t))
-        assert _gyrate(phi) == phi
+        assert _gyrate(phi, 1) == phi
         assert [o.period for o in orbit_partition(1)] == [1]
 
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -353,20 +346,19 @@ class TestGyrate:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_period_is_minimal(self, n):
         for o in orbit_partition(n):
-            phi = o.seed
+            phi = o.hashes[0]
             for k in range(1, o.period):
-                phi = _gyrate(phi)
-                assert phi.bits != o.seed.bits
-            assert _gyrate(phi).bits == o.seed.bits
+                phi = _gyrate(phi, n)
+                assert phi != o.hashes[0]
+            assert _gyrate(phi, n) == o.hashes[0]
 
     def test_replayed_orbit_is_a_gyration_cycle(self):
-        # the stored hashes rebuild the orbit; each configuration must
-        # still be the gyration image of the one before it
+        # the stored hashes are the orbit; each configuration must still
+        # be the gyration image of the one before it
         for o in orbit_partition(4):
-            c = _members(o)
-            assert c[0] == o.seed
+            c = o.hashes
             for i in range(o.period):
-                assert _gyrate(c[i]).bits == c[(i + 1) % o.period].bits
+                assert _gyrate(c[i], 4) == c[(i + 1) % o.period]
 
     def test_rotation_direction_is_pinned(self):
         # derived at sizes 2 and 3, not assumed; under this package's
@@ -378,8 +370,8 @@ class TestGyrate:
         k = square_rotation_direction()
         d, t = build_square(n, "+")
         for phi in enumerate_configs(d, t):
-            before = link_data(phi).black
-            after = link_data(_gyrate(phi)).black
+            before = link_data(d, phi).black
+            after = link_data(d, _gyrate(phi, n)).black
             assert after == rotate(before, k)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -392,8 +384,8 @@ class TestGyrate:
     def test_orbit_stays_in_one_rotation_class(self, n):
         for o in orbit_partition(n):
             reps = {
-                rotation_class_of(link_data(phi).black).word
-                for phi in _members(o)
+                rotation_class_of(link_data(o.domain, phi).black).word
+                for phi in o.hashes
             }
             assert len(reps) == 1
 
@@ -401,7 +393,7 @@ class TestGyrate:
     def test_minus_table_from_one_pass(self, n):
         d, t = build_square(n, "+")
         g = glue_and_gamma(d, t, "plus")
-        table = Counter(link_data(apply_h(phi, g)).black for phi in enumerate_configs(d, t))
+        table = Counter(link_data(d, apply_h(phi, g)).black for phi in enumerate_configs(d, t))
         assert LpVector(n, table) == refined_counts(n, "-")
 
 
@@ -419,7 +411,7 @@ class TestTracerAgreement:
         d, t = build_square(n, sign)
         g = glue_and_gamma(d, t, "plus")
         for phi in enumerate_configs(d, t):
-            flat = link_data(phi)
+            flat = link_data(d, phi)
             glued = pair_link_data(phi, g)
             assert glued.black == flat.black
             assert glued.loops == flat.loops
@@ -430,9 +422,9 @@ class TestOrbitSums:
     def test_every_orbit_and_face(self, n):
         d, _ = build_square(n, "+")
         for o in orbit_partition(n):
-            configs = _members(o)
+            configs = o.hashes
             for alpha in d.faces:
-                assert sum(plaquette_indicator(phi, alpha) for phi in configs) == 0
+                assert sum(plaquette_indicator(d, phi, alpha) for phi in configs) == 0
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_minus_ensemble_orbits(self, n):
@@ -442,19 +434,19 @@ class TestOrbitSums:
         orbits = orbit_partition(n, "-")
         assert sum(o.period for o in orbits) == asm_count_formula(n)
         for o in orbits:
-            configs = _members(o)
+            configs = o.hashes
             for alpha in d.faces:
-                assert sum(plaquette_indicator(phi, alpha) for phi in configs) == 0
+                assert sum(plaquette_indicator(d, phi, alpha) for phi in configs) == 0
 
     @pytest.mark.parametrize("sign", ["+", "-"])
     def test_orbit_faces_agrees_with_direct_sums(self, sign):
         d, _ = build_square(4, sign)
         for o in orbit_partition(4, sign):
             word, faces = orbit_faces(o)
-            assert word == rotation_class_of(link_data(o.seed).black).word
+            assert word == rotation_class_of(link_data(d, o.hashes[0]).black).word
             assert set(faces) == set(d.faces)
             for alpha, (plus, minus) in faces.items():
-                values = [plaquette_indicator(phi, alpha) for phi in _members(o)]
+                values = [plaquette_indicator(d, phi, alpha) for phi in o.hashes]
                 assert (plus, minus) == (values.count(1), values.count(-1))
                 assert plus == minus
 
@@ -466,10 +458,10 @@ class TestOrbitSums:
         # the gyration cycle through the seed
         for o in orbit_partition(n, sign):
             assert len(o.patterns) == o.period
-            members = _members(o)
+            members = o.hashes
             for i, (phi, p) in enumerate(zip(members, o.patterns)):
-                assert p is _trace_colour(phi)[0]
-                assert _gyrate(phi) == members[(i + 1) % o.period]
+                assert p is _trace_colour(o.domain, phi)[0]
+                assert _gyrate(phi, n) == members[(i + 1) % o.period]
 
     def test_a_cycle_leaving_the_ensemble_is_an_error(self, monkeypatch):
         # one flipped edge breaks the ice rule, so the walk never meets
@@ -483,10 +475,10 @@ class TestOrbitSums:
         d, t = build_square(n, "+")
         sums: dict[tuple[str, tuple[int, int]], int] = {}
         for phi in enumerate_configs(d, t):
-            cls = rotation_class_of(link_data(phi).black).word
+            cls = rotation_class_of(link_data(d, phi).black).word
             for alpha in d.faces:
                 key = (cls, alpha)
-                sums[key] = sums.get(key, 0) + plaquette_indicator(phi, alpha)
+                sums[key] = sums.get(key, 0) + plaquette_indicator(d, phi, alpha)
         assert all(v == 0 for v in sums.values())
 
 
@@ -512,7 +504,7 @@ class TestInversionStrings:
         full = (1 << len(d.edge_vertices)) - 1
         checked = 0
         for o in orbit_partition(n):
-            configs = _members(o)
+            configs = o.hashes
             for e, alpha in border.items():
                 cyc = cycle_plus[e]
                 in_plus = len(cyc) == 4 and all(x < n_internal for x in cyc)
@@ -521,11 +513,11 @@ class TestInversionStrings:
                 else:
                     cyc_m = cycle_minus[e]
                     assert len(cyc_m) == 4 and all(x < n_internal for x in cyc_m)
-                    samples = [FplConfig(d, apply_h(phi, g_plus).bits ^ full) for phi in configs]
+                    samples = [apply_h(phi, g_plus) ^ full for phi in configs]
                 v, w = d.edge_vertices[e]
                 sign = 1 if v[1] == w[1] else -1
-                mu = [phi.colour(e) for phi in samples]
-                nu = [plaquette_indicator(phi, alpha) for phi in samples]
+                mu = [(phi >> e) & 1 for phi in samples]
+                nu = [plaquette_indicator(d, phi, alpha) for phi in samples]
                 period = len(samples)
                 for k in range(period):
                     nxt = mu[(k + 1) % period]
@@ -556,3 +548,10 @@ class TestGeneralizedGyration:
             if r.j_left or r.j_right:
                 nontrivial += 1
         assert nontrivial > 0
+
+    @pytest.mark.parametrize("parity", ["bogus", ""])
+    def test_unknown_parity_is_refused(self, parity):
+        # refused, not run as the plus check
+        d, t = shat_c_rectangle(4, 2)
+        with pytest.raises(ValueError, match="parity must be 'plus' or 'minus'"):
+            generalized_gyration_check(d, t, parity)

@@ -6,9 +6,9 @@ from collections import Counter
 import pytest
 
 from census_oracle import plaquette_indicator, vertex_type
-from dfs_oracle import oracle_configs
+from dfs_oracle import search
 from fplrs.errors import GeometryMismatch, IndexOutOfRange, UnknownIdentity
-from fplrs.fplcore import psi_counts
+from fplrs.fplcore import psi_counts, vertex_type_table
 from fplrs.identities import (
     _REGISTRY,
     aux_state,
@@ -73,18 +73,18 @@ def _states_oracle(n):
     and ("face", j); a missing key is the zero vector."""
     d, t = build_square(n, "+")
     tally: dict = {}
-    for phi in oracle_configs(d, t):
-        p = link_data(phi).black
+    for phi in search(d, t):
+        p = link_data(d, phi).black
         for col in range(1, n + 1):
             site = ("odd" if col % 2 else "even", (col + 1) // 2)
-            letter = vertex_type(phi, (col, 1))
+            letter = vertex_type(d, phi, (col, 1))
             letters = [letter]
             if col % 2 and n >= 2 and letter == "c":
-                letters.append("cb" if vertex_type(phi, (col, 2)) == "b" else "cx")
+                letters.append("cb" if vertex_type(d, phi, (col, 2)) == "b" else "cx")
             for key in letters:
                 tally.setdefault((*site, key), Counter())[p] += 1
         for j in range(1, n // 2 + 1):
-            tally.setdefault(("face", j), Counter())[p] += plaquette_indicator(phi, (2 * j - 1, 1))
+            tally.setdefault(("face", j), Counter())[p] += plaquette_indicator(d, phi, (2 * j - 1, 1))
     return tally
 
 
@@ -185,6 +185,13 @@ class TestRegistry:
             "gyr_a_even": -1,
             "gyr_b_even": 1,
         }
+
+    def test_cached_tables_are_read_only(self):
+        # every caller shares the one cached table, so none may write it
+        with pytest.raises(TypeError):
+            gyration_directions()["gyr_b_even"] = -1
+        with pytest.raises(TypeError):
+            vertex_type_table()[frozenset((0, 1))] = "b"
 
 
 class TestFrozenRectangle:
@@ -336,7 +343,7 @@ class TestFrozenRegions:
         groups: dict[tuple[int, str], list] = {}
         for phi in enumerate_configs(d, t):
             for col in range(1, n + 1):
-                groups.setdefault((col, vertex_type(phi, (col, 1))), []).append(phi)
+                groups.setdefault((col, vertex_type(d, phi, (col, 1))), []).append(phi)
         for (col, letter), configs in groups.items():
             if letter == "c":
                 h_claim = range(1, n)
@@ -349,7 +356,7 @@ class TestFrozenRegions:
                 v_claim = range(col, n + 1)
             for x in h_claim:
                 e = d.vertex_edges[(x, 1)][EAST]
-                assert len({phi.colour(e) for phi in configs}) == 1
+                assert len({(phi >> e) & 1 for phi in configs}) == 1
             for x in v_claim:
                 e = d.vertex_edges[(x, 1)][NORTH]
-                assert len({phi.colour(e) for phi in configs}) == 1
+                assert len({(phi >> e) & 1 for phi in configs}) == 1
