@@ -2,12 +2,14 @@
 
     fplrs enumerate   --n 4 --sign + [--out psi4.json] [--threads K]
     fplrs groundstate --n 4 [--out gs4.json]
-    fplrs verify <rs|wieland|orbits|identities|tl|gyration-general>
-                 [--n-max N] [--format csv] [--seed S]
+    fplrs verify <rs|wieland|orbits|identities> [--n-max N] [--format csv]
+    fplrs verify <tl|gyration-general> [--n-max N] [--format csv] [--seed S]
     fplrs orbit-report --n 4 [--out orbits.csv]
 
-Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 resource limit (size above the default cap without --allow-large).
+Exit codes: 0 success, 1 verification failure (a check fails, or the
+exact kernel checks reject a ground state), 2 usage error (``--seed``
+given to a suite that draws nothing is one), 3 resource limit (size
+above the default cap without --allow-large).
 
 Tables and ground states are cached when a cache directory is set
 (--cache-dir or FPLRS_CACHE_DIR); entries are keyed by command,
@@ -39,9 +41,10 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__, fplcore, groundstate, gyration, linkpat, suites
-from .errors import FplrsError
+from .errors import FplrsError, KernelDimensionError
 
 DEFAULT_MAX_N = 7
+DEFAULT_SEED = 20100615
 
 
 # ---------------------------------------------------------------------------
@@ -255,11 +258,19 @@ SUITES = {
     "tl": lambda args: suites._suite_tl(args.n_max, args.seed),
     "gyration-general": lambda args: suites._suite_gyration_general(args.n_max, args.seed),
 }
+# the suites that draw at random, and so read --seed
+SEEDED = ("tl", "gyration-general")
 
 
 def cmd_verify(args) -> int:
     if args.n_max < 1:
         raise FplrsError(f"--n-max must be positive, got {args.n_max}")
+    if args.seed is None:
+        args.seed = DEFAULT_SEED
+    elif args.suite not in SEEDED:
+        raise FplrsError(
+            f"--seed is read only by tl and gyration-general; {args.suite} draws nothing"
+        )
     return _report(SUITES[args.suite](args), args.format, args.out)
 
 
@@ -315,7 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--n-max", type=int, default=4)
     p_ver.add_argument("--format", choices=["text", "csv"], default="text")
     p_ver.add_argument("--out", help="report path (stdout when omitted)")
-    p_ver.add_argument("--seed", type=int, default=20100615)
+    p_ver.add_argument(
+        "--seed", type=int, help=f"seed of tl and gyration-general (default {DEFAULT_SEED})"
+    )
     p_ver.set_defaults(func=cmd_verify)
 
     p_orb = sub.add_parser("orbit-report", help="CSV of orbit/plaquette sums")
@@ -334,7 +347,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except FplrsError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3 if isinstance(exc, _AboveCap) else 2
+        if isinstance(exc, _AboveCap):
+            return 3
+        # a stationary vector that the exact checks reject fails verification
+        return 1 if isinstance(exc, KernelDimensionError) else 2
 
 
 if __name__ == "__main__":  # pragma: no cover

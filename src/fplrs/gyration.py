@@ -17,7 +17,7 @@ the pass itself is the bare cycle rule.
 
 A configuration is its bitmask, a plain int; the domain comes from the
 gluing (``g.domain``) or the orbit (``Orbit.domain``).  The gluing
-caches each 4-cycle's edge mask and its two alternating colourings, so
+holds each 4-cycle's edge mask and its two alternating colourings, so
 a pass is one masked test per 4-cycle and one XOR over all edges.
 Orbits step on those ints through the two cached square gluings, and
 the face counts along an orbit read each face's horizontal and
@@ -246,23 +246,12 @@ class GyrationReport(NamedTuple):
     detail: str = ""
 
 
-def _black_label_sets(t: BoundaryCondition) -> tuple[int, ...]:
-    """1-based black labels of the left legs of (black, black) pairs.
-
-    Pairs are (0,1), (2,3), ... over the anchored termination order.
-    """
+def _black_label_sets(t: BoundaryCondition, pairs) -> tuple[int, ...]:
+    """1-based black labels of the left legs of the (black, black) pairs
+    of a gluing, in pair order: the label of position a is the number of
+    black legs up to and including it."""
     cols = t.colours
-    labels: dict[int, int] = {}
-    running = 0
-    for pos, c in enumerate(cols):
-        if c:
-            running += 1
-            labels[pos] = running
-    return tuple(
-        labels[2 * i]
-        for i in range(len(cols) // 2)
-        if cols[2 * i] and cols[2 * i + 1]
-    )
+    return tuple(sum(cols[: a + 1]) for a, b in pairs if cols[a] and cols[b])
 
 
 def _capped_vector(d: Domain, t: BoundaryCondition, caps: tuple[int, ...]) -> LpVector:
@@ -293,8 +282,8 @@ def generalized_gyration_check(
     g = glue_and_gamma(d, t, parity)
     t1 = g.swapped_bc
     t2 = t1.complemented()
-    j1 = _black_label_sets(t1)
-    j2 = _black_label_sets(t2)
+    j1 = _black_label_sets(t1, g.pairs)
+    j2 = _black_label_sets(t2, g.pairs)
     lhs = _capped_vector(d, t1, j1)
     rhs = _capped_vector(d, t2, j2)
     passed = lhs == rhs

@@ -237,19 +237,13 @@ def shat_c_rectangle(n: int, j: int) -> tuple[Domain, BoundaryCondition]:
     sites = _sites(n, "odd")
     if j not in sites:
         raise IndexOutOfRange(f"j={j} outside [1, {len(sites)}]")
-    h = n - 1
-    cells = frozenset((x, y) for x in range(1, n + 1) for y in range(1, h + 1))
+    cells = frozenset((x, y) for x in range(1, n + 1) for y in range(1, n))
     d = Domain(cells, anchor=0)
-    colours: list[int] = []
-    for c in range(1, n + 1):  # south legs, columns left to right
-        colours.append(1 if (c % 2 == 0 or c == 2 * j - 1) else 0)
-    for r in range(1, h + 1):  # east legs, bottom to top
-        colours.append(1 if (n + r) % 2 == 0 else 0)
-    for c in range(n, 0, -1):  # north legs, right to left
-        colours.append(1 if (n + c) % 2 == 0 else 0)
-    for r in range(h, 0, -1):  # west legs, top to bottom
-        colours.append(1 if r % 2 == 1 else 0)
-    return d, BoundaryCondition(tuple(colours))
+    # alternating from a white anchor, as build_square's "-" colouring;
+    # the leg at bottom column c is at position c - 1
+    colours = [k % 2 for k in range(d.perimeter)]
+    colours[2 * j - 2] = 1
+    return d, BoundaryCondition(colours)
 
 
 def spr_instance(n: int, j: int) -> tuple[Domain, BoundaryCondition]:

@@ -13,8 +13,11 @@ numbering the internal edges row-major over vertices (sorted by (y, x)),
 per vertex first the east then the north edge, and then the
 terminations in boundary order starting at the anchor.  Configurations
 are stored as bitmasks over this order, so streams and caches are
-bit-exact.  Domains and gluings cache what the bit-level code reads:
-per-face edge masks, the path-tracing table and the cycle masks.
+bit-exact.  A domain caches what the bit-level code reads of it, the
+per-face edge masks and the path-tracing table, as it is first asked
+for.  A gluing is one record that :func:`glue_and_gamma` fills at once,
+its cycle masks too, from the colours it has swapped; nothing on it is
+computed later.
 
 Gluing: terminations are paired consecutively, pairs (1,2),(3,4),...
 for the plus parity and (2N,1),(2,3),... for the minus parity.  Each
@@ -36,6 +39,7 @@ built.
 from __future__ import annotations
 
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import InvalidTriplet, NonUniqueGamma, immutable
 
@@ -315,13 +319,6 @@ class BoundaryCondition:
     def complemented(self) -> "BoundaryCondition":
         return BoundaryCondition(tuple(1 - c for c in self.colours))
 
-    def swapped(self, k: int) -> "BoundaryCondition":
-        """Exchange the colours at positions k and k+1 (cyclic, 0-based)."""
-        cols = list(self.colours)
-        a, b = k % len(cols), (k + 1) % len(cols)
-        cols[a], cols[b] = cols[b], cols[a]
-        return BoundaryCondition(tuple(cols))
-
 
 def build_square(n: int, sign: str = "+") -> tuple[Domain, BoundaryCondition]:
     """The n x n square with alternating boundary colours.
@@ -341,84 +338,32 @@ def build_square(n: int, sign: str = "+") -> tuple[Domain, BoundaryCondition]:
     return d, BoundaryCondition(colours)
 
 
-class GluedGraph:
+class GluedGraph(NamedTuple):
     """A domain with terminations glued in consecutive pairs, plus the
-    forced cycle partition.
+    forced cycle partition, as :func:`glue_and_gamma` builds it once.
 
-    ``swapped_bc`` is the boundary condition actually glued; it differs
-    from ``bc`` exactly at the recorded convex-corner swaps.  Cycles
-    list canonical edge ids in cyclic order.  ``bichromatic[i]`` marks
-    pairs whose two legs carry different colours (the glued vertex then
-    counts as a path endpoint).  Immutable, and equal by its fields.
-    The swaps are disjoint exchanges of the two legs at one vertex
-    (their indices share one parity); ``legs`` and ``cycle_masks`` carry
-    them as a relabelling of leg ids, so a configuration's own bits are
-    read through the swaps.
+    ``swapped_bc`` is the boundary condition actually glued: the given
+    one with the recorded convex-corner ``swaps`` applied.  Cycles list
+    canonical edge ids in cyclic order.  ``bichromatic[i]`` marks pairs
+    whose two legs carry different colours (the glued vertex then counts
+    as a path endpoint).  The swaps are disjoint exchanges of the two
+    legs at one vertex (their indices share one parity); ``legs`` (the
+    edge ids of each pair's two legs) and ``cycle_masks`` carry them as
+    a relabelling of leg ids, so a configuration's own bits are read
+    through the swaps.  ``cycle_masks`` is the bitmask of all edges,
+    which the cycles partition, and for every 4-cycle its edge mask plus
+    its two alternating colourings (cycle positions 0 and 2 black, or 1
+    and 3) as masks.
     """
 
     domain: Domain
-    bc: BoundaryCondition
-    parity: str
+    swapped_bc: BoundaryCondition
     pairs: tuple[tuple[int, int], ...]
     cycles: tuple[tuple[int, ...], ...]
     swaps: tuple[int, ...]
-    __setattr__ = __delattr__ = immutable
-
-    def __init__(self, domain, bc, parity, pairs, cycles, swaps=()) -> None:
-        self.__dict__.update(
-            domain=domain, bc=bc, parity=parity, pairs=pairs, cycles=cycles, swaps=swaps
-        )
-
-    def _key(self) -> tuple:
-        return self.domain, self.bc, self.parity, self.pairs, self.cycles, self.swaps
-
-    def __eq__(self, other) -> bool:
-        return self._key() == other._key() if type(other) is GluedGraph else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    @cached_property
-    def swapped_bc(self) -> BoundaryCondition:
-        bc = self.bc
-        for k in self.swaps:
-            bc = bc.swapped(k)
-        return bc
-
-    @cached_property
-    def bichromatic(self) -> tuple[bool, ...]:
-        cols = self.swapped_bc.colours
-        return tuple(cols[a] != cols[b] for a, b in self.pairs)
-
-    @cached_property
-    def _swapped_ids(self) -> tuple[int, ...]:
-        """Every edge id, with the two legs of each swap exchanged."""
-        d = self.domain
-        ids = list(range(len(d.edge_vertices)))
-        for k in self.swaps:
-            a, b = d.termination_id(k), d.termination_id((k + 1) % d.perimeter)
-            ids[a], ids[b] = b, a
-        return tuple(ids)
-
-    @cached_property
-    def legs(self) -> tuple[tuple[int, int], ...]:
-        """The edge ids of each pair's two legs, read through the swaps."""
-        ids, d = self._swapped_ids, self.domain
-        return tuple((ids[d.termination_id(a)], ids[d.termination_id(b)]) for a, b in self.pairs)
-
-    @cached_property
-    def cycle_masks(self) -> tuple[int, tuple[tuple[int, int, int], ...]]:
-        """The bitmask of all edges, which the cycles partition, and for
-        every 4-cycle its edge mask plus its two alternating colourings
-        (cycle positions 0 and 2 black, or 1 and 3) as masks, read
-        through the swaps."""
-        ids = self._swapped_ids
-        quads = []
-        for cyc in self.cycles:
-            if len(cyc) == 4:
-                a, b, c, d = (1 << ids[e] for e in cyc)
-                quads.append((a | b | c | d, a | c, b | d))
-        return (1 << len(self.domain.edge_vertices)) - 1, tuple(quads)
+    bichromatic: tuple[bool, ...]
+    legs: tuple[tuple[int, int], ...]
+    cycle_masks: tuple[int, tuple[tuple[int, int, int], ...]]
 
 
 def _pairing(n_terms: int, parity: str) -> tuple[tuple[int, int], ...]:
@@ -511,19 +456,21 @@ def glue_and_gamma(d: Domain, t: BoundaryCondition, parity: str = "plus") -> Glu
     terminations and turns; edge ids, cycles and plaquettes are built
     only for a pairing that passes it.  So a pairing that fails the
     colour test raises its colour :class:`InvalidTriplet` even where the
-    partition would also have failed.
+    partition would also have failed.  A pairing that passes gets every
+    field of its :class:`GluedGraph` here, read off the colours as
+    swapped and the swap list.
     """
-    if len(t.colours) != d.perimeter:
-        raise ValueError("boundary condition length mismatch")
-    pairs = _pairing(d.perimeter, parity)
-    cols, swaps = list(t.colours), []
     steps, n_terms = d.steps, d.perimeter
+    if len(t.colours) != n_terms:
+        raise ValueError("boundary condition length mismatch")
+    pairs = _pairing(n_terms, parity)
+    cols, swaps = list(t.colours), []
     while (offence := _validity_offence(pairs, steps, cols)) is not None:
         a, b = pairs[offence]
         for k in ((a - 1) % n_terms, b % n_terms):
-            # the swap at k (as BoundaryCondition.swapped) moves a new
-            # colour onto a or b, and so makes the pair monochromatic,
-            # exactly when the two colours it exchanges differ
+            # the swap at k exchanges the colours at k and k + 1
+            # (cyclic); it moves a new colour onto a or b, and so makes
+            # the pair monochromatic, exactly when the two colours differ
             k2 = (k + 1) % n_terms
             if steps[k] == 1 and k not in swaps and cols[k] != cols[k2]:
                 cols[k], cols[k2] = cols[k2], cols[k]
@@ -534,17 +481,30 @@ def glue_and_gamma(d: Domain, t: BoundaryCondition, parity: str = "plus") -> Glu
                 f"no convex-corner swap fixes pair {pairs[offence]}"
             )
 
+    base = d.n_internal
+    n_edges = base + n_terms
     b_cycles = _boundary_cycles(d, pairs)
     cycles = b_cycles + _plaquette_cover(d, {e for cyc in b_cycles for e in cyc})
     covered = sorted(e for cyc in cycles for e in cyc)
-    if covered != list(range(len(d.edge_vertices))):
+    if covered != list(range(n_edges)):
         raise NonUniqueGamma("cycle partition does not cover the edge set")
+    # every edge id, with the two legs of each swap exchanged
+    ids = list(range(n_edges))
+    for k in swaps:
+        a, b = base + k, base + (k + 1) % n_terms
+        ids[a], ids[b] = b, a
+    quads = []
+    for cyc in cycles:
+        if len(cyc) == 4:
+            a, b, c, e = (1 << ids[x] for x in cyc)
+            quads.append((a | b | c | e, a | c, b | e))
     return GluedGraph(
         domain=d,
-        bc=t,
-        parity=parity,
+        swapped_bc=BoundaryCondition(cols) if swaps else t,
         pairs=pairs,
         cycles=cycles,
         swaps=tuple(swaps),
+        bichromatic=tuple(cols[a] != cols[b] for a, b in pairs),
+        legs=tuple((ids[base + a], ids[base + b]) for a, b in pairs),
+        cycle_masks=((1 << n_edges) - 1, tuple(quads)),
     )
-

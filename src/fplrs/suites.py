@@ -309,10 +309,8 @@ def _suite_gyration_general(n_max: int, seed: int) -> list[CheckLine]:
             for parity in ("plus", "minus"):
                 r = gyration.generalized_gyration_check(d, t, parity)
                 lines.append(
-                    CheckLine(
-                        "gyration-general",
-                        f"capped tables agree on the c-state rectangle n={n} j={j} {parity}",
-                        r.passed,
+                    _capped_line(
+                        r, f"the c-state rectangle n={n} j={j} {parity}",
                         f"J1={list(r.j_left)} J2={list(r.j_right)}",
                     )
                 )
@@ -320,12 +318,18 @@ def _suite_gyration_general(n_max: int, seed: int) -> list[CheckLine]:
         d, t = sampling.random_glueable(rng, rng.randint(6, 16), "plus")
         r = gyration.generalized_gyration_check(d, t, "plus")
         lines.append(
-            CheckLine(
-                "gyration-general",
-                f"capped tables agree on random domain #{k} ({len(d.cells)} cells)",
-                r.passed,
+            _capped_line(
+                r, f"random domain #{k} ({len(d.cells)} cells)",
                 f"J1={list(r.j_left)} J2={list(r.j_right)} swaps={list(r.swaps)}",
             )
         )
     return lines
+
+
+def _capped_line(r, label: str, detail: str) -> CheckLine:
+    """The line of one capped-table comparison; a failing one ends its
+    detail with the first pattern whose two counts differ."""
+    if not r.passed:
+        detail += f"; {r.detail}"
+    return CheckLine("gyration-general", f"capped tables agree on {label}", r.passed, detail)
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import fplrs
-from fplrs import cli, fplcore, gyration, linkpat, suites
+from fplrs import cli, fplcore, groundstate, gyration, linkpat, suites
 from fplrs.cli import Cache, main
 from fplrs.linkpat import all_patterns, tl_e
 
@@ -169,6 +169,15 @@ class TestGroundstate:
         assert code == 0
         assert err == "n=4: max component 7, sum 42 (product formula 42)\n"
 
+    def test_rejected_ground_state_is_a_verification_failure(self, capsys, tmp_path, monkeypatch):
+        # the exact checks refuse the lift: exit 1 with one error line,
+        # nothing on stdout and nothing cached
+        monkeypatch.setattr(groundstate, "_kernel_mod", lambda rows: None)
+        code, out, err = run(capsys, "groundstate", "--n", "3", "--cache-dir", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("error: no exact kernel vector")
+        assert not list(tmp_path.iterdir())
+
 
 class TestVerify:
     def test_rs_passes(self, capsys):
@@ -227,6 +236,47 @@ class TestVerify:
         assert code == 1
         assert failed == ["[FAIL] orbits: orbits stay in one rotation class, n=4"]
 
+
+    @pytest.mark.parametrize("suite", ["rs", "wieland", "orbits", "identities"])
+    def test_seed_for_a_suite_that_draws_nothing_is_refused(self, capsys, suite):
+        code, out, err = run(capsys, "verify", suite, "--n-max", "2", "--seed", "5")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --seed ") and err.count("\n") == 1
+
+    def test_tl_draws_from_the_default_seed(self, capsys):
+        default = run(capsys, "verify", "tl", "--n-max", "5")
+        seeded = run(capsys, "verify", "tl", "--n-max", "5", "--seed", "20100615")
+        assert default == seeded and default[0] == 0
+        assert "10^4 samples n=5" in default[1]
+
+    def test_failing_capped_line_names_its_first_difference(self, monkeypatch):
+        # one extra count on the right side of every comparison: each
+        # capped line fails, and its detail ends with the witness
+        real = gyration._capped_vector
+        calls = []
+
+        def lopsided(d, t, caps):
+            vec = real(d, t, caps)
+            calls.append(None)
+            if len(calls) % 2 == 0:
+                p = min(linkpat.all_patterns(vec.n), key=lambda p: p.word)
+                vec = vec + linkpat.LpVector(vec.n, {p: 1})
+            return vec
+
+        monkeypatch.setattr(gyration, "_capped_vector", lopsided)
+        lines = [
+            line for line in suites._suite_gyration_general(3, 1)
+            if line.check.startswith("capped tables agree")
+        ]
+        assert lines and not any(line.status for line in lines)
+        rectangle = lines[0]
+        assert rectangle.check == "capped tables agree on the c-state rectangle n=3 j=2 plus"
+        assert rectangle.detail.startswith("J1=") and " != " in rectangle.detail
+        for line in lines:
+            witness = line.detail.rsplit("; ", 1)[1]
+            word, counts = witness.split(": ")
+            a, b = map(int, counts.split(" != "))
+            assert set(word) <= set("()") and b == a + 1
 
     def test_conservation_line_checks_the_count(self, monkeypatch):
         # the involution line also fails when the DFS and the sweep

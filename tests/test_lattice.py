@@ -186,12 +186,6 @@ class TestBoundaryCondition:
         t = BoundaryCondition((1, 0, 0, 1))
         assert t.complemented().colours == (0, 1, 1, 0)
 
-    def test_swap(self):
-        t = BoundaryCondition((1, 0, 0, 1))
-        assert t.swapped(0).colours == (0, 1, 0, 1)
-        assert t.swapped(2).colours == (1, 0, 1, 0)
-        assert t.swapped(3).colours == (1, 0, 0, 1)  # cyclic wrap, both legs equal
-
 
 @pytest.mark.parametrize(
     "make",
@@ -209,7 +203,7 @@ def test_lattice_values_compare_hash_and_stay_immutable(make):
     # field cannot be set or deleted, nor a new attribute added
     a, b = make(), make()
     assert a is not b and a == b and hash(a) == hash(b)
-    fields = ("cells", "anchor", "colours", "domain", "bc", "swaps")
+    fields = ("cells", "anchor", "colours", "domain", "swapped_bc", "swaps")
     for name in [f for f in fields if hasattr(a, f)] + ["extra"]:
         with pytest.raises(AttributeError):
             setattr(a, name, None)
@@ -268,6 +262,16 @@ class TestGlueAndGamma:
         a, b = g.pairs[offending]
         cols = g.swapped_bc.colours
         assert cols[a] == cols[b]
+
+    def test_a_swap_wraps_around_the_anchor(self):
+        # the plus pairing of this alternating colouring records the
+        # swap (11, 0) across the anchor as well as (5, 6)
+        d = Domain(frozenset([(-2, 1), (-2, 2), (-1, 1), (0, 0), (0, 1)]))
+        t = BoundaryCondition(tuple(k % 2 for k in range(d.perimeter)))
+        g = glue_and_gamma(d, t, "plus")
+        assert d.perimeter == 12 and g.swaps == (5, 11)
+        assert g.swapped_bc.colours == (1, 1, 0, 1, 0, 0, 1, 1, 0, 1, 0, 0)
+        assert _replays_the_swaps(g, t)
 
     def test_gamma_cycles_are_short(self):
         rng = random.Random(11)
@@ -488,12 +492,18 @@ def _polyominoes(max_cells):
 
 
 def _glue_outcome(glue, d, t, parity):
-    """The exception type a gluing raises, or its pairs, swaps, boundary
-    cycles in order and set of plaquettes."""
+    """What a gluing returns, or the exception type it raises."""
     try:
-        out = glue(d, t, parity)
+        return glue(d, t, parity)
     except FplrsError as exc:
         return type(exc)
+
+
+def _comparable(out):
+    """An exception type as it is, else a gluing's pairs, swaps,
+    boundary cycles in order and set of plaquettes."""
+    if isinstance(out, type):
+        return out
     if isinstance(out, lattice.GluedGraph):
         n_pairs = len(out.pairs)
         out = out.pairs, out.swaps, out.cycles[:n_pairs], out.cycles[n_pairs:]
@@ -501,20 +511,36 @@ def _glue_outcome(glue, d, t, parity):
     return pairs, swaps, boundary, frozenset(plaquettes)
 
 
+def _replays_the_swaps(g, t):
+    """Whether the gluing's colours are t with each recorded swap
+    (k, k + 1 mod N) replayed in turn, and its bichromatic flags the
+    colour inequality over its pairs."""
+    cols = list(t.colours)
+    for k in g.swaps:
+        k2 = (k + 1) % len(cols)
+        cols[k], cols[k2] = cols[k2], cols[k]
+    return g.swapped_bc.colours == tuple(cols) and g.bichromatic == tuple(
+        cols[a] != cols[b] for a, b in g.pairs
+    )
+
+
 def _compare_with_the_oracle(domains_and_colours):
     """Glue each domain and colouring under both parities, with swaps
     allowed, and check that the construction matches the propagation
-    oracle; returns how many gluings ran, how many were accepted with
+    oracle and that an accepted gluing's colours replay its swaps;
+    returns how many gluings ran, how many were accepted with
     plaquettes, how many were accepted with swaps and how many raised."""
     tally = {"gluings": 0, "plaquettes": 0, "swapped": 0, "raised": 0}
     for d, t in domains_and_colours:
         for parity in ("plus", "minus"):
             tally["gluings"] += 1
-            want = _glue_outcome(glue_oracle.glue, d, t, parity)
-            assert _glue_outcome(glue_and_gamma, d, t, parity) == want, (sorted(d.cells), t, parity)
+            want = _comparable(_glue_outcome(glue_oracle.glue, d, t, parity))
+            got = _glue_outcome(glue_and_gamma, d, t, parity)
+            assert _comparable(got) == want, (sorted(d.cells), t, parity)
             if isinstance(want, type):
                 tally["raised"] += 1
                 continue
+            assert _replays_the_swaps(got, t), (sorted(d.cells), t, parity)
             # every swap index is odd under the plus pairing and even
             # under the minus one, so the swaps (k, k + 1) are disjoint
             # and GluedGraph reads them as one relabelling of leg ids
