@@ -3,10 +3,11 @@
 A domain is a finite set of lattice vertices ("cells") forming an
 edge-connected, simply-connected polyomino.  Every vertex carries four
 slots, one per direction E, N, W, S; a slot towards another cell is an
-internal edge, a slot towards the outside is a termination.  Walking
-the polyomino boundary counter-clockwise visits every termination once
-and turns left (+1), straight (0) or right (-1) between consecutive
-ones; the turn sequence is ``Domain.steps`` and always sums to 4.
+internal edge, a slot towards the outside is a termination, or leg.
+The counter-clockwise boundary walk goes from leg to leg and visits
+every termination once.  The turn between consecutive legs is the
+change of their outward slot: left (+1), straight (0) or right (-1);
+the turn sequence is ``Domain.steps`` and always sums to 4.
 
 Canonical edge order: ``Domain.vertex_edges`` builds it in one pass,
 numbering the internal edges row-major over vertices (sorted by (y, x)),
@@ -67,99 +68,71 @@ def _neighbour(v: Cell, d: int) -> Cell:
     return (v[0] + dx, v[1] + dy)
 
 
-# The boundary walk runs on the shifted grid: corner (a, b) is the
-# lower-left corner of cell (a, b).  The four cells around a corner are
-# indexed by direction: cell h lies on the left of a walk leaving the
-# corner with heading h, and cell h - 1 on its right.
-#   heading E: left cell (a, b),     right cell (a, b-1),   leg ((a, b), S)
-#   heading N: left cell (a-1, b),   right cell (a, b),     leg ((a-1, b), E)
-#   heading W: left cell (a-1, b-1), right cell (a-1, b),   leg ((a-1, b-1), N)
-#   heading S: left cell (a, b-1),   right cell (a-1, b-1), leg ((a, b-1), W)
-_AROUND = ((0, 0), (-1, 0), (-1, -1), (0, -1))
-
-
-def _next_heading(heading: int, occupied: int) -> int:
-    """The one heading among left, straight and right whose left cell is
-    in the domain and whose right cell is not, or -1 if there is not
-    exactly one; ``occupied`` has bit h set when cell h is in the domain."""
-    ok = [
-        d for d in ((heading + 1) % 4, heading, (heading + 3) % 4)
-        if occupied >> d & 1 and not occupied >> (d + 3) % 4 & 1
-    ]
-    return ok[0] if len(ok) == 1 else -1
-
-
-# _STEPS[16 * heading + occupied]: the next heading and the turn to it,
-# or None where the boundary is pinched
-_STEPS = tuple(
-    None if (nxt := _next_heading(h, occ)) < 0 else (nxt, (nxt - h + 1) % 4 - 1)
-    for h in range(4)
-    for occ in range(16)
-)
-
-
-def _trace_boundary(cells: frozenset[Cell]) -> tuple[tuple[tuple[Cell, int], ...], tuple[int, ...]]:
-    """Counter-clockwise boundary walk.
+def _trace_boundary(cells: frozenset[Cell]) -> tuple[tuple[Cell, int], ...]:
+    """Counter-clockwise boundary walk from leg to leg.
 
     Returns the terminations in cyclic order, starting at the south leg
-    of the bottom-most-then-left-most cell, and the turn taken after
-    each termination.  Each step reads the four cells around the next
-    corner and looks the turn up in ``_STEPS``.
+    of the bottom-most-then-left-most cell.  A leg (v, slot) is walked
+    along slot + 1 with the domain on the left.  The cell ``ahead`` of
+    v along that heading, and the cell ``beyond`` it across the leg's
+    slot, fix the next leg: v's next slot when ``ahead`` is outside (a
+    convex corner), ``ahead``'s leg on the same slot when only it is
+    inside (a straight stretch), and ``beyond``'s slot turned right
+    when both are (a concave corner).
     """
-    # Walking east along the south side of the start cell keeps the
-    # region on the left, i.e. the walk is counter-clockwise.
-    x0, y0 = min(cells, key=lambda c: (c[1], c[0]))
-    x, y, heading = x0, y0, EAST
-    terms: list[tuple[Cell, int]] = []
-    turns: list[int] = []
+    start = leg = (min(cells, key=lambda c: (c[1], c[0])), SOUTH)
+    legs = []
     while True:
-        dx, dy = _AROUND[heading]
-        terms.append(((x + dx, y + dy), (heading + 3) % 4))
-        dx, dy = DIRS[heading]
-        x += dx
-        y += dy
-        step = _STEPS[
-            16 * heading
-            | ((x, y) in cells)
-            | ((x - 1, y) in cells) << 1
-            | ((x - 1, y - 1) in cells) << 2
-            | ((x, y - 1) in cells) << 3
-        ]
-        if step is None:
-            raise ValueError("boundary is pinched; domain is not simply connected")
-        heading, turn = step
-        turns.append(turn)
-        if heading == EAST and x == x0 and y == y0:
-            break
-    return tuple(terms), tuple(turns)
+        legs.append(leg)
+        v, slot = leg
+        heading = (slot + 1) % 4
+        ahead = _neighbour(v, heading)
+        beyond = _neighbour(ahead, slot)
+        if ahead not in cells:
+            if beyond in cells:
+                # v and beyond touch at a corner only
+                raise ValueError("boundary is pinched; domain is not simply connected")
+            leg = (v, heading)
+        elif beyond in cells:
+            leg = (beyond, (slot + 3) % 4)
+        else:
+            leg = (ahead, slot)
+        if leg == start:
+            return tuple(legs)
 
 
 class Domain:
     """A simply-connected polyomino of lattice vertices with an anchor.
 
     ``anchor`` indexes into the canonical boundary order produced by
-    :func:`_trace_boundary`; the public termination order starts there.
-    Immutable, and equal by cells and anchor.
+    :func:`_trace_boundary`; ``terminations`` starts there, and
+    ``n_internal`` counts the adjacent pairs.  Both are set once, by
+    the one trace that ``__init__`` makes.  Immutable, and equal by
+    cells and anchor.
     """
 
     cells: frozenset[Cell]
     anchor: int
+    terminations: tuple[tuple[Cell, int], ...]
+    n_internal: int
     __setattr__ = __delattr__ = immutable
 
     def __init__(self, cells, anchor: int = 0) -> None:
         cells = frozenset((int(x), int(y)) for x, y in cells)
-        self.__dict__.update(cells=cells, anchor=anchor)
         if not cells:
             raise ValueError("domain needs at least one cell")
-        # traced once here and cached; a pinched boundary raises.  A
-        # second component or a hole leaves legs off the outer walk, so
-        # the walk falls short of the 4|cells| - 2|adjacent pairs| legs
-        canon_terms, _ = self._canonical_boundary
+        # a pinched boundary raises.  A second component or a hole
+        # leaves legs off the outer walk, so the walk falls short of the
+        # 4|cells| - 2|adjacent pairs| legs
+        legs = _trace_boundary(cells)
         pairs = sum(((x + 1, y) in cells) + ((x, y + 1) in cells) for x, y in cells)
-        if len(canon_terms) != 4 * len(cells) - 2 * pairs:
+        if len(legs) != 4 * len(cells) - 2 * pairs:
             raise ValueError("cells are not edge-connected or enclose a hole; not simply connected")
-        if not 0 <= self.anchor < len(canon_terms):
+        if not 0 <= anchor < len(legs):
             raise ValueError("anchor out of range")
+        self.__dict__.update(
+            cells=cells, anchor=anchor, terminations=legs[anchor:] + legs[:anchor], n_internal=pairs
+        )
 
     def __eq__(self, other) -> bool:
         if type(other) is not Domain:
@@ -174,30 +147,15 @@ class Domain:
         return tuple(sorted(self.cells, key=lambda c: (c[1], c[0])))
 
     @cached_property
-    def _canonical_boundary(self) -> tuple[tuple[tuple[Cell, int], ...], tuple[int, ...]]:
-        return _trace_boundary(self.cells)
-
-    @cached_property
-    def terminations(self) -> tuple[tuple[Cell, int], ...]:
-        terms, _ = self._canonical_boundary
-        k = self.anchor
-        return terms[k:] + terms[:k]
-
-    @cached_property
     def steps(self) -> tuple[int, ...]:
-        """steps[k] is the turn between terminations k and k+1 (0-based)."""
-        _, turns = self._canonical_boundary
-        k = self.anchor
-        return turns[k:] + turns[:k]
+        """steps[k] is the turn between terminations k and k+1 (0-based):
+        +1, 0 or -1 as the outward slot turns left, stays or turns right."""
+        slots = [d for _, d in self.terminations]
+        return tuple((b - a + 1) % 4 - 1 for a, b in zip(slots, slots[1:] + slots[:1]))
 
     @property
     def perimeter(self) -> int:
         return len(self.terminations)
-
-    @property
-    def n_internal(self) -> int:
-        """The number of internal edges, which ``__init__`` counts as adjacent pairs."""
-        return (4 * len(self.cells) - self.perimeter) // 2
 
     @cached_property
     def vertex_edges(self) -> dict[Cell, tuple[int, int, int, int]]:

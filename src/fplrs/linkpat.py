@@ -362,11 +362,9 @@ class LpVector:
 def first_difference(lhs: LpVector, rhs: LpVector) -> str:
     """A witness that two unequal vectors differ: the word-least pattern
     whose coefficients disagree, or "sizes differ" when none does."""
-    words = sorted({p.word for p in lhs.entries} | {p.word for p in rhs.entries})
-    for w in words:
-        p = LinkPattern.from_word(w)
+    for p in sorted(set(lhs.entries) | set(rhs.entries), key=lambda p: p.word):
         if lhs.coeff(p) != rhs.coeff(p):
-            return f"{w}: {lhs.coeff(p)} != {rhs.coeff(p)}"
+            return f"{p.word}: {lhs.coeff(p)} != {rhs.coeff(p)}"
     return "sizes differ"
 
 

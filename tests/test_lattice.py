@@ -77,8 +77,8 @@ class TestDomain:
             Domain(frozenset(hook))
 
     def test_boundary_traced_once(self, monkeypatch):
-        # the anchor check at construction reads the cached trace that
-        # terminations and steps use
+        # construction traces once, and terminations and steps read
+        # what that trace stored
         from fplrs import lattice
 
         calls = []
@@ -100,10 +100,15 @@ class TestDomain:
         assert d3.steps == d0.steps[3:] + d0.steps[:3]
 
 
-def _reference_accepts(cells):
-    """Reference acceptance for Domain, independent of its leg count: an
-    edge-connectivity search, a hole search over the padded bounding
-    box, then the boundary trace's pinch check."""
+def _reference_domain(cells):
+    """What Domain(cells) must give, found without its leg count: the
+    reference walk's error text where it is pinched, None where an
+    edge-connectivity search or a hole search over the padded bounding
+    box rejects the cells, and otherwise the walk's legs and turns."""
+    try:
+        walk = _reference_trace_boundary(cells)
+    except ValueError as exc:
+        return str(exc)
     # edge-connectivity
     seen = {next(iter(cells))}
     frontier = list(seen)
@@ -115,7 +120,7 @@ def _reference_accepts(cells):
                 seen.add(w)
                 frontier.append(w)
     if seen != cells:
-        return False
+        return None
     # simple connectivity: every absent cell of the padded bounding
     # box must reach the outer margin
     xs = [c[0] for c in cells]
@@ -133,28 +138,29 @@ def _reference_accepts(cells):
                 frontier.append(w)
     box_holes = (x1 - x0 + 1) * (y1 - y0 + 1) - len(cells) - len(outside)
     if box_holes:
-        return False
-    try:
-        _trace_boundary(cells)
-    except ValueError:
-        return False
-    return True
+        return None
+    return walk
 
 
 def test_domain_acceptance_matches_the_searches():
     # every nonempty subset of a 4x4 box: the leg count accepts exactly
-    # the connected, hole-free, unpinched sets
+    # the connected, hole-free, unpinched sets, with the reference
+    # walk's legs and turns; a pinched set raises the reference's error
     box = [(x, y) for y in range(4) for x in range(4)]
     accepted = 0
     for mask in range(1, 1 << len(box)):
         cells = frozenset(c for k, c in enumerate(box) if mask >> k & 1)
         try:
-            Domain(cells)
-            ok = True
-        except ValueError:
-            ok = False
-        assert ok == _reference_accepts(cells), sorted(cells)
-        accepted += ok
+            d = Domain(cells)
+            got = d.terminations, d.steps
+        except ValueError as exc:
+            got = str(exc)
+        want = _reference_domain(cells)
+        if want is None:
+            assert isinstance(got, str), sorted(cells)
+        else:
+            assert got == want, sorted(cells)
+            accepted += isinstance(want, tuple)
     assert accepted == 9349
 
 
@@ -296,9 +302,9 @@ def test_boundary_walk_covers_each_termination_once(seed, size):
 
 
 def _reference_trace_boundary(cells):
-    """The boundary walk as it was written before it became
-    table-driven: each candidate step builds its (left cell, right
-    cell, leg) triple through two closures."""
+    """The boundary walk on the corner grid, independent of the leg to
+    leg walk: at each corner, each candidate heading builds its (left
+    cell, right cell, leg) triple through two closures."""
     start_cell = min(cells, key=lambda c: (c[1], c[0]))
 
     def sides(p, d):
@@ -354,10 +360,15 @@ def test_boundary_walk_matches_the_reference():
             cells.add((x + dx, y + dy))
         cells = frozenset(cells)
         want = _trace_outcome(_reference_trace_boundary, cells)
-        assert _trace_outcome(_trace_boundary, cells) == want
+        got = _trace_outcome(_trace_boundary, cells)
         if isinstance(want, str):
+            assert got == want
             pinched += 1
-        elif not _reference_accepts(cells):
+            continue
+        assert got == want[0]
+        if _reference_domain(cells) is not None:
+            assert Domain(cells).steps == want[1]
+        else:
             holed += 1
             with pytest.raises(ValueError, match="enclose a hole"):
                 Domain(cells)
