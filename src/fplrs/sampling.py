@@ -13,7 +13,7 @@ import random
 
 from .errors import FplrsError, InvalidTriplet, NonUniqueGamma
 from .fplcore import count_configs
-from .lattice import BoundaryCondition, Domain, glue_and_gamma
+from .lattice import BoundaryCondition, Domain, GluedGraph, glue_and_gamma
 
 __all__ = ["random_domain", "random_boundary", "random_glueable"]
 
@@ -58,23 +58,23 @@ def random_boundary(rng: random.Random, d: Domain) -> BoundaryCondition:
 
 def random_glueable(
     rng: random.Random, n_cells: int, parity: str = "plus"
-) -> tuple[Domain, BoundaryCondition]:
-    """A random domain and colours whose gluing is valid (swaps allowed)
-    and whose ensemble is populated but small enough to enumerate.
+) -> tuple[Domain, BoundaryCondition, GluedGraph]:
+    """(d, t, g): a random domain, colours whose ensemble is populated
+    but small enough to enumerate, and their valid gluing (swaps allowed).
 
     Each try draws a domain (traced once, when it is built) and its
     colours, then glues.  :func:`glue_and_gamma` runs the colour test on
     the boundary walk alone, so a rejected try builds no edge ids and no
-    plaquettes; only a glueable pair is then counted.  The rejected
-    tries still consume their random numbers, so the stream depends on
-    the seed alone."""
+    plaquettes; only a glueable pair is then counted, and g is the gluing
+    whose colour test it passed.  The rejected tries still consume their
+    random numbers, so the stream depends on the seed alone."""
     for _ in range(GLUEABLE_TRIES):
         d = random_domain(rng, n_cells)
         t = random_boundary(rng, d)
         try:
-            glue_and_gamma(d, t, parity)
+            g = glue_and_gamma(d, t, parity)
         except (InvalidTriplet, NonUniqueGamma):
             continue
         if MIN_CONFIGS <= count_configs(d, t) <= MAX_CONFIGS:
-            return d, t
+            return d, t, g
     raise FplrsError("no glueable pair with a populated ensemble found")

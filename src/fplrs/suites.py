@@ -257,8 +257,8 @@ def _suite_tl(n_max: int, seed: int) -> list[CheckLine]:
     return lines
 
 
-def _conservation_lines(d, t, parity, lines, label) -> None:
-    g = lattice.glue_and_gamma(d, t, parity)
+def _conservation_lines(t, g, lines, label) -> None:
+    d = g.domain  # g is the caller's gluing of t; nothing is glued here
     ok_inv = ok_triplet = ok_bc = True
     count = 0
     # the termination bits of the complement, and of every configuration
@@ -296,13 +296,13 @@ def _suite_gyration_general(n_max: int, seed: int) -> list[CheckLine]:
     for n in range(1, min(n_max, 4) + 1):
         d, t = lattice.build_square(n, "+")
         for parity in ("plus", "minus"):
-            _conservation_lines(d, t, parity, lines, f"square n={n} {parity}")
+            _conservation_lines(t, lattice.glue_and_gamma(d, t, parity), lines, f"square n={n} {parity}")
     rng = random.Random(seed)
     for k in range(50):
         n_cells = rng.randint(6, 24)
         parity = "plus" if k % 2 == 0 else "minus"
-        d, t = sampling.random_glueable(rng, n_cells, parity)
-        _conservation_lines(d, t, parity, lines, f"random domain #{k} ({len(d.cells)} cells, {parity})")
+        d, t, g = sampling.random_glueable(rng, n_cells, parity)
+        _conservation_lines(t, g, lines, f"random domain #{k} ({len(d.cells)} cells, {parity})")
     for n in range(3, min(n_max, 5) + 1):
         for j in range(2, (n + 1) // 2 + 1):
             d, t = identities.shat_c_rectangle(n, j)
@@ -315,7 +315,7 @@ def _suite_gyration_general(n_max: int, seed: int) -> list[CheckLine]:
                     )
                 )
     for k in range(15):
-        d, t = sampling.random_glueable(rng, rng.randint(6, 16), "plus")
+        d, t, _ = sampling.random_glueable(rng, rng.randint(6, 16), "plus")
         r = gyration.generalized_gyration_check(d, t, "plus")
         lines.append(
             _capped_line(

@@ -237,8 +237,7 @@ def test_criterion_7b_conservation_suites():
     configs_seen = 0
     while domains < 50:
         parity = "plus" if domains % 2 == 0 else "minus"
-        d, t = random_glueable(rng, rng.randint(6, 24), parity)
-        g = glue_and_gamma(d, t, parity)
+        d, t, g = random_glueable(rng, rng.randint(6, 24), parity)
         for phi in enumerate_configs(d, t):
             psi = apply_h(phi, g)
             ok &= boundary(d, psi) == t.complemented()
@@ -271,7 +270,7 @@ def test_criterion_8_generalized_gyration():
             details.append(f"n={n},j={j}")
     rng = random.Random(33550336)
     for _ in range(15):
-        d, t = random_glueable(rng, rng.randint(6, 16), "plus")
+        d, t, _ = random_glueable(rng, rng.randint(6, 16), "plus")
         ok &= generalized_gyration_check(d, t, "plus").passed
     report(8, "generalized gyration", ok, "; ".join(details) + "; 15 random domains")
     assert ok

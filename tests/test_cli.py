@@ -281,13 +281,14 @@ class TestVerify:
     def test_conservation_line_checks_the_count(self, monkeypatch):
         # the involution line also fails when the DFS and the sweep
         # disagree on the ensemble's size; its text stays the same
-        from fplrs.lattice import build_square
+        from fplrs.lattice import build_square, glue_and_gamma
 
         d, t = build_square(3, "+")
+        g = glue_and_gamma(d, t, "plus")
         lines = []
-        suites._conservation_lines(d, t, "plus", lines, "square n=3 plus")
+        suites._conservation_lines(t, g, lines, "square n=3 plus")
         monkeypatch.setattr(fplcore, "count_configs", lambda d, t: 6)
-        suites._conservation_lines(d, t, "plus", lines, "square n=3 plus")
+        suites._conservation_lines(t, g, lines, "square n=3 plus")
         honest, miscounted = lines[0], lines[2]
         assert honest.status and not miscounted.status
         assert (honest.check, honest.detail) == (miscounted.check, miscounted.detail)
@@ -296,12 +297,12 @@ class TestVerify:
         # the identity is an involution, keeps the link data and the
         # count, so only the compare of the termination bits with the
         # complement's can catch it
-        from fplrs.lattice import build_square
+        from fplrs.lattice import build_square, glue_and_gamma
 
         d, t = build_square(2, "+")
         monkeypatch.setattr(gyration, "apply_h", lambda bits, g: bits)
         lines = []
-        suites._conservation_lines(d, t, "plus", lines, "square n=2 plus")
+        suites._conservation_lines(t, glue_and_gamma(d, t, "plus"), lines, "square n=2 plus")
         involution, link = lines
         assert involution.check == "pass is an involution onto the complement, square n=2 plus"
         assert not involution.status

@@ -399,7 +399,7 @@ def _suite_ensembles(seed):
     drawn as the suite draws them."""
     rng = random.Random(seed)
     return [
-        random_glueable(rng, rng.randint(6, 24), "plus" if k % 2 == 0 else "minus")
+        random_glueable(rng, rng.randint(6, 24), "plus" if k % 2 == 0 else "minus")[:2]
         for k in range(50)
     ]
 
@@ -424,7 +424,7 @@ def _census_oracle(n):
 
 def _random_ensembles(parity, count=10, seed=20100615):
     rng = random.Random(f"{seed}-{parity}")
-    return [random_glueable(rng, rng.randint(6, 16), parity) for _ in range(count)]
+    return [random_glueable(rng, rng.randint(6, 16), parity)[:2] for _ in range(count)]
 
 
 class TestFrontierSweep:

@@ -80,8 +80,7 @@ class TestPassOracle:
         swapped = 0
         for k in range(20):
             parity = "plus" if k % 2 == 0 else "minus"
-            d, t = random_glueable(rng, rng.randint(6, 20), parity)
-            g = glue_and_gamma(d, t, parity)
+            d, t, g = random_glueable(rng, rng.randint(6, 20), parity)
             swapped += bool(g.swaps)
             for phi in enumerate_configs(d, t):
                 assert apply_h(phi, g) == _reference_apply_h(phi, g)
@@ -241,8 +240,7 @@ class TestGluedWalkerOracle:
         swapped = through = leg_loops = 0
         for k in range(20):
             parity = "plus" if k % 2 == 0 else "minus"
-            d, t = random_glueable(rng, rng.randint(6, 20), parity)
-            g = glue_and_gamma(d, t, parity)
+            d, t, g = random_glueable(rng, rng.randint(6, 20), parity)
             swapped += bool(g.swaps)
             n_internal = d.n_internal
             ends = {
@@ -307,8 +305,7 @@ class TestPass:
         rng = random.Random(3)
         for k in range(12):
             parity = "plus" if k % 2 else "minus"
-            d, t = random_glueable(rng, rng.randint(6, 20), parity)
-            g = glue_and_gamma(d, t, parity)
+            d, t, g = random_glueable(rng, rng.randint(6, 20), parity)
             count = 0
             for phi in enumerate_configs(d, t):
                 count += 1
@@ -322,7 +319,7 @@ class TestPass:
         # a bijection forces equal ensemble sizes
         rng = random.Random(5)
         for _ in range(6):
-            d, t = random_glueable(rng, rng.randint(6, 16), "plus")
+            d, t, _ = random_glueable(rng, rng.randint(6, 16), "plus")
             assert count_configs(d, t) == count_configs(d, t.complemented())
 
 
@@ -542,7 +539,7 @@ class TestGeneralizedGyration:
         rng = random.Random(17)
         nontrivial = 0
         for _ in range(10):
-            d, t = random_glueable(rng, rng.randint(6, 16), "plus")
+            d, t, _ = random_glueable(rng, rng.randint(6, 16), "plus")
             r = generalized_gyration_check(d, t, "plus")
             assert r.passed
             if r.j_left or r.j_right:

@@ -3,13 +3,14 @@
 import hashlib
 import pickle
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import edge_oracle
 import glue_oracle
-from fplrs import lattice, sampling, suites
+from fplrs import gyration, lattice, sampling, suites
 from fplrs.errors import FplrsError, InvalidTriplet, NonUniqueGamma
 from fplrs.lattice import (
     DIRS,
@@ -200,7 +201,7 @@ class TestBoundaryCondition:
         lambda: Domain(l_shape().cells, anchor=3),
         lambda: BoundaryCondition((1, 0, 0, 1, 1, 1)),
         lambda: glue_and_gamma(*build_square(3, "+"), "minus"),
-        lambda: glue_and_gamma(*sampling.random_glueable(random.Random(5), 12, "plus"), "plus"),
+        lambda: sampling.random_glueable(random.Random(5), 12, "plus")[2],
     ],
     ids=["domain", "anchored-domain", "boundary", "square-gluing", "swapped-gluing"],
 )
@@ -461,6 +462,32 @@ def test_rejected_draws_build_no_plaquette_cover(monkeypatch):
     monkeypatch.setattr(lattice, "_plaquette_cover", cover)
     suites._suite_gyration_general(5, 1)
     assert counts == {"draws": 897, "covers": 364}
+
+
+def test_each_conservation_draw_is_glued_once(monkeypatch):
+    # the conservation lines of a drawn pair read the gluing the sampler
+    # handed out, which is that pair's own gluing; only the 15 capped
+    # draws are glued again, by generalized_gyration_check
+    glued = Counter()
+    drawn = []
+    real_draw, real_glue = sampling.random_glueable, lattice.glue_and_gamma
+
+    def draw(rng, n_cells, parity):
+        d, t, g = real_draw(rng, n_cells, parity)
+        assert g == real_glue(d, t, parity)
+        drawn.append((d.cells, d.anchor, t.colours, parity))
+        return d, t, g
+
+    def glue(d, t, parity):
+        glued[d.cells, d.anchor, t.colours, parity] += 1
+        return real_glue(d, t, parity)
+
+    monkeypatch.setattr(sampling, "random_glueable", draw)
+    for module in (lattice, sampling, gyration):
+        monkeypatch.setattr(module, "glue_and_gamma", glue)
+    suites._suite_gyration_general(5, 1)
+    assert len(drawn) == 65 and sum(glued.values()) == 928
+    assert {key for key, times in glued.items() if times > 1} == set(drawn[50:])
 
 
 @pytest.mark.parametrize("fault", ["dropped", "doubled"])
