@@ -6,15 +6,22 @@
     fplrs verify <tl|gyration-general> [--n-max N] [--format csv] [--seed S]
     fplrs orbit-report --n 4 [--out orbits.csv]
 
-Exit codes: 0 success, 1 verification failure (a check fails, or the
-exact kernel checks reject a ground state), 2 usage error (``--seed``
-given to a suite that draws nothing is one), 3 resource limit (size
-above the default cap without --allow-large).
+Exit codes: 0 success, 1 verification failure (a check fails, a suite
+runs no check, a suite raises, or the exact kernel checks reject a
+ground state), 2 usage error (``--seed`` given to a suite that draws
+nothing is one), 3 resource limit (size above the default cap without
+--allow-large, or out of memory).
+
+``verify`` writes each check line as its suite yields it, to stdout or
+to the ``--out`` file, and the summary last.  A suite that raises ends
+with one more line, ``[FAIL] <suite>: raised <Type>: <message>``, after
+the lines it had already yielded.
 
 Tables and ground states are cached when a cache directory is set
 (--cache-dir or FPLRS_CACHE_DIR); entries are keyed by command,
-parameters and package version, payloads are checksummed, and writes go
-through a unique temp file and rename so concurrent runs cannot clash.
+parameters and a digest of the package source, payloads are
+checksummed, and writes go through a unique temp file and rename so
+concurrent runs cannot clash.
 
 The verify suites live in ``fplrs.suites``.  It and the layers are
 bound as modules and called through their attributes
@@ -34,7 +41,6 @@ from __future__ import annotations
 
 import argparse
 import errno
-import io
 import os
 import sys
 from contextlib import contextmanager
@@ -99,19 +105,32 @@ class Cache:
         _write_atomic(meta_path, json.dumps({"key": key, "checksum": checksum}))
 
 
+def _source_digest() -> str:
+    """The sha256 of the package's own ``*.py`` files, name and bytes in
+    sorted order: an entry that other code computed is never read."""
+    import hashlib
+
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        data = path.read_bytes()
+        digest.update(f"{path.name}\0{len(data)}\0".encode() + data)
+    return digest.hexdigest()
+
+
 def _cached(args, command: str, compute, **params) -> str:
     """A command's JSON payload: from the cache when one is configured and
     holds a valid entry, else computed (and then stored)."""
     import json
 
     root = args.cache_dir or os.environ.get("FPLRS_CACHE_DIR")
-    cache = Cache(Path(root)) if root else None
-    key = f"{command}:{__version__}:{json.dumps(params, sort_keys=True)}"
-    text = cache.get(key) if cache else None
+    if not root:
+        return json.dumps(compute(), indent=0, sort_keys=True)
+    cache = Cache(Path(root))
+    key = f"{command}:{_source_digest()}:{json.dumps(params, sort_keys=True)}"
+    text = cache.get(key)
     if text is None:
         text = json.dumps(compute(), indent=0, sort_keys=True)
-        if cache:
-            cache.put(key, text)
+        cache.put(key, text)
     return text
 
 
@@ -171,30 +190,44 @@ def _emit(text: str, out: str | None) -> None:
 # Reports
 
 
-def _report(lines: list[suites.CheckLine], fmt: str, out: str | None) -> int:
-    ok = all(line.status for line in lines)
+def _report(lines, fmt: str, f) -> int:
+    """Write each check line to f as the suite yields it, then the
+    summary; 0 when every line passed, 1 when one failed or none ran."""
     if fmt == "csv":
         import csv
 
-        buf = io.StringIO()
-        writer = csv.writer(buf)
+        writer = csv.writer(f)
         writer.writerow(["suite", "check", "status", "detail"])
-        for line in lines:
-            writer.writerow(
-                [line.suite, line.check, "pass" if line.status else "fail", line.detail]
-            )
-        _emit(buf.getvalue(), out)
-    else:
-        chunks = [
-            f"[{'PASS' if line.status else 'FAIL'}] {line.suite}: {line.check}"
-            + (f" ({line.detail})" if line.detail else "")
-            for line in lines
-        ]
-        chunks.append(
-            f"{'OK' if ok else 'FAILED'}: {sum(l.status for l in lines)}/{len(lines)} checks passed"
+        write = lambda line: writer.writerow(
+            [line.suite, line.check, "pass" if line.status else "fail", line.detail]
         )
-        _emit("\n".join(chunks), out)
+    else:
+        write = lambda line: f.write(
+            f"[{'PASS' if line.status else 'FAIL'}] {line.suite}: {line.check}"
+            + (f" ({line.detail})\n" if line.detail else "\n")
+        )
+    passed = total = 0
+    for line in lines:
+        write(line)
+        passed += line.status
+        total += 1
+    ok = 0 < total == passed
+    if fmt != "csv":
+        f.write(f"{'OK' if ok else 'FAILED'}: {passed}/{total} checks passed\n")
     return 0 if ok else 1
+
+
+def _faults_as_lines(suite: str, lines):
+    """The suite's lines, ended by a failing one if the suite raises.
+    The arguments are checked before the suite runs, so a raise is a
+    fault of the program, and the lines already written stand; running
+    out of memory is a resource limit instead (exit 3)."""
+    try:
+        yield from lines
+    except MemoryError:
+        raise
+    except Exception as exc:
+        yield suites.CheckLine(suite, f"raised {type(exc).__name__}: {exc}", False)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +304,11 @@ def cmd_verify(args) -> int:
         raise FplrsError(
             f"--seed is read only by tl and gyration-general; {args.suite} draws nothing"
         )
-    return _report(SUITES[args.suite](args), args.format, args.out)
+    lines = _faults_as_lines(args.suite, SUITES[args.suite](args))
+    if not args.out:
+        return _report(lines, args.format, sys.stdout)
+    with _atomic_open(Path(args.out)) as f:
+        return _report(lines, args.format, f)
 
 
 def _orbit_rows(n: int, sign: str, f) -> None:
@@ -345,6 +382,9 @@ def main(argv=None) -> int:
     try:
         _check_out(args.out)
         return args.func(args)
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 3
     except FplrsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, _AboveCap):

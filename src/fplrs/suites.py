@@ -1,5 +1,6 @@
-"""The verification suites behind ``fplrs verify``: each returns the
-check lines of one suite, which the command line reports.
+"""The verification suites behind ``fplrs verify``: each is a generator
+of the check lines of one suite, which the command line writes as they
+come.
 
     rs                the RS certificate of the stationary vector
     wieland           both signs' tables agree and are rotation invariant
@@ -23,7 +24,7 @@ import of it by name would execute it a second time.
 from __future__ import annotations
 
 import random
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from . import fplcore, groundstate, gyration, identities, lattice, linkpat, sampling
 
@@ -35,66 +36,44 @@ class CheckLine(NamedTuple):
     detail: str = ""
 
 
-def _suite_rs(n_max: int) -> list[CheckLine]:
-    lines = []
+def _suite_rs(n_max: int) -> Iterator[CheckLine]:
     for n in range(1, n_max + 1):
         r = groundstate.verify_rs(n)
-        lines.append(
-            CheckLine(
-                "rs",
-                f"(H-2n) kills the count vector, n={n}",
-                r.rs_is_zero,
-                r.first_violation,
-            )
+        yield CheckLine(
+            "rs", f"(H-2n) kills the count vector, n={n}", r.rs_is_zero, r.first_violation
         )
-        lines.append(
-            CheckLine("rs", f"kernel equals counts, n={n}", r.kernel_matches_counts)
+        yield CheckLine("rs", f"kernel equals counts, n={n}", r.kernel_matches_counts)
+        yield CheckLine(
+            "rs", f"component sum, n={n}", r.total == r.expected_total,
+            f"{r.total} vs {r.expected_total}",
         )
-        lines.append(
-            CheckLine(
-                "rs",
-                f"component sum, n={n}",
-                r.total == r.expected_total,
-                f"{r.total} vs {r.expected_total}",
-            )
-        )
-    return lines
 
 
-def _suite_wieland(n_max: int) -> list[CheckLine]:
-    lines = []
+def _suite_wieland(n_max: int) -> Iterator[CheckLine]:
     for n in range(1, n_max + 1):
         plus = fplcore.refined_counts(n, "+")
         minus = fplcore.refined_counts(n, "-")
-        lines.append(
-            CheckLine("wieland", f"plus table equals minus table, n={n}", plus == minus)
-        )
-        lines.append(
-            CheckLine(
-                "wieland",
-                f"table invariant under rotation, n={n}",
-                linkpat.apply_rotation(plus, 1) == plus,
-            )
+        yield CheckLine("wieland", f"plus table equals minus table, n={n}", plus == minus)
+        yield CheckLine(
+            "wieland",
+            f"table invariant under rotation, n={n}",
+            linkpat.apply_rotation(plus, 1) == plus,
         )
     k = gyration.square_rotation_direction()
     power = "one power of R" if k is None else f"R^{k}"
-    lines.append(CheckLine("wieland", f"gyration rotates patterns by {power}", k is not None))
-    return lines
+    yield CheckLine("wieland", f"gyration rotates patterns by {power}", k is not None)
 
 
-def _suite_orbits(n_max: int) -> list[CheckLine]:
-    lines = []
+def _suite_orbits(n_max: int) -> Iterator[CheckLine]:
     k = gyration.square_rotation_direction()
     for n in range(1, n_max + 1):
         orbits = gyration.orbit_partition(n)
         total = sum(o.period for o in orbits)
-        lines.append(
-            CheckLine(
-                "orbits",
-                f"orbits partition the ensemble, n={n}",
-                total == linkpat.asm_count_formula(n),
-                f"{len(orbits)} orbits, {total} configs",
-            )
+        yield CheckLine(
+            "orbits",
+            f"orbits partition the ensemble, n={n}",
+            total == linkpat.asm_count_formula(n),
+            f"{len(orbits)} orbits, {total} configs",
         )
         # every step rotating by the pinned k keeps each orbit in one class
         coherent = k in gyration.step_rotations(orbits)
@@ -108,38 +87,26 @@ def _suite_orbits(n_max: int) -> list[CheckLine]:
                 pm[0] += plus
                 pm[1] += minus
         bad_class = sum(1 for pm in class_pm.values() if pm[0] != pm[1])
-        lines.append(
-            CheckLine("orbits", f"orbit face sums vanish, n={n}", bad_sum == 0)
-        )
-        lines.append(
-            CheckLine("orbits", f"class face sums vanish, n={n}", bad_class == 0)
-        )
-        lines.append(
-            CheckLine("orbits", f"orbits stay in one rotation class, n={n}", coherent)
-        )
+        yield CheckLine("orbits", f"orbit face sums vanish, n={n}", bad_sum == 0)
+        yield CheckLine("orbits", f"class face sums vanish, n={n}", bad_class == 0)
+        yield CheckLine("orbits", f"orbits stay in one rotation class, n={n}", coherent)
         if n == 4:
             balanced = all(
                 pm[0] == pm[1]
                 for (word, alpha), pm in class_pm.items()
                 if alpha == (3, 2)
             )
-            lines.append(
-                CheckLine("orbits", "per-class +1/-1 counts balance at face (3,2), n=4", balanced)
-            )
-    return lines
+            yield CheckLine("orbits", "per-class +1/-1 counts balance at face (3,2), n=4", balanced)
 
 
-def _suite_identities(n_max: int) -> list[CheckLine]:
-    results = identities.run_identity_suite(range(1, n_max + 1))
-    return [
-        CheckLine(
+def _suite_identities(n_max: int) -> Iterator[CheckLine]:
+    for r in identities.run_identity_suite(range(1, n_max + 1)):
+        yield CheckLine(
             "identities",
             f"{r.identity} n={r.n}" + (f" j={r.j}" if r.j is not None else ""),
             r.status,
             r.witness,
         )
-        for r in results
-    ]
 
 
 def _tl_operators():
@@ -172,7 +139,7 @@ def _tl_operators():
     return tuple(memo(op) for op in (linkpat.tl_e, linkpat.rotate, linkpat.close_c, linkpat.add_a))
 
 
-def _check_tl_relations(n: int, samples, lines: list[CheckLine], label: str, ops) -> None:
+def _check_tl_relations(n: int, samples, label: str, ops) -> Iterator[CheckLine]:
     tl_e, rotate, close_c, add_a = ops
     size = 2 * n
     wrap = lambda j: ((j - 1) % size) + 1
@@ -199,13 +166,13 @@ def _check_tl_relations(n: int, samples, lines: list[CheckLine], label: str, ops
                 ok_comm &= close_c(ei, j) == tl_e(close_c(p, j), i)
             if j <= size + 1:
                 ok_comm &= add_a(ei, j) == tl_e(add_a(p, j), i)
-    lines.append(CheckLine("tl", f"conjugation by rotation shifts indices, {label}", ok_a))
-    lines.append(CheckLine("tl", f"generators are idempotent, {label}", ok_b))
-    lines.append(CheckLine("tl", f"distant generators commute, {label}", ok_c))
-    lines.append(CheckLine("tl", f"braid-like contraction, {label}", ok_d))
-    lines.append(CheckLine("tl", f"cap after add is the identity, {label}", ok_ca))
-    lines.append(CheckLine("tl", f"add after cap is the generator, {label}", ok_ac))
-    lines.append(CheckLine("tl", f"caps commute with distant generators, {label}", ok_comm))
+    yield CheckLine("tl", f"conjugation by rotation shifts indices, {label}", ok_a)
+    yield CheckLine("tl", f"generators are idempotent, {label}", ok_b)
+    yield CheckLine("tl", f"distant generators commute, {label}", ok_c)
+    yield CheckLine("tl", f"braid-like contraction, {label}", ok_d)
+    yield CheckLine("tl", f"cap after add is the identity, {label}", ok_ca)
+    yield CheckLine("tl", f"add after cap is the generator, {label}", ok_ac)
+    yield CheckLine("tl", f"caps commute with distant generators, {label}", ok_comm)
 
 
 def _nonconsecutive_sets(size: int):
@@ -216,8 +183,7 @@ def _nonconsecutive_sets(size: int):
     return out
 
 
-def _suite_tl(n_max: int, seed: int) -> list[CheckLine]:
-    lines: list[CheckLine] = []
+def _suite_tl(n_max: int, seed: int) -> Iterator[CheckLine]:
     ops = _tl_operators()
     tl_e, _, close_c, add_a = ops
     for n in range(1, min(n_max, 4) + 1):
@@ -228,7 +194,7 @@ def _suite_tl(n_max: int, seed: int) -> list[CheckLine]:
             for i in range(1, size + 1)
             for j in range(1, size + 1)
         ]
-        _check_tl_relations(n, samples, lines, f"exhaustive n={n}", ops)
+        yield from _check_tl_relations(n, samples, f"exhaustive n={n}", ops)
         ok_prod = True
         for p in linkpat.all_patterns(n):
             for js in _nonconsecutive_sets(size):
@@ -241,9 +207,7 @@ def _suite_tl(n_max: int, seed: int) -> list[CheckLine]:
                 for j in js:
                     rhs = tl_e(rhs, j)
                 ok_prod &= lhs == rhs
-        lines.append(
-            CheckLine("tl", f"add/cap ladders reproduce generator products, exhaustive n={n}", ok_prod)
-        )
+        yield CheckLine("tl", f"add/cap ladders reproduce generator products, exhaustive n={n}", ok_prod)
     if n_max >= 5:
         rng = random.Random(seed)
         for n in range(5, min(n_max, 7) + 1):
@@ -253,11 +217,10 @@ def _suite_tl(n_max: int, seed: int) -> list[CheckLine]:
                 (rng.choice(pats), rng.randint(1, size), rng.randint(1, size))
                 for _ in range(10_000)
             ]
-            _check_tl_relations(n, samples, lines, f"10^4 samples n={n}", ops)
-    return lines
+            yield from _check_tl_relations(n, samples, f"10^4 samples n={n}", ops)
 
 
-def _conservation_lines(t, g, lines, label) -> None:
+def _conservation_lines(t, g, parity: str, label: str) -> Iterator[CheckLine]:
     d = g.domain  # g is the caller's gluing of t; nothing is glued here
     ok_inv = ok_triplet = ok_bc = True
     count = 0
@@ -271,59 +234,50 @@ def _conservation_lines(t, g, lines, label) -> None:
         ok_bc &= psi & terminations == complement
         ok_inv &= gyration.apply_h(psi, g) == phi
         ok_triplet &= gyration.pair_link_data(phi, g) == gyration.pair_link_data(psi, g)
-    lines.append(
-        CheckLine(
-            "gyration-general",
-            f"pass is an involution onto the complement, {label}",
-            # the walk and the sweep share one transition function, so
-            # this size check covers only the sweep's merge of its runs;
-            # tests/dfs_oracle.py is the independent check of both
-            ok_inv and ok_bc and count == fplcore.count_configs(d, t),
-            f"{count} configs, swaps={g.swaps}",
-        )
+    yield CheckLine(
+        "gyration-general",
+        f"pass is an involution onto the complement, {label}",
+        # the walk and the sweep share one transition function, so this
+        # size check covers only the sweep's merge of its runs;
+        # tests/dfs_oracle.py is the independent check of both.  The
+        # pass holds for a gluing of either parity, so the pairs tie g
+        # to the parity that the label names.
+        ok_inv and ok_bc and count == fplcore.count_configs(d, t)
+        and g.pairs == lattice._pairing(d.perimeter, parity),
+        f"{count} configs, swaps={g.swaps}",
     )
-    lines.append(
-        CheckLine(
-            "gyration-general",
-            f"glued link data conserved, {label}",
-            ok_triplet,
-        )
-    )
+    yield CheckLine("gyration-general", f"glued link data conserved, {label}", ok_triplet)
 
 
-def _suite_gyration_general(n_max: int, seed: int) -> list[CheckLine]:
-    lines: list[CheckLine] = []
+def _suite_gyration_general(n_max: int, seed: int) -> Iterator[CheckLine]:
     for n in range(1, min(n_max, 4) + 1):
         d, t = lattice.build_square(n, "+")
         for parity in ("plus", "minus"):
-            _conservation_lines(t, lattice.glue_and_gamma(d, t, parity), lines, f"square n={n} {parity}")
+            g = lattice.glue_and_gamma(d, t, parity)
+            yield from _conservation_lines(t, g, parity, f"square n={n} {parity}")
     rng = random.Random(seed)
     for k in range(50):
         n_cells = rng.randint(6, 24)
         parity = "plus" if k % 2 == 0 else "minus"
         d, t, g = sampling.random_glueable(rng, n_cells, parity)
-        _conservation_lines(t, g, lines, f"random domain #{k} ({len(d.cells)} cells, {parity})")
+        label = f"random domain #{k} ({len(d.cells)} cells, {parity})"
+        yield from _conservation_lines(t, g, parity, label)
     for n in range(3, min(n_max, 5) + 1):
         for j in range(2, (n + 1) // 2 + 1):
             d, t = identities.shat_c_rectangle(n, j)
             for parity in ("plus", "minus"):
                 r = gyration.generalized_gyration_check(d, t, parity)
-                lines.append(
-                    _capped_line(
-                        r, f"the c-state rectangle n={n} j={j} {parity}",
-                        f"J1={list(r.j_left)} J2={list(r.j_right)}",
-                    )
+                yield _capped_line(
+                    r, f"the c-state rectangle n={n} j={j} {parity}",
+                    f"J1={list(r.j_left)} J2={list(r.j_right)}",
                 )
     for k in range(15):
         d, t, _ = sampling.random_glueable(rng, rng.randint(6, 16), "plus")
         r = gyration.generalized_gyration_check(d, t, "plus")
-        lines.append(
-            _capped_line(
-                r, f"random domain #{k} ({len(d.cells)} cells)",
-                f"J1={list(r.j_left)} J2={list(r.j_right)} swaps={list(r.swaps)}",
-            )
+        yield _capped_line(
+            r, f"random domain #{k} ({len(d.cells)} cells)",
+            f"J1={list(r.j_left)} J2={list(r.j_right)} swaps={list(r.swaps)}",
         )
-    return lines
 
 
 def _capped_line(r, label: str, detail: str) -> CheckLine:

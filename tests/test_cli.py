@@ -16,7 +16,8 @@ from pathlib import Path
 import pytest
 
 import fplrs
-from fplrs import cli, fplcore, groundstate, gyration, linkpat, suites
+from fplrs import cli, fplcore, groundstate, gyration, lattice, linkpat, sampling, suites
+from fplrs.errors import InvalidTriplet, NonUniqueGamma
 from fplrs.cli import Cache, main
 from fplrs.linkpat import all_patterns, tl_e
 
@@ -148,6 +149,31 @@ class TestCache:
         assert errors == []
         assert cache.get("k") == "payload"
         assert not list(tmp_path.glob("*.tmp"))
+
+
+    def test_entries_are_keyed_by_the_source(self, tmp_path):
+        # an entry that other code computed is a miss: one comment byte
+        # changed in a copy of the package gives a second entry
+        import shutil
+
+        pkg = tmp_path / "src" / "fplrs"
+        shutil.copytree(Path(fplrs.__file__).parent, pkg, ignore=shutil.ignore_patterns("__pycache__"))
+        cache = tmp_path / "cache"
+        env = dict(os.environ, PYTHONPATH=str(pkg.parent))
+        argv = [sys.executable, "-m", "fplrs.cli", "enumerate", "--n", "2", "--cache-dir", str(cache)]
+
+        def entries():
+            result = subprocess.run(argv, env=env, capture_output=True, text=True)
+            assert (result.returncode, result.stderr) == (0, "")
+            return sorted(p.name for p in cache.glob("*.json"))
+
+        stored = entries()
+        assert len(stored) == 1 and entries() == stored
+        source = pkg / "cli.py"
+        text = source.read_text()
+        assert text.count("\n# Cache\n") == 1
+        source.write_text(text.replace("\n# Cache\n", "\n# cache\n"))
+        assert len(entries()) == 2
 
 
 class TestGroundstate:
@@ -285,11 +311,9 @@ class TestVerify:
 
         d, t = build_square(3, "+")
         g = glue_and_gamma(d, t, "plus")
-        lines = []
-        suites._conservation_lines(t, g, lines, "square n=3 plus")
+        honest = list(suites._conservation_lines(t, g, "plus", "square n=3 plus"))[0]
         monkeypatch.setattr(fplcore, "count_configs", lambda d, t: 6)
-        suites._conservation_lines(t, g, lines, "square n=3 plus")
-        honest, miscounted = lines[0], lines[2]
+        miscounted = list(suites._conservation_lines(t, g, "plus", "square n=3 plus"))[0]
         assert honest.status and not miscounted.status
         assert (honest.check, honest.detail) == (miscounted.check, miscounted.detail)
 
@@ -301,9 +325,8 @@ class TestVerify:
 
         d, t = build_square(2, "+")
         monkeypatch.setattr(gyration, "apply_h", lambda bits, g: bits)
-        lines = []
-        suites._conservation_lines(t, glue_and_gamma(d, t, "plus"), lines, "square n=2 plus")
-        involution, link = lines
+        g = glue_and_gamma(d, t, "plus")
+        involution, link = suites._conservation_lines(t, g, "plus", "square n=2 plus")
         assert involution.check == "pass is an involution onto the complement, square n=2 plus"
         assert not involution.status
         assert link.check == "glued link data conserved, square n=2 plus" and link.status
@@ -327,7 +350,7 @@ def test_tl_fault_reached_by_one_sample_fails_its_line(monkeypatch, repeats):
             reached.setdefault((q, k), set()).add(sample)
             return ops[0](q, k)
 
-        suites._check_tl_relations(5, [sample], [], "", (spy, *ops[1:]))
+        list(suites._check_tl_relations(5, [sample], "", (spy, *ops[1:])))
     times = Counter(samples)
     key = next(
         key for key, by in reached.items()
@@ -338,6 +361,131 @@ def test_tl_fault_reached_by_one_sample_fails_its_line(monkeypatch, repeats):
     monkeypatch.setattr(linkpat, "tl_e", lambda q, k: q if (q, k) == key else real(q, k))
     failed = [line.check for line in suites._suite_tl(5, seed) if not line.status]
     assert failed == ["caps commute with distant generators, 10^4 samples n=5"]
+
+
+_OTHER = {"plus": "minus", "minus": "plus"}
+
+
+class TestSuiteFaults:
+    """A raise inside a suite is a report line: the lines written before
+    it stand, a ``[FAIL] <suite>: raised ...`` line follows, and the
+    command exits 1; running out of memory exits 3."""
+
+    @staticmethod
+    def _sampler(monkeypatch, gluing):
+        # the sampler hands out gluing(d, t, g, parity) in place of g
+        real = sampling.random_glueable
+
+        def draw(rng, n_cells, parity="plus"):
+            d, t, g = real(rng, n_cells, parity)
+            return d, t, gluing(d, t, g, parity)
+
+        monkeypatch.setattr(sampling, "random_glueable", draw)
+
+    @staticmethod
+    def _faulty_run(capsys, honest, reason):
+        code, out, err = run(capsys, "verify", "gyration-general", "--n-max", "5")
+        lines = out.splitlines()
+        # the squares draw nothing, so their 16 lines are the honest ones
+        assert (code, err) == (1, "") and len(lines) > 17
+        assert lines[:16] == honest.splitlines()[:16]
+        assert lines[-1].startswith("FAILED: ")
+        assert lines[-2].startswith(f"[FAIL] gyration-general: {reason}")
+        return lines
+
+    def test_other_parity_gluing_is_a_fail_line(self, capsys, monkeypatch):
+        # mutant (a): the other parity's gluing; the first one that
+        # does not glue raises InvalidTriplet, a package error
+        honest = run(capsys, "verify", "gyration-general", "--n-max", "5")[1]
+        self._sampler(monkeypatch, lambda d, t, g, parity: lattice.glue_and_gamma(d, t, _OTHER[parity]))
+        self._faulty_run(capsys, honest, "raised InvalidTriplet: no convex-corner swap fixes pair ")
+
+    def test_previous_draw_gluing_is_a_fail_line(self, capsys, monkeypatch):
+        # mutant (b): each draw after the first reads the previous
+        # draw's gluing.  Draw #1's colours walk none of draw #0's
+        # domain, which fails its line; draw #2's do not fit draw #1's
+        # domain, and the walk raises
+        honest = run(capsys, "verify", "gyration-general", "--n-max", "5")[1]
+        drawn = []
+
+        def previous(d, t, g, parity):
+            drawn.append(g)
+            return drawn[-2] if len(drawn) > 1 else g
+
+        self._sampler(monkeypatch, previous)
+        lines = self._faulty_run(capsys, honest, "raised ValueError: ")
+        assert len(lines) == 22 and lines[:18] == honest.splitlines()[:18]
+        assert lines[18].startswith("[FAIL] gyration-general: pass is an involution onto the complement, random domain #1 ")
+
+    def test_other_parity_where_it_glues_fails_the_involution_line(self, capsys, monkeypatch):
+        # the variant of (a) raises nothing; the parity tie fails the
+        # involution line of each draw handed the other parity's gluing
+        honest = run(capsys, "verify", "gyration-general", "--n-max", "5")[1]
+
+        def other_where_it_glues(d, t, g, parity):
+            try:
+                return lattice.glue_and_gamma(d, t, _OTHER[parity])
+            except (InvalidTriplet, NonUniqueGamma):
+                return g
+
+        self._sampler(monkeypatch, other_where_it_glues)
+        code, out, err = run(capsys, "verify", "gyration-general", "--n-max", "5")
+        failed = [line for line in out.splitlines() if line.startswith("[FAIL]")]
+        assert (code, err) == (1, "") and failed
+        assert all(
+            line.startswith("[FAIL] gyration-general: pass is an involution onto the complement, random domain #")
+            for line in failed
+        )
+        assert len(out.splitlines()) == len(honest.splitlines())
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_second_line_raising_keeps_the_first(self, capsys, monkeypatch, fmt):
+        def suite(args):
+            yield suites.CheckLine("rs", "first", True)
+            raise ValueError("second")
+
+        monkeypatch.setitem(cli.SUITES, "rs", suite)
+        code, out, err = run(capsys, "verify", "rs", "--n-max", "1", "--format", fmt)
+        assert (code, err) == (1, "")
+        if fmt == "text":
+            assert out == "[PASS] rs: first\n[FAIL] rs: raised ValueError: second\nFAILED: 1/2 checks passed\n"
+        else:
+            assert list(csv.reader(io.StringIO(out)))[1:] == [
+                ["rs", "first", "pass", ""], ["rs", "raised ValueError: second", "fail", ""]
+            ]
+
+    def test_out_of_memory_is_a_resource_limit(self, capsys, monkeypatch):
+        real = groundstate.verify_rs
+
+        def verify_rs(n):
+            if n == 2:
+                raise MemoryError
+            return real(n)
+
+        monkeypatch.setattr(groundstate, "verify_rs", verify_rs)
+        code, out, err = run(capsys, "verify", "rs", "--n-max", "3")
+        assert (code, err) == (3, "error: out of memory\n")
+        # the three lines of n = 1 stand; the summary is not written
+        assert [line[:13] for line in out.splitlines()] == ["[PASS] rs: (H", "[PASS] rs: ke", "[PASS] rs: co"]
+
+
+class TestVerifyOut:
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    @pytest.mark.parametrize("failing", [False, True], ids=["passing", "failing"])
+    def test_out_file_is_the_stdout_stream(self, capsys, tmp_path, monkeypatch, fmt, failing):
+        if failing:
+            real = cli.SUITES["rs"]
+            monkeypatch.setitem(
+                cli.SUITES, "rs",
+                lambda args: (line._replace(status=i != 4) for i, line in enumerate(real(args))),
+            )
+        argv = ("verify", "rs", "--n-max", "4", "--format", fmt)
+        code, out, _ = run(capsys, *argv)
+        assert code == failing and ("fail" in out.lower()) == failing
+        target = tmp_path / "report"
+        assert run(capsys, *argv, "--out", str(target)) == (code, "", "")
+        assert target.read_bytes() == out.encode()
+        assert [p.name for p in tmp_path.iterdir()] == ["report"]
 
 
 class TestOrbitReport:
@@ -742,10 +890,14 @@ class TestReportContract:
 
         good = CheckLine("demo", "fine", True)
         bad = CheckLine("demo", "broken", False, "witness")
-        assert _report([good], "text", None) == 0
-        assert _report([good, bad], "text", None) == 1
+        assert _report([good], "text", sys.stdout) == 0
+        assert _report([good, bad], "text", sys.stdout) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out and "witness" in out
+        # a suite that runs zero checks is not an OK
+        assert _report([], "text", sys.stdout) == 1
+        assert _report([], "csv", sys.stdout) == 1
+        assert capsys.readouterr().out == "FAILED: 0/0 checks passed\nsuite,check,status,detail\r\n"
 
 
 def test_tl_memo_agrees_with_the_operators():

@@ -460,7 +460,7 @@ def test_rejected_draws_build_no_plaquette_cover(monkeypatch):
     # random_glueable calls the name that sampling imported
     monkeypatch.setattr(sampling, "glue_and_gamma", glue)
     monkeypatch.setattr(lattice, "_plaquette_cover", cover)
-    suites._suite_gyration_general(5, 1)
+    list(suites._suite_gyration_general(5, 1))
     assert counts == {"draws": 897, "covers": 364}
 
 
@@ -485,7 +485,7 @@ def test_each_conservation_draw_is_glued_once(monkeypatch):
     monkeypatch.setattr(sampling, "random_glueable", draw)
     for module in (lattice, sampling, gyration):
         monkeypatch.setattr(module, "glue_and_gamma", glue)
-    suites._suite_gyration_general(5, 1)
+    list(suites._suite_gyration_general(5, 1))
     assert len(drawn) == 65 and sum(glued.values()) == 928
     assert {key for key, times in glued.items() if times > 1} == set(drawn[50:])
 
