@@ -12,16 +12,21 @@ ground state), 2 usage error (``--seed`` given to a suite that draws
 nothing is one), 3 resource limit (size above the default cap without
 --allow-large, or out of memory).
 
-``verify`` writes each check line as its suite yields it, to stdout or
-to the ``--out`` file, and the summary last.  A suite that raises ends
-with one more line, ``[FAIL] <suite>: raised <Type>: <message>``, after
-the lines it had already yielded.
+Every command writes to one stream, which ``main`` opens before the
+command runs: stdout, or the ``--out`` file, written to a temp file of
+its own and renamed into place when the command ends.  So an unwritable
+``--out`` is refused before any work, and the file holds exactly the
+bytes stdout would.  ``verify`` writes each check line as its suite
+yields it, and the summary last.  A suite that raises ends with one
+more line, ``[FAIL] <suite>: raised <Type>: <message>``, after the
+lines it had already yielded.
 
 Tables and ground states are cached when a cache directory is set
-(--cache-dir or FPLRS_CACHE_DIR); entries are keyed by command,
-parameters and a digest of the package source, payloads are
-checksummed, and writes go through a unique temp file and rename so
-concurrent runs cannot clash.
+(--cache-dir or FPLRS_CACHE_DIR).  An entry is one file, named by a
+digest of its key (command, parameters and a digest of the package
+source); it holds the payload's sha256, the key and the payload, and is
+written through the same temp file and rename, so a reader sees one
+writer's whole entry or none.
 
 The verify suites live in ``fplrs.suites``.  It and the layers are
 bound as modules and called through their attributes
@@ -64,7 +69,7 @@ def _sha256(text: str) -> str:
 
 
 class Cache:
-    """Content-addressed JSON payload store with atomic writes."""
+    """Content-addressed payload store, one file per entry."""
 
     def __init__(self, root: Path):
         self.root = root
@@ -73,36 +78,25 @@ class Cache:
         except OSError as exc:
             raise FplrsError(f"cannot create cache directory {root}: {exc.strerror}") from None
 
-    def _paths(self, key: str) -> tuple[Path, Path]:
-        digest = _sha256(key)[:24]
-        return self.root / f"{digest}.json", self.root / f"{digest}.meta"
+    def _entry(self, key: str) -> Path:
+        return self.root / _sha256(key)[:24]
 
     def get(self, key: str) -> str | None:
         """The payload stored under key, or None on a miss.  A missing,
         unreadable, undecodable or corrupt entry is a miss, so the
         caller recomputes it and overwrites the entry."""
-        import json
-
-        payload_path, meta_path = self._paths(key)
         try:
-            meta = json.loads(meta_path.read_text())
-            if meta["key"] != key:
-                return None
-            checksum = meta["checksum"]
-            text = payload_path.read_text()
-        except (OSError, ValueError, KeyError, TypeError):
+            checksum, rest = self._entry(key).read_text().split("\n", 1)
+        except (OSError, ValueError):
             return None
-        if _sha256(text) != checksum:
+        if not rest.startswith(f"{key}\n"):
             return None
-        return text
+        text = rest[len(key) + 1 :]
+        return text if _sha256(text) == checksum else None
 
     def put(self, key: str, text: str) -> None:
-        import json
-
-        payload_path, meta_path = self._paths(key)
-        checksum = _sha256(text)
-        _write_atomic(payload_path, text)
-        _write_atomic(meta_path, json.dumps({"key": key, "checksum": checksum}))
+        with _atomic_open(self._entry(key)) as f:
+            f.write(f"{_sha256(text)}\n{key}\n{text}")
 
 
 def _source_digest() -> str:
@@ -139,14 +133,16 @@ def _atomic_open(path: Path):
     """A text file to write, that replaces ``path`` when the block ends.
     It is a temp file of its own in the target directory, so concurrent
     writers never share a temp path; it is renamed into place on success
-    and removed on any error.  The temp file is created with the mode a
-    plain ``open`` would give.  An unwritable target is a usage error,
-    not a traceback."""
+    and removed on any error.  A directory target, which the temp file
+    would only meet at the rename, is refused before it is made.  An
+    unwritable target is a usage error, not a traceback."""
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        f = open(tmp, "x")
         try:
-            with os.fdopen(fd, "w") as f:
+            with f:
                 yield f
             os.replace(tmp, path)
         except BaseException:
@@ -154,36 +150,6 @@ def _atomic_open(path: Path):
             raise
     except OSError as exc:
         raise FplrsError(f"cannot write {path}: {exc.strerror}") from None
-
-
-def _write_atomic(path: Path, text: str) -> None:
-    with _atomic_open(path) as f:
-        f.write(text)
-
-
-def _check_out(out: str | None) -> None:
-    """Refuse an ``--out`` that the payload could not be written to,
-    before the command does any work: the path must not be a directory
-    and its parent must be an existing, writable directory."""
-    if not out:
-        return
-    path = Path(out)
-    if path.is_dir():
-        code = errno.EISDIR
-    elif not path.parent.is_dir():
-        code = errno.ENOTDIR if path.parent.exists() else errno.ENOENT
-    elif not os.access(path.parent, os.W_OK | os.X_OK):
-        code = errno.EACCES
-    else:
-        return
-    raise FplrsError(f"cannot write {path}: {os.strerror(code)}")
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        _write_atomic(Path(out), text)
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +213,7 @@ def _check_size(args) -> None:
         )
 
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args, f) -> int:
     _check_size(args)
     # checked before the cache, so a bad count is refused on a hit too
     if args.threads < 1:
@@ -262,17 +228,17 @@ def cmd_enumerate(args) -> int:
         entries = linkpat.lp_vector_to_json(counts)["entries"]
         return {"n": args.n, "sign": args.sign, "anchor": 0, "counts": entries}
 
-    _emit(_cached(args, "enumerate", table, n=args.n, sign=args.sign), args.out)
+    print(_cached(args, "enumerate", table, n=args.n, sign=args.sign), file=f)
     return 0
 
 
-def cmd_groundstate(args) -> int:
+def cmd_groundstate(args, f) -> int:
     import json
 
     _check_size(args)
     vector = lambda: linkpat.lp_vector_to_json(groundstate.stationary_vector(args.n))
     text = _cached(args, "groundstate", vector, n=args.n)
-    _emit(text, args.out)
+    print(text, file=f)
     data = json.loads(text)
     values = [int(v) for v in data["entries"].values()]
     print(
@@ -295,7 +261,7 @@ SUITES = {
 SEEDED = ("tl", "gyration-general")
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, f) -> int:
     if args.n_max < 1:
         raise FplrsError(f"--n-max must be positive, got {args.n_max}")
     if args.seed is None:
@@ -304,32 +270,20 @@ def cmd_verify(args) -> int:
         raise FplrsError(
             f"--seed is read only by tl and gyration-general; {args.suite} draws nothing"
         )
-    lines = _faults_as_lines(args.suite, SUITES[args.suite](args))
-    if not args.out:
-        return _report(lines, args.format, sys.stdout)
-    with _atomic_open(Path(args.out)) as f:
-        return _report(lines, args.format, f)
+    return _report(_faults_as_lines(args.suite, SUITES[args.suite](args)), args.format, f)
 
 
-def _orbit_rows(n: int, sign: str, f) -> None:
-    """Write the orbit-report CSV to f row by row, as the orbits come."""
+def cmd_orbit_report(args, f) -> int:
+    """Write the orbit-report CSV row by row, as the orbits come."""
     import csv
 
+    _check_size(args)
     writer = csv.writer(f)
     writer.writerow(["orbit_id", "period", "link_class", "plaquette", "sum"])
-    for oid, o in enumerate(gyration.orbit_partition(n, sign)):
+    for oid, o in enumerate(gyration.orbit_partition(args.n, args.sign)):
         word, faces = gyration.orbit_faces(o)
         for (x, y), (plus, minus) in faces.items():
             writer.writerow([oid, o.period, word, f"{x},{y}", plus - minus])
-
-
-def cmd_orbit_report(args) -> int:
-    _check_size(args)
-    if args.out:
-        with _atomic_open(Path(args.out)) as f:
-            _orbit_rows(args.n, args.sign, f)
-    else:
-        _orbit_rows(args.n, args.sign, sys.stdout)
     return 0
 
 
@@ -380,8 +334,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_out(args.out)
-        return args.func(args)
+        if not args.out:
+            return args.func(args, sys.stdout)
+        with _atomic_open(Path(args.out)) as f:
+            return args.func(args, f)
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 3

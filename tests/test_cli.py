@@ -28,6 +28,21 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _files(root: Path) -> dict:
+    return {p.name: p.read_bytes() for p in root.iterdir()}
+
+
+def _alter_the_entry(root: Path, change) -> dict:
+    """Replace the bytes of the cache's one entry, its only file, by
+    change(bytes), which must differ; the files as they were before."""
+    stored = _files(root)
+    ((name, data),) = stored.items()
+    altered = change(data)
+    assert altered != data
+    (root / name).write_bytes(altered)
+    return stored
+
+
 class TestEnumerate:
     def test_table_n4(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--n", "4")
@@ -52,15 +67,20 @@ class TestEnumerate:
         _, parallel, _ = run(capsys, "enumerate", "--n", "4", "--threads", "2")
         assert serial == parallel
 
-    def test_cache_round_trip(self, capsys, tmp_path):
+    def test_cache_round_trip(self, capsys, tmp_path, monkeypatch):
         args = ("enumerate", "--n", "3", "--cache-dir", str(tmp_path))
         code1, out1, _ = run(capsys, *args)
-        stored = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        assert stored, "cache must be populated"
+        stored = _files(tmp_path)
+        assert len(stored) == 1, "one entry, one file"
+
+        def recompute(*args, **kwargs):
+            raise AssertionError("a warm run recomputed its table")
+
+        monkeypatch.setattr(fplcore, "refined_counts", recompute)
         code2, out2, _ = run(capsys, *args)
         assert (code1, code2) == (0, 0)
         assert out1 == out2
-        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == stored
+        assert _files(tmp_path) == stored
 
     def test_out_file_written_atomically(self, capsys, tmp_path):
         target = tmp_path / "table.json"
@@ -81,46 +101,53 @@ class TestEnumerate:
             os.umask(old)
         plain = stat.S_IMODE((tmp_path / "plain").stat().st_mode)
         written = [tmp_path / "t.json", *(tmp_path / "cache").iterdir()]
-        assert len(written) == 3
+        assert len(written) == 2
         assert {stat.S_IMODE(p.stat().st_mode) for p in written} == {plain}
+
+    # An entry is one file: the payload's sha256 and the key, a line
+    # each, which are its meta, and then the payload.
 
     def test_corrupted_cache_is_recomputed(self, capsys, tmp_path):
         args = ("enumerate", "--n", "2", "--cache-dir", str(tmp_path))
         _, out1, _ = run(capsys, *args)
-        for p in tmp_path.glob("*.json"):
-            p.write_text(p.read_text() + " ")
-        _, out2, _ = run(capsys, *args)
-        assert out1 == out2
-
-    def test_garbage_meta_is_recomputed(self, capsys, tmp_path):
-        args = ("enumerate", "--n", "3", "--cache-dir", str(tmp_path))
-        _, out1, _ = run(capsys, *args)
-        for p in tmp_path.glob("*.meta"):
-            p.write_text('{"key": ')
+        stored = _alter_the_entry(tmp_path, lambda data: data + b" ")
         code, out2, _ = run(capsys, *args)
         assert code == 0 and out1 == out2
+        assert _files(tmp_path) == stored
+
+    def test_garbage_meta_is_recomputed(self, capsys, tmp_path):
+        def garble_key(data):
+            # same length, so only the key check can tell
+            checksum, key, payload = data.split(b"\n", 2)
+            return b"\n".join([checksum, b"?" * len(key), payload])
+
+        args = ("enumerate", "--n", "3", "--cache-dir", str(tmp_path))
+        _, out1, _ = run(capsys, *args)
+        stored = _alter_the_entry(tmp_path, garble_key)
+        code, out2, _ = run(capsys, *args)
+        assert code == 0 and out1 == out2
+        assert _files(tmp_path) == stored
 
     def test_undecodable_payload_is_recomputed(self, capsys, tmp_path):
         args = ("enumerate", "--n", "3", "--cache-dir", str(tmp_path))
         _, out1, _ = run(capsys, *args)
-        stored = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        for p in tmp_path.glob("*.json"):
-            p.write_bytes(b"\xff\xfe garbage")
+        stored = _alter_the_entry(tmp_path, lambda data: b"\xff\xfe garbage")
         code, out2, _ = run(capsys, *args)
         assert code == 0 and out1 == out2
-        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == stored
+        assert _files(tmp_path) == stored
 
     def test_unreadable_meta_is_a_miss_whose_write_fails(self, capsys, tmp_path):
-        # a directory at the meta path cannot be read, so the table is
+        # a directory at the entry path cannot be read, so the table is
         # recomputed; storing it then fails as any unwritable path does
         args = ("enumerate", "--n", "3", "--cache-dir", str(tmp_path))
         run(capsys, *args)
-        (meta,) = tmp_path.glob("*.meta")
-        meta.unlink()
-        meta.mkdir()
+        (entry,) = tmp_path.iterdir()
+        entry.unlink()
+        entry.mkdir()
         code, out, err = run(capsys, *args)
         assert (code, out) == (2, "")
-        assert err.startswith(f"error: cannot write {meta}: ")
+        assert err.startswith(f"error: cannot write {entry}: ") and len(err.splitlines()) == 1
+        assert [p.name for p in tmp_path.iterdir()] == [entry.name]
 
 
 class TestCache:
@@ -165,7 +192,7 @@ class TestCache:
         def entries():
             result = subprocess.run(argv, env=env, capture_output=True, text=True)
             assert (result.returncode, result.stderr) == (0, "")
-            return sorted(p.name for p in cache.glob("*.json"))
+            return sorted(p.name for p in cache.iterdir())
 
         stored = entries()
         assert len(stored) == 1 and entries() == stored
@@ -469,33 +496,45 @@ class TestSuiteFaults:
         assert [line[:13] for line in out.splitlines()] == ["[PASS] rs: (H", "[PASS] rs: ke", "[PASS] rs: co"]
 
 
-class TestVerifyOut:
-    @pytest.mark.parametrize("fmt", ["text", "csv"])
-    @pytest.mark.parametrize("failing", [False, True], ids=["passing", "failing"])
-    def test_out_file_is_the_stdout_stream(self, capsys, tmp_path, monkeypatch, fmt, failing):
+class TestOut:
+    VERIFY_RS = ("verify", "rs", "--n-max", "4")
+
+    @pytest.mark.parametrize(
+        "argv, failing",
+        [
+            (("enumerate", "--n", "4", "--sign", "+"), False),
+            (("enumerate", "--n", "4", "--sign", "-"), False),
+            (("groundstate", "--n", "4"), False),
+            ((*VERIFY_RS, "--format", "text"), False),
+            ((*VERIFY_RS, "--format", "csv"), False),
+            ((*VERIFY_RS, "--format", "text"), True),
+            ((*VERIFY_RS, "--format", "csv"), True),
+            (("orbit-report", "--n", "4"), False),
+        ],
+        ids=[
+            "enumerate-plus", "enumerate-minus", "groundstate",
+            "verify-passing-text", "verify-passing-csv", "verify-failing-text", "verify-failing-csv",
+            "orbit-report",
+        ],
+    )
+    def test_out_file_is_the_stdout_stream(self, capsys, tmp_path, monkeypatch, argv, failing):
+        # every command writes the same bytes to --out as to stdout, and
+        # the same exit code and stderr; one failing check line included
         if failing:
             real = cli.SUITES["rs"]
             monkeypatch.setitem(
                 cli.SUITES, "rs",
                 lambda args: (line._replace(status=i != 4) for i, line in enumerate(real(args))),
             )
-        argv = ("verify", "rs", "--n-max", "4", "--format", fmt)
-        code, out, _ = run(capsys, *argv)
+        code, out, err = run(capsys, *argv)
         assert code == failing and ("fail" in out.lower()) == failing
-        target = tmp_path / "report"
-        assert run(capsys, *argv, "--out", str(target)) == (code, "", "")
+        target = tmp_path / "out"
+        assert run(capsys, *argv, "--out", str(target)) == (code, "", err)
         assert target.read_bytes() == out.encode()
-        assert [p.name for p in tmp_path.iterdir()] == ["report"]
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
 
 class TestOrbitReport:
-    def test_out_file_is_the_stdout_stream(self, capsys, tmp_path):
-        code, out, _ = run(capsys, "orbit-report", "--n", "4")
-        target = tmp_path / "orbits.csv"
-        assert run(capsys, "orbit-report", "--n", "4", "--out", str(target))[:2] == (0, "")
-        assert code == 0 and target.read_bytes() == out.encode()
-        assert [p.name for p in tmp_path.iterdir()] == ["orbits.csv"]
-
     def test_failed_report_leaves_no_file(self, capsys, tmp_path, monkeypatch):
         # rows are written as the orbits come; a run that fails part way
         # removes its temp file and never creates the target
@@ -618,14 +657,28 @@ class TestUnwritablePaths:
 
     @pytest.mark.parametrize("where", ["missing", "directory"])
     def test_out_is_checked_before_the_suite_runs(self, capsys, tmp_path, monkeypatch, where):
-        def suite(args):
-            raise AssertionError("the suite ran before --out was checked")
+        # each command's first layer call raises: --out is refused before it
+        def layer(*args, **kwargs):
+            raise AssertionError("the command ran before --out was checked")
 
-        monkeypatch.setitem(cli.SUITES, "identities", suite)
+        monkeypatch.setattr(fplcore, "refined_counts", layer)
+        monkeypatch.setattr(groundstate, "stationary_vector", layer)
+        monkeypatch.setattr(gyration, "orbit_partition", layer)
+        monkeypatch.setitem(cli.SUITES, "identities", layer)
         out_path = tmp_path / "missing" / "x" if where == "missing" else tmp_path
-        code, out, err = run(capsys, "verify", "identities", "--n-max", "6", "--out", str(out_path))
-        assert code == 2 and out == ""
-        assert err.startswith("error: cannot write ") and len(err.strip().splitlines()) == 1
+        for argv in [
+            ("enumerate", "--n", "6"),
+            ("groundstate", "--n", "6"),
+            ("verify", "identities", "--n-max", "6"),
+            ("orbit-report", "--n", "6"),
+        ]:
+            with pytest.raises(AssertionError, match="before --out"):
+                main(list(argv))
+            capsys.readouterr()
+            code, out, err = run(capsys, *argv, "--out", str(out_path))
+            assert (code, out) == (2, ""), argv
+            assert err.startswith(f"error: cannot write {out_path}: ") and len(err.splitlines()) == 1
+        assert not list(tmp_path.rglob("*.tmp"))
 
     @pytest.mark.parametrize("command", ["enumerate", "groundstate"])
     def test_cache_dir_is_a_file(self, capsys, tmp_path, command):
