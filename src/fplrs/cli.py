@@ -95,8 +95,11 @@ class Cache:
         return text if _sha256(text) == checksum else None
 
     def put(self, key: str, text: str) -> None:
-        with _atomic_open(self._entry(key)) as f:
-            f.write(f"{_sha256(text)}\n{key}\n{text}")
+        try:  # the block only writes, so its errors are the entry's too
+            with _atomic_open(self._entry(key)) as f:
+                f.write(f"{_sha256(text)}\n{key}\n{text}")
+        except OSError as exc:
+            raise FplrsError(f"cannot write {self._entry(key)}: {exc.strerror}") from None
 
 
 def _source_digest() -> str:
@@ -135,20 +138,26 @@ def _atomic_open(path: Path):
     writers never share a temp path; it is renamed into place on success
     and removed on any error.  A directory target, which the temp file
     would only meet at the rename, is refused before it is made.  An
-    unwritable target is a usage error, not a traceback."""
+    error of the check, open, close or rename is a usage error, not a
+    traceback; one that the block raises passes through as it is."""
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    in_block = False
     try:
         if path.is_dir():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         f = open(tmp, "x")
         try:
             with f:
+                in_block = True
                 yield f
+                in_block = False
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
             raise
     except OSError as exc:
+        if in_block:
+            raise
         raise FplrsError(f"cannot write {path}: {exc.strerror}") from None
 
 

@@ -37,6 +37,10 @@ through the ungluing.  Its direction is pinned empirically, not
 assumed: one full gyration sends pattern(phi) to R^k pattern(phi), k is
 read off the orbits at sizes 2 and 3, and the orbits suite checks every
 step of every orbit at each size against that k.
+
+The capped check reads the caller's gluing and glues nothing.  Its
+labels run from the first pair's left leg, so the minus pairs, the plus
+pairs read one leg on, need no wrapping cap.
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ from .linkpat import (
     LinkPattern,
     LpVector,
     apply_c,
+    apply_rotation,
     first_difference,
     rotate,
     rotation_class_of,
@@ -238,54 +243,39 @@ def pair_link_data(bits: int, g: GluedGraph) -> PairLinkData:
 class GyrationReport(NamedTuple):
     """Outcome of one generalized-gyration comparison."""
 
-    parity: str
     j_left: tuple[int, ...]
     j_right: tuple[int, ...]
-    swaps: tuple[int, ...]
     passed: bool
     detail: str = ""
 
 
-def _black_label_sets(t: BoundaryCondition, pairs) -> tuple[int, ...]:
-    """1-based black labels of the left legs of the (black, black) pairs
-    of a gluing, in pair order: the label of position a is the number of
-    black legs up to and including it."""
-    cols = t.colours
-    return tuple(sum(cols[: a + 1]) for a, b in pairs if cols[a] and cols[b])
-
-
-def _capped_vector(d: Domain, t: BoundaryCondition, caps: tuple[int, ...]) -> LpVector:
+def _capped_vector(d: Domain, t: BoundaryCondition, pairs) -> tuple[tuple[int, ...], LpVector]:
+    """The caps of one side, at the black labels of the left legs of the
+    (black, black) pairs, and its capped counts.  A label is the number
+    of black legs from the first pair's left leg up to and including
+    this one, so no cap wraps round; counts labelled from a black leg 0
+    are rotated by one label when the pairs start at leg 1."""
+    cols, first = t.colours, pairs[0][0]
+    caps = tuple(sum(cols[first : a + 1]) for a, b in pairs if cols[a] and cols[b])
     vec = psi_counts(d, t)
-    for j in sorted(caps, reverse=True):
+    if first and cols[0]:
+        vec = apply_rotation(vec, 1)
+    for j in reversed(caps):
         vec = apply_c(vec, j)
-    return vec
+    return caps, vec
 
 
-def generalized_gyration_check(
-    d: Domain, t: BoundaryCondition, parity: str = "plus"
-) -> GyrationReport:
-    """Compare the capped refined counts of an ensemble and its complement.
+def generalized_gyration_check(g: GluedGraph) -> GyrationReport:
+    """Compare the capped refined counts of a gluing's ensemble and its
+    complement.
 
-    Monochromatic pairs under the chosen pairing are capped by diagram
-    operators on each side; the resulting vectors over the bichromatic
-    points must agree exactly.  The minus pairing is reduced to the plus
-    pairing of the once-rotated anchor, so no affine cap is ever needed.
-    Any other parity is refused with a ValueError, by the gluing.
+    Monochromatic pairs of the caller's gluing ``g`` are capped by
+    diagram operators on each side, in the colours as swapped; the
+    resulting vectors over the bichromatic points must agree exactly.
+    Nothing is glued here.
     """
-    if parity == "minus":
-        shift = Domain(d.cells, (d.anchor + 1) % d.perimeter)
-        t_shift = BoundaryCondition(t.colours[1:] + t.colours[:1])
-        inner = generalized_gyration_check(shift, t_shift, "plus")
-        return GyrationReport(
-            "minus", inner.j_left, inner.j_right, inner.swaps, inner.passed, inner.detail
-        )
-    g = glue_and_gamma(d, t, parity)
-    t1 = g.swapped_bc
-    t2 = t1.complemented()
-    j1 = _black_label_sets(t1, g.pairs)
-    j2 = _black_label_sets(t2, g.pairs)
-    lhs = _capped_vector(d, t1, j1)
-    rhs = _capped_vector(d, t2, j2)
+    t = g.swapped_bc
+    j1, lhs = _capped_vector(g.domain, t, g.pairs)
+    j2, rhs = _capped_vector(g.domain, t.complemented(), g.pairs)
     passed = lhs == rhs
-    detail = "" if passed else first_difference(lhs, rhs)
-    return GyrationReport("plus", j1, j2, g.swaps, passed, detail)
+    return GyrationReport(j1, j2, passed, "" if passed else first_difference(lhs, rhs))

@@ -21,20 +21,20 @@ its cycle masks too, from the colours it has swapped; nothing on it is
 computed later.
 
 Gluing: terminations are paired consecutively, pairs (1,2),(3,4),...
-for the plus parity and (2N,1),(2,3),... for the minus parity.  Each
-pair forces a short boundary cycle (a digon over a convex corner, a
-triangle over a straight stretch, a 4-cycle over a concave corner), and
-the remaining internal edges are covered by the lattice plaquettes of
-one chequerboard colour, the colour of the face above the lowest of
-them.  The cycles must partition the edges, or the gluing is rejected.
-A pairing is valid when every cycle has length at most 4 and every
-cycle through a bichromatic glued vertex has length at most 3; when a
-concave corner breaks this, the two terminations over an adjacent
-convex corner are interchanged (a count-preserving swap; swaps are
-always tried) and the test repeated.  The turn between two glued
-terminations already fixes the length of their cycle, so this test runs
-on the boundary walk alone, before any edge ids or plaquettes are
-built.
+for the plus parity and (2,3),...,(2N,1) for the minus parity, the plus
+pairing read one leg on.  Each pair forces a short boundary cycle (a
+digon over a convex corner, a triangle over a straight stretch, a
+4-cycle over a concave corner), and the remaining internal edges are
+covered by the lattice plaquettes of one chequerboard colour, the colour
+of the face above the lowest of them.  The cycles must partition the
+edges, or the gluing is rejected.  A pairing is valid when every cycle
+has length at most 4 and every cycle through a bichromatic glued vertex
+has length at most 3; when a concave corner breaks this, the two
+terminations over an adjacent convex corner are interchanged (a
+count-preserving swap; swaps are always tried) and the test repeated.
+The turn between two glued terminations already fixes the length of
+their cycle, so this test runs on the boundary walk alone, before any
+edge ids or plaquettes are built.
 """
 
 from __future__ import annotations
@@ -325,13 +325,10 @@ class GluedGraph(NamedTuple):
 
 
 def _pairing(n_terms: int, parity: str) -> tuple[tuple[int, int], ...]:
-    if parity == "plus":
-        return tuple((2 * i, 2 * i + 1) for i in range(n_terms // 2))
-    if parity == "minus":
-        return ((n_terms - 1, 0),) + tuple(
-            (2 * i + 1, 2 * i + 2) for i in range(n_terms // 2 - 1)
-        )
-    raise ValueError("parity must be 'plus' or 'minus'")
+    if parity not in ("plus", "minus"):
+        raise ValueError("parity must be 'plus' or 'minus'")
+    first = parity == "minus"
+    return tuple((k, (k + 1) % n_terms) for k in range(first, n_terms, 2))
 
 
 def _boundary_cycles(d: Domain, pairs) -> tuple[tuple[int, ...], ...]:

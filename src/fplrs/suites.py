@@ -266,17 +266,17 @@ def _suite_gyration_general(n_max: int, seed: int) -> Iterator[CheckLine]:
         for j in range(2, (n + 1) // 2 + 1):
             d, t = identities.shat_c_rectangle(n, j)
             for parity in ("plus", "minus"):
-                r = gyration.generalized_gyration_check(d, t, parity)
+                r = gyration.generalized_gyration_check(lattice.glue_and_gamma(d, t, parity))
                 yield _capped_line(
                     r, f"the c-state rectangle n={n} j={j} {parity}",
                     f"J1={list(r.j_left)} J2={list(r.j_right)}",
                 )
     for k in range(15):
-        d, t, _ = sampling.random_glueable(rng, rng.randint(6, 16), "plus")
-        r = gyration.generalized_gyration_check(d, t, "plus")
+        d, _, g = sampling.random_glueable(rng, rng.randint(6, 16), "plus")
+        r = gyration.generalized_gyration_check(g)
         yield _capped_line(
             r, f"random domain #{k} ({len(d.cells)} cells)",
-            f"J1={list(r.j_left)} J2={list(r.j_right)} swaps={list(r.swaps)}",
+            f"J1={list(r.j_left)} J2={list(r.j_right)} swaps={list(g.swaps)}",
         )
 
 

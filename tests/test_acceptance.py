@@ -260,8 +260,8 @@ def test_criterion_8_generalized_gyration():
     for n in range(3, 6):
         for j in range(2, (n + 1) // 2 + 1):
             d, t = shat_c_rectangle(n, j)
-            plus = generalized_gyration_check(d, t, "plus")
-            minus = generalized_gyration_check(d, t, "minus")
+            plus = generalized_gyration_check(glue_and_gamma(d, t, "plus"))
+            minus = generalized_gyration_check(glue_and_gamma(d, t, "minus"))
             ok &= plus.passed and minus.passed
             # the two pairings cap at the neighbouring labels the
             # underlying argument names: j and j-1
@@ -270,7 +270,7 @@ def test_criterion_8_generalized_gyration():
             details.append(f"n={n},j={j}")
     rng = random.Random(33550336)
     for _ in range(15):
-        d, t, _ = random_glueable(rng, rng.randint(6, 16), "plus")
-        ok &= generalized_gyration_check(d, t, "plus").passed
+        _, _, g = random_glueable(rng, rng.randint(6, 16), "plus")
+        ok &= generalized_gyration_check(g).passed
     report(8, "generalized gyration", ok, "; ".join(details) + "; 15 random domains")
     assert ok

@@ -1,6 +1,7 @@
 """The command-line surface: outputs, caching, exit codes."""
 
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -17,7 +18,7 @@ import pytest
 
 import fplrs
 from fplrs import cli, fplcore, groundstate, gyration, lattice, linkpat, sampling, suites
-from fplrs.errors import InvalidTriplet, NonUniqueGamma
+from fplrs.errors import FplrsError, InvalidTriplet, NonUniqueGamma
 from fplrs.cli import Cache, main
 from fplrs.linkpat import all_patterns, tl_e
 
@@ -151,6 +152,22 @@ class TestEnumerate:
 
 
 class TestCache:
+    def test_a_failing_write_is_a_usage_error(self, tmp_path, monkeypatch):
+        # a full disk fails the entry's one write: that is the entry's
+        # error, as one of its open or rename would be, and no temp file stays
+        class Full(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def full(path, mode):
+            open(path, mode).close()
+            return Full()
+
+        monkeypatch.setattr(cli, "open", full, raising=False)
+        with pytest.raises(FplrsError, match=r"^cannot write .*: No space left on device$"):
+            Cache(tmp_path).put("key", "text")
+        assert not list(tmp_path.iterdir())
+
     def test_concurrent_puts_to_one_key(self, tmp_path):
         cache = Cache(tmp_path)
         errors = []
@@ -308,13 +325,13 @@ class TestVerify:
         real = gyration._capped_vector
         calls = []
 
-        def lopsided(d, t, caps):
-            vec = real(d, t, caps)
+        def lopsided(d, t, pairs):
+            caps, vec = real(d, t, pairs)
             calls.append(None)
             if len(calls) % 2 == 0:
                 p = min(linkpat.all_patterns(vec.n), key=lambda p: p.word)
                 vec = vec + linkpat.LpVector(vec.n, {p: 1})
-            return vec
+            return caps, vec
 
         monkeypatch.setattr(gyration, "_capped_vector", lopsided)
         lines = [
@@ -532,6 +549,22 @@ class TestOut:
         assert run(capsys, *argv, "--out", str(target)) == (code, "", err)
         assert target.read_bytes() == out.encode()
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    def test_an_error_of_the_work_is_not_blamed_on_the_file(self, tmp_path, monkeypatch):
+        # an OSError that the command raises, as a pool that cannot start
+        # its workers would, escapes with --out exactly as without it,
+        # and leaves neither the target nor a temp file behind
+        def refused(*args, **kwargs):
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(fplcore, "refined_counts", refused)
+        argv = ["enumerate", "--n", "3"]
+        with pytest.raises(OSError) as bare:
+            main(argv)
+        with pytest.raises(OSError) as out:
+            main([*argv, "--out", str(tmp_path / "F")])
+        assert (type(out.value), out.value.args) == (type(bare.value), bare.value.args)
+        assert not list(tmp_path.iterdir())
 
 
 class TestOrbitReport:

@@ -6,10 +6,12 @@ from collections import Counter
 import pytest
 
 from census_oracle import plaquette_indicator
+from fplrs.errors import InvalidTriplet, NonUniqueGamma
 from fplrs.fplcore import (
     _trace_colour,
     count_configs,
     enumerate_configs,
+    psi_counts,
     refined_counts,
 )
 import fplrs.gyration
@@ -25,9 +27,17 @@ from fplrs.gyration import (
     step_rotations,
 )
 from fplrs.identities import shat_c_rectangle
-from fplrs.lattice import build_square, glue_and_gamma
-from fplrs.linkpat import LinkPattern, LpVector, asm_count_formula, rotate, rotation_class_of
-from fplrs.sampling import random_glueable
+from fplrs.lattice import BoundaryCondition, Domain, build_square, glue_and_gamma
+from fplrs.linkpat import (
+    LinkPattern,
+    LpVector,
+    apply_c,
+    asm_count_formula,
+    first_difference,
+    rotate,
+    rotation_class_of,
+)
+from fplrs.sampling import random_boundary, random_domain, random_glueable
 from trace_oracle import boundary, link_data, obeys_ice_rule
 
 
@@ -526,12 +536,48 @@ class TestInversionStrings:
         assert checked > 0
 
 
+def _reanchored_check(d, t, parity):
+    """The capped comparison as it was first written, kept as an oracle:
+    the minus case glues the plus pairing of the domain anchored one leg
+    on, with the colours rotated to match, and every side is labelled
+    from leg 0 of the domain glued.  The J sets, the verdict and the
+    first difference, as the report holds them."""
+    if parity == "minus":
+        d = Domain(d.cells, (d.anchor + 1) % d.perimeter)
+        t = BoundaryCondition(t.colours[1:] + t.colours[:1])
+    g = glue_and_gamma(d, t, "plus")
+    sides = []
+    for side in (g.swapped_bc, g.swapped_bc.complemented()):
+        cols = side.colours
+        caps = tuple(sum(cols[: a + 1]) for a, b in g.pairs if cols[a] and cols[b])
+        vec = psi_counts(d, side)
+        for j in sorted(caps, reverse=True):
+            vec = apply_c(vec, j)
+        sides.append((caps, vec))
+    (j1, lhs), (j2, rhs) = sides
+    return j1, j2, lhs == rhs, "" if lhs == rhs else first_difference(lhs, rhs)
+
+
+def _checked_against_the_oracle(d, t, parity):
+    """The report on the gluing of (d, t), which must equal the oracle's,
+    or None when neither glues."""
+    try:
+        g = glue_and_gamma(d, t, parity)
+    except (InvalidTriplet, NonUniqueGamma):
+        with pytest.raises((InvalidTriplet, NonUniqueGamma)):
+            _reanchored_check(d, t, parity)
+        return None
+    r = generalized_gyration_check(g)
+    assert tuple(r) == _reanchored_check(d, t, parity)
+    return r
+
+
 class TestGeneralizedGyration:
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("parity", ["plus", "minus"])
     def test_square_reduces_to_equality(self, n, parity):
         d, t = build_square(n, "+")
-        r = generalized_gyration_check(d, t, parity)
+        r = generalized_gyration_check(glue_and_gamma(d, t, parity))
         assert r.passed
         assert r.j_left == () and r.j_right == ()
 
@@ -539,8 +585,8 @@ class TestGeneralizedGyration:
         rng = random.Random(17)
         nontrivial = 0
         for _ in range(10):
-            d, t, _ = random_glueable(rng, rng.randint(6, 16), "plus")
-            r = generalized_gyration_check(d, t, "plus")
+            d, t, g = random_glueable(rng, rng.randint(6, 16), "plus")
+            r = generalized_gyration_check(g)
             assert r.passed
             if r.j_left or r.j_right:
                 nontrivial += 1
@@ -548,7 +594,32 @@ class TestGeneralizedGyration:
 
     @pytest.mark.parametrize("parity", ["bogus", ""])
     def test_unknown_parity_is_refused(self, parity):
-        # refused, not run as the plus check
+        # refused by the gluing, not glued as the plus pairing
         d, t = shat_c_rectangle(4, 2)
         with pytest.raises(ValueError, match="parity must be 'plus' or 'minus'"):
-            generalized_gyration_check(d, t, parity)
+            glue_and_gamma(d, t, parity)
+
+    @pytest.mark.parametrize("parity", ["plus", "minus"])
+    def test_rectangles_match_the_reanchored_oracle(self, parity):
+        for n in range(3, 7):
+            for j in range(2, (n + 1) // 2 + 1):
+                d, t = shat_c_rectangle(n, j)
+                r = _checked_against_the_oracle(d, t, parity)
+                assert r.passed and r.j_left
+
+    @pytest.mark.parametrize("parity", ["plus", "minus"])
+    def test_random_anchors_match_the_reanchored_oracle(self, parity):
+        # draws at every kind of anchor, leg 0 black and white alike;
+        # the minus ones with a black leg 0 need the counts rotated
+        rng = random.Random(1729)
+        glued = rotated = capped = 0
+        for _ in range(400):
+            cells = random_domain(rng, rng.randint(6, 14)).cells
+            d = Domain(cells, rng.randrange(Domain(cells).perimeter))
+            t = random_boundary(rng, d)
+            r = _checked_against_the_oracle(d, t, parity)
+            if r is not None:
+                glued += 1
+                rotated += parity == "minus" and t.colours[0] == 1
+                capped += bool(r.j_left or r.j_right)
+        assert glued > 200 and capped > 200 and (rotated > 100 or parity == "plus")
