@@ -28,9 +28,9 @@ black link pattern, which the walk hands out with it.
 
 Open monochromatic paths end at terminations; the black ones, labelled
 cyclically from the anchor, give the configuration's link pattern.
-One walker traces paths on the domain's cached ``walk`` table (at each
-edge end, the vertex's other three edges), colours read off the
-bitmask, for the flat domain and for its gluings: a path stops at a
+One walking loop traces paths and loops on the domain's cached ``walk``
+table (at each edge end, the vertex's other three edges), colours read
+off the bitmask, for the flat domain and its gluings: a walk stops at a
 labelled termination and passes a glued one on to its partner leg.
 Vertex types a, b, c classify the position of the two black edges
 around a vertex.  The assignment of the six edge-pair placements to the
@@ -111,53 +111,45 @@ def _walk_paths(
 
     Every termination of the colour is either in ``ends`` (edge id to
     label; a path stops there) or in ``glue`` (edge id to its partner
-    leg; a path passes on and re-enters at the partner's vertex).
-    Visited edges are kept in one int; the loops are what is left of
-    the colour, over all edges, so two glued legs alone close a loop.
+    leg; a walk passes on and re-enters at the partner's vertex).  The
+    colour's edges not yet walked are the zero bits of one int,
+    ``walked``.  One loop walks from each end among them, in ``ends``
+    order, then from the lowest one left, each such start a closed
+    loop.  A walk stops at a labelled end, or back at its first edge;
+    so two glued legs alone close a loop.
     """
     n_internal = d.n_internal
     walk = d.walk
-    seen = 0
+    full = (1 << len(d.edge_vertices)) - 1
+    walked = ~bits & full
     match = [-1] * len(ends)
-    for start, i in ends.items():
-        if (seen >> start) & 1:
+    loops = 0
+    starts = iter(ends.items())
+    while walked != full:
+        first, i = next(starts, (-1, -1))
+        if first < 0:
+            first = (~walked & (walked + 1)).bit_length() - 1
+            loops += 1
+        elif (walked >> first) & 1:
             continue
-        seen |= 1 << start
-        state = 2 * start
+        walked |= 1 << first
+        state = 2 * first
         while True:
             # leave along the vertex's one other edge of this colour
             for state in walk[state]:
                 if (bits >> (state >> 1)) & 1:
                     break
             else:
-                raise ValueError("a path of the colour stops at an inner vertex")
+                raise ValueError("a walk of the colour stops at an inner vertex")
             eid = state >> 1
-            seen |= 1 << eid
+            walked |= 1 << eid
             if eid >= n_internal:
                 j = ends.get(eid)
                 if j is not None:
                     match[i], match[j] = j, i
                     break
                 eid = glue[eid]
-                seen |= 1 << eid
-                state = 2 * eid
-    loops = 0
-    rest = bits & ~seen & ((1 << len(d.edge_vertices)) - 1)
-    while rest:
-        loops += 1
-        first = (rest & -rest).bit_length() - 1
-        state = 2 * first
-        while True:
-            for state in walk[state]:
-                if (bits >> (state >> 1)) & 1:
-                    break
-            else:
-                raise ValueError("a loop of the colour stops at an inner vertex")
-            eid = state >> 1
-            rest &= ~(1 << eid)
-            if eid >= n_internal:
-                eid = glue[eid]
-                rest &= ~(1 << eid)
+                walked |= 1 << eid
                 state = 2 * eid
             if eid == first:
                 break
@@ -509,15 +501,16 @@ def _transfer(
     cut holding their counts by closed pairs and kept edges, and the
     buckets go in increasing k.  Each entry's cut is run once, and every
     count in it, stepped by what the run ORs in, is added into the entry
-    of each child cut.  The counts equal those of the leaves of
-    ``_walk(d, t, forced)``, patterns included, with the kept edges and
-    the terminations read off their bits.
+    of each child cut; a child cut with no entry yet gets those stepped
+    counts as a new dict, built in one expression.  The counts equal
+    those of the leaves of ``_walk(d, t, forced)``, patterns included,
+    with the kept edges and the terminations read off their bits.
     """
     built = _runs(d, t, forced, keep)
     if built is None:
         return {}
     run, decode = built
-    leaves: dict[int, int] = {}
+    leaves: dict[tuple, dict[int, int]] = {}  # by the leaf's empty cut
     pending: dict[int, dict] = {0: {(): {0: 1}}}
     while pending:
         k = min(pending)
@@ -526,16 +519,21 @@ def _transfer(
             if out is None:
                 continue
             if type(out) is int:
-                steps = ((leaves, out),)
+                steps = ((leaves, (), out),)
             else:
                 _, (k1, tags0), one0, (_, tags1), one1 = out
                 bucket = pending.setdefault(k1, {})
-                steps = (bucket.setdefault(tags0, {}), one0), (bucket.setdefault(tags1, {}), one1)
-            for into, one in steps:
+                steps = (bucket, tags0, one0), (bucket, tags1, one1)
+            for bucket, cut, one in steps:
+                into = bucket.get(cut)
+                if into is None:
+                    # a fresh child entry is built whole, at C speed
+                    bucket[cut] = {c | one: v for c, v in closeds.items()} if one else dict(closeds)
+                    continue
                 for closed, cnt in closeds.items():
                     key = closed | one
                     into[key] = into.get(key, 0) + cnt
-    return {decode(closed): cnt for closed, cnt in leaves.items()}
+    return {decode(closed): cnt for closed, cnt in leaves.get((), {}).items()}
 
 
 def _walk(

@@ -70,8 +70,10 @@ def _quotient(h: HamiltonianMatrix, n: int) -> tuple[list[int], list[dict[int, i
     classes as sparse rows: row c is row (H - 2n) at the first index of
     class c, its columns summed over each class.  Rotation and
     reflection commute with H, so the kernel vector is constant on
-    classes and solves this system.  The nested arcs, basis[0], are
-    class 0."""
+    classes and solves this system.  The classes are numbered in the
+    breadth-first order over these rows from the nested arcs, basis[0],
+    which are class 0; :func:`_kernel_mod`, eliminating from the last
+    class down, so takes the classes farthest from them first."""
     index = {p: i for i, p in enumerate(h.basis)}
     class_of = [-1] * len(h.basis)
     first: dict[int, int] = {}
@@ -88,7 +90,14 @@ def _quotient(h: HamiltonianMatrix, n: int) -> tuple[list[int], list[dict[int, i
             if i in first:
                 row = rows[first[i]]
                 row[class_of[j]] = row.get(class_of[j], 0) + 1
-    return class_of, [{c: v for c, v in row.items() if v} for row in rows]
+    order = _visit_order(rows)
+    # classes the search misses (only on a reducible H, which the full-H
+    # checks then reject) go last, so every class keeps a number
+    order += sorted(set(range(len(rows))).difference(order))
+    renumber = {c: new for new, c in enumerate(order)}
+    return [renumber[c] for c in class_of], [
+        {renumber[c]: v for c, v in rows[c].items() if v} for c in order
+    ]
 
 
 def _kernel_mod(rows: list[dict[int, int]]) -> list[int] | None:
@@ -216,17 +225,18 @@ def verify_rs(n: int) -> RsReport:
     )
 
 
-def _reaches_all(succ) -> bool:
-    """Whether a search from vertex 0 along ``succ`` visits every vertex."""
+def _visit_order(succ) -> list[int]:
+    """The vertices that a breadth-first search from vertex 0 along
+    ``succ`` visits, in the order it visits them."""
     seen = [False] * len(succ)
     seen[0] = True
-    stack = [0]
-    while stack:
-        for i in succ[stack.pop()]:
+    order = [0]
+    for v in order:
+        for i in succ[v]:
             if not seen[i]:
                 seen[i] = True
-                stack.append(i)
-    return all(seen)
+                order.append(i)
+    return order
 
 
 def _well_formed(h: HamiltonianMatrix, n: int) -> bool:
@@ -242,7 +252,8 @@ def _irreducible(h: HamiltonianMatrix) -> bool:
     for j, col in enumerate(h.cols):
         for i in col:
             pred[i].append(j)
-    return _reaches_all(h.cols) and _reaches_all(pred)
+    size = len(h.basis)
+    return len(_visit_order(h.cols)) == size and len(_visit_order(pred)) == size
 
 
 _NOT_THE_KERNEL = "kernel differs from counts"

@@ -160,6 +160,22 @@ class TestQuotient:
             orbit = {rotate(q, k) for q in (p, reflect(p)) for k in range(2 * n)}
             assert orbit == {q for q, d in zip(h.basis, class_of) if d == c}
 
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_classes_in_breadth_first_order(self, n):
+        # _kernel_mod eliminates from the last class down, so the classes
+        # are numbered by breadth-first distance over the rows from the
+        # nested arcs: the farthest go first
+        class_of, rows = _quotient(build_h_matrix(n), n)
+        assert all_patterns(n)[0] == LinkPattern.from_word("(" * n + ")" * n)
+        assert class_of[0] == 0
+        dist, layer, far = {0: 0}, {0}, 0
+        while layer:
+            far += 1
+            layer = {c for r in layer for c in rows[r]} - dist.keys()
+            dist.update(dict.fromkeys(layer, far))
+        assert sorted(dist) == list(range(len(rows)))
+        assert all(dist[c] <= dist[c + 1] for c in range(len(rows) - 1))
+
 
 class TestVerifyRs:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
