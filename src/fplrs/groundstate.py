@@ -8,11 +8,10 @@ applied to basis[j].  H is nonnegative and every column sums to 2n, so
 connected, Perron-Frobenius makes 2n a simple eigenvalue with a
 positive eigenvector.  The kernel-dimension certificate is therefore a
 graph search, and a positive vector that (H - 2n) kills exactly is the
-stationary vector.  :func:`stationary_vector` solves for it on the
-dihedral classes by one sparse elimination modulo the prime 2^61 - 1,
-with the nested arcs at 1 so that the entries are integers, and accepts
-it only by those exact checks on the full H.  No floating point, no
-tolerance.
+stationary vector.  :func:`stationary_vector` finds it on the dihedral
+classes by power iteration in integer fixed point, with the nested arcs
+at 1 so that the entries are integers, and accepts it only by those
+exact checks on the full H.  No floating point, no tolerance.
 """
 
 from __future__ import annotations
@@ -41,7 +40,9 @@ __all__ = [
     "kernel_dimension_certificate",
 ]
 
-_PRIME = 2**61 - 1
+# power steps before stationary_vector gives up; it stops after 462 at
+# n = 13 and 620 at n = 14
+_MAX_STEPS = 10_000
 
 
 class HamiltonianMatrix(NamedTuple):
@@ -70,10 +71,8 @@ def _quotient(h: HamiltonianMatrix, n: int) -> tuple[list[int], list[dict[int, i
     classes as sparse rows: row c is row (H - 2n) at the first index of
     class c, its columns summed over each class.  Rotation and
     reflection commute with H, so the kernel vector is constant on
-    classes and solves this system.  The classes are numbered in the
-    breadth-first order over these rows from the nested arcs, basis[0],
-    which are class 0; :func:`_kernel_mod`, eliminating from the last
-    class down, so takes the classes farthest from them first."""
+    classes and solves this system.  The nested arcs, basis[0], are
+    class 0."""
     index = {p: i for i, p in enumerate(h.basis)}
     class_of = [-1] * len(h.basis)
     first: dict[int, int] = {}
@@ -90,54 +89,13 @@ def _quotient(h: HamiltonianMatrix, n: int) -> tuple[list[int], list[dict[int, i
             if i in first:
                 row = rows[first[i]]
                 row[class_of[j]] = row.get(class_of[j], 0) + 1
-    order = _visit_order(rows)
-    # classes the search misses (only on a reducible H, which the full-H
-    # checks then reject) go last, so every class keeps a number
-    order += sorted(set(range(len(rows))).difference(order))
-    renumber = {c: new for new, c in enumerate(order)}
-    return [renumber[c] for c in class_of], [
-        {renumber[c]: v for c, v in rows[c].items() if v} for c in order
-    ]
+    return class_of, [{c: v for c, v in row.items() if v} for row in rows]
 
 
-def _kernel_mod(rows: list[dict[int, int]]) -> list[int] | None:
-    """The kernel vector of the square sparse matrix ``rows`` modulo
-    ``_PRIME`` with x_0 = 1, or None unless the rank is size - 1 with
-    x_0 free.
-
-    Eliminates the columns from the last down to 1, each on the
-    shortest pending row that holds it, so a pivot row holds its own
-    column and lower ones only; the one row left over must vanish.
-    Back substitution then runs upwards from x_0.
-    """
-    prime = _PRIME
-    pending = [{c: v % prime for c, v in row.items() if v % prime} for row in rows]
-    pivots: list[tuple[int, dict[int, int]]] = []
-    for col in range(len(rows) - 1, 0, -1):
-        holding = [row for row in pending if col in row]
-        if not holding:
-            return None
-        pivot = min(holding, key=len)
-        pending = [row for row in pending if row is not pivot]
-        inv = pow(pivot[col], -1, prime)
-        for row in holding:
-            if row is not pivot:
-                f = row[col] * inv % prime
-                for c, v in pivot.items():
-                    w = (row.get(c, 0) - f * v) % prime
-                    if w:
-                        row[c] = w
-                    else:
-                        del row[c]
-        pivots.append((col, pivot))
-    if pending[0]:
-        return None
-    x = [0] * len(rows)
-    x[0] = 1
-    for col, row in reversed(pivots):
-        rest = sum(v * x[c] for c, v in row.items() if c != col)
-        x[col] = -rest * pow(row[col], -1, prime) % prime
-    return x
+def _times_rows(rows: list[dict[int, int]], x: list[int], shift: int) -> list[int]:
+    """(rows + shift I) x, exactly, for the square sparse matrix
+    ``rows``."""
+    return [shift * v + sum(w * x[c] for c, w in row.items()) for row, v in zip(rows, x)]
 
 
 def _residual(h: HamiltonianMatrix, x: list[int]) -> list[int]:
@@ -154,29 +112,34 @@ def stationary_vector(n: int) -> LpVector:
     nested arcs at 1.
 
     That normalisation makes the vector integral with its largest entry
-    A_{n-1} (the serial arcs), so one solve of the dihedral quotient
-    modulo ``_PRIME``, lifted to (-p/2, p/2], is the vector.  The class
-    values, spread over every pattern, are returned only when
+    A_{n-1} (the serial arcs).  H is nonnegative, irreducible and has a
+    nonzero diagonal, so the power iteration x <- (Q + 2n) x on the
+    dihedral quotient Q converges to it.  The iteration runs in integer
+    fixed point, rescaled after each step so that x_0 = 2^K with K the
+    bit length of A_{n-1} plus 40 (so the rescale's truncations stay far
+    below half a unit even on the largest entry), and stops once x
+    rounded to integers, x_0 = 1, repeats and is killed exactly by Q.
+    The class values, spread over every pattern, are returned only when
     :func:`_pf_violation` accepts them on the full H, so neither the
-    quotient nor the modular step needs trusting.  Raises
-    :class:`KernelDimensionError` otherwise (a failure means a bug
-    upstream, or entries past p/2).
-
-    With p = 2^61 - 1 the lift is exact for n <= 13: A_12 is about
-    1.26e16, below p/2 (about 1.15e18).  At n = 14, A_13 is about
-    8.64e18, past p/2, so the checks reject the lift and this raises.
+    quotient nor the stop needs trusting.  Raises
+    :class:`KernelDimensionError` otherwise, or after ``_MAX_STEPS``
+    steps (either means a bug upstream).
     """
     h = build_h_matrix(n)
     class_of, rows = _quotient(h, n)
-    x = _kernel_mod(rows)
-    if x is not None:
-        lifted = [v - _PRIME if 2 * v > _PRIME else v for v in x]
-        ints = [lifted[c] for c in class_of]
-        if not _pf_violation(h, n, ints):
-            return LpVector(n, dict(zip(h.basis, ints)))
-    raise KernelDimensionError(
-        f"no exact kernel vector of the shifted matrix at n={n} modulo {_PRIME}"
-    )
+    one = 1 << (asm_count_formula(max(n - 1, 1)).bit_length() + 40)
+    x, last = [one] * len(rows), None
+    for _ in range(_MAX_STEPS):
+        y = _times_rows(rows, x, 2 * n)
+        x = [one * v // y[0] for v in y]
+        rounded = [(v + one // 2) // one for v in x]
+        if rounded == last and not any(_times_rows(rows, rounded, 0)):
+            ints = [rounded[c] for c in class_of]
+            if not _pf_violation(h, n, ints):
+                return LpVector(n, dict(zip(h.basis, ints)))
+            break
+        last = rounded
+    raise KernelDimensionError(f"no exact kernel vector of the shifted matrix at n={n}")
 
 
 class RsReport(NamedTuple):

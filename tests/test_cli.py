@@ -240,9 +240,17 @@ class TestGroundstate:
         assert err == "n=4: max component 7, sum 42 (product formula 42)\n"
 
     def test_rejected_ground_state_is_a_verification_failure(self, capsys, tmp_path, monkeypatch):
-        # the exact checks refuse the lift: exit 1 with one error line,
-        # nothing on stdout and nothing cached
-        monkeypatch.setattr(groundstate, "_kernel_mod", lambda rows: None)
+        # a power step that drops one quotient entry never reaches the
+        # true vector: exit 1 with one error line, nothing on stdout and
+        # nothing cached
+        real = groundstate._times_rows
+
+        def dropped(rows, x, shift):
+            first = dict(rows[0])
+            del first[next(iter(first))]
+            return real([first] + rows[1:], x, shift)
+
+        monkeypatch.setattr(groundstate, "_times_rows", dropped)
         code, out, err = run(capsys, "groundstate", "--n", "3", "--cache-dir", str(tmp_path))
         assert (code, out) == (1, "")
         assert err.count("\n") == 1 and err.startswith("error: no exact kernel vector")
@@ -790,6 +798,20 @@ class TestPinnedOutputs:
              "287bfa2c4c14d374fc8641eb30d7a7e0cb9d18510b3c1f9aaa5ecd42b0140fa1"),
             (("groundstate", "--n", "6"),
              "bf621ed9c313c44bfc69956676d30e8c84bdd784228316b2463eef42e400b2dc"),
+            (("groundstate", "--n", "7"),
+             "2aeb142bf08c093bcf84137fd8f9b19c6cdadf4d2071f7ce6a9d9480cdc7a12a"),
+            (("groundstate", "--n", "8", "--allow-large"),
+             "d4775d9971c0a81293c1e032169ba3bd251a3a9380b014e40e4335f95d8e3b54"),
+            pytest.param(
+                ("groundstate", "--n", "9", "--allow-large"),
+                "f14ca3e61f09d748b7c3b347a08553f194496a17acea323d86005f43a88ceea3",
+                marks=pytest.mark.slow,
+            ),
+            pytest.param(
+                ("groundstate", "--n", "10", "--allow-large"),
+                "09926d3bf6fba88e2df80d497bf62481fbf25c98958a7eb5a38c22242d656135",
+                marks=pytest.mark.slow,
+            ),
             pytest.param(
                 ("enumerate", "--n", "8", "--allow-large"),
                 "8f4033f2a348acd34187bdfc1b082e77cfaad2d8a1c2d94ae93a817dabb1d8e0",
@@ -819,7 +841,8 @@ class TestPinnedOutputs:
             "verify-gyration-general-n5-seed10216", "verify-gyration-general-n5-seed10314",
             "verify-gyration-general-n5-seed10404", "verify-tl-n7-seed5",
             "verify-wieland-n6", "verify-rs-csv", "enumerate-n5-plus", "enumerate-n6-minus",
-            "groundstate-n6", "enumerate-n8-plus", "enumerate-n8-minus", "verify-identities-n8",
+            "groundstate-n6", "groundstate-n7", "groundstate-n8", "groundstate-n9",
+            "groundstate-n10", "enumerate-n8-plus", "enumerate-n8-minus", "verify-identities-n8",
             "verify-orbits-n7",
         ],
     )

@@ -27,6 +27,7 @@ from fplrs.linkpat import (
     reflect,
     rotate,
 )
+from kernel_oracle import stationary_classes
 
 
 def _entries(h):
@@ -103,8 +104,9 @@ class TestStationaryVector:
         assert len(values) == math.comb(2 * n, n) // (n + 1)
 
     def test_n8(self):
-        # the smallest size whose largest entry, A_7 = 218348 on the
-        # serial arcs, needs more than 17 bits of the prime
+        # the largest entry, A_7 = 218348, is on the serial arcs; the
+        # power iteration keeps its bit length plus 40 bits below the
+        # fixed point
         vec = stationary_vector(8)
         assert len(vec.entries) == math.comb(16, 8) // 9 == 1430
         assert vec.total() == asm_count_formula(8) == 10850216
@@ -130,12 +132,30 @@ class TestStationaryVector:
         assert apply_rotation(vec, 1) == vec
         assert vec.map_patterns(reflect, 10) == vec
 
-    def test_prime_too_small_raises(self, monkeypatch):
-        # the serial-arcs entry 218348 lifts to a wrong value mod 100003,
-        # and the full-H check must reject it rather than return it
-        monkeypatch.setattr(groundstate, "_PRIME", 100_003)
+    def test_step_cap_too_low_raises(self, monkeypatch):
+        # the power iteration stops on the exact vector after 21 steps at
+        # n=6; a cap one step short must raise rather than return early
+        monkeypatch.setattr(groundstate, "_MAX_STEPS", 20)
         with pytest.raises(KernelDimensionError):
-            stationary_vector(8)
+            stationary_vector(6)
+        monkeypatch.setattr(groundstate, "_MAX_STEPS", 21)
+        assert stationary_vector(6).total() == 7436
+
+
+class TestKernelOracle:
+    """The power iteration against the elimination modulo 2^61 - 1 that
+    it replaced, kept as an oracle in ``kernel_oracle``."""
+
+    @pytest.mark.parametrize(
+        "n",
+        [1, 2, 3, 4, 5, 6, 7, 8]
+        + [pytest.param(n, marks=pytest.mark.slow) for n in (9, 10)],
+    )
+    def test_power_vector_equals_the_elimination(self, n):
+        class_of, values = stationary_classes(n)
+        vec = stationary_vector(n)
+        basis = all_patterns(n)
+        assert [vec.coeff(p) for p in basis] == [values[c] for c in class_of]
 
 
 class TestQuotient:
@@ -159,22 +179,6 @@ class TestQuotient:
             p = h.basis[class_of.index(c)]
             orbit = {rotate(q, k) for q in (p, reflect(p)) for k in range(2 * n)}
             assert orbit == {q for q, d in zip(h.basis, class_of) if d == c}
-
-    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
-    def test_classes_in_breadth_first_order(self, n):
-        # _kernel_mod eliminates from the last class down, so the classes
-        # are numbered by breadth-first distance over the rows from the
-        # nested arcs: the farthest go first
-        class_of, rows = _quotient(build_h_matrix(n), n)
-        assert all_patterns(n)[0] == LinkPattern.from_word("(" * n + ")" * n)
-        assert class_of[0] == 0
-        dist, layer, far = {0: 0}, {0}, 0
-        while layer:
-            far += 1
-            layer = {c for r in layer for c in rows[r]} - dist.keys()
-            dist.update(dict.fromkeys(layer, far))
-        assert sorted(dist) == list(range(len(rows)))
-        assert all(dist[c] <= dist[c + 1] for c in range(len(rows) - 1))
 
 
 class TestVerifyRs:

@@ -252,30 +252,54 @@ class TestGluedWalkerOracle:
             parity = "plus" if k % 2 == 0 else "minus"
             d, t, g = random_glueable(rng, rng.randint(6, 20), parity)
             swapped += bool(g.swaps)
-            n_internal = d.n_internal
-            ends = {
-                d.termination_id(k)
-                for (a, b), bichromatic in zip(g.pairs, g.bichromatic)
-                if bichromatic
-                for k in (a, b)
-            }
-            for phi in enumerate_configs(d, t):
-                got = pair_link_data(phi, g)
-                assert got == _reference_pair_link_data(phi, g)
-                closed = 0
-                for comp in _glued_components(phi, g):
-                    legs = [e for e in comp if e >= n_internal]
-                    if ends.intersection(legs):
-                        through += len(legs) > 2
-                    else:
-                        closed += 1
-                        leg_loops += len(legs) == len(comp)
-                assert got.loops == closed
+            _, k_through, k_leg_loops = _walker_census(d, t, g)
+            through += k_through
+            leg_loops += k_leg_loops
         # the leg swaps, the pass through a monochromatic pair and the
         # loops closed by glued legs alone are all exercised
         assert swapped > 0
         assert through > 0
         assert leg_loops > 0
+
+    def test_pinned_domain_with_monochromatic_pairs(self):
+        # one draw of random_glueable (seed 18, 8 cells), pinned so the
+        # walker's glue pass stays covered without the sampler: its plus
+        # gluing has a leg swap and four monochromatic pairs, among them
+        # a leg loop, and a path runs through a glued pair
+        cells = [(0, -1), (-2, 0), (-1, 0), (0, 0), (1, 0), (-2, 1), (0, 1), (1, 1)]
+        d = Domain(frozenset(cells))
+        t = BoundaryCondition((1, 1, 1, 0, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 0))
+        g = glue_and_gamma(d, t, "plus")
+        assert g.swaps and g.bichromatic.count(False) == 4
+        assert _walker_census(d, t, g) == (2, 2, 4)
+
+
+def _walker_census(d, t, g):
+    """Check pair_link_data against the reference and its loop count
+    against the union-find components on every configuration; return
+    the number of configurations, of paths through a glued pair and of
+    loops closed by glued legs alone."""
+    ends = {
+        d.termination_id(k)
+        for (a, b), bichromatic in zip(g.pairs, g.bichromatic)
+        if bichromatic
+        for k in (a, b)
+    }
+    configs = through = leg_loops = 0
+    for phi in enumerate_configs(d, t):
+        configs += 1
+        got = pair_link_data(phi, g)
+        assert got == _reference_pair_link_data(phi, g)
+        closed = 0
+        for comp in _glued_components(phi, g):
+            legs = [e for e in comp if e >= d.n_internal]
+            if ends.intersection(legs):
+                through += len(legs) > 2
+            else:
+                closed += 1
+                leg_loops += len(legs) == len(comp)
+        assert got.loops == closed
+    return configs, through, leg_loops
 
 
 class TestPass:
