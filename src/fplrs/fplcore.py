@@ -310,9 +310,6 @@ def refined_counts(n: int, sign: str = "+", jobs: int = 1) -> LpVector:
 # it depth first.
 
 
-_UNSEEN = object()  # a memo miss; a run's own result may be None
-
-
 @lru_cache(maxsize=128)
 def _schedule(d: Domain) -> tuple[tuple[int, int, int, int, int, int], ...]:
     """Per vertex in (y, x) order: the cut index of its first internal
@@ -406,19 +403,15 @@ def _runs(
             tag[n_internal + k] = label
             label += 1
             ends |= 1 << (n_internal + k)
-    schedule = _schedule(d)
-    last = len(schedule)
-    steps: list = [None] * last
 
-    def build(k: int) -> tuple:
-        """Vertex k's schedule entry with what its allowed N, E colourings
+    def build(i: int, r: int, w_: int, s_: int, n_: int, e_: int) -> tuple:
+        """A vertex's schedule entry with what its allowed N, E colourings
         put on the cut, by number of black out-edges: the entries inserted
         when both are white; the entries, with their kept-edge bits or the
         termination pair they close, when both are black; and one (before,
         after, termination tag, kept-edge bit) per colouring with one
         black out-edge, E white first, whose path end goes between before
         and after when the tag is 0."""
-        i, r, w_, s_, n_, e_ = schedule[k]
         zero_n = (0,) if n_ < n_internal else ()
         zero_e = (0,) if e_ < n_internal else ()
         white, black, singles = None, None, []
@@ -437,14 +430,13 @@ def _runs(
                     singles.append((zero_n, (), tag[e_], bit[e_]))
         return i, r, w_ < n_internal, tag[w_], s_ < n_internal, tag[s_], e_, white, black, singles
 
+    steps = [build(*entry) for entry in _schedule(d)]
+    last = len(steps)
+
     def run(k: int, tags: tuple) -> int | tuple | None:
         closed = 0
         while k < last:
-            step = steps[k]
-            if step is None:
-                # built on first reach: a sweep that dies early builds no more
-                step = steps[k] = build(k)
-            i, r, wp, wt, sp, st, e_, white, black, singles = step
+            i, r, wp, wt, sp, st, e_, white, black, singles = steps[k]
             a = tags[i] if wp else wt
             b = tags[i + wp] if sp else st
             if a and b:
@@ -474,16 +466,13 @@ def _runs(
         return closed
 
     low, mask = (1 << off) - 1, (1 << width) - 1
-    patterns: dict[int, LinkPattern] = {}
+
+    @lru_cache(maxsize=None)
+    def pattern(pairs: int) -> LinkPattern:
+        return LinkPattern(tuple(((pairs >> (width * k)) & mask) - 1 for k in range(n_black)))
 
     def decode(closed: int) -> tuple[int, LinkPattern]:
-        pairs = closed & low
-        p = patterns.get(pairs)
-        if p is None:
-            p = patterns[pairs] = LinkPattern(
-                tuple(((pairs >> (width * k)) & mask) - 1 for k in range(n_black))
-            )
-        return (closed >> off) | ends, p
+        return (closed >> off) | ends, pattern(closed & low)
 
     return run, decode
 
@@ -559,14 +548,12 @@ def _walk(
     run, decode = built
     # What a run adds depends on its start state alone, not on the
     # edges coloured before it, so each start state is run once.
-    runs: dict = {}
+    run = lru_cache(maxsize=None)(run)
     splitting = split_depth is not None
     stack = [((0, ()), 0, ())]
     while stack:
         state, closed, decisions = stack.pop()
-        out = runs.get(state, _UNSEEN)
-        if out is _UNSEEN:
-            out = runs[state] = run(*state)
+        out = run(*state)
         if out is None:
             continue
         if type(out) is int:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import GeometryMismatch, IndexOutOfRange, UnknownIdentity
 from .fplcore import _transfer, psi_counts, vertex_type_table
@@ -262,8 +262,6 @@ class SprReport(NamedTuple):
     """Outcome of one simple-path-reversal check."""
 
     m: int
-    side1: int
-    side2: int
     e_identity: bool
     c_identity: bool
 
@@ -296,8 +294,6 @@ def check_spr(d: Domain, t1: BoundaryCondition) -> SprReport:
     last = 2 * v1.n - 1
     return SprReport(
         m=v1.n,
-        side1=v1.total(),
-        side2=v2.total(),
         e_identity=apply_e(v1, last) == apply_a(v2, last),
         c_identity=apply_c(v1, last) == v2,
     )
@@ -441,11 +437,10 @@ def check_identity(name: str, n: int, j: int | None = None) -> IdentityResult:
     return IdentityResult(name, n, j, ok, witness)
 
 
-def run_identity_suite(n_values: Iterable[int]) -> list[IdentityResult]:
-    """Every registered identity at every admissible index."""
-    results = []
+def run_identity_suite(n_values: Iterable[int]) -> Iterator[IdentityResult]:
+    """Every registered identity at every admissible index, each result
+    as soon as its check has run."""
     for n in n_values:
         for name, (sites, _check) in _REGISTRY.items():
             for j in sites(n):
-                results.append(check_identity(name, n, j))
-    return results
+                yield check_identity(name, n, j)

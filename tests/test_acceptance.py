@@ -145,7 +145,7 @@ def test_criterion_5_orbit_sums():
 
 
 def test_criterion_6_identity_suite():
-    results = run_identity_suite(range(1, 6))
+    results = list(run_identity_suite(range(1, 6)))
     failures = [r for r in results if not r.status]
     directions = gyration_directions()
     ok = not failures and set(directions.values()) == {-1, 1}

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import fplrs
-from fplrs import cli, fplcore, groundstate, gyration, lattice, linkpat, sampling, suites
+from fplrs import cli, fplcore, groundstate, gyration, identities, lattice, linkpat, sampling, suites
 from fplrs.errors import FplrsError, InvalidTriplet, NonUniqueGamma
 from fplrs.cli import Cache, main
 from fplrs.linkpat import all_patterns, tl_e
@@ -520,6 +520,29 @@ class TestSuiteFaults:
         # the three lines of n = 1 stand; the summary is not written
         assert [line[:13] for line in out.splitlines()] == ["[PASS] rs: (H", "[PASS] rs: ke", "[PASS] rs: co"]
 
+    def test_identity_raising_keeps_the_smaller_sizes(self, capsys, monkeypatch):
+        # the identity suite yields each result as its check runs, so a
+        # check that raises at n = 3 keeps every line of n = 1 and 2
+        honest = run(capsys, "verify", "identities", "--n-max", "2")[1].splitlines()[:-1]
+        sites, check = identities._REGISTRY["ec"]
+
+        def ec(n, j):
+            if n == 3:
+                raise RuntimeError("boom")
+            return check(n, j)
+
+        monkeypatch.setitem(identities._REGISTRY, "ec", (sites, ec))
+        code, out, err = run(capsys, "verify", "identities", "--n-max", "3")
+        lines = out.splitlines()
+        assert (code, err) == (1, "") and len(honest) > 10
+        assert lines[:len(honest)] == honest
+        # the identities registered before ec ran at n = 3 too
+        assert all(line.startswith("[PASS] identities: ") and "n=3" in line for line in lines[len(honest):-2])
+        assert lines[-2:] == [
+            "[FAIL] identities: raised RuntimeError: boom",
+            f"FAILED: {len(lines) - 2}/{len(lines) - 1} checks passed",
+        ]
+
 
 class TestOut:
     VERIFY_RS = ("verify", "rs", "--n-max", "4")
@@ -1007,6 +1030,22 @@ class TestReportContract:
         assert _report([], "text", sys.stdout) == 1
         assert _report([], "csv", sys.stdout) == 1
         assert capsys.readouterr().out == "FAILED: 0/0 checks passed\nsuite,check,status,detail\r\n"
+
+
+def test_tl_memo_calls_each_generator_once(monkeypatch):
+    # the suite's memo hands tl_e each distinct (pattern, index) pair
+    # once: 11,492 pairs at n-max 7 with the default seed, which the
+    # relations would meet 137,550 times without it
+    calls = []
+    real = linkpat.tl_e
+
+    def counted(p, j):
+        calls.append((p, j))
+        return real(p, j)
+
+    monkeypatch.setattr(linkpat, "tl_e", counted)
+    assert all(line.status for line in suites._suite_tl(7, 20100615))
+    assert len(calls) == len(set(calls)) == 11_492
 
 
 def test_tl_memo_agrees_with_the_operators():

@@ -511,15 +511,17 @@ def _record_run_starts(monkeypatch) -> list:
 
 
 def _assert_each_state_runs_once(starts: list, d, t) -> None:
-    """The sweep runs each state the walk reaches exactly once: a sweep
-    that re-created a bucket it had already run would run its states
-    again.  ``starts`` is the list of :func:`_record_run_starts`."""
+    """The sweep and the walk each run every state the walk reaches
+    exactly once: a sweep that re-created a bucket it had already run,
+    or a walk without its memo, would run states again.  ``starts`` is
+    the list of :func:`_record_run_starts`."""
     starts.clear()
     _transfer(d, t)
     swept = list(starts)
     starts.clear()
     list(_walk(d, t))
     assert len(swept) == len(set(swept))
+    assert len(starts) == len(set(starts))
     assert set(swept) == set(starts)
 
 
