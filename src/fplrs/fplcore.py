@@ -32,29 +32,21 @@ One walking loop traces paths and loops on the domain's cached ``walk``
 table (at each edge end, the vertex's other three edges), colours read
 off the bitmask, for the flat domain and its gluings: a walk stops at a
 labelled termination and passes a glued one on to its partner leg.
-Vertex types a, b, c classify the position of the two black edges
-around a vertex.  The assignment of the six edge-pair placements to the
-three letters is not hard-coded: on first use it is pinned by brute
-force as the unique labelling under which every bottom row at sizes 2
-and 3 reads b..bca..a, asserted unique, then cached.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
-from itertools import combinations
-from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
-from .lattice import BoundaryCondition, Cell, Domain, build_square
+from .lattice import BoundaryCondition, Domain, build_square
 from .linkpat import LinkPattern, LpVector
 
 __all__ = [
     "enumerate_configs",
     "count_configs",
     "split_prefixes",
-    "vertex_type_table",
     "refined_counts",
     "psi_counts",
 ]
@@ -165,55 +157,6 @@ def _trace_colour(d: Domain, bits: int) -> tuple[LinkPattern, int]:
         if (bits >> e) & 1:
             ends[e] = len(ends)
     return _walk_paths(d, bits, ends, {})
-
-
-# ---------------------------------------------------------------------------
-# Vertex types
-
-
-def _black_dirs(d: Domain, bits: int, v: Cell) -> frozenset[int]:
-    slots = d.vertex_edges[v]
-    return frozenset(k for k in range(4) if (bits >> slots[k]) & 1)
-
-
-def _matches_bottom_law(types: Sequence[str]) -> bool:
-    if types.count("c") != 1:
-        return False
-    k = types.index("c")
-    return all(t == "b" for t in types[:k]) and all(t == "a" for t in types[k + 1:])
-
-
-@lru_cache(maxsize=None)
-def vertex_type_table() -> Mapping[frozenset[int], str]:
-    """The pinned assignment of the six black-pair placements to a, b, c.
-
-    Derived, not guessed: among all ways to split the six placements
-    into three labelled pairs, exactly one makes every bottom row of
-    the size-2 and size-3 ensembles read b..bca..a.  That unique
-    assignment is returned, read-only since every caller shares it;
-    ambiguity or failure raises.
-    """
-    keys = [frozenset(p) for p in combinations(range(4), 2)]
-    rows: list[tuple[frozenset[int], ...]] = []
-    for n in (2, 3):
-        d, t = build_square(n, "+")
-        for bits, _ in _walk(d, t):
-            rows.append(tuple(_black_dirs(d, bits, (x, 1)) for x in range(1, n + 1)))
-    valid: list[dict[frozenset[int], str]] = []
-    for a_pick in combinations(range(6), 2):
-        rest = [i for i in range(6) if i not in a_pick]
-        for b_pick in combinations(rest, 2):
-            c_pick = [i for i in rest if i not in b_pick]
-            table = {keys[i]: "a" for i in a_pick}
-            table.update({keys[i]: "b" for i in b_pick})
-            table.update({keys[i]: "c" for i in c_pick})
-            if all(_matches_bottom_law([table[k] for k in row]) for row in rows):
-                valid.append(table)
-    if len(valid) != 1:
-        raise AssertionError(
-            f"vertex-type calibration found {len(valid)} assignments"
-        )
-    return MappingProxyType(valid[0])
 
 
 # ---------------------------------------------------------------------------

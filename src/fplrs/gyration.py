@@ -33,10 +33,11 @@ the flat tracer's walker in ``fplcore``: a monochromatic pair passes a
 path from one leg to the other, and may close a loop of legs alone.
 One pass preserves this triplet exactly; the rotation of
 anchor-labelled patterns appears only when reading the result back
-through the ungluing.  Its direction is pinned empirically, not
-assumed: one full gyration sends pattern(phi) to R^k pattern(phi), k is
-read off the orbits at sizes 2 and 3, and the orbits suite checks every
-step of every orbit at each size against that k.
+through the ungluing.  One full gyration sends pattern(phi) to
+R^k pattern(phi) with k = :data:`ROTATION`, a constant of this
+package's anchor conventions: the tests derive it from the orbits at
+sizes 2 and 3, the wieland suite checks it there, and the orbits suite
+checks it on every step of every orbit at each size.
 
 The capped check reads the caller's gluing and glues nothing.  Its
 labels run from the first pair's left leg, so the minus pairs, the plus
@@ -73,11 +74,15 @@ __all__ = [
     "orbit_partition",
     "orbit_faces",
     "pair_link_data",
-    "square_rotation_direction",
+    "ROTATION",
     "step_rotations",
     "generalized_gyration_check",
     "GyrationReport",
 ]
+
+# The k with pattern(G phi) = R^k pattern(phi) on every step of every
+# square orbit: a full gyration moves each arc (i, j) to (i + 1, j + 1).
+ROTATION = -1
 
 
 def apply_h(bits: int, g: GluedGraph) -> int:
@@ -188,16 +193,6 @@ def step_rotations(orbits: list[Orbit]) -> set[int]:
     configuration."""
     steps = {step for o in orbits for step in zip(o.patterns, o.patterns[1:] + o.patterns[:1])}
     return {k for k in (1, -1) if all(rotate(before, k) == after for before, after in steps)}
-
-
-@lru_cache(maxsize=None)
-def square_rotation_direction() -> int | None:
-    """The k with pattern(G phi) = R^k pattern(phi) on every step of the
-    square's orbits at sizes 2 and 3, or None when not exactly one of
-    k = 1, -1 fits.  The two candidates first differ at size 3; the
-    orbits suite checks this k on every step at each size it runs."""
-    fits = step_rotations(orbit_partition(2) + orbit_partition(3))
-    return fits.pop() if len(fits) == 1 else None
 
 
 # ---------------------------------------------------------------------------

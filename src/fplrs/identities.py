@@ -22,10 +22,12 @@ frozen-region reductions the proofs use become cross-checks (the
 rectangle built by :func:`shat_c_rectangle` must reproduce the filtered
 table exactly) rather than alternative code paths.
 
-The rotation directions in the gyration relations are not hard-coded:
-the two sources in the underlying derivation disagree, so the registry
-pins them by brute force at sizes 3 and 4 and exposes the result via
-:func:`gyration_directions`.
+Two conventions are constants here, each derived by brute force in the
+tests and checked by the suite at every size it runs: the type letter
+of each placement of a vertex's two black edges (:data:`VERTEX_TYPES`,
+under which every bottom row reads b..bca..a), and the rotation
+exponent of each gyration relation, a column of the family table (the
+two sources of the derivation disagree on them).
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import GeometryMismatch, IndexOutOfRange, UnknownIdentity
-from .fplcore import _transfer, psi_counts, vertex_type_table
-from .lattice import EAST, NORTH, BoundaryCondition, Cell, Domain, build_square
+from .fplcore import _transfer, psi_counts
+from .lattice import EAST, NORTH, SOUTH, WEST, BoundaryCondition, Cell, Domain, build_square
 from .linkpat import (
     LinkPattern,
     LpVector,
@@ -52,11 +54,11 @@ from .linkpat import (
 __all__ = [
     "IdentityResult",
     "SprReport",
+    "VERTEX_TYPES",
     "aux_state",
     "s_vector",
     "nalpha_vector",
     "rs_vector",
-    "gyration_directions",
     "check_identity",
     "check_spr",
     "shat_c_rectangle",
@@ -98,6 +100,17 @@ def _vector(n: int, mask: int, weights: Mapping[int, int]) -> LpVector:
     return LpVector(n, counts)
 
 
+# The type letter of each placement of a vertex's two black edges, keyed
+# by their slots: the straight pairs are c, and the corners split into
+# a and b.  Every bottom row of the plus square reads b..bca..a under it,
+# and under no other split of the six placements.
+VERTEX_TYPES: Mapping[frozenset[int], str] = MappingProxyType({
+    frozenset((EAST, NORTH)): "a", frozenset((WEST, SOUTH)): "a",
+    frozenset((EAST, SOUTH)): "b", frozenset((WEST, NORTH)): "b",
+    frozenset((EAST, WEST)): "c", frozenset((NORTH, SOUTH)): "c",
+})
+
+
 def _placements(n: int, v: Cell, letters: str) -> tuple[int, list[int]]:
     """The slot mask of vertex v of the size-n square, and the black
     edges of each of its placements whose type letter is in ``letters``:
@@ -105,7 +118,7 @@ def _placements(n: int, v: Cell, letters: str) -> tuple[int, list[int]]:
     slots = build_square(n, "+")[0].vertex_edges[v]
     placements = [
         sum(1 << slots[k] for k in dirs)
-        for dirs, letter in vertex_type_table().items()
+        for dirs, letter in VERTEX_TYPES.items()
         if letter in letters
     ]
     return sum(1 << e for e in slots), placements
@@ -185,43 +198,14 @@ _REC_FAMILIES = {
 }
 
 _GYR_FAMILIES = {
-    # name -> (parity, letter, neighbour offset)
-    "gyr_a_odd": ("odd", "a", -1),
-    "gyr_b_odd": ("odd", "b", -1),
-    "gyr_c_odd": ("odd", "c", -1),
-    "gyr_a_even": ("even", "a", -1),
-    "gyr_b_even": ("even", "b", +1),  # rotates opposite to the other four
+    # name -> (parity, letter, neighbour offset, rotation exponent): the
+    # relation reads  e_j s = R^exponent e_{j+offset} s  at every site j
+    "gyr_a_odd": ("odd", "a", -1, -1),
+    "gyr_b_odd": ("odd", "b", -1, -1),
+    "gyr_c_odd": ("odd", "c", -1, -1),
+    "gyr_a_even": ("even", "a", -1, -1),
+    "gyr_b_even": ("even", "b", +1, 1),  # rotates opposite to the other four
 }
-
-
-@lru_cache(maxsize=None)
-def gyration_directions() -> Mapping[str, int]:
-    """Empirically pinned rotation exponents of the gyration relations,
-    read-only since every caller shares them.
-
-    For each family the relation reads  e_j s = R^dir e_{j+off} s  and
-    the exponent is the unique one consistent across sizes 3 and 4 for
-    every admissible j.  Degenerate cases (zero states) accept both
-    directions and do not discriminate.
-    """
-    candidates = {name: {1, -1} for name in _GYR_FAMILIES}
-    for n in (3, 4):
-        for name, (parity, letter, off) in _GYR_FAMILIES.items():
-            for j in _sites(n, parity):
-                v = aux_state(n, parity, j, letter)
-                lhs = _e_cyclic(v, j)
-                rhs = _e_cyclic(v, j + off)
-                candidates[name] = {
-                    k
-                    for k in candidates[name]
-                    if lhs == apply_rotation(rhs, k)
-                }
-    for name, dirs in candidates.items():
-        if len(dirs) != 1:
-            raise AssertionError(
-                f"gyration relation {name} not pinned: candidates {sorted(dirs)}"
-            )
-    return MappingProxyType({name: dirs.pop() for name, dirs in candidates.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -360,13 +344,12 @@ def _rec_family(name: str):
 
 
 def _gyr_family(name: str):
-    parity, letter, off = _GYR_FAMILIES[name]
+    parity, letter, off, power = _GYR_FAMILIES[name]
 
     def check(n: int, j: int) -> tuple[bool, str]:
-        direction = gyration_directions()[name]
         v = aux_state(n, parity, j, letter)
         lhs = _e_cyclic(v, j)
-        rhs = apply_rotation(_e_cyclic(v, j + off), direction)
+        rhs = apply_rotation(_e_cyclic(v, j + off), power)
         return _pair(lhs, rhs)
 
     return lambda n: _sites(n, parity), check

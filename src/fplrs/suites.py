@@ -59,13 +59,14 @@ def _suite_wieland(n_max: int) -> Iterator[CheckLine]:
             f"table invariant under rotation, n={n}",
             linkpat.apply_rotation(plus, 1) == plus,
         )
-    k = gyration.square_rotation_direction()
-    power = "one power of R" if k is None else f"R^{k}"
-    yield CheckLine("wieland", f"gyration rotates patterns by {power}", k is not None)
+    # R and R^-1 agree on the patterns of sizes 1 and 2, and first differ at 3
+    fits = gyration.step_rotations(gyration.orbit_partition(2) + gyration.orbit_partition(3))
+    yield CheckLine(
+        "wieland", f"gyration rotates patterns by R^{gyration.ROTATION}", fits == {gyration.ROTATION}
+    )
 
 
 def _suite_orbits(n_max: int) -> Iterator[CheckLine]:
-    k = gyration.square_rotation_direction()
     for n in range(1, n_max + 1):
         orbits = gyration.orbit_partition(n)
         total = sum(o.period for o in orbits)
@@ -75,8 +76,8 @@ def _suite_orbits(n_max: int) -> Iterator[CheckLine]:
             total == linkpat.asm_count_formula(n),
             f"{len(orbits)} orbits, {total} configs",
         )
-        # every step rotating by the pinned k keeps each orbit in one class
-        coherent = k in gyration.step_rotations(orbits)
+        # every step rotating by the one power keeps each orbit in one class
+        coherent = gyration.ROTATION in gyration.step_rotations(orbits)
         bad_sum = 0
         class_pm: dict[tuple[str, tuple[int, int]], list[int]] = {}
         for o in orbits:

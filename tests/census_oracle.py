@@ -4,22 +4,22 @@ census, whose states read the same facts off the sweep's edge bits.
 A configuration is its bitmask, given with its domain.
 
 :func:`vertex_type` looks a vertex's black slots up in
-``fplcore.vertex_type_table``, the one place the letters are pinned;
+``identities.VERTEX_TYPES``, the one place the letters are held;
 :func:`plaquette_indicator` reads the four edges of a face one at a
 time.
 """
 
 from __future__ import annotations
 
-from fplrs.fplcore import vertex_type_table
+from fplrs.identities import VERTEX_TYPES
 from fplrs.lattice import Cell, Domain
 
 
 def vertex_type(d: Domain, bits: int, v: Cell) -> str:
     """Type letter of an internal vertex of the configuration ``bits``
-    under the calibrated table."""
+    under the package's table."""
     slots = d.vertex_edges[v]
-    return vertex_type_table()[frozenset(k for k in range(4) if (bits >> slots[k]) & 1)]
+    return VERTEX_TYPES[frozenset(k for k in range(4) if (bits >> slots[k]) & 1)]
 
 
 def plaquette_indicator(d: Domain, bits: int, alpha: Cell) -> int:

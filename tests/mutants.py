@@ -66,4 +66,46 @@ MUTANTS = (
         "",
         node="tests/test_fplcore.py::TestSweepMergesTheWalk::test_squares_run_each_state_once[+-4]",
     ),
+    Mutant(
+        "gyration rotates by R^1",
+        "gyration.py",
+        "ROTATION = -1",
+        "ROTATION = 1",
+        command=("verify", "wieland", "--n-max", "1"),
+    ),
+    Mutant(
+        "the orbits step the inverse gyration, minus pass first",
+        "gyration.py",
+        "def _cycle(start: int, plus: GluedGraph, minus: GluedGraph)",
+        "def _cycle(start: int, minus: GluedGraph, plus: GluedGraph)",
+        command=("verify", "orbits", "--n-max", "3"),
+    ),
+    Mutant(
+        "the even-b gyration relation rotates the other way",
+        "identities.py",
+        '"gyr_b_even": ("even", "b", +1, 1)',
+        '"gyr_b_even": ("even", "b", +1, -1)',
+        command=("verify", "identities", "--n-max", "3"),
+    ),
+    Mutant(
+        "two vertex-type letters exchanged",
+        "identities.py",
+        'frozenset((EAST, NORTH)): "a", frozenset((WEST, SOUTH)): "a",\n    frozenset((EAST, SOUTH)): "b"',
+        'frozenset((EAST, NORTH)): "b", frozenset((WEST, SOUTH)): "a",\n    frozenset((EAST, SOUTH)): "a"',
+        command=("verify", "identities", "--n-max", "2"),
+    ),
+    Mutant(
+        "the vector certificate skips the search",
+        "groundstate.py",
+        "if all(v > 0 for v in x) and len(_visit_order(h.cols)) == len(h.basis):",
+        "if all(v > 0 for v in x):",
+        node="tests/test_groundstate.py::TestKernelDimension::test_reducible_h_has_no_stationary_vector",
+    ),
+    Mutant(
+        "a glued walk leaves the partner leg unmarked",
+        "fplcore.py",
+        "                eid = glue[eid]\n                walked |= 1 << eid\n",
+        "                eid = glue[eid]\n",
+        node="tests/test_gyration.py::TestGluedWalkerOracle::test_pinned_domain_with_monochromatic_pairs",
+    ),
 )

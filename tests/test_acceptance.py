@@ -28,7 +28,7 @@ from fplrs.gyration import (
     pair_link_data,
 )
 from fplrs.identities import (
-    gyration_directions,
+    _GYR_FAMILIES,
     run_identity_suite,
     shat_c_rectangle,
 )
@@ -147,7 +147,7 @@ def test_criterion_5_orbit_sums():
 def test_criterion_6_identity_suite():
     results = list(run_identity_suite(range(1, 6)))
     failures = [r for r in results if not r.status]
-    directions = gyration_directions()
+    directions = {name: row[3] for name, row in _GYR_FAMILIES.items()}
     ok = not failures and set(directions.values()) == {-1, 1}
     report(
         6,

@@ -1,7 +1,9 @@
 """Configuration enumeration, path tracing, vertex types, tables."""
 
 import random
+import re
 from collections import Counter
+from itertools import combinations, permutations
 
 import pytest
 
@@ -18,10 +20,9 @@ from fplrs.fplcore import (
     psi_counts,
     refined_counts,
     split_prefixes,
-    vertex_type_table,
 )
 from fplrs.groundstate import stationary_vector
-from fplrs.identities import _census, aux_state, s_vector
+from fplrs.identities import VERTEX_TYPES, _census, aux_state, s_vector
 from fplrs.lattice import BoundaryCondition, build_square
 from fplrs.linkpat import LinkPattern, LpVector, apply_rotation, asm_count_formula, lp_vector_to_json
 from fplrs.sampling import random_glueable
@@ -261,13 +262,30 @@ class TestTracerOracle:
 
 class TestVertexTypes:
     def test_calibrated_table(self):
-        # Pinned by the bottom-row law at sizes 2 and 3; the assignment
-        # groups antipodal placements: straight pairs are c, the two
-        # corner classes split into a and b.
+        # Derived by the bottom-row law: of the 90 ways to split the six
+        # placements into three labelled pairs, exactly one makes every
+        # bottom row at sizes 2 and 3 read b..bca..a.  It groups
+        # antipodal placements: straight pairs are c, the two corner
+        # classes split into a and b.
+        keys = [frozenset(pair) for pair in combinations(range(4), 2)]
+        rows = []
+        for n in (2, 3):
+            d, t = build_square(n, "+")
+            for bits in enumerate_configs(d, t):
+                rows += [[
+                    frozenset(k for k in range(4) if (bits >> d.vertex_edges[(x, 1)][k]) & 1)
+                    for x in range(1, n + 1)
+                ]]
+        found = [
+            table
+            for table in (dict(zip(keys, letters)) for letters in set(permutations("aabbcc")))
+            if all(re.fullmatch("b*ca*", "".join(table[k] for k in row)) for row in rows)
+        ]
+        assert found == [VERTEX_TYPES]
         names = {0: "E", 1: "N", 2: "W", 3: "S"}
         table = {
             "".join(sorted(names[x] for x in key)): letter
-            for key, letter in vertex_type_table().items()
+            for key, letter in found[0].items()
         }
         assert table == {
             "EN": "a", "SW": "a",

@@ -23,7 +23,7 @@ from fplrs.gyration import (
     PairLinkData,
     _square_glued,
     pair_link_data,
-    square_rotation_direction,
+    ROTATION,
     step_rotations,
 )
 from fplrs.identities import shat_c_rectangle
@@ -392,18 +392,18 @@ class TestGyrate:
                 assert _gyrate(c[i], 4) == c[(i + 1) % o.period]
 
     def test_rotation_direction_is_pinned(self):
-        # derived at sizes 2 and 3, not assumed; under this package's
-        # anchor conventions the full turn lowers indices by one step
-        assert square_rotation_direction() == -1
+        # derived at sizes 2 and 3, where R and R^-1 first differ; under
+        # this package's anchor conventions the full turn moves each arc
+        # (i, j) to (i + 1, j + 1)
+        assert step_rotations(orbit_partition(2) + orbit_partition(3)) == {ROTATION} == {-1}
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_patterns_rotate_along_orbits(self, n):
-        k = square_rotation_direction()
         d, t = build_square(n, "+")
         for phi in enumerate_configs(d, t):
             before = link_data(d, phi).black
             after = link_data(d, _gyrate(phi, n)).black
-            assert after == rotate(before, k)
+            assert after == rotate(before, ROTATION)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_every_orbit_step_rotates_by_the_pinned_power(self, n):

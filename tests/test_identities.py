@@ -8,13 +8,16 @@ import pytest
 from census_oracle import plaquette_indicator, vertex_type
 from dfs_oracle import search
 from fplrs.errors import GeometryMismatch, IndexOutOfRange, UnknownIdentity
-from fplrs.fplcore import psi_counts, vertex_type_table
+from fplrs.fplcore import psi_counts
 from fplrs.identities import (
+    _GYR_FAMILIES,
     _REGISTRY,
+    VERTEX_TYPES,
+    _e_cyclic,
+    _sites,
     aux_state,
     check_identity,
     check_spr,
-    gyration_directions,
     nalpha_vector,
     run_identity_suite,
     s_vector,
@@ -22,7 +25,7 @@ from fplrs.identities import (
     spr_instance,
 )
 from fplrs.lattice import EAST, NORTH, BoundaryCondition, Domain, build_square
-from fplrs.linkpat import LpVector
+from fplrs.linkpat import LpVector, apply_rotation
 from trace_oracle import link_data
 
 
@@ -176,9 +179,21 @@ class TestRegistry:
         assert failures == []
 
     def test_directions_are_pinned(self):
-        # derived at sizes 3 and 4, where the two candidates separate;
-        # the even-b family rotates opposite to the other four
-        assert gyration_directions() == {
+        # derived at sizes 3 and 4, where the two candidates separate: the
+        # one exponent with e_j s = R^k e_{j+off} s at every site, asserted
+        # unique; the even-b family rotates opposite to the other four
+        derived = {}
+        for name, (parity, letter, off, _) in _GYR_FAMILIES.items():
+            fits = {1, -1}
+            for n in (3, 4):
+                for j in _sites(n, parity):
+                    v = aux_state(n, parity, j, letter)
+                    lhs, rhs = _e_cyclic(v, j), _e_cyclic(v, j + off)
+                    fits = {k for k in fits if lhs == apply_rotation(rhs, k)}
+            assert len(fits) == 1, (name, fits)
+            derived[name] = fits.pop()
+        assert derived == {name: row[3] for name, row in _GYR_FAMILIES.items()}
+        assert derived == {
             "gyr_a_odd": -1,
             "gyr_b_odd": -1,
             "gyr_c_odd": -1,
@@ -187,11 +202,9 @@ class TestRegistry:
         }
 
     def test_cached_tables_are_read_only(self):
-        # every caller shares the one cached table, so none may write it
+        # every caller shares the one vertex table, so none may write it
         with pytest.raises(TypeError):
-            gyration_directions()["gyr_b_even"] = -1
-        with pytest.raises(TypeError):
-            vertex_type_table()[frozenset((0, 1))] = "b"
+            VERTEX_TYPES[frozenset((0, 1))] = "b"
 
 
 class TestFrozenRectangle:

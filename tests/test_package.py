@@ -200,6 +200,71 @@ def test_the_package_does_not_import_dataclasses():
     assert found == []
 
 
+CACHES = ("cache", "lru_cache", "functools.cache", "functools.lru_cache")
+
+
+def _cached_constants(src: Path) -> list[str]:
+    """Every module-level function of the modules in ``src`` that takes
+    no argument and is wrapped in ``functools.cache`` or ``lru_cache``,
+    by decorator or as ``name = lru_cache(...)(name)``, as
+    ``module.name``.  Such a function is a constant computed at run
+    time, and a fault in what it computes moves the constant instead of
+    failing a check.  Methods and cached properties are not at module
+    level."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        wrapped = [(node.name, dec) for node in defs.values() for dec in node.decorator_list] + [
+            (node.value.args[0].id, node.value.func)
+            for node in tree.body
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+            and len(node.value.args) == 1 and isinstance(node.value.args[0], ast.Name)
+        ]
+        for name, wrapper in wrapped:
+            args = defs[name].args if name in defs else None
+            if isinstance(wrapper, ast.Call):
+                wrapper = wrapper.func
+            if (
+                ast.unparse(wrapper) in CACHES and args is not None
+                and not (args.posonlyargs or args.args or args.vararg or args.kwonlyargs or args.kwarg)
+            ):
+                found.append(f"{path.stem}.{name}")
+    return sorted(found)
+
+
+def test_no_constant_is_computed_at_run_time():
+    # a convention the package relies on is a literal in src, derived in
+    # the tests and checked by the suites
+    assert _cached_constants(Path(fplrs.__file__).parent) == []
+
+
+def test_a_cached_constant_is_found(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import functools\n"
+        "from functools import cache, cached_property, lru_cache\n"
+        "@lru_cache(maxsize=None)\n"
+        "def table(): return {}\n"
+        "@functools.cache\n"
+        "def power(): return -1\n"
+        "@cache\n"
+        "def per_size(n): return n\n"
+        "def letters(): return 'abc'\n"
+        "letters = lru_cache(maxsize=None)(letters)\n"
+        "def plain(): return 0\n"
+        "class Box:\n"
+        "    @cache\n"
+        "    def size(self): return 1\n"
+        "    @cached_property\n"
+        "    def width(self): return 2\n"
+        "def outer():\n"
+        "    @cache\n"
+        "    def inner(): return 3\n"
+        "    return inner\n"
+    )
+    assert _cached_constants(tmp_path) == ["a.letters", "a.power", "a.table"]
+
+
 # The settable surface.  A new option or environment variable edits
 # these lists, which is where a review asks who sets it to a second value.
 OPTIONS = {
