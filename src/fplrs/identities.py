@@ -20,7 +20,11 @@ bottom face.
 All states are computed on the full square with type filters; the
 frozen-region reductions the proofs use become cross-checks (the
 rectangle built by :func:`shat_c_rectangle` must reproduce the filtered
-table exactly) rather than alternative code paths.
+table exactly) rather than alternative code paths.  Simple path
+reversal runs on that rectangle as built, at the legs of bottom columns
+2j-1, 2j, and the stationarity defect (H - 2n)s is read off the sparse
+H of :mod:`groundstate`, the package's one way of applying H.  Every
+check returns ``(ok, witness)``.
 
 Two conventions are constants here, each derived by brute force in the
 tests and checked by the suite at every size it runs: the type letter
@@ -38,6 +42,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import GeometryMismatch, IndexOutOfRange, UnknownIdentity
 from .fplcore import _transfer, psi_counts
+from .groundstate import _residual, build_h_matrix
 from .lattice import EAST, NORTH, SOUTH, WEST, BoundaryCondition, Cell, Domain, build_square
 from .linkpat import (
     LinkPattern,
@@ -45,7 +50,6 @@ from .linkpat import (
     apply_a,
     apply_c,
     apply_e,
-    apply_hamiltonian,
     apply_rotation,
     apply_sym,
     first_difference,
@@ -53,16 +57,13 @@ from .linkpat import (
 
 __all__ = [
     "IdentityResult",
-    "SprReport",
     "VERTEX_TYPES",
     "aux_state",
     "s_vector",
     "nalpha_vector",
-    "rs_vector",
     "check_identity",
     "check_spr",
     "shat_c_rectangle",
-    "spr_instance",
     "run_identity_suite",
 ]
 
@@ -175,12 +176,6 @@ def nalpha_vector(n: int, j: int) -> LpVector:
     return _vector(n, h | v, {h: 1, v: -1})
 
 
-def rs_vector(n: int) -> LpVector:
-    """(H - 2n) applied to the count vector; the identity says zero."""
-    s = s_vector(n)
-    return apply_hamiltonian(s) - 2 * n * s
-
-
 def _e_cyclic(v: LpVector, j: int) -> LpVector:
     """e_j with the index taken cyclically (e_0 means e_2n)."""
     size = 2 * v.n
@@ -230,57 +225,35 @@ def shat_c_rectangle(n: int, j: int) -> tuple[Domain, BoundaryCondition]:
     return d, BoundaryCondition(colours)
 
 
-def spr_instance(n: int, j: int) -> tuple[Domain, BoundaryCondition]:
-    """The c-state rectangle re-anchored so the adjacent black legs at
-    bottom columns 2j-1, 2j become the last two boundary positions."""
-    if j not in _sites(n, "even"):
-        raise IndexOutOfRange(f"need column 2j <= n, got j={j} for n={n}")
-    d, t = shat_c_rectangle(n, j)
-    shift = 2 * j  # old position of bottom column 2j, plus one
-    d2 = Domain(d.cells, anchor=shift)
-    t2 = BoundaryCondition(t.colours[shift:] + t.colours[:shift])
-    return d2, t2
-
-
-class SprReport(NamedTuple):
-    """Outcome of one simple-path-reversal check."""
-
-    m: int
-    e_identity: bool
-    c_identity: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.e_identity and self.c_identity
-
-
-def check_spr(d: Domain, t1: BoundaryCondition) -> SprReport:
-    """Reverse the three-edge path at the last two (black) legs.
+def check_spr(d: Domain, t: BoundaryCondition, a: int) -> tuple[bool, str]:
+    """Reverse the three-edge path at the black legs at boundary
+    positions a and a + 1, whose labels are k and k + 1 with k one more
+    than the number of black legs before a.
 
     Side one keeps configurations whose connecting edge is white, side
     two flips the two legs white and keeps the edge black; capping or
-    adding the last arc must transport one side onto the other exactly.
+    adding the arc at k must transport one side onto the other exactly:
+    e_k of side one is a_k of side two, and c_k of side one is side two.
     """
-    size = d.perimeter
-    if t1.colours[size - 2] != 1 or t1.colours[size - 1] != 1:
-        raise GeometryMismatch("the last two terminations must be black")
-    va = d.terminations[size - 2][0]
-    vb = d.terminations[size - 1][0]
+    if not 0 <= a < d.perimeter - 1:
+        raise IndexOutOfRange(f"legs {a}, {a + 1} outside [0, {d.perimeter - 1}]")
+    if t.colours[a] != 1 or t.colours[a + 1] != 1:
+        raise GeometryMismatch(f"the terminations at {a} and {a + 1} must be black")
+    va = d.terminations[a][0]
+    vb = d.terminations[a + 1][0]
     if abs(va[0] - vb[0]) + abs(va[1] - vb[1]) != 1:
-        raise GeometryMismatch("the last two legs must attach to adjacent sites")
+        raise GeometryMismatch("the two legs must attach to adjacent sites")
     lo, hi = sorted((va, vb))
     e = d.vertex_edges[lo][EAST if lo[1] == hi[1] else NORTH]
-    cols = list(t1.colours)
-    cols[size - 2] = cols[size - 1] = 0
-    t2 = BoundaryCondition(tuple(cols))
-    v1 = psi_counts(d, t1, [(e, 0)])
-    v2 = psi_counts(d, t2, [(e, 1)])
-    last = 2 * v1.n - 1
-    return SprReport(
-        m=v1.n,
-        e_identity=apply_e(v1, last) == apply_a(v2, last),
-        c_identity=apply_c(v1, last) == v2,
-    )
+    cols = list(t.colours)
+    cols[a] = cols[a + 1] = 0
+    v1 = psi_counts(d, t, [(e, 0)])
+    v2 = psi_counts(d, BoundaryCondition(tuple(cols)), [(e, 1)])
+    k = sum(t.colours[:a]) + 1
+    e_ok = apply_e(v1, k) == apply_a(v2, k)
+    c_ok = apply_c(v1, k) == v2
+    ok = e_ok and c_ok
+    return ok, "" if ok else f"e:{e_ok} c:{c_ok} m={v1.n}"
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +342,10 @@ def _check_ncx(n: int, j: int) -> tuple[bool, str]:
 
 
 def _check_rs_decomposition(n: int, _j) -> tuple[bool, str]:
-    lhs = rs_vector(n)
+    # the stationarity defect (H - 2n) s, read off the sparse H
+    h = build_h_matrix(n)
+    s = s_vector(n)
+    lhs = LpVector(n, dict(zip(h.basis, _residual(h, [s.coeff(p) for p in h.basis]))))
     rhs = LpVector.zero(n)
     for j in _sites(n, "even"):
         rhs = rhs + apply_sym(nalpha_vector(n, j))
@@ -377,14 +353,6 @@ def _check_rs_decomposition(n: int, _j) -> tuple[bool, str]:
     if ok and not lhs.is_zero():
         return False, "decomposition agrees but is not zero"
     return ok, witness
-
-
-def _check_spr_registry(n: int, j: int) -> tuple[bool, str]:
-    d, t1 = spr_instance(n, j)
-    report = check_spr(d, t1)
-    if report.passed:
-        return True, ""
-    return False, f"e:{report.e_identity} c:{report.c_identity} m={report.m}"
 
 
 # name -> (admissible sites at size n, check); an identity checked once
@@ -404,8 +372,12 @@ _REGISTRY: dict[str, tuple[Callable[[int], Iterable], Callable]] = {
     "ncx": (lambda n: _sites(n, "odd") if n >= 2 else (), _check_ncx),
     # the stationarity defect decomposes over bottom faces and vanishes
     "rs_decomposition": (lambda n: (None,), _check_rs_decomposition),
-    # simple path reversal on the re-anchored rectangle
-    "spr": (lambda n: _sites(n, "even"), _check_spr_registry),
+    # simple path reversal at bottom columns 2j-1, 2j of the c-state
+    # rectangle, the legs at positions 2j-2, 2j-1
+    "spr": (
+        lambda n: _sites(n, "even"),
+        lambda n, j: check_spr(*shat_c_rectangle(n, j), 2 * j - 2),
+    ),
 }
 
 

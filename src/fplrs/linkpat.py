@@ -63,7 +63,6 @@ __all__ = [
     "apply_c",
     "apply_a",
     "apply_sym",
-    "apply_hamiltonian",
     "first_difference",
     "lp_vector_to_json",
 ]
@@ -395,14 +394,6 @@ def apply_sym(v: LpVector) -> LpVector:
     out = LpVector.zero(v.n)
     for k in range(2 * v.n):
         out = out + apply_rotation(v, k)
-    return out
-
-
-def apply_hamiltonian(v: LpVector) -> LpVector:
-    """H = e_1 + ... + e_2n acting linearly."""
-    out = LpVector.zero(v.n)
-    for j in range(1, 2 * v.n + 1):
-        out = out + apply_e(v, j)
     return out
 
 

@@ -108,4 +108,81 @@ MUTANTS = (
         "                eid = glue[eid]\n",
         node="tests/test_gyration.py::TestGluedWalkerOracle::test_pinned_domain_with_monochromatic_pairs",
     ),
+    Mutant(
+        "the right-hand b recursion reads the site below it",
+        "identities.py",
+        '"rec_b2": ("even", "b", "odd", +1)',
+        '"rec_b2": ("even", "b", "odd", 0)',
+        command=("verify", "identities", "--n-max", "2"),
+    ),
+    Mutant(
+        "the site rule's parities swapped",
+        "identities.py",
+        'return range(1, (n + (parity == "odd")) // 2 + 1)',
+        'return range(1, (n + (parity != "odd")) // 2 + 1)',
+        command=("verify", "identities", "--n-max", "1"),
+    ),
+    Mutant(
+        "simple path reversal registered on the odd sites",
+        "identities.py",
+        '        lambda n: _sites(n, "even"),\n        lambda n, j: check_spr(',
+        '        lambda n: _sites(n, "odd"),\n        lambda n, j: check_spr(',
+        command=("verify", "identities", "--n-max", "1"),
+    ),
+    Mutant(
+        "the c-state split without its second-row guard",
+        "identities.py",
+        '"split_c": (lambda n: _sites(n, "odd") if n >= 2 else (), _check_split_c)',
+        '"split_c": (lambda n: _sites(n, "odd"), _check_split_c)',
+        command=("verify", "identities", "--n-max", "1"),
+    ),
+    Mutant(
+        "the bottom-face weights negated",
+        "identities.py",
+        "{h: 1, v: -1}",
+        "{h: -1, v: 1}",
+        command=("verify", "identities", "--n-max", "2"),
+    ),
+    Mutant(
+        "the cx state reads only a above",
+        "identities.py",
+        '"b" if vtype == "cb" else "ac"',
+        '"b" if vtype == "cb" else "a"',
+        command=("verify", "identities", "--n-max", "4"),
+    ),
+    Mutant(
+        "the reversed legs labelled one too high",
+        "identities.py",
+        "k = sum(t.colours[:a]) + 1",
+        "k = sum(t.colours[:a]) + 2",
+        command=("verify", "identities", "--n-max", "3"),
+    ),
+    Mutant(
+        "e_j leaves the former partners unjoined",
+        "linkpat.py",
+        "    m[a], m[b] = b, a\n    m[pa], m[pb] = pb, pa\n",
+        "    m[a], m[b] = b, a\n",
+        command=("verify", "tl", "--n-max", "2"),
+    ),
+    Mutant(
+        "the residual starts from -(2n - 1) x",
+        "groundstate.py",
+        "y = [-2 * h.n * v for v in x]",
+        "y = [-(2 * h.n - 1) * v for v in x]",
+        command=("verify", "rs", "--n-max", "1"),
+    ),
+    Mutant(
+        "a sweep entry overwritten instead of added to",
+        "fplcore.py",
+        "into[key] = into.get(key, 0) + cnt",
+        "into[key] = cnt",
+        command=("verify", "rs", "--n-max", "3"),
+    ),
+    Mutant(
+        "a fresh sweep child shares its parent's counts",
+        "fplcore.py",
+        "bucket[cut] = {c | one: v for c, v in closeds.items()} if one else dict(closeds)",
+        "bucket[cut] = {c | one: v for c, v in closeds.items()} if one else closeds",
+        node="tests/test_fplcore.py::TestFrontierSweep::test_square_tables_match_the_oracle[+-4]",
+    ),
 )

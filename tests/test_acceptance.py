@@ -37,7 +37,6 @@ from fplrs.linkpat import (
     LinkPattern,
     add_a,
     all_patterns,
-    apply_hamiltonian,
     apply_rotation,
     asm_count_formula,
     close_c,
@@ -46,6 +45,7 @@ from fplrs.linkpat import (
     tl_e,
 )
 from fplrs.sampling import random_glueable
+from h_oracle import apply_hamiltonian
 from trace_oracle import boundary, link_data
 
 ASM = {n: asm_count_formula(n) for n in range(1, 8)}

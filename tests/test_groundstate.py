@@ -21,12 +21,12 @@ from fplrs.linkpat import (
     LinkPattern,
     LpVector,
     all_patterns,
-    apply_hamiltonian,
     apply_rotation,
     asm_count_formula,
     reflect,
     rotate,
 )
+from h_oracle import apply_hamiltonian
 from kernel_oracle import stationary_classes
 
 

@@ -7,7 +7,8 @@ import pytest
 
 from census_oracle import plaquette_indicator, vertex_type
 from dfs_oracle import search
-from fplrs.errors import GeometryMismatch, IndexOutOfRange, UnknownIdentity
+from fplrs import identities, linkpat
+from fplrs.errors import ArityMismatch, GeometryMismatch, IndexOutOfRange, UnknownIdentity
 from fplrs.fplcore import psi_counts
 from fplrs.identities import (
     _GYR_FAMILIES,
@@ -22,10 +23,10 @@ from fplrs.identities import (
     run_identity_suite,
     s_vector,
     shat_c_rectangle,
-    spr_instance,
 )
 from fplrs.lattice import EAST, NORTH, BoundaryCondition, Domain, build_square
-from fplrs.linkpat import LpVector, apply_rotation
+from fplrs.linkpat import LpVector, all_patterns, apply_rotation
+from h_oracle import apply_hamiltonian
 from trace_oracle import link_data
 
 
@@ -255,9 +256,7 @@ class TestSimplePathReversal:
         # straight through (edge black), matching across the reversal
         d = Domain(frozenset({(1, 1), (2, 1), (1, 2), (2, 2)}))
         t1 = BoundaryCondition((0, 0, 0, 0, 0, 0, 1, 1))
-        report = check_spr(d, t1)
-        assert report.passed
-        assert report.m == 1
+        assert check_spr(d, t1, d.perimeter - 2) == (True, "")
         assert _spr_sides(d, t1) == (1, 1)
 
     def test_degenerate_strip(self):
@@ -265,17 +264,20 @@ class TestSimplePathReversal:
         # sides are empty and the identities hold vacuously
         d = Domain(frozenset({(1, 1), (1, 2)}))
         t1 = BoundaryCondition((0, 0, 0, 0, 1, 1))
-        assert check_spr(d, t1).passed
+        assert check_spr(d, t1, d.perimeter - 2) == (True, "")
         assert _spr_sides(d, t1) == (0, 0)
 
     def test_geometry_mismatch(self):
         d = Domain(frozenset({(1, 1), (2, 1)}))
         # last two legs share the attachment vertex here
         with pytest.raises(GeometryMismatch):
-            check_spr(d, BoundaryCondition((0, 0, 0, 0, 1, 1)))
+            check_spr(d, BoundaryCondition((0, 0, 0, 0, 1, 1)), d.perimeter - 2)
         d2 = Domain(frozenset({(1, 1), (1, 2)}))
         with pytest.raises(GeometryMismatch):
-            check_spr(d2, BoundaryCondition((1, 1, 0, 0, 0, 0)))
+            check_spr(d2, BoundaryCondition((1, 1, 0, 0, 0, 0)), d2.perimeter - 2)
+        # the pair must lie inside the boundary, without wrapping round
+        with pytest.raises(IndexOutOfRange):
+            check_spr(d2, BoundaryCondition((1, 0, 0, 0, 0, 1)), d2.perimeter - 1)
 
     def test_random_two_row_strips(self):
         rng = random.Random(23)
@@ -290,17 +292,64 @@ class TestSimplePathReversal:
             if sum(cols) % 2:
                 cols[rng.randrange(d.perimeter - 2)] ^= 1
             t1 = BoundaryCondition(tuple(cols))
-            report = check_spr(d, t1)
-            assert report.e_identity and report.c_identity
+            assert check_spr(d, t1, d.perimeter - 2) == (True, "")
             if _spr_sides(d, t1)[0]:
                 passed += 1
         assert passed > 10
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_rectangle_instances(self, n):
-        for j in range(1, n // 2 + 1):
-            d, t1 = spr_instance(n, j)
-            assert check_spr(d, t1).passed
+        # the legs at bottom columns 2j-1, 2j of the c-state rectangle,
+        # at positions 2j-2, 2j-1, carry the labels j, j+1
+        for j in _sites(n, "even"):
+            assert check_spr(*shat_c_rectangle(n, j), 2 * j - 2) == (True, "")
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_shifted_label_fails(self, n, monkeypatch):
+        # capping or adding at label k - 1 fails at every site where that
+        # label exists (not at j = 1); at k + 1 it fails at every site
+        # but the last one of an even size, where the reversal holds too
+        for shift, expected in ((-1, lambda j: j == 1), (1, lambda j: 2 * j == n)):
+            for name in ("apply_e", "apply_c", "apply_a"):
+                op = getattr(linkpat, name)
+                monkeypatch.setattr(identities, name, lambda v, k, op=op: op(v, k + shift))
+            for j in _sites(n, "even"):
+                instance = (*shat_c_rectangle(n, j), 2 * j - 2)
+                if shift < 0 and j == 1:
+                    with pytest.raises(ArityMismatch):
+                        check_spr(*instance)
+                    continue
+                ok, witness = check_spr(*instance)
+                assert ok == expected(j), (shift, j)
+                assert witness == ("" if ok else f"e:False c:False m={n}")
+
+    def test_registry_calls_the_public_check(self, monkeypatch):
+        # the spr row reads check_spr by its module name at call time, so
+        # a wrapper installed there sees every site
+        seen = []
+        real = identities.check_spr
+        monkeypatch.setattr(
+            identities, "check_spr", lambda d, t, a: seen.append(a) or real(d, t, a)
+        )
+        assert [check_identity("spr", 6, j).status for j in (1, 2, 3)] == [True] * 3
+        assert seen == [0, 2, 4]
+
+
+class TestRsDecomposition:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_defect_matches_the_oracle(self, n, monkeypatch):
+        # the defect the check reads off the sparse H, on a vector off
+        # the kernel (1, 2, 3, ... in word order), equals H - 2n applied
+        # generator by generator; the true s gives zero both ways
+        x = LpVector(n, {p: i + 1 for i, p in enumerate(all_patterns(n))})
+        defects = []
+        real = identities._pair
+        monkeypatch.setattr(identities, "_pair", lambda lhs, rhs: defects.append(lhs) or real(lhs, rhs))
+        for v, status in ((x, n == 1), (s_vector(n), True)):
+            defects.clear()
+            monkeypatch.setattr(identities, "s_vector", lambda m: v)
+            assert check_identity("rs_decomposition", n).status is status
+            assert defects == [apply_hamiltonian(v) - 2 * n * v]
 
 
 class TestVectors:

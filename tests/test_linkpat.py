@@ -26,7 +26,6 @@ from fplrs.linkpat import (
     apply_a,
     apply_c,
     apply_e,
-    apply_hamiltonian,
     apply_rotation,
     apply_sym,
     close_c,
@@ -37,6 +36,7 @@ from fplrs.linkpat import (
     rotation_class_of,
     tl_e,
 )
+from h_oracle import apply_hamiltonian
 
 
 def pat(*pairs):
